@@ -172,13 +172,13 @@ let micro_tests =
     Sys.opaque_identity r.Harness.Runner.committed
   in
   (* Causal-edge overhead probe: the same traced mini experiment with
-     the causal-edge store disabled vs live.  The off row is full span
-     tracing minus edge recording (each [Trace.edge] is one branch); the
-     delta against the on row prices exactly what the critical-path
-     decomposition costs — one appended edge record per delivered wire
-     message. *)
-  let causal_bench ~on () =
-    let trace = Obs.Trace.create ~causal:on () in
+     the causal-edge store disabled.  It is full span tracing minus edge
+     recording (each [Trace.edge] is one branch); the delta against the
+     trace-on row, whose recorder keeps edges by default, prices exactly
+     what the critical-path decomposition costs — one appended edge
+     record per delivered wire message. *)
+  let causal_off_bench () =
+    let trace = Obs.Trace.create ~causal:false () in
     let r =
       mini_experiment_result ~trace
         ~workload_of:(fun pl ->
@@ -236,8 +236,7 @@ let micro_tests =
       Test.make ~name:"fault-off-mini" (Staged.stage fault_off_bench);
       Test.make ~name:"batch-off-mini" (Staged.stage (fun () -> batch_bench ~on:false ()));
       Test.make ~name:"batch-on-mini" (Staged.stage (fun () -> batch_bench ~on:true ()));
-      Test.make ~name:"causal-off-mini" (Staged.stage (fun () -> causal_bench ~on:false ()));
-      Test.make ~name:"causal-on-mini" (Staged.stage (fun () -> causal_bench ~on:true ()));
+      Test.make ~name:"causal-off-mini" (Staged.stage causal_off_bench);
     ]
 
 (* Run a bechamel suite and return [(name, ns_per_run option)] rows

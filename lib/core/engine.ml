@@ -319,12 +319,14 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
         })
   in
   for p = 0 to Placement.n_partitions placement - 1 do
+    let dataset = Mvstore.create_dataset () in
     Array.iter
       (fun r ->
         let nd = nodes.(r) in
         Hashtbl.replace nd.servers p
           (Partition_server.create ~sim ~clock:nd.clock ~cpu:nd.cpu ~config
-             ~node_id:r ~partition:p ~stats:nd.stats ~trace ~pid:(node_pid r) ()))
+             ~node_id:r ~partition:p ~stats:nd.stats ~dataset ~trace
+             ~pid:(node_pid r) ()))
       (Placement.replicas placement p)
   done;
   let nearest =
@@ -376,17 +378,21 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
       || config.Config.broken_double_resolution;
   }
 
-(** Install an initial committed version of [key] (timestamp 0) at every
-    replica of its partition, bypassing the protocol.  For dataset
-    loading before the measured run. *)
+(* The writer of every loaded version. *)
+let loader = Txid.make ~origin:(-1) ~number:0
+
+(** Install an initial committed version of [key] (timestamp 0) in its
+    partition's loaded dataset, which every replica of the partition
+    shares, bypassing the protocol.  For dataset loading before the
+    measured run. *)
 let load eng key value =
   let p = Key.partition key in
-  Array.iter
-    (fun r ->
-      Mvstore.load
-        (Partition_server.store (server eng ~node:r ~partition:p))
-        ~writer:(Txid.make ~origin:(-1) ~number:0) key value)
-    (Placement.replicas eng.placement p)
+  let replicas = Placement.replicas eng.placement p in
+  let store r = Partition_server.store (server eng ~node:r ~partition:p) in
+  if Array.exists (fun r -> Mvstore.written (store r) key) replicas then
+    invalid_arg
+      (Printf.sprintf "Engine.load: key %s is already written" (Key.to_string key));
+  Mvstore.load (store replicas.(0)) ~writer:loader key value
 
 (* ------------------------------------------------------------------ *)
 (* Fiber helpers                                                       *)

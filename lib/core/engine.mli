@@ -62,8 +62,12 @@ val clear_observer : t -> unit
 (** {1 Data loading} *)
 
 val load : t -> Store.Keyspace.Key.t -> Store.Keyspace.Value.t -> unit
-(** Install an initial committed version (timestamp 0) at every replica
-    of the key's partition, bypassing the protocol. *)
+(** Install an initial committed version (timestamp 0) of the key,
+    bypassing the protocol.  It goes into the partition's loaded
+    dataset, stored once and shared by every replica of the partition
+    until a replica writes the key.
+    @raise Invalid_argument naming the key if it is already loaded or a
+    replica has already written it. *)
 
 (** {1 Transactional API (fiber context)} *)
 

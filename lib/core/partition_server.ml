@@ -63,7 +63,7 @@ type t = {
 let max_tombstones = 8192
 
 let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?stats
-    ?trace ?(pid = 0) () =
+    ?dataset ?trace ?(pid = 0) () =
   {
     sim;
     clock;
@@ -79,7 +79,7 @@ let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?sta
       (if is_cache then Obs.Trace.cache_tid node_id
        else Obs.Trace.server_tid ~node:node_id ~partition);
     holds = Txid.Tbl.create 16;
-    store = Mvstore.create ();
+    store = Mvstore.create ?dataset ();
     pending = Txid.Tbl.create 64;
     tombstones = Txid.Tbl.create 64;
     tombstone_queue = [];

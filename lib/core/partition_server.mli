@@ -24,15 +24,18 @@ val create :
   partition:int ->
   ?is_cache:bool ->
   ?stats:Stats.t ->
+  ?dataset:Mvstore.dataset ->
   ?trace:Obs.Trace.t ->
   ?pid:int ->
   unit ->
   t
-(** [trace]/[pid] attach the replica to a span recorder (default: a
-    disabled one); [pid] is the trace process id of the node's data
-    center.  When tracing is on the replica emits [lock-wait] spans for
-    reads blocked on uncommitted versions and [lock-hold] spans from a
-    successful prepare to the releasing commit/abort. *)
+(** [dataset] is the partition's loaded dataset, shared with its other
+    replicas (default: a private, empty one).  [trace]/[pid] attach the
+    replica to a span recorder (default: a disabled one); [pid] is the
+    trace process id of the node's data center.  When tracing is on the
+    replica emits [lock-wait] spans for reads blocked on uncommitted
+    versions and [lock-hold] spans from a successful prepare to the
+    releasing commit/abort. *)
 
 val store : t -> Mvstore.t
 val node_id : t -> int

@@ -22,7 +22,10 @@ module Key = struct
     | 0 -> String.compare a.name b.name
     | c -> c
 
-  let hash a = Hashtbl.hash (a.partition, a.name)
+  (* Hashes the record itself: the same value as hashing the tuple
+     [(partition, name)], which has the same block layout, without
+     allocating that tuple on every table lookup. *)
+  let hash (a : t) = Hashtbl.hash a
 
   let pp ppf k = Format.fprintf ppf "%d:%s" k.partition k.name
   let to_string k = Printf.sprintf "%d:%s" k.partition k.name

@@ -8,19 +8,37 @@ module KeyTbl : Hashtbl.S with type key = Key.t
 
 type t
 
-val create : unit -> t
+(** The rows loaded into one partition before the run: one read-only
+    committed version per key, shared by every replica store created on
+    it.  A replica copies a loaded key into a private chain only when it
+    first mutates it (insert or remove), so loading costs one version
+    per key and partition, not per replica. *)
+type dataset
 
-(** The (possibly fresh) chain of a key. *)
-val chain : t -> Key.t -> Chain.t
+val create_dataset : unit -> dataset
 
-val chain_opt : t -> Key.t -> Chain.t option
+(** A replica store over [dataset] (default: a private, empty one). *)
+val create : ?dataset:dataset -> unit -> t
+
+(** Keys of the replica: loaded ones plus those it wrote.  O(1). *)
 val key_count : t -> int
 
-(** Total stored versions across every chain.  O(1) (incremental). *)
+(** Total stored versions of the replica, loaded and private.  O(1)
+    (incremental). *)
 val version_count : t -> int
 
+(** Fold over [key]'s versions at this replica, newest first: its
+    private chain, or else its loaded version. *)
+val fold_versions : ('a -> Version.t -> 'a) -> 'a -> t -> Key.t -> 'a
+
+(** Has this replica written [key] (does it hold a private chain)? *)
+val written : t -> Key.t -> bool
+
 (** Initial load, bypassing the protocol: installs a committed version
-    at timestamp [ts] (default 0). *)
+    at timestamp [ts] (default 0) into the store's dataset, so every
+    replica sharing it sees the version.
+    @raise Invalid_argument if the key is already loaded or this store
+    has written it. *)
 val load : t -> ?ts:int -> writer:Txid.t -> Key.t -> Keyspace.Value.t -> unit
 
 val last_reader : t -> Key.t -> int
@@ -42,7 +60,8 @@ val reposition : t -> Key.t -> Version.t -> unit
 (** Uncommitted versions currently stacked on the key. *)
 val uncommitted : t -> Key.t -> Version.t list
 
-(** Multi-version GC over every chain; returns versions dropped. *)
+(** Multi-version GC over every private chain; returns versions
+    dropped.  A key still on its loaded version has nothing to drop. *)
 val prune : t -> horizon:int -> int
 
 val reads_served : t -> int
@@ -52,8 +71,9 @@ val reads_served : t -> int
     every insert/remove/prune. *)
 val storage_bytes : t -> int * int
 
-(** Recompute the storage counters by walking every chain and compare
-    against the incremental ones (differential oracle, test support). *)
+(** Recompute the storage counters by walking the dataset and every
+    private chain and compare against the incremental ones
+    (differential oracle, test support). *)
 val check_accounting : t -> (unit, string) result
 
 val check_invariants : t -> (unit, string) result

@@ -172,6 +172,54 @@ let test_misspeculation_cascades () =
   | Some `Commit -> ()
   | None -> Alcotest.fail "T1 did not finish"
 
+let store_of eng ~node ~p = Core.Partition_server.store (Core.Engine.server eng ~node ~partition:p)
+
+let test_duplicate_load_rejected () =
+  let _sim, eng = make_cluster () in
+  let k = key ~p:0 "a" in
+  Core.Engine.load eng k (Value.Int 1);
+  Alcotest.check_raises "second load of a loaded key"
+    (Invalid_argument "Mvstore.load: key 0:a is already loaded or written") (fun () ->
+      Core.Engine.load eng k (Value.Int 2));
+  (* ring rf=2: partition 0 lives on nodes 0 and 1.  A key already
+     written at the second replica must be refused too. *)
+  let w = key ~p:0 "w" in
+  Mvstore.insert_version (store_of eng ~node:1 ~p:0) w
+    (Version.make ~writer:(Txid.make ~origin:1 ~number:1) ~state:Version.Committed ~ts:5
+       ~value:(Value.Int 0));
+  Alcotest.check_raises "load of a key written at a replica"
+    (Invalid_argument "Engine.load: key 0:w is already written") (fun () ->
+      Core.Engine.load eng w (Value.Int 2));
+  (* The refused loads changed nothing: one version of [k] per replica. *)
+  List.iter
+    (fun node ->
+      let s = store_of eng ~node ~p:0 in
+      Alcotest.(check int) "versions of k" 1
+        (Mvstore.fold_versions (fun n _ -> n + 1) 0 s k))
+    [ 0; 1 ]
+
+let test_load_shared_until_written () =
+  let sim, eng = make_cluster () in
+  let k = key ~p:0 "a" in
+  Core.Engine.load eng k (Value.Int 1);
+  let s0 = store_of eng ~node:0 ~p:0 and s1 = store_of eng ~node:1 ~p:0 in
+  let loaded s = Mvstore.latest_before s k ~rs:max_int in
+  Alcotest.(check bool) "replicas share the loaded version" true
+    (match (loaded s0, loaded s1) with Some a, Some b -> a == b | _ -> false);
+  Alcotest.(check bool) "nothing written yet" false
+    (Mvstore.written s0 k || Mvstore.written s1 k);
+  ignore
+    (run_fiber sim (fun () ->
+         let tx = Core.Engine.begin_tx eng ~origin:0 in
+         Core.Engine.write eng tx k (Value.Int 2);
+         Core.Engine.commit eng tx));
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "written after commit" true (Mvstore.written s k);
+      Alcotest.(check int) "loaded + committed versions" 2 (Mvstore.version_count s);
+      match Mvstore.check_accounting s with Ok () -> () | Error e -> Alcotest.fail e)
+    [ s0; s1 ]
+
 let () =
   Alcotest.run "core-smoke"
     [
@@ -182,5 +230,8 @@ let () =
           Alcotest.test_case "speculative read success" `Quick test_speculative_read_success;
           Alcotest.test_case "baseline blocks" `Quick test_baseline_blocks_instead;
           Alcotest.test_case "misspeculation cascades" `Quick test_misspeculation_cascades;
+          Alcotest.test_case "duplicate load rejected" `Quick test_duplicate_load_rejected;
+          Alcotest.test_case "load shared until written" `Quick
+            test_load_shared_until_written;
         ] );
     ]

@@ -451,6 +451,50 @@ let test_procpool_propagates_failure () =
     Alcotest.(check bool) "message names the cell error" true
       (contains msg "cell exploded")
 
+(* --- §6.1 storage accounting after load ---------------------------- *)
+
+(* The 9-DC, rf-6 clusters of the paper's TPC-C and RUBiS experiments,
+   right after the dataset load.  The figures were recorded when every
+   replica still held its own copy of each loaded row; sharing one loaded
+   dataset per partition must not move them.  [per_partition] lists, per
+   partition, the (keys, versions, data bytes) every replica reports. *)
+let check_loaded_storage ~workload_of ~breakdown ~per_partition =
+  let placement = Store.Placement.ring ~n_nodes:9 ~replication_factor:6 () in
+  let setup =
+    Harness.Runner.default_setup ~workload:(workload_of placement)
+      ~config:(Core.Config.str ())
+  in
+  let _sim, _net, pl, eng, _rng = Harness.Runner.build_cluster setup in
+  setup.Harness.Runner.workload.Workload.Spec.load eng;
+  Alcotest.(check (pair int int)) "storage breakdown" breakdown
+    (Core.Engine.storage_breakdown eng);
+  List.iteri
+    (fun p expect ->
+      Array.iter
+        (fun node ->
+          let s =
+            Core.Partition_server.store (Core.Engine.server eng ~node ~partition:p)
+          in
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "p%d at node %d: keys, versions, bytes" p node)
+            expect
+            Store.Mvstore.(key_count s, version_count s, fst (storage_bytes s)))
+        (Store.Placement.replicas pl p))
+    per_partition
+
+let test_storage_tpcc_loaded () =
+  let a = (10105, 10105, 2039810) and b = (10105, 10105, 2049915) in
+  check_loaded_storage
+    ~workload_of:(fun pl -> fst (Workload.Tpcc.make pl))
+    ~breakdown:(110574150, 13096080)
+    ~per_partition:[ a; a; b; b; b; b; b; b; b ]
+
+let test_storage_rubis_loaded () =
+  let mid = (614, 614, 177954) in
+  check_loaded_storage ~workload_of:Workload.Rubis.make ~breakdown:(9610824, 795888)
+    ~per_partition:
+      [ (615, 615, 178128); (615, 615, 178132); mid; mid; mid; mid; mid; mid; (613, 613, 177820) ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -463,6 +507,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_metrics_p50_is_median;
         ] );
       ("report", [ Alcotest.test_case "render" `Quick test_report_render ]);
+      ( "storage",
+        [
+          Alcotest.test_case "tpcc loaded" `Quick test_storage_tpcc_loaded;
+          Alcotest.test_case "rubis loaded" `Quick test_storage_rubis_loaded;
+        ] );
       ( "runner",
         [
           Alcotest.test_case "end to end" `Quick test_runner_end_to_end;

@@ -81,8 +81,11 @@ let test_mvstore_storage_accounting () =
 let test_mvstore_prune () =
   let s = Mvstore.create () in
   let k = Key.v ~partition:0 "x" in
-  for i = 1 to 8 do
-    Mvstore.load s ~ts:(i * 10) ~writer:(txid i) k (Value.Int i)
+  (* The first version is loaded; the later ones stack on a private
+     copy-on-write chain. *)
+  Mvstore.load s ~ts:10 ~writer:(txid 1) k (Value.Int 1);
+  for i = 2 to 8 do
+    Mvstore.insert_version s k (mkv ~n:i ~ts:(i * 10) ())
   done;
   let dropped = Mvstore.prune s ~horizon:60 in
   Alcotest.(check int) "old versions dropped" 5 dropped;
@@ -143,7 +146,13 @@ let test_key_basics () =
   Alcotest.(check int) "partition" 3 (Key.partition k);
   Alcotest.(check bool) "equal" true (Key.equal k (Key.v ~partition:3 "order/1/2"));
   Alcotest.(check bool) "differ by partition" false
-    (Key.equal k (Key.v ~partition:4 "order/1/2"))
+    (Key.equal k (Key.v ~partition:4 "order/1/2"));
+  (* Table layouts, and so every hashtable iteration, depend on it. *)
+  List.iter
+    (fun (p, n) ->
+      Alcotest.(check int) "hash is the (partition, name) tuple hash"
+        (Hashtbl.hash (p, n)) (Key.hash (Key.v ~partition:p n)))
+    [ (0, ""); (3, "order/1/2"); (-1, "x"); (8, "stock/4/99999") ]
 
 (* --- properties --- *)
 
@@ -394,7 +403,8 @@ let test_mvstore_accounting_differential () =
   let s = Mvstore.create () in
   let key i = Key.v ~partition:(i mod 2) (Printf.sprintf "acct%d" i) in
   for i = 0 to 19 do
-    Mvstore.load s ~ts:(i * 5) ~writer:(txid i) (key (i mod 6)) (Value.Int i)
+    if i < 6 then Mvstore.load s ~ts:(i * 5) ~writer:(txid i) (key i) (Value.Int i)
+    else Mvstore.insert_version s (key (i mod 6)) (mkv ~n:i ~ts:(i * 5) ())
   done;
   for i = 0 to 9 do
     Mvstore.insert_version s (key (i mod 6))
@@ -454,6 +464,199 @@ let test_mvstore_fingerprint_stable () =
   Alcotest.(check bool) "new key changes fingerprint" true
     (Mvstore.fingerprint s <> 1455918422535442856)
 
+(* --- shared loaded dataset vs private copies --- *)
+
+(* R replicas sharing one loaded dataset must be observably identical to
+   R stores that each load a private copy, under any per-replica mix of
+   mutations.  Loaded versions are distinct objects on the two
+   sides, so versions are compared by content. *)
+
+let n_replicas = 3
+let n_keys = 6
+let n_loaded = 4
+let dkey i = Key.v ~partition:0 (Printf.sprintf "d%d" i)
+let loader = Txid.make ~origin:(-1) ~number:0
+
+type store_op =
+  | S_insert of int * int * int * int  (** replica, key, ts, state selector *)
+  | S_reposition of int * int * int * bool  (** replica, live pick, ts increment, promote *)
+  | S_remove of int * int  (** replica, live pick *)
+  | S_remove_loaded of int * int  (** replica, key *)
+  | S_prune of int * int  (** replica, horizon *)
+  | S_bump of int * int * int  (** replica, key, rs *)
+
+let store_op_gen =
+  QCheck.Gen.(
+    let r = int_range 0 (n_replicas - 1) and k = int_range 0 (n_keys - 1) in
+    frequency
+      [
+        ( 5,
+          map3
+            (fun r (k, ts) st -> S_insert (r, k, ts, st))
+            r (pair k (int_range 0 1000)) (int_range 0 2) );
+        ( 2,
+          map3
+            (fun r (p, d) pr -> S_reposition (r, p, d, pr))
+            r (pair (int_range 0 1000) (int_range 0 300)) bool );
+        (2, map2 (fun r p -> S_remove (r, p)) r (int_range 0 1000));
+        (1, map2 (fun r k -> S_remove_loaded (r, k)) r k);
+        (1, map2 (fun r h -> S_prune (r, h)) r (int_range 0 1500));
+        (2, map3 (fun r k rs -> S_bump (r, k, rs)) r k (int_range 0 1500));
+      ])
+
+let same_version (a : Version.t) (b : Version.t) =
+  Txid.equal a.writer b.writer && a.state = b.state && a.ts = b.ts
+  && Value.equal a.value b.value
+
+let same_version_opt a b =
+  match a, b with
+  | None, None -> true
+  | Some x, Some y -> same_version x y
+  | _ -> false
+
+let same_versions a b = List.length a = List.length b && List.for_all2 same_version a b
+
+let versions_of s k = List.rev (Mvstore.fold_versions (fun l v -> v :: l) [] s k)
+
+let stores_agree a b =
+  let key_agrees k =
+    List.for_all
+      (fun rs ->
+        same_version_opt (Mvstore.latest_before a k ~rs) (Mvstore.latest_before b k ~rs)
+        && same_version_opt
+             (Mvstore.latest_committed_before a k ~rs)
+             (Mvstore.latest_committed_before b k ~rs))
+      [ 0; 250; 500; 750; 1000; max_int ]
+    && same_version_opt (Mvstore.newest_committed a k) (Mvstore.newest_committed b k)
+    && same_version_opt (Mvstore.find_version a k loader) (Mvstore.find_version b k loader)
+    && same_versions (Mvstore.uncommitted a k) (Mvstore.uncommitted b k)
+    && same_versions (versions_of a k) (versions_of b k)
+    && Mvstore.last_reader a k = Mvstore.last_reader b k
+    && Mvstore.written a k = Mvstore.written b k
+  in
+  Mvstore.fingerprint a = Mvstore.fingerprint b
+  && Mvstore.storage_bytes a = Mvstore.storage_bytes b
+  && Mvstore.key_count a = Mvstore.key_count b
+  && Mvstore.version_count a = Mvstore.version_count b
+  && Mvstore.reads_served a = Mvstore.reads_served b
+  && List.for_all2
+       (fun (ka, va) (kb, vb) -> Key.equal ka kb && same_version va vb)
+       (Mvstore.committed_versions a) (Mvstore.committed_versions b)
+  && Mvstore.check_accounting a = Ok ()
+  && Mvstore.check_accounting b = Ok ()
+  && List.for_all key_agrees (List.init n_keys dkey)
+
+let run_shared_differential ops =
+  let dataset = Mvstore.create_dataset () in
+  let shared = Array.init n_replicas (fun _ -> Mvstore.create ~dataset ()) in
+  let priv = Array.init n_replicas (fun _ -> Mvstore.create ()) in
+  for i = 0 to n_loaded - 1 do
+    Mvstore.load shared.(0) ~writer:loader (dkey i) (Value.Int i);
+    Array.iter (fun s -> Mvstore.load s ~writer:loader (dkey i) (Value.Int i)) priv
+  done;
+  (* Inserted versions are the same objects on both sides, so a
+     reposition mutates both at once. *)
+  let live = Array.make n_replicas [||] in
+  let next_writer = ref 0 in
+  let pick r p = live.(r).(p mod Array.length live.(r)) in
+  let present r (k, (v : Version.t)) =
+    match Mvstore.find_version priv.(r) k v.writer with Some w -> w == v | None -> false
+  in
+  let step op =
+    match op with
+    | S_insert (r, k, ts, st) ->
+      incr next_writer;
+      let state =
+        match st with
+        | 0 -> Version.Committed
+        | 1 -> Version.Local_committed
+        | _ -> Version.Pre_committed
+      in
+      let v =
+        Version.make ~writer:(Txid.make ~origin:r ~number:!next_writer) ~state ~ts
+          ~value:(Value.Int ts)
+      in
+      Mvstore.insert_version shared.(r) (dkey k) v;
+      Mvstore.insert_version priv.(r) (dkey k) v;
+      live.(r) <- Array.append live.(r) [| (dkey k, v) |];
+      true
+    | S_reposition (r, p, d, promote) ->
+      if Array.length live.(r) > 0 && present r (pick r p) then begin
+        let k, v = pick r p in
+        v.Version.ts <- v.Version.ts + d;
+        if promote then
+          v.Version.state <-
+            (match v.Version.state with
+             | Version.Pre_committed -> Version.Local_committed
+             | Version.Local_committed | Version.Committed -> Version.Committed);
+        Mvstore.reposition shared.(r) k v;
+        Mvstore.reposition priv.(r) k v
+      end;
+      true
+    | S_remove (r, p) ->
+      if Array.length live.(r) > 0 then begin
+        let k, (v : Version.t) = pick r p in
+        Mvstore.remove_version shared.(r) k v.writer;
+        Mvstore.remove_version priv.(r) k v.writer
+      end;
+      true
+    | S_remove_loaded (r, k) ->
+      Mvstore.remove_version shared.(r) (dkey k) loader;
+      Mvstore.remove_version priv.(r) (dkey k) loader;
+      true
+    | S_prune (r, h) ->
+      Mvstore.prune shared.(r) ~horizon:h = Mvstore.prune priv.(r) ~horizon:h
+    | S_bump (r, k, rs) ->
+      Mvstore.bump_last_reader shared.(r) (dkey k) rs;
+      Mvstore.bump_last_reader priv.(r) (dkey k) rs;
+      true
+  in
+  (* Every read accessor is compared at every replica after each step. *)
+  List.for_all
+    (fun op ->
+      step op
+      && List.for_all
+           (fun r -> stores_agree shared.(r) priv.(r))
+           (List.init n_replicas Fun.id))
+    ops
+
+let prop_shared_dataset_differential =
+  QCheck.Test.make
+    ~name:"replicas sharing a dataset behave like private copies" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 50) store_op_gen))
+    run_shared_differential
+
+let test_mvstore_shared_isolation () =
+  let dataset = Mvstore.create_dataset () in
+  let s0 = Mvstore.create ~dataset () and s1 = Mvstore.create ~dataset () in
+  let k = dkey 0 and fresh = dkey 5 in
+  Mvstore.load s0 ~writer:loader k (Value.Int 1);
+  let newest s = Mvstore.latest_before s k ~rs:max_int in
+  Alcotest.(check bool) "one loaded version, seen at both replicas" true
+    (match (newest s0, newest s1) with Some a, Some b -> a == b | _ -> false);
+  let fp1 = Mvstore.fingerprint s1 and bytes1 = Mvstore.storage_bytes s1 in
+  (* Replica 0 writes the loaded key, drops its loaded version and
+     writes a key nobody loaded. *)
+  Mvstore.insert_version s0 k (mkv ~n:7 ~ts:10 ());
+  Mvstore.remove_version s0 k loader;
+  Mvstore.insert_version s0 fresh (mkv ~state:Version.Pre_committed ~n:8 ~ts:12 ());
+  let writer_of = function Some (v : Version.t) -> Some v.writer | None -> None in
+  Alcotest.(check bool) "replica 0 sees its write" true
+    (writer_of (newest s0) = Some (txid 7) && Mvstore.find_version s0 k loader = None);
+  Alcotest.(check bool) "replica 1 still sees the loaded version" true
+    (writer_of (newest s1) = Some loader && Mvstore.find_version s1 k (txid 7) = None);
+  Alcotest.(check bool) "replica 1 never sees the new key" true
+    (Mvstore.latest_before s1 fresh ~rs:max_int = None && Mvstore.uncommitted s1 fresh = []);
+  Alcotest.(check (pair int int)) "key counts" (2, 1) (Mvstore.key_count s0, Mvstore.key_count s1);
+  Alcotest.(check bool) "replica 1 wrote nothing" false
+    (Mvstore.written s1 k || Mvstore.written s1 fresh);
+  Alcotest.(check int) "replica 1 fingerprint unchanged" fp1 (Mvstore.fingerprint s1);
+  Alcotest.(check (pair int int)) "replica 1 storage unchanged" bytes1
+    (Mvstore.storage_bytes s1);
+  List.iter
+    (fun s -> match Mvstore.check_accounting s with Ok () -> () | Error e -> Alcotest.fail e)
+    [ s0; s1 ]
+
 let () =
   Alcotest.run "store"
     [
@@ -480,6 +683,9 @@ let () =
             test_mvstore_accounting_differential;
           Alcotest.test_case "fingerprint stability" `Quick
             test_mvstore_fingerprint_stable;
+          Alcotest.test_case "shared dataset isolation" `Quick
+            test_mvstore_shared_isolation;
+          QCheck_alcotest.to_alcotest prop_shared_dataset_differential;
         ] );
       ( "placement",
         [
