@@ -110,9 +110,10 @@ let traced_experiment_cmd name doc f =
   Cmd.v (Cmd.info name ~doc) term
 
 (* Open-loop variant of `run`: fixed-rate Poisson injection through
-   Harness.Openloop; --clients is the population per DC. *)
+   Harness.Openloop; --clients is the population per DC.  Returns the
+   snapshot series, if one was recorded. *)
 let run_openloop ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~seed
-    ~rate ~wheel ?timeseries_us ~timeseries_csv () =
+    ~rate ~wheel ?trace ?timeseries_us () =
   let setup =
     {
       (Harness.Openloop.default_setup ~workload ~config) with
@@ -124,10 +125,7 @@ let run_openloop ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~s
       queue = (if wheel then `Wheel else `Heap);
     }
   in
-  let r = Harness.Openloop.run ?timeseries_us setup in
-  (match (timeseries_csv, r.Harness.Openloop.timeseries) with
-  | Some f, Some ts -> write_file f (Obs.Timeseries.to_csv ts)
-  | Some _, None | None, _ -> ());
+  let r = Harness.Openloop.run ?trace ?timeseries_us setup in
   Printf.printf "open-loop protocol=%s workload=%s clients/DC=%d rate=%.1f tx/s/DC (%s)\n"
     protocol wname clients rate
     (if wheel then "wheel" else "heap");
@@ -145,7 +143,40 @@ let run_openloop ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~s
     Format.printf "  spec latency   : %a@." Harness.Metrics.pp_summary
       r.Harness.Openloop.spec_latency;
   Printf.printf "  events         : %d\n" r.Harness.Openloop.events;
-  Format.printf "  stats          : %a@." Core.Stats.pp r.Harness.Openloop.stats
+  Format.printf "  stats          : %a@." Core.Stats.pp r.Harness.Openloop.stats;
+  r.Harness.Openloop.timeseries
+
+(* Closed-loop variant of `run`: --clients is the population per node.
+   Returns the snapshot series, if one was recorded. *)
+let run_closed ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~seed ~wheel
+    ~fault_plan ?trace ?timeseries_us () =
+  if wheel then
+    prerr_endline "note: --wheel only applies with --arrival-rate; ignoring";
+  let setup =
+    {
+      (Harness.Runner.default_setup ~workload ~config) with
+      clients_per_node = clients;
+      warmup_us = warmup * 1_000_000;
+      measure_us = seconds * 1_000_000;
+      seed;
+      self_tune = (if protocol = "str" then `On 1_000_000 else `Off);
+      fault_plan;
+    }
+  in
+  let r = Harness.Runner.run ?trace ?timeseries_us setup in
+  Printf.printf "protocol=%s workload=%s clients/node=%d\n" protocol wname clients;
+  Printf.printf "  throughput     : %.1f tx/s\n" r.Harness.Runner.throughput;
+  Printf.printf "  abort rate     : %.1f%%\n" (100. *. r.Harness.Runner.abort_rate);
+  Printf.printf "  misspeculation : %.1f%%\n" (100. *. r.Harness.Runner.misspec_rate);
+  Printf.printf "  ext misspec    : %.1f%%\n" (100. *. r.Harness.Runner.ext_misspec_rate);
+  Format.printf "  final latency  : %a@." Harness.Metrics.pp_summary
+    r.Harness.Runner.final_latency;
+  if r.Harness.Runner.spec_latency.Harness.Metrics.count > 0 then
+    Format.printf "  spec latency   : %a@." Harness.Metrics.pp_summary
+      r.Harness.Runner.spec_latency;
+  Printf.printf "  WAN messages   : %d\n" r.Harness.Runner.wan_messages;
+  Format.printf "  stats          : %a@." Core.Stats.pp r.Harness.Runner.stats;
+  r.Harness.Runner.timeseries
 
 let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     crash crash_at_ms recover_at_ms batch_window batch_max timeseries_us_arg
@@ -203,47 +234,23 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
       in
       (Core.Config.with_recovery config, plan)
   in
-  match arrival_rate with
-  | Some rate ->
-    if trace_file <> None || trace_jsonl <> None then
-      prerr_endline "note: --trace is not supported in open-loop mode; ignoring";
-    if fault_plan <> [] then
-      prerr_endline "note: --crash is not supported in open-loop mode; ignoring";
-    run_openloop ~protocol ~wname:workload ~config ~workload:wl ~clients ~seconds
-      ~warmup ~seed ~rate ~wheel ?timeseries_us ~timeseries_csv ()
-  | None ->
-  if wheel then
-    prerr_endline "note: --wheel only applies with --arrival-rate; ignoring";
-  let setup =
-    {
-      (Harness.Runner.default_setup ~workload:wl ~config) with
-      clients_per_node = clients;
-      warmup_us = warmup * 1_000_000;
-      measure_us = seconds * 1_000_000;
-      seed;
-      self_tune = (if protocol = "str" then `On 1_000_000 else `Off);
-      fault_plan;
-    }
-  in
   let trace =
     if trace_file = None && trace_jsonl = None then None else Some (Obs.Trace.create ())
   in
-  let r = Harness.Runner.run ?trace ?timeseries_us setup in
-  (match (timeseries_csv, r.Harness.Runner.timeseries) with
+  let tseries =
+    match arrival_rate with
+    | Some rate ->
+      if fault_plan <> [] then
+        prerr_endline "note: --crash is not supported in open-loop mode; ignoring";
+      run_openloop ~protocol ~wname:workload ~config ~workload:wl ~clients ~seconds
+        ~warmup ~seed ~rate ~wheel ?trace ?timeseries_us ()
+    | None ->
+      run_closed ~protocol ~wname:workload ~config ~workload:wl ~clients ~seconds
+        ~warmup ~seed ~wheel ~fault_plan ?trace ?timeseries_us ()
+  in
+  (match (timeseries_csv, tseries) with
   | Some f, Some ts -> write_file f (Obs.Timeseries.to_csv ts)
   | Some _, None | None, _ -> ());
-  Printf.printf "protocol=%s workload=%s clients/node=%d\n" protocol workload clients;
-  Printf.printf "  throughput     : %.1f tx/s\n" r.Harness.Runner.throughput;
-  Printf.printf "  abort rate     : %.1f%%\n" (100. *. r.Harness.Runner.abort_rate);
-  Printf.printf "  misspeculation : %.1f%%\n" (100. *. r.Harness.Runner.misspec_rate);
-  Printf.printf "  ext misspec    : %.1f%%\n" (100. *. r.Harness.Runner.ext_misspec_rate);
-  Format.printf "  final latency  : %a@." Harness.Metrics.pp_summary
-    r.Harness.Runner.final_latency;
-  if r.Harness.Runner.spec_latency.Harness.Metrics.count > 0 then
-    Format.printf "  spec latency   : %a@." Harness.Metrics.pp_summary
-      r.Harness.Runner.spec_latency;
-  Printf.printf "  WAN messages   : %d\n" r.Harness.Runner.wan_messages;
-  Format.printf "  stats          : %a@." Core.Stats.pp r.Harness.Runner.stats;
   match trace with
   | None -> ()
   | Some tr ->

@@ -126,6 +126,8 @@ let push_msg q ~time ~src ~dst payload =
 
 let push_keyed q ~time ~seq ~meta payload = push_full q ~time ~seq ~meta payload
 
+let head_time q = if q.size = 0 then max_int else q.times.(0)
+
 let min_time q = if q.size = 0 then None else Some q.times.(0)
 
 (** [(time, seq)] of the earliest event, if any.  The sequence number is

@@ -41,6 +41,10 @@ val meta_dst : int -> int
 (** Earliest event time, if any. *)
 val min_time : 'a t -> int option
 
+(** Earliest event time, or [max_int] when the queue is empty — the
+    allocation-free {!min_time} for the simulator's run loop. *)
+val head_time : 'a t -> int
+
 (** [(time, seq)] of the earliest event, if any.  [seq] is the
     queue-local insertion counter: deterministic across replayed runs,
     which makes it a stable event identity for controlled schedulers. *)

@@ -230,9 +230,9 @@ let run ?until t =
   while !continue do
     match t.mode with
     | Heap q -> (
-      match Event_queue.min_time q with
-      | None -> continue := false
-      | Some time -> (
+      let time = Event_queue.head_time q in
+      if time = max_int && Event_queue.is_empty q then continue := false
+      else
         match until with
         | Some limit when time > limit ->
           t.now <- limit;
@@ -242,11 +242,11 @@ let run ?until t =
           t.now <- Event_queue.popped_time q;
           incr processed;
           let src = Event_queue.popped_src q in
-          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst q) then f ()))
+          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst q) then f ())
     | Wheel w -> (
-      match Wheel.min_time w with
-      | None -> continue := false
-      | Some time -> (
+      let time = Wheel.head_time w in
+      if time = max_int && Wheel.is_empty w then continue := false
+      else
         match until with
         | Some limit when time > limit ->
           t.now <- limit;
@@ -256,7 +256,7 @@ let run ?until t =
           t.now <- Wheel.popped_time w;
           incr processed;
           let src = Wheel.popped_src w in
-          if src < 0 || t.gate ~src ~dst:(Wheel.popped_dst w) then f ()))
+          if src < 0 || t.gate ~src ~dst:(Wheel.popped_dst w) then f ())
     | Controlled c -> (
       match candidates c with
       | [] -> continue := false

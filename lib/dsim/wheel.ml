@@ -263,14 +263,12 @@ let settle w =
     end
   end
 
-let min_time w =
-  let wh =
-    if settle w then Some w.levels.(0).(w.cur_slot).st.(w.cur_ptr) else None
-  in
-  match wh, Event_queue.min_time w.outside with
-  | None, o -> o
-  | w_, None -> w_
-  | Some tw, Some to_ -> Some (if tw <= to_ then tw else to_)
+let head_time w =
+  let tw = if settle w then w.levels.(0).(w.cur_slot).st.(w.cur_ptr) else max_int in
+  let to_ = Event_queue.head_time w.outside in
+  if tw <= to_ then tw else to_
+
+let min_time w = if is_empty w then None else Some (head_time w)
 
 let peek_key w =
   let wh =
@@ -287,38 +285,38 @@ let peek_key w =
     if tw < to_ || (tw = to_ && sw < so) then wh
     else Some (to_, so)
 
+let take_wheel w =
+  let s = w.levels.(0).(w.cur_slot) in
+  let i = w.cur_ptr in
+  w.cur_ptr <- i + 1;
+  w.wheel_size <- w.wheel_size - 1;
+  w.counts.(0) <- w.counts.(0) - 1;
+  w.popped <- w.popped + 1;
+  w.popped_time <- s.st.(i);
+  w.popped_meta <- s.sm.(i);
+  s.sp.(i)
+
+let take_outside w =
+  let p = Event_queue.pop_payload w.outside in
+  w.popped <- w.popped + 1;
+  w.popped_time <- Event_queue.popped_time w.outside;
+  w.popped_meta <- Event_queue.popped_meta w.outside;
+  p
+
+(* Allocation-free unless both the slots and [outside] hold events, the
+   rare case where the two heads are compared by full key. *)
 let pop_payload w =
-  let take_wheel () =
+  let in_wheel = settle w in
+  if Event_queue.is_empty w.outside then
+    if in_wheel then take_wheel w else raise Not_found
+  else if not in_wheel then take_outside w
+  else begin
     let s = w.levels.(0).(w.cur_slot) in
-    let i = w.cur_ptr in
-    w.cur_ptr <- i + 1;
-    w.wheel_size <- w.wheel_size - 1;
-    w.counts.(0) <- w.counts.(0) - 1;
-    w.popped <- w.popped + 1;
-    w.popped_time <- s.st.(i);
-    w.popped_meta <- s.sm.(i);
-    s.sp.(i)
-  in
-  let take_outside () =
-    let p = Event_queue.pop_payload w.outside in
-    w.popped <- w.popped + 1;
-    w.popped_time <- Event_queue.popped_time w.outside;
-    w.popped_meta <- Event_queue.popped_meta w.outside;
-    p
-  in
-  let wh =
-    if settle w then begin
-      let s = w.levels.(0).(w.cur_slot) in
-      Some (s.st.(w.cur_ptr), s.ss.(w.cur_ptr))
-    end
-    else None
-  in
-  match wh, Event_queue.peek_key w.outside with
-  | None, None -> raise Not_found
-  | Some _, None -> take_wheel ()
-  | None, Some _ -> take_outside ()
-  | Some (tw, sw), Some (to_, so) ->
-    if tw < to_ || (tw = to_ && sw < so) then take_wheel () else take_outside ()
+    let tw = s.st.(w.cur_ptr) and sw = s.ss.(w.cur_ptr) in
+    match Event_queue.peek_key w.outside with
+    | Some (to_, so) when to_ < tw || (to_ = tw && so < sw) -> take_outside w
+    | Some _ | None -> take_wheel w
+  end
 
 let pop w =
   let p = pop_payload w in

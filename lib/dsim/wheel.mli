@@ -32,6 +32,10 @@ val push_msg : 'a t -> time:int -> src:int -> dst:int -> 'a -> unit
     past the earliest pending event). *)
 val min_time : 'a t -> int option
 
+(** Earliest event time, or [max_int] when the wheel is empty; the
+    allocation-free {!min_time}, with the same effect on the base. *)
+val head_time : 'a t -> int
+
 (** [(time, seq)] of the earliest event, if any; [seq] is the global
     push counter, so keys are comparable with heap keys. *)
 val peek_key : 'a t -> (int * int) option

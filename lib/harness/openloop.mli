@@ -1,13 +1,13 @@
 (** Open-loop load injection at million-client scale.
 
     Transactions arrive at a fixed per-DC rate ({!Workload.Arrival})
-    instead of being paced by client completions.  The population is a
-    flat struct-of-arrays state machine — five unboxed [int] arrays
-    (state tag, node, program id, first start, attempt count) plus a
-    per-DC freelist — so an idle client costs five integers and a
-    million clients fit in a few dozen megabytes.  Fibers exist only for
-    in-flight transactions; arrivals that find their DC's whole
-    population busy are counted as dropped, never queued.
+    instead of being paced by client completions.  The population is
+    one idle counter per DC: which client serves an arrival never
+    reaches the engine, so an idle client costs nothing and a million
+    clients cost nine integers.  Fibers exist only for in-flight
+    transactions, each carrying its program, origin DC and arrival
+    time; arrivals that find their DC's whole population busy are
+    counted as dropped, never queued.
 
     Runs are deterministic in the seed and identical whether the
     simulator uses the binary heap or the timer wheel ([queue]). *)
@@ -56,7 +56,14 @@ type result = {
 }
 
 (** Build the cluster, inject arrivals through warmup + measurement,
-    and report.  [timeseries_us] records the standard snapshot series
-    ({!Runner.sample_columns}) at that interval through the end of
-    measurement.  @raise Invalid_argument if [clients_per_dc < 1]. *)
-val run : ?timeseries_us:int -> setup -> result
+    and report.  [observer], [trace] and [timeseries_us] are those of
+    {!Runner.run}; none of them changes the simulated outcome.
+    @raise Invalid_argument naming the field if [clients_per_dc < 1],
+    if [arrival.rate_per_dc] is not positive and finite, or as
+    {!Runner.check_run_setup}. *)
+val run :
+  ?observer:(Core.Types.event -> unit) ->
+  ?trace:Obs.Trace.t ->
+  ?timeseries_us:int ->
+  setup ->
+  result

@@ -119,27 +119,43 @@ let standard_sample ~sim ~net ~eng () =
     Dsim.Network.messages_sent net;
   |]
 
-let install_standard_sampler ~sim ~net ~eng ~interval_us ~until =
-  install_sampler ~sim ~interval_us ~until ~cols:sample_columns
-    (standard_sample ~sim ~net ~eng)
+let standard_series ?timeseries_us ~sim ~net ~eng ~until () =
+  match timeseries_us with
+  | Some interval_us when interval_us > 0 ->
+    Some
+      (install_sampler ~sim ~interval_us ~until ~cols:sample_columns
+         (standard_sample ~sim ~net ~eng))
+  | Some _ | None -> None
 
-let build_cluster ?trace setup =
-  let sim = Dsim.Sim.create () in
-  let dcs = Dsim.Topology.size setup.topology in
+(** Reject a malformed run set-up before anything is built; the
+    message names the offending field.  [who] is the caller. *)
+let check_run_setup ~who ~topology ~replication_factor ~warmup_us ~measure_us ~jitter =
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg (who ^ ": " ^ m)) fmt in
+  if warmup_us < 0 then fail "warmup_us %d is negative" warmup_us;
+  if measure_us < 0 then fail "measure_us %d is negative" measure_us;
+  let dcs = Dsim.Topology.size topology in
+  if replication_factor < 1 || replication_factor > dcs then
+    fail "replication_factor %d is outside 1..%d" replication_factor dcs;
+  if not (jitter >= 0. && jitter < 1.) then fail "jitter %g is outside [0, 1)" jitter
+
+let make_cluster ?trace ?queue ~topology ~replication_factor ~config ~seed ~jitter () =
+  let sim = Dsim.Sim.create ?queue () in
+  let dcs = Dsim.Topology.size topology in
   let node_dc = Array.init dcs (fun i -> i) in
-  let rng = Dsim.Rng.create ~seed:setup.seed in
+  let rng = Dsim.Rng.create ~seed in
   let net =
-    Dsim.Network.create ~sim ~topology:setup.topology ~node_dc ~jitter:setup.jitter
-      ~rng:(Dsim.Rng.split rng)
+    Dsim.Network.create ~sim ~topology ~node_dc ~jitter ~rng:(Dsim.Rng.split rng)
   in
-  let placement =
-    Store.Placement.ring ~n_nodes:dcs ~replication_factor:setup.replication_factor ()
-  in
+  let placement = Store.Placement.ring ~n_nodes:dcs ~replication_factor () in
   let eng =
-    Core.Engine.create ~sim ~net ~placement ~config:setup.config ~seed:(Dsim.Rng.next rng)
-      ?trace ()
+    Core.Engine.create ~sim ~net ~placement ~config ~seed:(Dsim.Rng.next rng) ?trace ()
   in
   (sim, net, placement, eng, rng)
+
+let build_cluster ?trace setup =
+  make_cluster ?trace ~topology:setup.topology
+    ~replication_factor:setup.replication_factor ~config:setup.config ~seed:setup.seed
+    ~jitter:setup.jitter ()
 
 (** Inter-DC RTT extremes of the topology (the convoy-effect report in
     [trace_stats] compares lock hold times against these). *)
@@ -193,70 +209,25 @@ let delta_stats ~at_start ~at_end =
     d.Core.Stats.in_doubt_aborts - at_start.Core.Stats.in_doubt_aborts;
   d
 
-(** Run the experiment.  [observer] optionally receives every engine
-    event (e.g. to feed the SPSI checker in tests); [trace] attaches a
-    span recorder to the whole cluster. *)
-let run ?observer ?trace ?timeseries_us setup =
-  let sim, net, _placement, eng, rng = build_cluster ?trace setup in
-  (match observer with Some f -> Core.Engine.set_observer eng f | None -> ());
-  setup.workload.Workload.Spec.load eng;
-  let measure_from = setup.warmup_us in
-  let measure_to = setup.warmup_us + setup.measure_us in
-  let tseries =
-    match timeseries_us with
-    | Some interval_us when interval_us > 0 ->
-      Some (install_standard_sampler ~sim ~net ~eng ~interval_us ~until:measure_to)
-    | Some _ | None -> None
-  in
-  let shared = Client.make_shared ~measure_from ~measure_to in
-  let n = Core.Engine.n_nodes eng in
-  for node = 0 to n - 1 do
-    for _ = 1 to setup.clients_per_node do
-      let crng = Dsim.Rng.split rng in
-      (* Stagger start-up across the first 200ms. *)
-      let start_delay = Dsim.Rng.int crng 200_000 in
-      Client.spawn eng setup.workload ~node ~rng:crng ~shared ~stop_at:measure_to
-        ~start_delay
-    done
-  done;
-  let tuner =
-    match setup.self_tune with
-    | `Off -> None
-    | `On window_us ->
-      Some (Core.Self_tuning.install eng ~window_us ~warmup_us:500_000 ())
-  in
-  (* Declarative fault schedule: installed after the clients so the
-     planned actions land behind their start-up events at equal times.
-     An empty plan installs nothing at all. *)
-  let fault =
-    if setup.fault_plan = [] then None
-    else begin
-      let f = Dsim.Fault.create ~n:(Core.Engine.n_nodes eng) () in
-      Core.Engine.install_fault eng f;
-      Dsim.Fault.install f ~sim setup.fault_plan;
-      Some f
-    end
-  in
-  (* Warmup, snapshot, measure. *)
-  ignore (Dsim.Sim.run ~until:measure_from sim);
+let run_window ?(at_window_end = ignore) ~sim ~net ~eng ~measure_from ~measure_to () =
+  let ev_warm = Dsim.Sim.run ~until:measure_from sim in
   let stats0 = snapshot_stats eng in
   Dsim.Network.reset_counters net;
-  ignore (Dsim.Sim.run ~until:measure_to sim);
+  let ev_meas = Dsim.Sim.run ~until:measure_to sim in
   let stats1 = snapshot_stats eng in
-  (match tuner with Some t -> Core.Self_tuning.stop t | None -> ());
+  at_window_end ();
   (* Let in-flight transactions drain briefly so late commits stop
      mutating state mid-report (they are outside the window anyway). *)
   ignore (Dsim.Sim.run ~until:(measure_to + 200_000) sim);
-  let d = delta_stats ~at_start:stats0 ~at_end:stats1 in
-  let duration_s = Dsim.Sim.to_sec setup.measure_us in
-  let committed = d.Core.Stats.commits in
-  (match trace with
-  | Some tr when Obs.Trace.enabled tr ->
-    (* Seal the trace: close spans of transactions still in flight when
-       the run stopped, and attach the run-summary counters the
-       [trace_stats] report reads back. *)
+  (ev_warm + ev_meas, delta_stats ~at_start:stats0 ~at_end:stats1)
+
+let seal_trace ?fault ?timeseries tr ~sim ~net ~eng ~topology ~committed =
+  if Obs.Trace.enabled tr then begin
+    (* Close spans of transactions still in flight when the run stopped,
+       and attach the run-summary counters the [trace_stats] report
+       reads back. *)
     Obs.Trace.close_open_spans tr ~t1:(Dsim.Sim.now sim);
-    let rtt_lo, rtt_hi = interdc_rtt_range setup.topology in
+    let rtt_lo, rtt_hi = interdc_rtt_range topology in
     Obs.Trace.set_stat tr "interdc_rtt_min_us" rtt_lo;
     Obs.Trace.set_stat tr "interdc_rtt_max_us" rtt_hi;
     Obs.Trace.set_stat tr "commits" committed;
@@ -295,8 +266,62 @@ let run ?observer ?trace ?timeseries_us setup =
     if edges > 0 then Obs.Trace.set_stat tr "causal_edges" edges;
     (* Seal the snapshot series so exports carry it next to the
        aggregate counters. *)
-    (match tseries with Some ts -> Obs.Trace.set_timeseries tr ts | None -> ())
-  | Some _ | None -> ());
+    Option.iter (Obs.Trace.set_timeseries tr) timeseries
+  end
+
+(** Run the experiment.  [observer] optionally receives every engine
+    event (e.g. to feed the SPSI checker in tests); [trace] attaches a
+    span recorder to the whole cluster. *)
+let run ?observer ?trace ?timeseries_us setup =
+  check_run_setup ~who:"Runner.run" ~topology:setup.topology
+    ~replication_factor:setup.replication_factor ~warmup_us:setup.warmup_us
+    ~measure_us:setup.measure_us ~jitter:setup.jitter;
+  let sim, net, _placement, eng, rng = build_cluster ?trace setup in
+  Option.iter (Core.Engine.set_observer eng) observer;
+  setup.workload.Workload.Spec.load eng;
+  let measure_from = setup.warmup_us in
+  let measure_to = setup.warmup_us + setup.measure_us in
+  let tseries = standard_series ?timeseries_us ~sim ~net ~eng ~until:measure_to () in
+  let shared = Client.make_shared ~measure_from ~measure_to in
+  let n = Core.Engine.n_nodes eng in
+  for node = 0 to n - 1 do
+    for _ = 1 to setup.clients_per_node do
+      let crng = Dsim.Rng.split rng in
+      (* Stagger start-up across the first 200ms. *)
+      let start_delay = Dsim.Rng.int crng 200_000 in
+      Client.spawn eng setup.workload ~node ~rng:crng ~shared ~stop_at:measure_to
+        ~start_delay
+    done
+  done;
+  let tuner =
+    match setup.self_tune with
+    | `Off -> None
+    | `On window_us ->
+      Some (Core.Self_tuning.install eng ~window_us ~warmup_us:500_000 ())
+  in
+  (* Declarative fault schedule: installed after the clients so the
+     planned actions land behind their start-up events at equal times.
+     An empty plan installs nothing at all. *)
+  let fault =
+    if setup.fault_plan = [] then None
+    else begin
+      let f = Dsim.Fault.create ~n:(Core.Engine.n_nodes eng) () in
+      Core.Engine.install_fault eng f;
+      Dsim.Fault.install f ~sim setup.fault_plan;
+      Some f
+    end
+  in
+  let _events, d =
+    run_window ~sim ~net ~eng ~measure_from ~measure_to
+      ~at_window_end:(fun () -> Option.iter Core.Self_tuning.stop tuner)
+      ()
+  in
+  let duration_s = Dsim.Sim.to_sec setup.measure_us in
+  let committed = d.Core.Stats.commits in
+  Option.iter
+    (seal_trace ?fault ?timeseries:tseries ~sim ~net ~eng ~topology:setup.topology
+       ~committed)
+    trace;
   {
     duration_s;
     committed;
@@ -307,8 +332,7 @@ let run ?observer ?trace ?timeseries_us setup =
     final_latency = Metrics.summarize shared.Client.final_latency;
     spec_latency = Metrics.summarize shared.Client.spec_latency;
     stats = d;
-    tuner_decision =
-      (match tuner with Some t -> Core.Self_tuning.decision t | None -> None);
+    tuner_decision = Option.bind tuner Core.Self_tuning.decision;
     wan_messages = Dsim.Network.wan_messages net;
     timeseries = tseries;
   }

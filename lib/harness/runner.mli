@@ -47,12 +47,65 @@ val build_cluster :
   setup ->
   Dsim.Sim.t * Dsim.Network.t * Store.Placement.t * Core.Engine.t * Dsim.Rng.t
 
+(** {1 Building blocks shared with {!Openloop}} *)
+
+(** @raise Invalid_argument, prefixed with [who] and naming the field,
+    if [warmup_us] or [measure_us] is negative, [replication_factor] is
+    outside [1..DCs] or [jitter] is outside [[0, 1)]. *)
+val check_run_setup :
+  who:string ->
+  topology:Dsim.Topology.t ->
+  replication_factor:int ->
+  warmup_us:int ->
+  measure_us:int ->
+  jitter:float ->
+  unit
+
+(** One node per DC, ring placement; the RNG seeds the network and the
+    engine, and is returned for the caller's further splits.  [queue]
+    picks the event-queue structure (default the heap). *)
+val make_cluster :
+  ?trace:Obs.Trace.t ->
+  ?queue:[ `Heap | `Wheel ] ->
+  topology:Dsim.Topology.t ->
+  replication_factor:int ->
+  config:Core.Config.t ->
+  seed:int ->
+  jitter:float ->
+  unit ->
+  Dsim.Sim.t * Dsim.Network.t * Store.Placement.t * Core.Engine.t * Dsim.Rng.t
+
+(** Run warmup, then the measurement window (network counters reset at
+    its start), call [at_window_end], and drain 200 ms more.  Returns
+    the events processed up to the window's end and the engine's
+    counter deltas over the window. *)
+val run_window :
+  ?at_window_end:(unit -> unit) ->
+  sim:Dsim.Sim.t ->
+  net:Dsim.Network.t ->
+  eng:Core.Engine.t ->
+  measure_from:int ->
+  measure_to:int ->
+  unit ->
+  int * Core.Stats.t
+
+(** End of run, enabled traces only: close the spans still open and
+    attach the run-summary stats ([eq_*], [net_*], inter-DC RTT range,
+    [commits], causal edges; batching counters when coalescing ran,
+    [fault_*] when [fault] is given) and [timeseries]. *)
+val seal_trace :
+  ?fault:Dsim.Fault.t ->
+  ?timeseries:Obs.Timeseries.t ->
+  Obs.Trace.t ->
+  sim:Dsim.Sim.t ->
+  net:Dsim.Network.t ->
+  eng:Core.Engine.t ->
+  topology:Dsim.Topology.t ->
+  committed:int ->
+  unit
+
 val snapshot_stats : Core.Engine.t -> Core.Stats.t
 val delta_stats : at_start:Core.Stats.t -> at_end:Core.Stats.t -> Core.Stats.t
-
-(** Inter-DC RTT extremes [(min_us, max_us)] of a topology; [(0, 0)] for
-    a single data center. *)
-val interdc_rtt_range : Dsim.Topology.t -> int * int
 
 (** {1 Deterministic time-series sampling} *)
 
@@ -72,26 +125,28 @@ val install_sampler :
   Obs.Timeseries.t
 
 val sample_columns : string list
-(** The standard column set of {!install_standard_sampler}: cumulative
+(** The standard column set of {!standard_series}: cumulative
     commit/abort/speculation counters plus the [spec_depth] and
     [eq_depth] gauges. *)
 
-val install_standard_sampler :
+(** {!install_sampler} with the standard columns when [timeseries_us]
+    is a positive interval, else [None]. *)
+val standard_series :
+  ?timeseries_us:int ->
   sim:Dsim.Sim.t ->
   net:Dsim.Network.t ->
   eng:Core.Engine.t ->
-  interval_us:int ->
   until:int ->
-  Obs.Timeseries.t
+  unit ->
+  Obs.Timeseries.t option
 
 (** Run the whole experiment.  [observer] receives every engine event
     (e.g. {!Spsi.History.record}); [trace] attaches a span recorder to
-    the whole cluster and, at the end of the run, is sealed with the
-    run-summary stats ([eq_*] queue accounting, [net_*] message
-    counters, inter-DC RTT range, commit count, causal-edge volume);
-    [timeseries_us] additionally records the standard snapshot series
-    at that interval through the end of measurement (returned in
-    [result.timeseries] and sealed into the trace). *)
+    the whole cluster and is sealed at the end of the run
+    ({!seal_trace}); [timeseries_us] additionally records the standard
+    snapshot series at that interval through the end of measurement
+    (returned in [result.timeseries] and sealed into the trace).
+    @raise Invalid_argument as {!check_run_setup}. *)
 val run :
   ?observer:(Core.Types.event -> unit) ->
   ?trace:Obs.Trace.t ->

@@ -420,6 +420,126 @@ let test_openloop_deterministic () =
   let r2 = Harness.Openloop.run (openloop_setup (Core.Config.ext_spec ())) in
   Alcotest.(check bool) "same run twice" true (r1 = r2)
 
+(* Tracing and observing are read-only hooks: a traced run and an
+   observed run must return exactly the untraced run's result, on both
+   event-queue structures. *)
+let test_openloop_hooks_preserve_outcome () =
+  List.iter
+    (fun queue ->
+      let setup = openloop_setup ~queue (Core.Config.str ()) in
+      let plain = Harness.Openloop.run setup in
+      let trace = Obs.Trace.create () in
+      let traced = Harness.Openloop.run ~trace setup in
+      let observed = Harness.Openloop.run ~observer:(fun _ -> ()) setup in
+      let name = match queue with `Heap -> "heap" | `Wheel -> "wheel" in
+      Alcotest.(check bool) (name ^ ": traced = untraced") true (traced = plain);
+      Alcotest.(check bool) (name ^ ": observed = untraced") true (observed = plain);
+      Alcotest.(check bool) (name ^ ": trace sealed") true
+        (Obs.Trace.find_stat trace "commits" <> None
+        && Obs.Trace.find_stat trace "eq_pops" <> None))
+    [ `Heap; `Wheel ]
+
+let test_openloop_trace_critpath_exact () =
+  let trace = Obs.Trace.create () in
+  ignore (Harness.Openloop.run ~trace (openloop_setup (Core.Config.str ())));
+  let txns = Obs.Critpath.of_trace trace in
+  Alcotest.(check bool) "transactions traced" true (List.length txns > 100);
+  List.iter
+    (fun t ->
+      Alcotest.(check int) "components sum to the span" (Obs.Critpath.total_us t)
+        (Array.fold_left ( + ) 0 (Obs.Critpath.decompose t)))
+    txns
+
+let test_openloop_observed_spsi_clean () =
+  let h = Spsi.History.create () in
+  let r =
+    Harness.Openloop.run ~observer:(Spsi.History.record h)
+      (openloop_setup (Core.Config.str ()))
+  in
+  Alcotest.(check bool) "history recorded" true
+    (Spsi.History.size h >= r.Harness.Openloop.completed);
+  match Spsi.Checker.check_spsi h with
+  | [] -> ()
+  | vs -> Alcotest.fail (Spsi.Checker.report vs)
+
+(* The population is one idle counter per DC: three million clients
+   must cost nothing beyond the cluster itself.  A per-client array of
+   any kind would alone allocate 3M words. *)
+let test_openloop_population_is_free () =
+  let setup =
+    {
+      (openloop_setup ~clients_per_dc:1_000_000 (Core.Config.str ())) with
+      Harness.Openloop.warmup_us = 0;
+      measure_us = 0;
+    }
+  in
+  let words (g : Gc.stat) = g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words in
+  let g0 = Gc.quick_stat () in
+  let r = Harness.Openloop.run setup in
+  let allocated = words (Gc.quick_stat ()) -. words g0 in
+  Alcotest.(check int) "population" 3_000_000 r.Harness.Openloop.clients;
+  if allocated >= 1e6 then
+    Alcotest.failf "a zero-window run of 3M clients allocated %.0f words" allocated
+
+(* --- malformed set-ups fail fast, naming the field ------------------ *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
+let rejects ~field what run =
+  match run () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument msg ->
+    if not (contains msg field) then
+      Alcotest.failf "%s: message %S does not name %s" what msg field
+
+(* Each bad value goes through both harnesses. *)
+let rejects_both ~field ~closed ~opened =
+  rejects ~field ("Runner.run " ^ field) (fun () ->
+      Harness.Runner.run (closed (small_setup (Core.Config.str ()))));
+  rejects ~field ("Openloop.run " ^ field) (fun () ->
+      Harness.Openloop.run (opened (openloop_setup (Core.Config.str ()))))
+
+let test_rejects_negative_warmup () =
+  rejects_both ~field:"warmup_us"
+    ~closed:(fun s -> { s with Harness.Runner.warmup_us = -1 })
+    ~opened:(fun s -> { s with Harness.Openloop.warmup_us = -1 })
+
+let test_rejects_negative_measure () =
+  rejects_both ~field:"measure_us"
+    ~closed:(fun s -> { s with Harness.Runner.measure_us = -1 })
+    ~opened:(fun s -> { s with Harness.Openloop.measure_us = -1 })
+
+let test_rejects_replication_factor () =
+  List.iter
+    (fun rf ->
+      rejects_both ~field:"replication_factor"
+        ~closed:(fun s -> { s with Harness.Runner.replication_factor = rf })
+        ~opened:(fun s -> { s with Harness.Openloop.replication_factor = rf }))
+    [ 0; 4 ]
+
+let test_rejects_jitter () =
+  List.iter
+    (fun jitter ->
+      rejects_both ~field:"jitter"
+        ~closed:(fun s -> { s with Harness.Runner.jitter })
+        ~opened:(fun s -> { s with Harness.Openloop.jitter }))
+    [ -0.1; 1.; Float.nan ]
+
+let test_rejects_arrival_rate () =
+  List.iter
+    (fun rate_per_dc ->
+      rejects ~field:"rate_per_dc" (Printf.sprintf "rate %g" rate_per_dc) (fun () ->
+          Harness.Openloop.run
+            {
+              (openloop_setup (Core.Config.str ())) with
+              Harness.Openloop.arrival =
+                { Workload.Arrival.process = Workload.Arrival.Poisson; rate_per_dc };
+            }))
+    [ 0.; -5.; Float.nan; Float.infinity ]
+
 let test_procpool_matches_inline () =
   (* Forked workers must return the same values in the same order as
      sequential execution, whatever the worker count. *)
@@ -443,11 +563,6 @@ let test_procpool_propagates_failure () =
   match Harness.Sweep.run_processes ~jobs:2 cells with
   | _ -> Alcotest.fail "expected Cell_failed"
   | exception Harness.Procpool.Cell_failed msg ->
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-      at 0
-    in
     Alcotest.(check bool) "message names the cell error" true
       (contains msg "cell exploded")
 
@@ -536,8 +651,25 @@ let () =
           Alcotest.test_case "saturation drops" `Quick test_openloop_saturation_drops;
           Alcotest.test_case "wheel matches heap" `Quick test_openloop_wheel_matches_heap;
           Alcotest.test_case "deterministic" `Quick test_openloop_deterministic;
+          Alcotest.test_case "trace and observer keep the outcome" `Quick
+            test_openloop_hooks_preserve_outcome;
+          Alcotest.test_case "traced critical paths exact" `Quick
+            test_openloop_trace_critpath_exact;
+          Alcotest.test_case "observed history SPSI-clean" `Quick
+            test_openloop_observed_spsi_clean;
+          Alcotest.test_case "population allocates nothing" `Quick
+            test_openloop_population_is_free;
           Alcotest.test_case "procpool matches inline" `Quick test_procpool_matches_inline;
           Alcotest.test_case "procpool propagates failure" `Quick test_procpool_propagates_failure;
+        ] );
+      ( "setup-validation",
+        [
+          Alcotest.test_case "negative warmup_us" `Quick test_rejects_negative_warmup;
+          Alcotest.test_case "negative measure_us" `Quick test_rejects_negative_measure;
+          Alcotest.test_case "replication_factor out of range" `Quick
+            test_rejects_replication_factor;
+          Alcotest.test_case "jitter out of range" `Quick test_rejects_jitter;
+          Alcotest.test_case "arrival rate not positive" `Quick test_rejects_arrival_rate;
         ] );
       ( "bench-json",
         [
