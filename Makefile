@@ -10,7 +10,7 @@ test:
 
 # Static analysis: token lint + cross-file protocol-flow rules
 # (Check.Analyzer).  `--format json` emits a SARIF-style report; add
-# `-j N` to fan the per-file pass over N domains (output is
+# `-j N` to fan the per-file pass over N worker processes (output is
 # byte-identical whatever the value).
 lint:
 	dune build bin/lint.exe && ./_build/default/bin/lint.exe lib
@@ -46,9 +46,9 @@ mc-batch:
 
 check: test mc mc-crash mc-batch lint
 
-# Worker domains for the sweep grid (empty = STR_JOBS or the
-# recommended domain count).  Table output is byte-identical whatever
-# the value; only wall-clock changes.
+# Worker processes for the sweep grid (empty = STR_JOBS, else 1).
+# Table output is byte-identical whatever the value; only wall-clock
+# changes.
 JOBS ?=
 JOBS_FLAG = $(if $(JOBS),-j $(JOBS),)
 

@@ -8,7 +8,7 @@
 
      dune exec bench/main.exe            # quick regeneration + bechamel
      dune exec bench/main.exe -- --full  # full-size sweeps (slower)
-     dune exec bench/main.exe -- -j 4    # sweep cells on 4 worker domains
+     dune exec bench/main.exe -- -j 4    # sweep cells on 4 worker processes
      dune exec bench/main.exe -- micro   # bechamel suite only
      dune exec bench/main.exe -- tables  # experiment tables only
      dune exec bench/main.exe -- json [OUT]  # write OUT (default BENCH.json)
@@ -16,8 +16,9 @@
      dune exec bench/main.exe -- scale [OUT] # million-client open-loop probe
                                              # (wheel vs heap) + json rows
 
-   -j (or STR_JOBS) fans the independent experiment cells across a
-   domain pool; table output is byte-identical whatever the value. *)
+   -j (or STR_JOBS) fans the independent experiment cells across
+   worker processes; table output is byte-identical whatever the
+   value. *)
 
 open Bechamel
 open Toolkit
@@ -550,8 +551,8 @@ let run_scale ?(out = "BENCH.json") () =
   in
   run_json ~extra_micro:rows ~out ()
 
-(* Pull [-j N] (worker domains for the sweep grid) out of the argument
-   list; absent, fall back to STR_JOBS / the recommended domain count. *)
+(* Pull [-j N] (worker processes for the sweep grid) out of the argument
+   list; absent, fall back to STR_JOBS, else 1. *)
 let rec extract_jobs acc = function
   | "-j" :: n :: rest -> (
     match int_of_string_opt n with
@@ -560,7 +561,11 @@ let rec extract_jobs acc = function
       Printf.eprintf "-j expects a positive integer, got %s\n" n;
       exit 2)
   | arg :: rest -> extract_jobs (arg :: acc) rest
-  | [] -> (Harness.Pool.default_jobs (), List.rev acc)
+  | [] -> (
+    try (Harness.Procpool.default_jobs (), List.rev acc)
+    with Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -4,7 +4,7 @@
    Usage: lint [OPTION ...] [PATH ...]        (defaults to lib/)
      --format text|json   report style (json = SARIF 2.1.0 shape)
      --rule RULE          report only RULE (repeatable)
-     -j / --jobs N        fan the per-file pass over N domains
+     -j / --jobs N        fan the per-file pass over N worker processes
      --cache FILE         per-file result cache keyed by content hash
 
    Exits 1 when any finding survives the allow markers, 2 on usage or

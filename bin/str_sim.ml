@@ -30,11 +30,20 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ]
         ~doc:
-          "Worker domains executing the sweep grid in parallel.  Defaults to \
-           $(b,STR_JOBS) when set, else the recommended domain count.  Output \
-           is byte-identical whatever the value.")
+          "Worker processes executing the sweep grid in parallel.  Defaults to \
+           $(b,STR_JOBS) when set, else 1.  Output is byte-identical whatever \
+           the value.")
 
-let resolve_jobs = function Some n -> max 1 n | None -> Harness.Pool.default_jobs ()
+let resolve_jobs = function
+  | Some n when n > 0 -> n
+  | Some n ->
+    Printf.eprintf "-j expects a positive integer, got %d\n" n;
+    exit 2
+  | None -> (
+    try Harness.Procpool.default_jobs ()
+    with Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2)
 
 let print_reports rs = List.iter (fun r -> Harness.Report.print r; print_newline ()) rs
 

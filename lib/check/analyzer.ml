@@ -10,7 +10,7 @@
      5. renderers (text / SARIF JSON) and the content-hash cache
 
    The per-file pass is pure (source text in, facts out), which is what
-   makes both the {!Harness.Pool} fan-out and the per-file cache sound:
+   makes both the {!Harness.Procpool} fan-out and the per-file cache sound:
    the cross-file phase is a deterministic fold over facts in input
    order, so the report cannot depend on job count or cache state. *)
 
@@ -48,8 +48,9 @@ let msg_poly_compare =
    comparator"
 
 let msg_domain_unsafe =
-  "toplevel mutable module state is shared by parallel sweep runs \
-   (Harness.Pool); allocate per run instead"
+  "toplevel mutable module state leaks between the sweep cells one worker \
+   process runs in turn, so output would depend on -j; allocate per run \
+   instead"
 
 let msg_no_direct_print =
   "library code must not print to stdout; return a string/Report and let the \
@@ -129,7 +130,7 @@ let contains_sub hay sub =
   ns = 0 || go 0
 
 (* Same scoping as the regex lint: the domain-unsafe hazard is real in
-   the directories whose modules run inside simulation domains. *)
+   the directories whose modules run inside sweep cells. *)
 let domain_unsafe_scope file =
   List.exists
     (fun d ->
@@ -1013,7 +1014,9 @@ let analyze ?(config = default_config) ?rules ?(jobs = 1) ?cache_file sources =
     List.filter_map (fun ((s, _), c) -> match c with None -> Some s | Some _ -> None) looked
   in
   let computed =
-    ref (Harness.Pool.map ~jobs (fun s -> extract ~config ~file:s.path s.text) misses)
+    ref
+      (Harness.Procpool.run ~jobs
+         (List.map (fun s () -> extract ~config ~file:s.path s.text) misses))
   in
   let cache_hits = ref 0 in
   let entries =

@@ -1,6 +1,6 @@
 (** Protocol-flow static analyzer: cross-file semantic checks over the
     token stream of {!Token}, plus the token-rule port of the original
-    determinism lint ({!Lint}).
+    determinism lint.
 
     The analyzer exists because the repo's central property — a run is
     a deterministic, fully-checked function of (config, seed) — is
@@ -121,11 +121,11 @@ val analyze :
   report
 (** Run every rule over the sources.  [rules] filters the {e reported}
     findings (everything is still evaluated, so suppression accounting
-    is unaffected).  [jobs > 1] fans the per-file pass over
-    {!Harness.Pool} domains; the report is byte-identical whatever the
-    value.  [cache_file] enables per-file result caching keyed by a
-    content hash: unchanged files skip the lexer entirely, and the
-    cache is rewritten after the run (best-effort: an unreadable or
+    is unaffected).  [jobs > 1] fans the per-file pass over [jobs]
+    {!Harness.Procpool} worker processes; the report is byte-identical
+    whatever the value.  [cache_file] enables per-file result caching
+    keyed by a content hash: unchanged files skip the lexer entirely,
+    and the cache is rewritten after the run (best-effort: an unreadable or
     stale cache is simply ignored). *)
 
 val render_text : report -> string
@@ -137,6 +137,6 @@ val render_json : report -> string
     depends only on the findings, never on job count or cache state. *)
 
 val lint_findings : file:string -> string -> finding list
-(** Single-file compatibility entry point for {!Lint}: the six token
-    rules plus marker suppression — no cross-file rules, no
-    [unused-allow]. *)
+(** Single-file pass: the six token rules plus marker suppression over
+    one source ([file] is only used in findings and for rule scoping) —
+    no cross-file rules, no [unused-allow]. *)

@@ -2,11 +2,12 @@
     lint and the protocol-flow analyzer ({!Analyzer}).
 
     This replaces the old line-regex matching (which leaned on [Str]'s
-    global match state — itself a [domain-unsafe] hazard under
-    {!Harness.Pool}) with a real single-pass lexer: comments (nested),
-    string literals (including [{id|...|id}] quoted strings) and char
-    literals (including escapes) are recognised and blanked, everything
-    else becomes a token carrying its line and column.  The lexer is
+    global match state — itself a [domain-unsafe] hazard: state left by
+    one sweep cell leaks into the next cell its worker process runs)
+    with a real single-pass lexer: comments (nested), string literals
+    (including [{id|...|id}] quoted strings) and char literals
+    (including escapes) are recognised and blanked, everything else
+    becomes a token carrying its line and column.  The lexer is
     total: malformed or truncated input never raises, it just consumes
     to end of file.
 

@@ -1,7 +1,7 @@
 (** Reproduction of every table and figure of the paper's evaluation
     (§6).  Each function enumerates the corresponding parameter sweep as
     a grid of independent simulation cells, executes them through
-    {!Sweep} (inline by default, or on a domain pool when [jobs > 1]),
+    {!Sweep} (inline by default, or on [jobs] worker processes),
     and renders a table with the same rows/series the paper plots.
     Cells are keyed and results assembled in grid-key order, so the
     rendered report is byte-identical whatever the worker count.
@@ -59,8 +59,10 @@ let run_protocol ?trace ~timing ~workload_of ~clients ~config ~self_tune ~seed (
   Runner.run ?trace setup
 
 (* Register a cell with the tracer (when there is one) at {e cell
-   construction} time — sequentially, on the main domain — so trace
-   process ids and cell order never depend on the worker count. *)
+   construction} time — sequentially, in the parent process — so trace
+   process ids and cell order never depend on the worker count.  The
+   recorder goes to [Sweep.cell ?trace] too, which brings a worker's
+   recording back into it. *)
 let cell_trace tracer name =
   match tracer with None -> None | Some t -> Tracing.trace_for t ~cell:name
 
@@ -93,7 +95,7 @@ let protocol_sweep ?tracer ~jobs ~timing ~workload_of ~clients_list ~seed_of rep
          let trace =
            cell_trace tracer (Printf.sprintf "clients=%d/protocol=%s" clients pname)
          in
-         Sweep.cell (clients, pname)
+         Sweep.cell ?trace (clients, pname)
            (run_protocol ?trace ~timing ~workload_of ~clients ~config:(mk_config ())
               ~self_tune:tune ~seed:(seed_of clients)))
   |> Sweep.run ~jobs
@@ -154,7 +156,7 @@ let fig4 ?(jobs = 1) ?tracer ~scale () =
              cell_trace tracer
                (Printf.sprintf "workload=%s/clients=%d/variant=%s" wname clients variant)
            in
-           Sweep.cell (wname, clients, variant)
+           Sweep.cell ?trace (wname, clients, variant)
              (run_protocol ?trace ~timing:(synth_timing scale)
                 ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
                 ~clients
@@ -221,7 +223,7 @@ let table1 ?(jobs = 1) ?tracer ~scale () =
            let trace =
              cell_trace tracer (Printf.sprintf "keys=%d/technique=%s" nkeys vname)
            in
-           Sweep.cell (nkeys, vname)
+           Sweep.cell ?trace (nkeys, vname)
              (run_protocol ?trace ~timing:(synth_timing scale)
                 ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
                 ~clients ~config:(mk_config ()) ~self_tune:false ~seed:(nkeys + 3)))
@@ -413,11 +415,7 @@ let openloop_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
                  jitter = 0.02;
                  queue = `Heap;
                }))
-  (* Process workers, not domain workers: each open-loop cell pushes
-     one to two orders of magnitude more simulator events than the
-     closed-loop grids, which makes the OCaml 5.1 parallel-fiber race
-     (see procpool.mli) near-certain on a domain pool. *)
-  |> Sweep.run_processes ~jobs
+  |> Sweep.run ~jobs
   |> List.iter (fun ((rate, pname), r) ->
          let arrivals = r.Openloop.admitted + r.Openloop.dropped in
          Report.add_row report
@@ -482,7 +480,7 @@ let batch_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
                  jitter = 0.02;
                  queue = `Heap;
                }))
-  |> Sweep.run_processes ~jobs
+  |> Sweep.run ~jobs
   |> List.iter (fun ((rate, window), r) ->
          Report.add_row report
            [
@@ -824,9 +822,7 @@ let all ?(jobs = 1) ~scale () =
     fig6 ~jobs ~scale ();
     storage ~jobs ~scale ();
     region_failure ~jobs ~scale ();
-    (* {!openloop_load} and {!batch_load} are standalone subcommands
-       (str_sim openloop / batchfig), not part of [all]: their cells
-       run on process workers ({!Sweep.run_processes}), and [Unix.fork]
-       is unavailable once the domain pools above have run. *)
+    openloop_load ~jobs ~scale ();
+    batch_load ~jobs ~scale ();
   ]
   @ ablations ~jobs ~scale ()

@@ -1,8 +1,8 @@
 (** Reproduction of every table and figure of the paper's evaluation
     (§6), plus ablations.  Each function enumerates the parameter sweep
     as a grid of independent simulation cells, executes them via
-    {!Sweep} — inline when [jobs] is 1 (the default), on a {!Pool} of
-    [jobs] domains otherwise — and renders the same rows/series the
+    {!Sweep} — inline when [jobs] is 1 (the default), on [jobs] worker
+    processes otherwise — and renders the same rows/series the
     paper plots.  Results are assembled in grid-key order: the rendered
     report is byte-identical whatever [jobs] is. *)
 
@@ -15,7 +15,7 @@ val table1_base : Workload.Synthetic.params
 (** The sweeps below accept an optional [tracer] ({!Tracing.t}): each
     grid cell whose name passes the tracer's filter records the full
     span/counter trace of its run.  Cells register with the tracer at
-    construction time, on the main domain, so the exported trace bytes
+    construction time, in the parent process, so the exported trace bytes
     are identical whatever [jobs] is.  Cell names: Figs. 3, 5, 6 use
     ["clients=%d/protocol=%s"], Fig. 4 ["workload=%s/clients=%d/variant=%s"],
     Table 1 ["keys=%d/technique=%s"]. *)
@@ -70,5 +70,6 @@ val ablation_remote_reads : ?jobs:int -> scale:scale -> unit -> Report.t
 val ablation_serializability : ?jobs:int -> scale:scale -> unit -> Report.t
 val ablations : ?jobs:int -> scale:scale -> unit -> Report.t list
 
-(** Everything: the paper's nine artifacts followed by the ablations. *)
+(** Everything: the paper's nine artifacts, the region-failure
+    timeline, {!openloop_load} and {!batch_load}, then the ablations. *)
 val all : ?jobs:int -> scale:scale -> unit -> Report.t list

@@ -8,6 +8,15 @@ type 'a outcome = Ok_ of 'a | Error_ of string * string
 
 exception Cell_failed of string
 
+let default_jobs () =
+  match Option.map String.trim (Sys.getenv_opt "STR_JOBS") with
+  | None | Some "" -> 1
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n when n > 0 -> n
+    | Some _ | None ->
+      invalid_arg (Printf.sprintf "STR_JOBS must be a positive integer, got %S" s))
+
 let read_all fd =
   let buf = Buffer.create 4_096 in
   let chunk = Bytes.create 65_536 in
@@ -20,10 +29,47 @@ let read_all fd =
   in
   loop ()
 
+let write_all fd payload =
+  let rec go off =
+    if off < Bytes.length payload then
+      go (off + Unix.write fd payload off (Bytes.length payload - off))
+  in
+  go 0
+
+(* Body of worker [w]: run the cells it owns, ship their outcomes, and
+   leave with [_exit] (skipping at_exit handlers — the parent owns the
+   formatters and any tempfile cleanups).  Nothing may unwind out of
+   here into the parent's code: a payload that fails to marshal exits
+   non-zero instead. *)
+let worker thunks ~jobs ~w wr =
+  let mine = List.filter (fun i -> i mod jobs = w) (List.init (Array.length thunks) Fun.id) in
+  let code =
+    try
+      let results =
+        List.map
+          (fun i ->
+            let r =
+              try Ok_ (thunks.(i) ())
+              with e -> Error_ (Printexc.to_string e, Printexc.get_backtrace ())
+            in
+            (i, r))
+          mine
+      in
+      write_all wr (Marshal.to_bytes results []);
+      0
+    with _ -> 2
+  in
+  Unix._exit code
+
+let status_message = function
+  | Unix.WEXITED c -> Printf.sprintf "worker process exited with code %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "worker process killed by signal %d" s
+  | Unix.WSTOPPED _ -> "worker process stopped"
+
 let run ?(jobs = 1) thunks =
   let n = List.length thunks in
   let jobs = max 1 (min jobs n) in
-  if jobs = 1 || n = 0 then List.map (fun f -> f ()) thunks
+  if jobs = 1 then List.map (fun f -> f ()) thunks
   else begin
     let thunks = Array.of_list thunks in
     (* Flush before forking so no buffered output is duplicated into
@@ -38,66 +84,40 @@ let run ?(jobs = 1) thunks =
       match Unix.fork () with
       | 0 ->
         Unix.close rd;
-        let mine = ref [] in
-        for i = n - 1 downto 0 do
-          if i mod jobs = w then mine := i :: !mine
-        done;
-        let results =
-          List.map
-            (fun i ->
-              let r =
-                try Ok_ (thunks.(i) ())
-                with e ->
-                  Error_ (Printexc.to_string e, Printexc.get_backtrace ())
-              in
-              (i, r))
-            !mine
-        in
-        let payload = Marshal.to_bytes results [] in
-        let rec write_all off =
-          if off < Bytes.length payload then
-            let k = Unix.write wr payload off (Bytes.length payload - off) in
-            write_all (off + k)
-        in
-        write_all 0;
-        Unix.close wr;
-        (* _exit: skip at_exit handlers — the parent owns the
-           formatters and any tempfile cleanups. *)
-        Unix._exit 0
+        worker thunks ~jobs ~w wr
       | pid ->
         Unix.close wr;
         (pid, rd)
     in
     let children = List.init jobs spawn in
+    (* Reap every worker before raising anything, so a failure never
+       leaves a child unwaited or a pipe open. *)
     let results = Array.make n None in
-    List.iter
-      (fun (pid, rd) ->
+    let worker_error = Array.make jobs None in
+    List.iteri
+      (fun w (pid, rd) ->
         let raw = read_all rd in
         Unix.close rd;
-        let (_, status) = Unix.waitpid [] pid in
-        (match status with
+        match snd (Unix.waitpid [] pid) with
         | Unix.WEXITED 0 when String.length raw > 0 ->
           List.iter
             (fun (i, r) -> results.(i) <- Some r)
             (Marshal.from_string raw 0 : (int * _ outcome) list)
-        | Unix.WEXITED c ->
-          raise
-            (Cell_failed (Printf.sprintf "worker process exited with code %d" c))
-        | Unix.WSIGNALED s ->
-          raise (Cell_failed (Printf.sprintf "worker process killed by signal %d" s))
-        | Unix.WSTOPPED _ -> raise (Cell_failed "worker process stopped")))
+        | status -> worker_error.(w) <- Some (status_message status))
       children;
-    (* Lowest-index failure wins, mirroring [Pool.run]. *)
+    (* Lowest-index failure wins: a cell that raised, or the first cell
+       of a worker that died, whichever comes first. *)
+    let fail i why = raise (Cell_failed (Printf.sprintf "cell %d %s" i why)) in
     Array.iteri
       (fun i r ->
         match r with
-        | Some (Error_ (msg, bt)) ->
-          raise
-            (Cell_failed
-               (Printf.sprintf "cell %d raised: %s%s" i msg
-                  (if bt = "" then "" else "\n" ^ bt)))
         | Some (Ok_ _) -> ()
-        | None -> raise (Cell_failed (Printf.sprintf "cell %d produced no result" i)))
+        | Some (Error_ (msg, bt)) ->
+          fail i ("raised: " ^ msg ^ if bt = "" then "" else "\n" ^ bt)
+        | None -> (
+          match worker_error.(i mod jobs) with
+          | Some why -> fail i ("produced no result: " ^ why)
+          | None -> fail i "produced no result"))
       results;
     Array.to_list
       (Array.map

@@ -1,35 +1,33 @@
-(** Fork-based cell executor: runs a list of thunks across [jobs]
-    single-domain worker {e processes} and returns the results in
-    submission order.
+(** Fork-based cell executor, the one parallel executor of the repo:
+    runs a list of thunks across [jobs] single-domain worker
+    {e processes} and returns the results in submission order.
 
-    This exists because OCaml 5.1's runtime has a rare crash when
-    several {e domains} concurrently churn through large numbers of
-    effect fibers (segfault in the minor-GC scan of suspended fiber
-    stacks; observed on the unmodified seed tree as well, in native and
-    bytecode alike).  {!Pool} narrows the window by widening the minor
-    heap, which is enough for the modest closed-loop grids, but the
-    open-loop cells push event volume 10-100x higher and still trip it.
-    A forked worker never spawns a second domain, so the race cannot
-    occur, at the cost of marshalling results across a pipe.
-
-    Constraints compared with {!Pool}:
+    Every process stays single-domain, so the OCaml 5.1 runtime race
+    between parallel domains and suspended effect fibers cannot occur.
+    The price is that only values cross back:
     - results must be marshallable plain data (no closures, no custom
-      blocks) — true of {!Runner.result} and {!Openloop.result};
-    - side effects performed by a cell (tracing buffers, counters) stay
-      in the child and are lost: only the returned value crosses back;
+      blocks) — true of {!Runner.result}, {!Openloop.result},
+      {!Obs.Trace.t} and the analyzer's per-file facts;
+    - side effects performed by a cell stay in its worker and are lost
+      (a traced {!Sweep} cell ships its recorder back as part of its
+      result for this reason);
     - thunks are assigned statically (cell [i] runs on worker
-      [i mod jobs]), so results never depend on scheduling.
-
-    Must be called from a single-domain process (forking a multi-domain
-    OCaml process is unsupported); callers run it {e instead of}, never
-    inside, a {!Pool}. *)
+      [i mod jobs]), so results never depend on scheduling. *)
 
 (** Raised in the parent when a cell raised in a child (the exception
     is flattened to a message + backtrace string), when a worker died,
     or when a worker failed to report a result. *)
 exception Cell_failed of string
 
+val default_jobs : unit -> int
+(** Worker count for callers that do not specify one: the [STR_JOBS]
+    environment variable when set and non-empty, else [1].
+    @raise Invalid_argument naming [STR_JOBS] when it is set to
+    anything but a positive integer. *)
+
 (** [run ~jobs thunks] executes every thunk and returns their values in
     list order.  [jobs <= 1] (or a singleton list) degrades to plain
-    sequential execution in the calling process. *)
+    sequential execution in the calling process, where a raising thunk
+    raises its own exception.  Otherwise every worker is reaped before
+    anything is raised, and the failure of the lowest-index cell wins. *)
 val run : ?jobs:int -> (unit -> 'a) list -> 'a list

@@ -1,23 +1,23 @@
 (** See sweep.mli. *)
 
-type ('k, 'r) cell = { key : 'k; thunk : unit -> 'r }
+type ('k, 'r) cell = { key : 'k; trace : Obs.Trace.t option; thunk : unit -> 'r }
 
-let cell key thunk = { key; thunk }
+let cell ?trace key thunk = { key; trace; thunk }
 
 let keys cells = List.map (fun c -> c.key) cells
 
-let run ?pool ?(jobs = 1) cells =
-  let thunks = List.map (fun c -> c.thunk) cells in
-  let results =
-    match pool with
-    | Some p -> Pool.run p thunks
-    | None -> Pool.with_pool ~jobs (fun p -> Pool.run p thunks)
-  in
-  List.map2 (fun c r -> (c.key, r)) cells results
-
-let run_processes ?(jobs = 1) cells =
-  let results = Procpool.run ~jobs (List.map (fun c -> c.thunk) cells) in
-  List.map2 (fun c r -> (c.key, r)) cells results
+let run ?(jobs = 1) cells =
+  (* A worker's recorder is a copy of the parent's, so it travels back
+     with the result.  Inline, the two are the same recorder and the
+     adopt is a no-op. *)
+  Procpool.run ~jobs (List.map (fun c () -> (c.thunk (), c.trace)) cells)
+  |> List.map2
+       (fun c (r, recorded) ->
+         (match (c.trace, recorded) with
+         | Some t, Some from -> Obs.Trace.adopt t ~from
+         | _ -> ());
+         (c.key, r))
+       cells
 
 let get results key =
   match List.assq_opt key results with

@@ -2,35 +2,32 @@
 
     An experiment is described as a list of {e cells} — a grid key plus
     a pure thunk that runs one simulation — instead of nested loops that
-    run inline.  {!run} executes the thunks (optionally on a
-    {!Pool.t}) and returns [(key, result)] pairs {b in enumeration
+    run inline.  {!run} executes the thunks on {!Procpool} worker
+    processes and returns [(key, result)] pairs {b in enumeration
     order}, so a report assembled by folding over the returned list is
-    byte-identical whatever the worker count or completion order.
+    byte-identical whatever the worker count.
 
     Thunks must be self-contained: each builds its own simulator state
     and shares nothing with its siblings (which {!Runner.run} already
-    guarantees — enforced by the [domain-unsafe] lint rule). *)
+    guarantees — enforced by the [domain-unsafe] lint rule), and returns
+    marshallable plain data. *)
 
 type ('k, 'r) cell
 
-val cell : 'k -> (unit -> 'r) -> ('k, 'r) cell
+val cell : ?trace:Obs.Trace.t -> 'k -> (unit -> 'r) -> ('k, 'r) cell
+(** [cell ?trace key thunk].  [trace] is the recorder the thunk writes
+    into (from {!Tracing.trace_for}): a worker process records into its
+    own copy, so {!run} ships that copy back and {!Obs.Trace.adopt}s it
+    into [trace]. *)
 
 val keys : ('k, 'r) cell list -> 'k list
 
-val run : ?pool:Pool.t -> ?jobs:int -> ('k, 'r) cell list -> ('k * 'r) list
-(** Execute every cell and pair results with their grid keys, in the
-    order the cells were enumerated.  [pool] reuses an existing pool
-    (it is not shut down); otherwise a pool of [jobs] workers (default
-    [1]: inline, no domains) is created for the batch. *)
-
-val run_processes : ?jobs:int -> ('k, 'r) cell list -> ('k * 'r) list
-(** Like {!run}, but executes cells on forked single-domain worker
-    {e processes} ({!Procpool}) instead of a domain pool.  Same
-    enumeration-order contract.  Use for high-event-volume grids (the
-    open-loop cells) where the OCaml 5.1 parallel-fiber race documented
-    in procpool.mli makes domain workers unreliable; results must be
-    marshallable plain data and cell side effects (tracing) do not
-    cross back. *)
+val run : ?jobs:int -> ('k, 'r) cell list -> ('k * 'r) list
+(** Execute every cell on [jobs] worker processes (default [1]: inline,
+    no fork) and pair results with their grid keys, in the order the
+    cells were enumerated.  On return every cell's [trace] holds what
+    its run recorded.  A failing cell raises as {!Procpool.run}
+    describes. *)
 
 val get : ('k * 'r) list -> 'k -> 'r
 (** Keyed lookup into {!run} output.  Raises [Invalid_argument] when

@@ -1,17 +1,15 @@
-(* Sweep-level trace collector.  Cells must register on the main domain
-   (sweep cells are constructed sequentially, before any worker domain
-   starts), so registration order — and hence every pid and the export
-   byte stream — is independent of the worker count.  The mutex only
-   guards against misuse from a worker domain. *)
+(* Sweep-level trace collector.  Cells register in the parent process
+   while the sweep is enumerated, so registration order — and hence
+   every pid and the export byte stream — is independent of the worker
+   count. *)
 
 type t = {
   filter : string option;
-  mutex : Mutex.t;
   mutable cells : (string * Obs.Trace.t) list;  (* reverse registration order *)
   mutable n : int;  (* registrations so far, including filtered-out ones *)
 }
 
-let create ?filter () = { filter; mutex = Mutex.create (); cells = []; n = 0 }
+let create ?filter () = { filter; cells = []; n = 0 }
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -19,7 +17,6 @@ let contains ~sub s =
   n = 0 || at 0
 
 let trace_for t ~cell =
-  Mutex.lock t.mutex;
   let selected =
     match t.filter with None -> true | Some f -> contains ~sub:f cell
   in
@@ -34,7 +31,6 @@ let trace_for t ~cell =
     end
   in
   t.n <- t.n + 1;
-  Mutex.unlock t.mutex;
   r
 
 let traces t = List.rev t.cells

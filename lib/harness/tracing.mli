@@ -2,13 +2,13 @@
     {!Obs.Trace.t} recorder and merges them into one deterministic
     export.
 
-    Determinism contract: {!trace_for} must be called from the {e main}
-    domain while the sweep's cells are being constructed (cells are
-    built sequentially, before any worker domain starts).  Each
-    registration — filtered out or not — consumes one pid-base slot, so
-    process ids, cell order, and therefore the exported bytes depend
-    only on the enumeration order of the sweep, never on how many
-    workers later execute it. *)
+    Determinism contract: {!trace_for} is called in the parent process
+    while the sweep's cells are being constructed, and the recorder is
+    passed to {!Sweep.cell} as [?trace] so the worker's recording
+    comes back into it.  Each registration — filtered out or not —
+    consumes one pid-base slot, so process ids, cell order, and
+    therefore the exported bytes depend only on the enumeration order
+    of the sweep, never on how many workers later execute it. *)
 
 type t
 

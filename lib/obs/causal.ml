@@ -42,6 +42,10 @@ let record t e =
     t.n <- t.n + 1
   end
 
+let adopt t ~from =
+  t.evs <- from.evs;
+  t.n <- from.n
+
 let n_edges t = t.n
 
 let iter t f =

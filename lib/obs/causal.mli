@@ -34,5 +34,8 @@ val enabled : t -> bool
 val record : t -> edge -> unit
 (** Append one edge (no-op when off). *)
 
+val adopt : t -> from:t -> unit
+(** Replace [t]'s edges with [from]'s (see {!Trace.adopt}). *)
+
 val n_edges : t -> int
 val iter : t -> (edge -> unit) -> unit

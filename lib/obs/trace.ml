@@ -207,6 +207,17 @@ let edge t ~kind ?(a = min_int) ?(b = min_int) ~src ~dst ~t_enq ~t_wire ~t_deliv
         ecost = cost;
       }
 
+let adopt t ~from =
+  t.evs <- from.evs;
+  t.n <- from.n;
+  Array.blit from.aborts 0 t.aborts 0 Taxonomy.count;
+  Array.blit from.msgs 0 t.msgs 0 n_msg_kinds;
+  Causal.adopt t.causal ~from:from.causal;
+  t.tseries <- from.tseries;
+  t.procs <- from.procs;
+  t.thrs <- from.thrs;
+  t.sts <- from.sts
+
 let declare_process t ~pid ~name = if t.on then t.procs <- (pid, name) :: t.procs
 
 let declare_thread t ~pid ~tid ~name = if t.on then t.thrs <- (pid, tid, name) :: t.thrs

@@ -164,6 +164,12 @@ val set_timeseries : t -> Timeseries.t -> unit
 
 val timeseries : t -> Timeseries.t option
 
+val adopt : t -> from:t -> unit
+(** [adopt t ~from] makes [t] hold exactly what [from] recorded (events,
+    counters, causal edges, time series, declarations, stats) — [from]
+    being [t]'s copy that ran in a worker process and was marshalled
+    back.  [t] keeps its own on/off flag and pid base. *)
+
 val declare_process : t -> pid:int -> name:string -> unit
 val declare_thread : t -> pid:int -> tid:int -> name:string -> unit
 

@@ -6,7 +6,7 @@
 
 open Store
 module H = Spsi.History
-module Lint = Check.Lint
+module Analyzer = Check.Analyzer
 
 let txid o n = Txid.make ~origin:o ~number:n
 let key ~p name = Keyspace.Key.v ~partition:p name
@@ -37,7 +37,7 @@ let has_rule rule vs = List.mem rule (rules vs)
 
 (* --- determinism lint ---------------------------------------------- *)
 
-let finding_rules fs = List.map (fun (f : Lint.finding) -> f.rule) fs
+let finding_rules fs = List.map (fun (f : Analyzer.finding) -> f.rule) fs
 
 let test_lint_flags_hazards () =
   let src =
@@ -47,14 +47,14 @@ let test_lint_flags_hazards () =
      let s l = List.sort compare l\n\
      let compare = compare\n"
   in
-  let fs = Lint.scan_source ~file:"fixture.ml" src in
+  let fs = Analyzer.lint_findings ~file:"fixture.ml" src in
   Alcotest.(check (list string))
     "all four rules fire"
     [ "raw-random"; "wall-clock"; "hashtbl-order"; "poly-compare"; "poly-compare" ]
     (finding_rules fs);
   Alcotest.(check (list int))
     "line numbers" [ 1; 2; 3; 4; 5 ]
-    (List.map (fun (f : Lint.finding) -> f.line) fs)
+    (List.map (fun (f : Analyzer.finding) -> f.line) fs)
 
 let test_lint_allow_marker () =
   let src =
@@ -62,11 +62,11 @@ let test_lint_allow_marker () =
      let total tbl = Hashtbl.fold (fun _ v acc -> acc + v) tbl 0\n\
      let n tbl = Hashtbl.fold (fun _ _ n -> n + 1) tbl 0\n"
   in
-  let fs = Lint.scan_source ~file:"fixture.ml" src in
+  let fs = Analyzer.lint_findings ~file:"fixture.ml" src in
   (* the marker covers only line 2; line 3 still fires *)
   Alcotest.(check (list int))
     "only the unannotated fold" [ 3 ]
-    (List.map (fun (f : Lint.finding) -> f.line) fs)
+    (List.map (fun (f : Analyzer.finding) -> f.line) fs)
 
 let test_lint_allow_multiline_comment () =
   let src =
@@ -77,13 +77,13 @@ let test_lint_allow_multiline_comment () =
   in
   Alcotest.(check int)
     "suppressed" 0
-    (List.length (Lint.scan_source ~file:"fixture.ml" src))
+    (List.length (Analyzer.lint_findings ~file:"fixture.ml" src))
 
 let test_lint_same_line_marker () =
   let src = "let x = Hashtbl.fold f tbl 0 (* lint: allow hashtbl-order *)\n" in
   Alcotest.(check int)
     "suppressed" 0
-    (List.length (Lint.scan_source ~file:"fixture.ml" src))
+    (List.length (Analyzer.lint_findings ~file:"fixture.ml" src))
 
 let test_lint_ignores_strings_and_comments () =
   let src =
@@ -94,7 +94,7 @@ let test_lint_ignores_strings_and_comments () =
   in
   Alcotest.(check int)
     "nothing fires" 0
-    (List.length (Lint.scan_source ~file:"fixture.ml" src))
+    (List.length (Analyzer.lint_findings ~file:"fixture.ml" src))
 
 let test_lint_runtime_fixture () =
   (* The ISSUE's acceptance fixture: a file written at runtime
@@ -106,7 +106,9 @@ let test_lint_runtime_fixture () =
       let oc = open_out path in
       output_string oc "let () = Random.self_init ()\nlet x = Random.int 7\n";
       close_out oc;
-      let fs = Lint.scan_file path in
+      let fs =
+        Analyzer.lint_findings ~file:path (In_channel.with_open_bin path In_channel.input_all)
+      in
       Alcotest.(check (list string))
         "raw-random flagged twice" [ "raw-random"; "raw-random" ]
         (finding_rules fs))
@@ -124,14 +126,14 @@ let test_lint_domain_unsafe () =
     \  let t = Hashtbl.create 4 in\n\
     \  t\n"
   in
-  let fs = Lint.scan_source ~file:"lib/core/fixture.ml" src in
+  let fs = Analyzer.lint_findings ~file:"lib/core/fixture.ml" src in
   Alcotest.(check (list string))
     "only the toplevel mutable bindings"
     [ "domain-unsafe"; "domain-unsafe"; "domain-unsafe" ]
     (finding_rules fs);
   Alcotest.(check (list int))
     "line numbers" [ 1; 2; 3 ]
-    (List.map (fun (f : Lint.finding) -> f.line) fs)
+    (List.map (fun (f : Analyzer.finding) -> f.line) fs)
 
 let test_lint_domain_unsafe_self_init () =
   (* Random.self_init in the simulation path trips both the raw-random
@@ -139,11 +141,11 @@ let test_lint_domain_unsafe_self_init () =
   let src = "let seed () = Random.self_init ()\n" in
   Alcotest.(check (list string))
     "both rules fire" [ "raw-random"; "domain-unsafe" ]
-    (finding_rules (Lint.scan_source ~file:"lib/dsim/fixture.ml" src))
+    (finding_rules (Analyzer.lint_findings ~file:"lib/dsim/fixture.ml" src))
 
 let test_lint_domain_unsafe_scope () =
   (* The rule is scoped to the directories whose modules run inside
-     simulation domains (lib/{core,dsim,store,harness,obs,workload});
+     sweep cells (lib/{core,dsim,store,harness,obs,workload});
      the same source outside the simulation path produces no
      findings. *)
   let src = "let cache = Hashtbl.create 16\nlet counter = ref 0\n" in
@@ -152,26 +154,26 @@ let test_lint_domain_unsafe_scope () =
       Alcotest.(check int)
         (Printf.sprintf "%s out of scope" file)
         0
-        (List.length (Lint.scan_source ~file src)))
-    [ "fixture.ml"; "lib/check/lint.ml"; "bin/str_sim.ml" ];
+        (List.length (Analyzer.lint_findings ~file src)))
+    [ "fixture.ml"; "lib/check/analyzer.ml"; "bin/str_sim.ml" ];
   Alcotest.(check int)
     "lib/store in scope" 2
-    (List.length (Lint.scan_source ~file:"lib/store/fixture.ml" src));
-  (* Workloads run inside sweep worker domains too (arrival processes,
+    (List.length (Analyzer.lint_findings ~file:"lib/store/fixture.ml" src));
+  (* Workloads run inside sweep cells too (arrival processes,
      Zipf tables): in scope since the open-loop harness landed. *)
   Alcotest.(check int)
     "lib/workload in scope" 2
-    (List.length (Lint.scan_source ~file:"lib/workload/fixture.ml" src))
+    (List.length (Analyzer.lint_findings ~file:"lib/workload/fixture.ml" src))
 
 let test_lint_domain_unsafe_allow () =
   let src =
     "(* lint: allow domain-unsafe — interned constants, written once \
-     before any domain spawns *)\n\
+     at module initialisation *)\n\
      let cache = Hashtbl.create 16\n"
   in
   Alcotest.(check int)
     "suppressed" 0
-    (List.length (Lint.scan_source ~file:"lib/harness/fixture.ml" src))
+    (List.length (Analyzer.lint_findings ~file:"lib/harness/fixture.ml" src))
 
 let test_lint_no_direct_print () =
   (* Library code printing to stdout is flagged; Format.pp_print_*
@@ -182,14 +184,14 @@ let test_lint_no_direct_print () =
      let baz ppf = Format.pp_print_string ppf \"ok\"\n\
      let qux () = print_endline \"done\"\n"
   in
-  let fs = Lint.scan_source ~file:"lib/harness/fixture.ml" src in
+  let fs = Analyzer.lint_findings ~file:"lib/harness/fixture.ml" src in
   Alcotest.(check (list string))
     "stdout prints flagged, pp_print_* not"
     [ "no-direct-print"; "no-direct-print"; "no-direct-print" ]
     (finding_rules fs);
   Alcotest.(check (list int))
     "line numbers" [ 1; 2; 4 ]
-    (List.map (fun (f : Lint.finding) -> f.line) fs)
+    (List.map (fun (f : Analyzer.finding) -> f.line) fs)
 
 let test_lint_no_direct_print_scope_and_allow () =
   (* The rule is scoped to lib/: binaries and the bench driver print
@@ -200,7 +202,7 @@ let test_lint_no_direct_print_scope_and_allow () =
       Alcotest.(check int)
         (Printf.sprintf "%s out of scope" file)
         0
-        (List.length (Lint.scan_source ~file src)))
+        (List.length (Analyzer.lint_findings ~file src)))
     [ "bin/str_sim.ml"; "bench/main.ml"; "test/test_check.ml" ];
   let allowed =
     "(* lint: allow no-direct-print — sanctioned report sink *)\n\
@@ -208,7 +210,7 @@ let test_lint_no_direct_print_scope_and_allow () =
   in
   Alcotest.(check int)
     "marker suppresses" 0
-    (List.length (Lint.scan_source ~file:"lib/harness/fixture.ml" allowed))
+    (List.length (Analyzer.lint_findings ~file:"lib/harness/fixture.ml" allowed))
 
 (* --- checker output determinism (satellite) ------------------------- *)
 

@@ -1,5 +1,7 @@
 (* Tests for the measurement harness: metrics, report rendering, the
-   runner, and client retry behaviour. *)
+   runner, client retry behaviour, and the parallel sweep harness
+   (Procpool, Sweep, and the determinism contract — experiment reports
+   render byte-identical whatever the worker count). *)
 
 let test_metrics_percentiles () =
   let m = Harness.Metrics.create () in
@@ -544,13 +546,13 @@ let test_procpool_matches_inline () =
   (* Forked workers must return the same values in the same order as
      sequential execution, whatever the worker count. *)
   let cells = List.init 11 (fun i -> Harness.Sweep.cell i (fun () -> (i, i * i))) in
-  let inline = Harness.Sweep.run_processes ~jobs:1 cells in
+  let inline = Harness.Sweep.run ~jobs:1 cells in
   List.iter
     (fun jobs ->
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d matches inline" jobs)
         true
-        (Harness.Sweep.run_processes ~jobs cells = inline))
+        (Harness.Sweep.run ~jobs cells = inline))
     [ 2; 3; 16 ]
 
 let test_procpool_propagates_failure () =
@@ -560,7 +562,7 @@ let test_procpool_propagates_failure () =
       Harness.Sweep.cell "boom" (fun () -> failwith "cell exploded");
     ]
   in
-  match Harness.Sweep.run_processes ~jobs:2 cells with
+  match Harness.Sweep.run ~jobs:2 cells with
   | _ -> Alcotest.fail "expected Cell_failed"
   | exception Harness.Procpool.Cell_failed msg ->
     Alcotest.(check bool) "message names the cell error" true

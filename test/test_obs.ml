@@ -238,7 +238,7 @@ let sweep_export ~jobs =
     List.map
       (fun (name, seed) ->
         let trace = Harness.Tracing.trace_for tracer ~cell:name in
-        Harness.Sweep.cell name (fun () ->
+        Harness.Sweep.cell ?trace name (fun () ->
             (Harness.Runner.run ?trace (small_setup ~clients:4 ~seed ())).Harness.Runner
               .committed))
       [ ("seed=3", 3); ("seed=4", 4); ("seed=5", 5) ]

@@ -1,84 +1,73 @@
-(* Tests for the parallel sweep harness: the domain pool (ordering,
-   exception propagation, nested-submit rejection, teardown), the Sweep
-   task abstraction, and the determinism contract — experiment reports
-   render byte-identical whatever the worker count. *)
+(* Tests for the parallel sweep harness: the fork-based worker pool
+   (ordering, failure propagation, reaping, STR_JOBS), the Sweep task
+   abstraction, and the determinism contract — experiment reports render
+   byte-identical whatever the worker count. *)
 
-module Pool = Harness.Pool
+module Procpool = Harness.Procpool
 module Sweep = Harness.Sweep
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
 
 (* --- pool ----------------------------------------------------------- *)
 
 let test_pool_ordering () =
-  (* Results come back in submission order even though four workers
-     race over the queue. *)
+  (* Results come back in submission order although four workers run
+     their slices concurrently. *)
   let expected = List.init 64 (fun i -> i * i) in
-  let got =
-    Pool.with_pool ~jobs:4 (fun p ->
-        Pool.run p (List.init 64 (fun i () -> i * i)))
-  in
-  Alcotest.(check (list int)) "squares in order" expected got
+  Alcotest.(check (list int)) "squares in order" expected
+    (Procpool.run ~jobs:4 (List.init 64 (fun i () -> i * i)))
 
 let test_pool_inline_matches_parallel () =
   let thunks () = List.init 20 (fun i () -> 3 * i) in
-  let inline = Pool.with_pool ~jobs:1 (fun p -> Pool.run p (thunks ())) in
-  let parallel = Pool.with_pool ~jobs:3 (fun p -> Pool.run p (thunks ())) in
-  Alcotest.(check (list int)) "jobs=1 and jobs=3 agree" inline parallel
-
-let test_pool_reuse_across_batches () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      Alcotest.(check (list int)) "first batch" [ 1; 2; 3 ]
-        (Pool.run p [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]);
-      Alcotest.(check (list string)) "second batch, same workers" [ "a"; "b" ]
-        (Pool.run p [ (fun () -> "a"); (fun () -> "b") ]);
-      Alcotest.(check (list int)) "empty batch" [] (Pool.run p []))
+  Alcotest.(check (list int)) "jobs=1 and jobs=3 agree"
+    (Procpool.run ~jobs:1 (thunks ()))
+    (Procpool.run ~jobs:3 (thunks ()))
 
 let test_pool_exception_propagation () =
-  (* Every task runs to completion; the lowest-index failure is the one
-     re-raised. *)
-  let ran = Atomic.make 0 in
-  let boom i () =
-    Atomic.incr ran;
-    failwith (Printf.sprintf "boom-%d" i)
-  in
-  let task i () =
-    Atomic.incr ran;
-    i
-  in
+  (* Cells 3 and 7 raise on different workers; the lowest-index failure
+     is the one reported. *)
   let thunks =
-    List.init 10 (fun i -> if i = 3 || i = 7 then boom i else task i)
+    List.init 10 (fun i () -> if i = 3 || i = 7 then failwith (Printf.sprintf "boom-%d" i) else i)
   in
-  (try
-     ignore (Pool.with_pool ~jobs:4 (fun p -> Pool.run p thunks));
-     Alcotest.fail "expected an exception"
-   with Failure msg -> Alcotest.(check string) "lowest-index failure wins" "boom-3" msg);
-  Alcotest.(check int) "siblings of a failed task still ran" 10 (Atomic.get ran)
+  match Procpool.run ~jobs:4 thunks with
+  | _ -> Alcotest.fail "expected Cell_failed"
+  | exception Procpool.Cell_failed msg ->
+    Alcotest.(check bool) ("lowest-index failure wins: " ^ msg) true
+      (String.starts_with ~prefix:"cell 3 " msg && contains msg "boom-3")
 
-let test_pool_nested_submit_rejected () =
-  (* A task resubmitting to its own pool would deadlock once every
-     worker does it; the pool rejects it outright — in both modes. *)
-  let nested p () = Pool.run p [ (fun () -> 1) ] in
+let test_pool_reaps_dead_worker () =
+  (* A worker that dies must not leave its siblings unreaped: once
+     [run] has raised, this process has no children left. *)
+  (match Procpool.run ~jobs:2 [ (fun () -> Unix._exit 3); (fun () -> 1) ] with
+  | _ -> Alcotest.fail "expected Cell_failed"
+  | exception Procpool.Cell_failed msg ->
+    Alcotest.(check bool) ("names the dead worker's cell: " ^ msg) true
+      (String.starts_with ~prefix:"cell 0 " msg && contains msg "exited with code 3"));
+  match Unix.waitpid [] (-1) with
+  | pid, _ -> Alcotest.failf "child %d was left unreaped" pid
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+
+let with_str_jobs value f =
+  let saved = Sys.getenv_opt "STR_JOBS" in
+  Unix.putenv "STR_JOBS" value;
+  (* No portable unsetenv: an empty value reads as unset. *)
+  Fun.protect ~finally:(fun () -> Unix.putenv "STR_JOBS" (Option.value saved ~default:"")) f
+
+let test_default_jobs () =
+  with_str_jobs "3" (fun () -> Alcotest.(check int) "STR_JOBS=3" 3 (Procpool.default_jobs ()));
+  with_str_jobs "" (fun () -> Alcotest.(check int) "empty reads as unset" 1 (Procpool.default_jobs ()));
   List.iter
-    (fun jobs ->
-      try
-        ignore
-          (Pool.with_pool ~jobs (fun p -> Pool.run p [ (fun () -> List.hd (nested p ())) ]));
-        Alcotest.fail "expected Nested_submit"
-      with Pool.Nested_submit -> ())
-    [ 1; 2 ]
-
-let test_pool_shutdown_rejects_use () =
-  let p = Pool.create ~jobs:2 in
-  Alcotest.(check (list int)) "live pool works" [ 7 ] (Pool.run p [ (fun () -> 7) ]);
-  Pool.shutdown p;
-  (try
-     ignore (Pool.run p [ (fun () -> 8) ]);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
-  (* Idempotent teardown. *)
-  Pool.shutdown p
-
-let test_pool_map () =
-  Alcotest.(check (list int)) "map" [ 2; 4; 6 ] (Pool.map ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
+    (fun bad ->
+      with_str_jobs bad (fun () ->
+          match Procpool.default_jobs () with
+          | n -> Alcotest.failf "STR_JOBS=%S accepted as %d" bad n
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool) ("message names STR_JOBS: " ^ msg) true
+              (contains msg "STR_JOBS")))
+    [ "0"; "abc"; "-2" ]
 
 (* --- sweep ---------------------------------------------------------- *)
 
@@ -182,11 +171,10 @@ let () =
         [
           Alcotest.test_case "results in submission order" `Quick test_pool_ordering;
           Alcotest.test_case "inline matches parallel" `Quick test_pool_inline_matches_parallel;
-          Alcotest.test_case "reusable across batches" `Quick test_pool_reuse_across_batches;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
-          Alcotest.test_case "nested submit rejected" `Quick test_pool_nested_submit_rejected;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects_use;
-          Alcotest.test_case "map" `Quick test_pool_map;
+          Alcotest.test_case "dead worker reaped with its siblings" `Quick
+            test_pool_reaps_dead_worker;
+          Alcotest.test_case "STR_JOBS validated" `Quick test_default_jobs;
         ] );
       ("sweep", [ Alcotest.test_case "grid order and lookup" `Quick test_sweep_grid_order ]);
       ( "determinism",
