@@ -18,15 +18,7 @@ open Cmdliner
 
 let run dcs keys txs rf broken crash_recover batching wheel max_runs max_depth
     expect quiet =
-  let config =
-    match broken with
-    | None -> Check.Scenario.config ~batching ()
-    | Some `Ww -> Check.Scenario.config ~skip_ww_check:true ~batching ()
-    | Some `Spec -> Check.Scenario.config ~unsafe_speculation:true ~batching ()
-    | Some `LostCommit -> Check.Scenario.config ~broken_lost_commit:true ~batching ()
-    | Some `DoubleRes ->
-      Check.Scenario.config ~broken_double_resolution:true ~batching ()
-  in
+  let config = Check.Scenario.config ?seeded_bug:broken ~batching () in
   let fault_plan =
     match crash_recover with
     | None -> []
@@ -71,10 +63,10 @@ let rf =
 let broken =
   let variants =
     [
-      ("ww", Some `Ww);
-      ("spec", Some `Spec);
-      ("lost-commit", Some `LostCommit);
-      ("double-res", Some `DoubleRes);
+      ("ww", Some Core.Config.Skip_ww_check);
+      ("spec", Some Core.Config.Unsafe_speculation);
+      ("lost-commit", Some Core.Config.Lost_commit);
+      ("double-res", Some Core.Config.Double_resolution);
     ]
   in
   Arg.(

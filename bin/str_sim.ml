@@ -208,9 +208,12 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     | other -> failwith ("unknown protocol: " ^ other)
   in
   let config =
-    if batch_window > 0 then
-      Core.Config.with_batching ~batch_window_us:batch_window ~batch_max config
-    else config
+    (* Applied even with coalescing off (a zero window), so a malformed
+       flag fails here instead of being silently ignored. *)
+    try Core.Config.with_batching ~batch_window_us:batch_window ~batch_max config
+    with Invalid_argument msg ->
+      prerr_endline ("str_sim: " ^ msg);
+      exit 2
   in
   let placement =
     Store.Placement.ring ~n_nodes:(Dsim.Topology.size Dsim.Topology.ec2_nine)

@@ -162,8 +162,8 @@ let default_config =
     fingerprint_checks =
       [
         { record_file = "lib/core/types.ml"; record_name = "tx"; fp_file = "lib/core/engine.ml" };
-        { record_file = "lib/core/engine.ml"; record_name = "node"; fp_file = "lib/core/engine.ml" };
-        { record_file = "lib/core/engine.ml"; record_name = "t"; fp_file = "lib/core/engine.ml" };
+        { record_file = "lib/core/cluster.ml"; record_name = "node"; fp_file = "lib/core/engine.ml" };
+        { record_file = "lib/core/cluster.ml"; record_name = "t"; fp_file = "lib/core/engine.ml" };
         {
           record_file = "lib/core/partition_server.ml";
           record_name = "t";
@@ -231,6 +231,7 @@ type span_status =
 type facts = {
   f_findings : (string * int * int) list;  (** token-rule hits: rule, line, col *)
   f_markers : (int * int * string list) list;  (** marker line, target line, rules *)
+  f_types : string list;  (** names of the toplevel type items *)
   f_fields : (string * string * int) list;  (** type name, mutable field, line *)
   f_fp_idents : string list;  (** idents inside [let fingerprint ...] *)
   f_has_fp : bool;
@@ -398,7 +399,7 @@ let extract ~config ~file src =
       lx.Token.comments
   in
   (* --- record fields, fingerprints, message constructors --- *)
-  let fields = ref [] in
+  let types = ref [] and fields = ref [] in
   let fp_idents = ref [] and has_fp = ref false in
   let ctors = ref [] in
   let ctor_items = ref [] in
@@ -407,6 +408,7 @@ let extract ~config ~file src =
     let kw, name, iline, s = items.(k) in
     let e = item_end k in
     if kw = "type" then begin
+      types := name :: !types;
       for i = s to e - 1 do
         if is_id i "mutable" && is_ident (i + 1) then
           fields := (name, text (i + 1), line (i + 1)) :: !fields;
@@ -553,6 +555,7 @@ let extract ~config ~file src =
   {
     f_findings = List.rev !tfs;
     f_markers = markers;
+    f_types = List.rev !types;
     f_fields = List.rev !fields;
     f_fp_idents = List.sort_uniq String.compare !fp_idents;
     f_has_fp = !has_fp;
@@ -683,7 +686,18 @@ let semantic_findings ~config pf =
         match (find fc.record_file, find fc.fp_file) with
         | Some (rp, rf), Some (_, ff) ->
           let flds = List.filter (fun (tn, _, _) -> tn = fc.record_name) rf.f_fields in
-          if flds = [] then []
+          if ff.f_has_fp && not (List.mem fc.record_name rf.f_types) then
+            (* A stale configuration (the record moved or was renamed)
+               would otherwise silence the check for good. *)
+            [
+              mk rp 1 1 "fingerprint-coverage"
+                (Printf.sprintf
+                   "%s declares no type %s, but the fingerprint in %s is checked \
+                    against it; point the fingerprint-coverage configuration at \
+                    the file declaring the record"
+                   fc.record_file fc.record_name fc.fp_file);
+            ]
+          else if flds = [] then []
           else if not ff.f_has_fp then
             List.map
               (fun (_, fld, l) ->
@@ -834,7 +848,7 @@ let apply_markers ~config ~semantic pf raw =
 (* Content-hash cache                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let cache_schema = 2
+let cache_schema = 3
 
 let content_hash s =
   let h = ref 0xcbf29ce484222325L in
@@ -859,6 +873,7 @@ let json_of_facts f =
     [
       ("findings", J.Arr (List.map (fun (r, l, c) -> J.Arr [ J.Str r; jnum l; jnum c ]) f.f_findings));
       ("markers", J.Arr (List.map (fun (ml, tg, rs) -> J.Arr [ jnum ml; jnum tg; jstrs rs ]) f.f_markers));
+      ("types", jstrs f.f_types);
       ("fields", J.Arr (List.map (fun (t, fl, l) -> J.Arr [ J.Str t; J.Str fl; jnum l ]) f.f_fields));
       ("fp_idents", jstrs f.f_fp_idents);
       ("has_fp", J.Bool f.f_has_fp);
@@ -916,6 +931,7 @@ let facts_of_json j =
           List.map
             (fun v -> match arr v with [ ml; tg; rs ] -> (int ml, int tg, strs rs) | _ -> raise Bad_cache)
             (arr (field o "markers"));
+        f_types = strs (field o "types");
         f_fields =
           List.map
             (fun v -> match arr v with [ t; fl; l ] -> (str t, str fl, int l) | _ -> raise Bad_cache)

@@ -39,7 +39,11 @@
     - {b fingerprint-coverage} — every [mutable] field of the
       configured state records must appear in the corresponding
       [fingerprint] function, or the model checker's visited-state
-      dedup can equate states that differ.
+      dedup can equate states that differ.  A configured record file
+      that is scanned but declares no type of the configured name is
+      itself a finding (when its fingerprint file is scanned and
+      defines [fingerprint]): a moved or renamed record must not
+      silence the check.
     - {b span-pairing} — every [span_begin] must have a reachable
       [span_end]: a let-bound handle must be closed in the same
       toplevel definition; a handle stored into a field or table must
@@ -94,8 +98,10 @@ type config = {
 
 val default_config : config
 (** This repository's layout: [lib/obs/trace.ml] declares the message
-    kinds; the [tx]/[node]/engine/server records fingerprint in
-    [lib/core/engine.ml]; the store record in [lib/store/mvstore.ml]. *)
+    kinds; the [fingerprint] in [lib/core/engine.ml] covers the [tx]
+    record of [lib/core/types.ml], the [node] and cluster [t] records
+    of [lib/core/cluster.ml] and the partition server's [t]; the store
+    record fingerprints in [lib/store/mvstore.ml]. *)
 
 (** {2 Running the analyzer} *)
 

@@ -38,20 +38,17 @@ type t = {
 let zero_costs = (0, 0, 0, 0, 0)
 
 (** Speculative STR with every environmental source of nondeterminism
-    disabled.  [skip_ww_check] / [unsafe_speculation] select the broken
-    engine variants the checker's own validation runs must catch;
-    [broken_lost_commit] / [broken_double_resolution] select the broken
-    {e recovery} variants (presumed-abort amnesia and double resolution)
-    that the crash-schedule runs must catch.  All failure-detection
-    periods stay zero so in-doubt resolution is purely recover-driven
-    and the state space stays finite. *)
-let config ?(skip_ww_check = false) ?(unsafe_speculation = false)
-    ?(broken_lost_commit = false) ?(broken_double_resolution = false)
-    ?(batching = false) () =
+    disabled.  [seeded_bug] selects a broken engine variant the
+    checker's own validation runs must catch: SPSI violations for
+    [Skip_ww_check] / [Unsafe_speculation], recovery violations
+    (presumed-abort amnesia, double resolution) in the crash-schedule
+    runs for [Lost_commit] / [Double_resolution].  All
+    failure-detection periods stay zero so in-doubt resolution is purely
+    recover-driven and the state space stays finite. *)
+let config ?seeded_bug ?(batching = false) () =
   let cfg =
-    Core.Config.make ~clocks:Core.Config.Precise ~speculative_reads:true
-      ~unsafe_speculation ~skip_ww_check ~max_clock_skew_us:0 ~costs:zero_costs
-      ~prune_every_inserts:0 ~broken_lost_commit ~broken_double_resolution ()
+    Core.Config.make ~clocks:Core.Config.Precise ~speculative_reads:true ?seeded_bug
+      ~max_clock_skew_us:0 ~costs:zero_costs ~prune_every_inserts:0 ()
   in
   if batching then
     (* Coalesce the commit pipeline under exploration.  The window value

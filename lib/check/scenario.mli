@@ -25,16 +25,14 @@ type t = {
           empty). *)
 }
 
-(** Speculative STR with deterministic environment.  [skip_ww_check] and
-    [unsafe_speculation] select deliberately broken engine variants for
-    the checker's validation runs; [broken_lost_commit] and
-    [broken_double_resolution] select the broken recovery variants the
-    crash-schedule runs must catch. *)
+(** Speculative STR with deterministic environment.  [seeded_bug]
+    (default none: the correct engine) selects a deliberately broken
+    engine variant for the checker's validation runs:
+    [Skip_ww_check] and [Unsafe_speculation] must be caught by the SPSI
+    oracle, [Lost_commit] and [Double_resolution] by the recovery
+    oracles of the crash-schedule runs. *)
 val config :
-  ?skip_ww_check:bool ->
-  ?unsafe_speculation:bool ->
-  ?broken_lost_commit:bool ->
-  ?broken_double_resolution:bool ->
+  ?seeded_bug:Core.Config.seeded_bug ->
   ?batching:bool ->
   unit ->
   Core.Config.t

@@ -25,6 +25,28 @@ type clocks = Physical | Precise
     snapshot is already serializable). *)
 type isolation = Snapshot_isolation | Serializable
 
+(** Seeded bugs: each one breaks exactly one safety mechanism, and the
+    checker's oracles must catch it.
+
+    - [Skip_ww_check]: partition servers skip write-write conflict
+      detection during [prepare] (every prepare succeeds), i.e. the
+      pre-commit lock of Algorithm 2 is never taken.  The resulting
+      first-committer-wins violations must be caught by the SPSI oracle.
+    - [Unsafe_speculation]: the behaviour of prior systems with
+      unrestricted speculative reads (§2, Fig. 1): any reader may observe
+      any pre-committed version and the SPSI snapshot guards (OLC/FFC)
+      are disabled.  Used by the anomaly tour and the checker's negative
+      tests.
+    - [Lost_commit]: a recovering node resolves every in-doubt
+      transaction by presumed abort without consulting the coordinator's
+      decision log, dropping commits whose decision message was lost.
+      The recovery oracle (REC-durable) must catch it.
+    - [Double_resolution]: a recovering node presumes {e commit} for
+      in-doubt transactions, so a transaction the coordinator aborted is
+      resolved both ways.  The recovery oracle (REC-atomic) must catch
+      it. *)
+type seeded_bug = Skip_ww_check | Unsafe_speculation | Lost_commit | Double_resolution
+
 type t = {
   clocks : clocks;
   isolation : isolation;
@@ -32,19 +54,9 @@ type t = {
       (** Runtime-toggleable: the self-tuner flips this live. *)
   externalize_local_commit : bool;
       (** Ext-Spec: expose results to the client at local commit. *)
-  unsafe_speculation : bool;
-      (** Demonstration mode reproducing the behaviour of prior systems
-          with unrestricted speculative reads (§2, Fig. 1): any reader
-          may observe any pre-committed version and the SPSI snapshot
-          guards (OLC/FFC) are disabled.  This intentionally admits the
-          atomicity/isolation anomalies that SPSI rules out; used by the
-          anomaly-tour example and the checker's negative tests. *)
-  skip_ww_check : bool;
-      (** Fault-injection mode for the model checker's validation runs:
-          partition servers skip write-write conflict detection during
-          [prepare] (every prepare succeeds), i.e. the pre-commit lock
-          of Algorithm 2 is never taken.  The resulting first-committer-
-          wins violations must be caught by the SPSI oracle. *)
+  seeded_bug : seeded_bug option;
+      (** A deliberately broken engine variant for the checker's
+          validation runs; [None] (the default) is the correct engine. *)
   (* --- failure detection & atomic-commitment recovery ---
      All three periods default to 0 = disabled, which restores the
      pre-recovery engine bit-for-bit: no timers are armed, no status
@@ -60,17 +72,6 @@ type t = {
       (** participant side: a replica holding a remotely-prepared
           transaction this long without a decision starts cooperative
           termination (queries the coordinator / surviving peers) *)
-  broken_lost_commit : bool;
-      (** Seeded recovery bug for the checker's validation runs: a
-          recovering node resolves every in-doubt transaction by
-          presumed abort without consulting the coordinator's decision
-          log — dropping commits whose decision message was lost.  The
-          recovery oracle (REC-durable) must catch it. *)
-  broken_double_resolution : bool;
-      (** Seeded recovery bug: a recovering node presumes {e commit} for
-          in-doubt transactions, so a transaction the coordinator
-          aborted is resolved both ways.  The recovery oracle
-          (REC-atomic) must catch it. *)
   (* --- service-cost model (microseconds of node CPU time) --- *)
   cost_read : int;  (** serving one read request *)
   cost_prepare_key : int;  (** certifying + installing one written key *)
@@ -102,47 +103,73 @@ type t = {
    (Synth-B). *)
 let default_costs = (60, 40, 20, 40, 20)
 
+(* Reject values no run can mean: a negative cost, period, skew or
+   prune setting, or a coalescing queue that holds no payload. *)
+let validate t =
+  let at_least lo field v =
+    if v < lo then
+      invalid_arg (Printf.sprintf "Config: %s must be >= %d, got %d" field lo v)
+  in
+  List.iter
+    (fun (field, v) -> at_least 0 field v)
+    [
+      ("prepare_timeout_us", t.prepare_timeout_us);
+      ("status_retry_us", t.status_retry_us);
+      ("termination_timeout_us", t.termination_timeout_us);
+      ("cost_read", t.cost_read);
+      ("cost_prepare_key", t.cost_prepare_key);
+      ("cost_apply_key", t.cost_apply_key);
+      ("cost_coord_op", t.cost_coord_op);
+      ("cost_tx_logic", t.cost_tx_logic);
+      ("cost_msg", t.cost_msg);
+      ("batch_window_us", t.batch_window_us);
+      ("max_clock_skew_us", t.max_clock_skew_us);
+      ("prune_every_inserts", t.prune_every_inserts);
+      ("prune_horizon_us", t.prune_horizon_us);
+    ];
+  at_least 1 "batch_max" t.batch_max;
+  t
+
 let make ?(clocks = Precise) ?(isolation = Snapshot_isolation)
-    ?(speculative_reads = true) ?(externalize_local_commit = false)
-    ?(unsafe_speculation = false) ?(skip_ww_check = false)
+    ?(speculative_reads = true) ?(externalize_local_commit = false) ?seeded_bug
     ?(prepare_timeout_us = 0) ?(status_retry_us = 0) ?(termination_timeout_us = 0)
-    ?(broken_lost_commit = false) ?(broken_double_resolution = false)
     ?(max_clock_skew_us = 500) ?(costs = default_costs) ?(cost_msg = 0)
     ?(batch_window_us = 0) ?(batch_max = 16)
     ?(prune_every_inserts = 4096) ?(prune_horizon_us = 2_000_000) () =
   let cost_read, cost_prepare_key, cost_apply_key, cost_coord_op, cost_tx_logic =
     costs
   in
-  {
-    clocks;
-    isolation;
-    speculative_reads;
-    externalize_local_commit;
-    unsafe_speculation;
-    skip_ww_check;
-    prepare_timeout_us;
-    status_retry_us;
-    termination_timeout_us;
-    broken_lost_commit;
-    broken_double_resolution;
-    cost_read;
-    cost_prepare_key;
-    cost_apply_key;
-    cost_coord_op;
-    cost_tx_logic;
-    cost_msg;
-    batch_window_us;
-    batch_max;
-    max_clock_skew_us;
-    prune_every_inserts;
-    prune_horizon_us;
-  }
+  validate
+    {
+      clocks;
+      isolation;
+      speculative_reads;
+      externalize_local_commit;
+      seeded_bug;
+      prepare_timeout_us;
+      status_retry_us;
+      termination_timeout_us;
+      cost_read;
+      cost_prepare_key;
+      cost_apply_key;
+      cost_coord_op;
+      cost_tx_logic;
+      cost_msg;
+      batch_window_us;
+      batch_max;
+      max_clock_skew_us;
+      prune_every_inserts;
+      prune_horizon_us;
+    }
+
+(** Whether [t] runs the seeded bug [bug]. *)
+let seeded t bug = match t.seeded_bug with Some b -> b = bug | None -> false
 
 (** [recovery] layers failure detection + atomic-commitment recovery
     onto an existing configuration (periods in simulated µs). *)
 let with_recovery ?(prepare_timeout_us = 600_000) ?(status_retry_us = 300_000)
     ?(termination_timeout_us = 600_000) t =
-  { t with prepare_timeout_us; status_retry_us; termination_timeout_us }
+  validate { t with prepare_timeout_us; status_retry_us; termination_timeout_us }
 
 (** [with_batching] layers message coalescing + batched certification
     onto an existing configuration.  [cost_msg] defaults to the
@@ -150,7 +177,7 @@ let with_recovery ?(prepare_timeout_us = 600_000) ?(status_retry_us = 300_000)
     hold the dispatch-cost model fixed on both sides. *)
 let with_batching ?(batch_window_us = 1_000) ?(batch_max = 16) ?cost_msg t =
   let cost_msg = match cost_msg with Some c -> c | None -> t.cost_msg in
-  { t with batch_window_us; batch_max; cost_msg }
+  validate { t with batch_window_us; batch_max; cost_msg }
 
 (** The paper's protagonists. *)
 let str ?(speculative_reads = true) () = make ~clocks:Precise ~speculative_reads ()
@@ -158,7 +185,7 @@ let str ?(speculative_reads = true) () = make ~clocks:Precise ~speculative_reads
 (** Prior-work strawman with unrestricted speculation (for the Fig. 1
     anomaly demonstrations only). *)
 let unrestricted_speculation () =
-  make ~clocks:Precise ~speculative_reads:true ~unsafe_speculation:true ()
+  make ~clocks:Precise ~speculative_reads:true ~seeded_bug:Unsafe_speculation ()
 
 (** STR upgraded to serializability via read promotion (future work of
     §7; speculative reads still apply to the promoted write set). *)

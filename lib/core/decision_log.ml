@@ -1,0 +1,173 @@
+(** The atomic-commitment decision log and in-doubt resolution (AC1-AC5):
+    each coordinator's persistent write-once log, the status queries
+    that resolve a participant's in-doubt prepares after a crash window,
+    and cooperative termination over surviving peers.  A node's
+    [decisions] and [status_waiters] tables are written only here. *)
+
+open Store
+open Types
+open Cluster
+open Link
+
+(* The recovery protocol satisfies the atomic-commitment properties by
+   construction:
+   - AC1 (agreement): every resolution applies a decision from the
+     coordinator's write-once log, from committed peer evidence of that
+     same decision, or presumed abort when provably no commit decision
+     exists — no two participants resolve differently;
+   - AC2 (validity): a commit decision is only ever logged after every
+     expected prepare acknowledged (Alg. 1's replication wait);
+   - AC3/AC4 (non-triviality/stability): decisions are logged before
+     they are broadcast and never change;
+   - AC5 (termination): a recovering replica re-resolves its in-doubt
+     prepares against the coordinator's log, or — when the coordinator
+     is down — runs cooperative termination against the surviving peer
+     replicas, blocking (the classic 2PC window) only while neither the
+     coordinator nor decisive peer evidence is reachable. *)
+
+(** Apply a recovered decision to an in-doubt prepare held by [node]'s
+    replica of [partition].  No-op once nothing is pending for [txid]
+    there (late or duplicate resolutions are absorbed). *)
+let apply_resolution eng ~node:n ~partition:p txid d =
+  let nd = eng.nodes.(n) in
+  if nd.alive then begin
+    let srv = server eng ~node:n ~partition:p in
+    if Partition_server.has_tx srv txid then begin
+      match d with
+      | D_commit ct ->
+        nd.stats.Stats.in_doubt_commits <- nd.stats.Stats.in_doubt_commits + 1;
+        Partition_server.commit srv txid ~ct
+      | D_abort ->
+        nd.stats.Stats.in_doubt_aborts <- nd.stats.Stats.in_doubt_aborts + 1;
+        Partition_server.abort ~tombstone:true srv txid
+    end
+  end
+
+(* Answer [asker]'s status query for its replica of [partition] with
+   decision [d]. *)
+let send_resolution eng ~src ~asker ~partition txid d =
+  send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid) ~src ~dst:asker (fun () ->
+      apply_resolution eng ~node:asker ~partition txid d)
+
+(* A status query from [src] about [txid], served by [k] on [dst]'s CPU. *)
+let query_status eng txid ~src ~dst k =
+  send eng ~kind:Obs.Trace.M_status_req ~ctx:(ctx_of_txid txid)
+    ~dcost:eng.config.Config.cost_coord_op ~src ~dst (fun () ->
+      Cpu.exec eng.nodes.(dst).cpu ~cost:eng.config.Config.cost_coord_op k)
+
+(** Record the coordinator's decision in its persistent log (write-once)
+    and answer any status queries that arrived before it was made. *)
+let log_decision eng (tx : tx) d =
+  if eng.recovery_on && tx.global_started then begin
+    let nd = eng.nodes.(tx.origin) in
+    if not (Txid.Tbl.mem nd.decisions tx.id) then begin
+      Txid.Tbl.replace nd.decisions tx.id d;
+      match Txid.Tbl.find_opt nd.status_waiters tx.id with
+      | None -> ()
+      | Some waiters ->
+        Txid.Tbl.remove nd.status_waiters tx.id;
+        List.iter
+          (fun (asker, p) -> send_resolution eng ~src:tx.origin ~asker ~partition:p tx.id d)
+          (List.rev waiters)
+    end
+  end
+
+(** Resolve one in-doubt prepared transaction held by [node]'s replica
+    of [partition] (AC5 termination).  Consults the coordinator's
+    decision log when the coordinator is reachable — replying later,
+    event-driven, if it has not decided yet — and falls back to
+    cooperative termination over the surviving peer replicas when it is
+    not.  With [status_retry_us > 0] unresolved queries are re-issued
+    each period (bounded), covering lost status traffic; otherwise
+    resolution is re-triggered by the next {!Engine.recover}. *)
+let rec resolve_in_doubt ?(tries = 0) eng ~node:n ~partition:p txid =
+  let nd = eng.nodes.(n) in
+  if nd.alive && Partition_server.has_tx (server eng ~node:n ~partition:p) txid then begin
+    match eng.config.Config.seeded_bug with
+    | Some Config.Lost_commit ->
+      (* Seeded bug (validation): presume abort without consulting the
+         decision log — drops commits whose decision message was lost. *)
+      apply_resolution eng ~node:n ~partition:p txid D_abort
+    | Some Config.Double_resolution ->
+      (* Seeded bug (validation): presume commit at the prepare
+         timestamp — resolves coordinator-aborted transactions the
+         other way. *)
+      (match Partition_server.pending_ts (server eng ~node:n ~partition:p) txid with
+       | Some ts -> apply_resolution eng ~node:n ~partition:p txid (D_commit ts)
+       | None -> apply_resolution eng ~node:n ~partition:p txid D_abort)
+    | Some (Config.Skip_ww_check | Config.Unsafe_speculation) | None ->
+      let origin = Txid.origin txid in
+      let retry_later () =
+        (* Failure-detection period; bounded so a permanently blocked
+           transaction (coordinator crash-stopped, no peer evidence)
+           cannot keep the event queue alive forever. *)
+        if eng.config.Config.status_retry_us > 0 && tries < 100 then
+          Sim.schedule eng.sim ~delay:eng.config.Config.status_retry_us (fun () ->
+              resolve_in_doubt ~tries:(tries + 1) eng ~node:n ~partition:p txid)
+      in
+      if eng.nodes.(origin).alive then begin
+        query_status eng txid ~src:n ~dst:origin (fun () ->
+            let ond = eng.nodes.(origin) in
+            match Txid.Tbl.find_opt ond.decisions txid with
+            | Some d -> send_resolution eng ~src:origin ~asker:n ~partition:p txid d
+            | None ->
+              if Txid.Tbl.mem ond.active txid then begin
+                (* Still certifying: register the asker and reply the
+                   moment the decision is logged (event-driven). *)
+                let ws = Option.value ~default:[] (Txid.Tbl.find_opt ond.status_waiters txid) in
+                if not (List.mem (n, p) ws) then
+                  Txid.Tbl.replace ond.status_waiters txid ((n, p) :: ws)
+              end
+              else
+                (* No log entry and no live transaction: under the
+                   write-once log-then-broadcast discipline, no commit
+                   decision can exist — presumed abort. *)
+                send_resolution eng ~src:origin ~asker:n ~partition:p txid D_abort);
+        retry_later ()
+      end
+      else begin
+        (* Cooperative termination: the coordinator is down, so query the
+           partition's surviving peer replicas for evidence.  Any applied
+           commit is decisive; unanimous absence is decisive the other
+           way (a prepared-but-undecided transaction still holds pending
+           state at every live acceptor, so absence everywhere proves no
+           commit was applied); otherwise the in-doubt window genuinely
+           blocks until the coordinator recovers. *)
+        let keys = Partition_server.pending_keys (server eng ~node:n ~partition:p) txid in
+        (match live_replicas eng p ~except:n with
+         | [] -> () (* blocked: no surviving evidence; retried / re-triggered *)
+         | peers ->
+           let expected = List.length peers in
+           let absent = ref 0 and settled = ref false in
+           List.iter
+             (fun r ->
+               query_status eng txid ~src:n ~dst:r (fun () ->
+                   let st =
+                     Partition_server.status_of (server eng ~node:r ~partition:p) txid ~keys
+                   in
+                   send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid) ~src:r
+                     ~dst:n (fun () ->
+                       if not !settled then
+                         match st with
+                         | `Committed ct ->
+                           settled := true;
+                           apply_resolution eng ~node:n ~partition:p txid (D_commit ct)
+                         | `None ->
+                           incr absent;
+                           if !absent >= expected then begin
+                             settled := true;
+                             apply_resolution eng ~node:n ~partition:p txid D_abort
+                           end
+                         | `Pending -> ())))
+             peers);
+        retry_later ()
+      end
+  end
+
+(** Participant-side AC5 arming: a replica that prepared a remote
+    transaction starts termination if no decision arrived within the
+    window. *)
+let arm_termination eng ~node:n ~partition:p txid =
+  Sim.schedule eng.sim ~delay:eng.config.Config.termination_timeout_us (fun () ->
+      resolve_in_doubt eng ~node:n ~partition:p txid)
+

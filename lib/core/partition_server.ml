@@ -156,7 +156,7 @@ let read ?(allow_spec = true) ?(reader = (min_int, min_int)) t ~rs ~reader_origi
            when reader_origin = t.node_id && allow_spec && t.config.speculative_reads ->
            reply { value = Some v.value; src = `Speculative; writer = Some v.writer }
          | (Version.Local_committed | Version.Pre_committed)
-           when t.config.unsafe_speculation ->
+           when Config.seeded t.config Unsafe_speculation ->
            (* Prior-work behaviour (§2): expose any pre-committed
               version to any reader, with no SPSI safeguards. *)
            reply { value = Some v.value; src = `Speculative; writer = Some v.writer }
@@ -259,7 +259,7 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
   let wdeps = ref Txid.Set.empty in
   List.iter
     (fun (key, _) ->
-      if !conflict = None && not t.config.skip_ww_check then begin
+      if !conflict = None && not (Config.seeded t.config Skip_ww_check) then begin
         (match Mvstore.newest_committed t.store key with
          | Some newest when newest.ts > rs -> conflict := Some key
          | Some _ | None -> ());

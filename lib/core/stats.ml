@@ -81,37 +81,35 @@ let ext_misspeculation_rate t =
   let total = t.commits + aborts t in
   if total = 0 then 0. else float_of_int t.ext_misspec /. float_of_int total
 
-let add ~into b =
-  into.started <- into.started + b.started;
-  into.commits <- into.commits + b.commits;
-  into.read_only_commits <- into.read_only_commits + b.read_only_commits;
-  into.aborts_local <- into.aborts_local + b.aborts_local;
-  into.aborts_remote <- into.aborts_remote + b.aborts_remote;
-  into.aborts_evicted <- into.aborts_evicted + b.aborts_evicted;
-  into.aborts_dependency <- into.aborts_dependency + b.aborts_dependency;
-  into.aborts_stale_snapshot <- into.aborts_stale_snapshot + b.aborts_stale_snapshot;
-  into.aborts_node_failure <- into.aborts_node_failure + b.aborts_node_failure;
-  into.aborts_prepare_timeout <- into.aborts_prepare_timeout + b.aborts_prepare_timeout;
-  into.spec_reads <- into.spec_reads + b.spec_reads;
-  into.cache_reads <- into.cache_reads + b.cache_reads;
-  into.reads <- into.reads + b.reads;
-  into.remote_reads <- into.remote_reads + b.remote_reads;
-  into.spec_commits <- into.spec_commits + b.spec_commits;
-  into.ext_misspec <- into.ext_misspec + b.ext_misspec;
-  into.olc_blocks <- into.olc_blocks + b.olc_blocks;
-  into.server_blocks <- into.server_blocks + b.server_blocks;
-  into.in_doubt_commits <- into.in_doubt_commits + b.in_doubt_commits;
-  into.in_doubt_aborts <- into.in_doubt_aborts + b.in_doubt_aborts
+(* The one field-wise operation: [f] applied to every pair of
+   corresponding counters, into a fresh record. *)
+let map2 f a b =
+  {
+    started = f a.started b.started;
+    commits = f a.commits b.commits;
+    read_only_commits = f a.read_only_commits b.read_only_commits;
+    aborts_local = f a.aborts_local b.aborts_local;
+    aborts_remote = f a.aborts_remote b.aborts_remote;
+    aborts_evicted = f a.aborts_evicted b.aborts_evicted;
+    aborts_dependency = f a.aborts_dependency b.aborts_dependency;
+    aborts_stale_snapshot = f a.aborts_stale_snapshot b.aborts_stale_snapshot;
+    aborts_node_failure = f a.aborts_node_failure b.aborts_node_failure;
+    aborts_prepare_timeout = f a.aborts_prepare_timeout b.aborts_prepare_timeout;
+    spec_reads = f a.spec_reads b.spec_reads;
+    cache_reads = f a.cache_reads b.cache_reads;
+    reads = f a.reads b.reads;
+    remote_reads = f a.remote_reads b.remote_reads;
+    spec_commits = f a.spec_commits b.spec_commits;
+    ext_misspec = f a.ext_misspec b.ext_misspec;
+    olc_blocks = f a.olc_blocks b.olc_blocks;
+    server_blocks = f a.server_blocks b.server_blocks;
+    in_doubt_commits = f a.in_doubt_commits b.in_doubt_commits;
+    in_doubt_aborts = f a.in_doubt_aborts b.in_doubt_aborts;
+  }
 
-let sum list =
-  let acc = create () in
-  List.iter (fun s -> add ~into:acc s) list;
-  acc
-
-let copy t =
-  let acc = create () in
-  add ~into:acc t;
-  acc
+let sum list = List.fold_left (map2 ( + )) (create ()) list
+let copy t = map2 (fun x _ -> x) t t
+let diff a b = map2 ( - ) a b
 
 let pp ppf t =
   Format.fprintf ppf

@@ -41,9 +41,13 @@ val abort_rate : t -> float
 val misspeculation_rate : t -> float
 val ext_misspeculation_rate : t -> float
 
-(** Accumulate [b]'s counters into [into]. *)
-val add : into:t -> t -> unit
-
+(** Field-wise sum, into a fresh record ({!create}'s zeros for []). *)
 val sum : t list -> t
+
 val copy : t -> t
+
+(** [diff a b]: field-wise [a - b], e.g. the counters accrued between
+    two snapshots. *)
+val diff : t -> t -> t
+
 val pp : Format.formatter -> t -> unit

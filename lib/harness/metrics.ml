@@ -20,16 +20,10 @@ type t = {
      report touching several percentiles — would otherwise re-copy and
      re-sort the full buffer on every call. *)
   mutable cache : summary option;
-  hist : Obs.Histogram.t;
-      (* Every sample is also fed into a fixed-bucket log-scale
-         histogram: O(1) per record and O(buckets) to summarize, giving
-         the observability layer p50/p90/p99/p999 without touching the
-         exact sample buffer (whose sorted percentiles the report
-         goldens depend on). *)
 }
 
 let create () =
-  { samples = Array.make 1024 0; n = 0; cache = None; hist = Obs.Histogram.create () }
+  { samples = Array.make 1024 0; n = 0; cache = None }
 
 let record t v =
   if t.n = Array.length t.samples then begin
@@ -39,7 +33,6 @@ let record t v =
   end;
   t.samples.(t.n) <- v;
   t.n <- t.n + 1;
-  Obs.Histogram.record t.hist v;
   t.cache <- None
 
 let count t = t.n
@@ -70,10 +63,6 @@ let summarize t =
       t.cache <- Some s;
       s
     end
-
-let histogram t = t.hist
-
-let histogram_summary t = Obs.Histogram.summary t.hist
 
 let ms_of_us us = float_of_int us /. 1000.
 

@@ -24,11 +24,3 @@ val empty_summary : summary
 val summarize : t -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
-
-(** Log-scale histogram fed in parallel with the exact sample buffer
-    (bounded relative error {!Obs.Histogram.max_relative_error}); gives
-    the observability layer p50/p90/p99/p999 in O(buckets).  The exact
-    {!summarize} percentiles are unchanged by its presence. *)
-val histogram : t -> Obs.Histogram.t
-
-val histogram_summary : t -> Obs.Histogram.summary

@@ -174,40 +174,7 @@ let interdc_rtt_range topology =
 let snapshot_stats eng =
   Core.Stats.copy (Core.Engine.total_stats eng)
 
-let delta_stats ~at_start ~at_end =
-  let d = Core.Stats.create () in
-  Core.Stats.add ~into:d at_end;
-  (* subtract *)
-  d.Core.Stats.started <- d.Core.Stats.started - at_start.Core.Stats.started;
-  d.Core.Stats.commits <- d.Core.Stats.commits - at_start.Core.Stats.commits;
-  d.Core.Stats.read_only_commits <-
-    d.Core.Stats.read_only_commits - at_start.Core.Stats.read_only_commits;
-  d.Core.Stats.aborts_local <- d.Core.Stats.aborts_local - at_start.Core.Stats.aborts_local;
-  d.Core.Stats.aborts_remote <- d.Core.Stats.aborts_remote - at_start.Core.Stats.aborts_remote;
-  d.Core.Stats.aborts_evicted <-
-    d.Core.Stats.aborts_evicted - at_start.Core.Stats.aborts_evicted;
-  d.Core.Stats.aborts_dependency <-
-    d.Core.Stats.aborts_dependency - at_start.Core.Stats.aborts_dependency;
-  d.Core.Stats.aborts_stale_snapshot <-
-    d.Core.Stats.aborts_stale_snapshot - at_start.Core.Stats.aborts_stale_snapshot;
-  d.Core.Stats.spec_reads <- d.Core.Stats.spec_reads - at_start.Core.Stats.spec_reads;
-  d.Core.Stats.cache_reads <- d.Core.Stats.cache_reads - at_start.Core.Stats.cache_reads;
-  d.Core.Stats.reads <- d.Core.Stats.reads - at_start.Core.Stats.reads;
-  d.Core.Stats.remote_reads <- d.Core.Stats.remote_reads - at_start.Core.Stats.remote_reads;
-  d.Core.Stats.spec_commits <- d.Core.Stats.spec_commits - at_start.Core.Stats.spec_commits;
-  d.Core.Stats.ext_misspec <- d.Core.Stats.ext_misspec - at_start.Core.Stats.ext_misspec;
-  d.Core.Stats.aborts_node_failure <-
-    d.Core.Stats.aborts_node_failure - at_start.Core.Stats.aborts_node_failure;
-  d.Core.Stats.aborts_prepare_timeout <-
-    d.Core.Stats.aborts_prepare_timeout - at_start.Core.Stats.aborts_prepare_timeout;
-  d.Core.Stats.olc_blocks <- d.Core.Stats.olc_blocks - at_start.Core.Stats.olc_blocks;
-  d.Core.Stats.server_blocks <-
-    d.Core.Stats.server_blocks - at_start.Core.Stats.server_blocks;
-  d.Core.Stats.in_doubt_commits <-
-    d.Core.Stats.in_doubt_commits - at_start.Core.Stats.in_doubt_commits;
-  d.Core.Stats.in_doubt_aborts <-
-    d.Core.Stats.in_doubt_aborts - at_start.Core.Stats.in_doubt_aborts;
-  d
+let delta_stats ~at_start ~at_end = Core.Stats.diff at_end at_start
 
 let run_window ?(at_window_end = ignore) ~sim ~net ~eng ~measure_from ~measure_to () =
   let ev_warm = Dsim.Sim.run ~until:measure_from sim in

@@ -362,6 +362,28 @@ let test_fingerprint_coverage () =
   in
   check_fired "full fingerprint is clean" (run [ types_two; engine_full_fp ]) []
 
+let test_fingerprint_stale_record () =
+  (* The configured record file no longer declares the record (it was
+     renamed or moved): the check must say so, not fall silent. *)
+  let types_renamed =
+    src "lib/core/types.ml" "type txn = {\n  mutable aa : int;\n}\n"
+  in
+  let engine_fp = src "lib/core/engine.ml" "let fingerprint t = combine 17 t.aa\n" in
+  let report = run [ types_renamed; engine_fp ] in
+  check_fired "missing record fires" report [ "fingerprint-coverage" ];
+  (match find_rule report "fingerprint-coverage" with
+  | [ f ] ->
+    Alcotest.(check string) "in the record file" "lib/core/types.ml" f.A.file;
+    Alcotest.(check bool) "names the record" true
+      (f.A.message
+      = "lib/core/types.ml declares no type tx, but the fingerprint in \
+         lib/core/engine.ml is checked against it; point the \
+         fingerprint-coverage configuration at the file declaring the record")
+  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+  (* Without a fingerprint to check there is nothing to go stale. *)
+  let engine_no_fp = src "lib/core/engine.ml" "let other t = t.aa\n" in
+  check_fired "no fingerprint, no finding" (run [ types_renamed; engine_no_fp ]) []
+
 let test_fingerprint_allow_marker () =
   let types_marked =
     src "lib/core/types.ml"
@@ -568,6 +590,8 @@ let () =
           Alcotest.test_case "fires and repaired twin clean" `Quick
             test_fingerprint_coverage;
           Alcotest.test_case "allow marker" `Quick test_fingerprint_allow_marker;
+          Alcotest.test_case "stale record configuration" `Quick
+            test_fingerprint_stale_record;
         ] );
       ( "span-pairing",
         [

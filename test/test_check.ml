@@ -395,7 +395,7 @@ let test_mc_small_exhaustive_clean () =
 let test_mc_catches_skipped_ww_check () =
   (* The engine variant that never takes pre-commit locks must be caught
      with a concrete schedule. *)
-  let config = Check.Scenario.config ~skip_ww_check:true () in
+  let config = Check.Scenario.config ~seeded_bug:Core.Config.Skip_ww_check () in
   let s = Check.Scenario.make ~config ~dcs:2 ~keys:2 ~txs:2 () in
   let r = Check.Explorer.explore ~max_runs:20_000 ~oracle:Check.Oracle.check s in
   match r.Check.Explorer.violation with
@@ -405,7 +405,7 @@ let test_mc_catches_skipped_ww_check () =
     Alcotest.(check bool) "schedule reported" true (schedule <> [])
 
 let test_mc_catches_unrestricted_speculation () =
-  let config = Check.Scenario.config ~unsafe_speculation:true () in
+  let config = Check.Scenario.config ~seeded_bug:Core.Config.Unsafe_speculation () in
   let s = Check.Scenario.make ~config ~dcs:2 ~keys:2 ~txs:3 () in
   let r = Check.Explorer.explore ~max_runs:50_000 ~oracle:Check.Oracle.check s in
   match r.Check.Explorer.violation with
@@ -467,7 +467,7 @@ let test_mc_catches_lost_commit () =
      persistent decision log: a commit decided just before the crash is
      silently rolled back at the recovering replica.  The crash-schedule
      search must produce a concrete schedule violating durability. *)
-  let config = Check.Scenario.config ~broken_lost_commit:true () in
+  let config = Check.Scenario.config ~seeded_bug:Core.Config.Lost_commit () in
   let s =
     Check.Scenario.make ~config ~dcs:2 ~keys:1 ~txs:2 ~rf:2
       ~fault_plan:(crash_recover 1) ()
@@ -483,7 +483,7 @@ let test_mc_catches_double_resolution () =
   (* Recovery variant that presumes commit for in-doubt prepares: an
      aborted transaction's write resurfaces as a committed version at
      the recovering replica — atomicity across replicas is broken. *)
-  let config = Check.Scenario.config ~broken_double_resolution:true () in
+  let config = Check.Scenario.config ~seeded_bug:Core.Config.Double_resolution () in
   let s =
     Check.Scenario.make ~config ~dcs:2 ~keys:1 ~txs:2 ~rf:2
       ~fault_plan:(crash_recover 1) ()

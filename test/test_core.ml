@@ -220,6 +220,42 @@ let test_load_shared_until_written () =
       match Mvstore.check_accounting s with Ok () -> () | Error e -> Alcotest.fail e)
     [ s0; s1 ]
 
+(* --- config validation: one malformed value per field ----------------- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* [build] must raise [Invalid_argument] naming [field]. *)
+let rejects field build () =
+  match build () with
+  | (_ : Core.Config.t) -> Alcotest.failf "%s: malformed value accepted" field
+  | exception Invalid_argument msg ->
+    if not (contains msg field) then Alcotest.failf "message %S does not name %s" msg field
+
+let config_cases =
+  let module C = Core.Config in
+  let str = C.str () in
+  [
+    ("batch_max", fun () -> C.with_batching ~batch_max:0 str);
+    ("batch_window_us", fun () -> C.with_batching ~batch_window_us:(-5) str);
+    ("cost_msg", fun () -> C.with_batching ~cost_msg:(-1) str);
+    ("cost_read", fun () -> C.make ~costs:(-1, 40, 20, 40, 20) ());
+    ("cost_prepare_key", fun () -> C.make ~costs:(60, -1, 20, 40, 20) ());
+    ("cost_apply_key", fun () -> C.make ~costs:(60, 40, -1, 40, 20) ());
+    ("cost_coord_op", fun () -> C.make ~costs:(60, 40, 20, -1, 20) ());
+    ("cost_tx_logic", fun () -> C.make ~costs:(60, 40, 20, 40, -1) ());
+    ("prepare_timeout_us", fun () -> C.with_recovery ~prepare_timeout_us:(-1) str);
+    ("status_retry_us", fun () -> C.make ~status_retry_us:(-1) ());
+    ("termination_timeout_us", fun () -> C.with_recovery ~termination_timeout_us:(-1) str);
+    ("max_clock_skew_us", fun () -> C.make ~max_clock_skew_us:(-1) ());
+    ("prune_every_inserts", fun () -> C.make ~prune_every_inserts:(-1) ());
+    ("prune_horizon_us", fun () -> C.make ~prune_horizon_us:(-1) ());
+  ]
+  |> List.map (fun (field, build) ->
+         Alcotest.test_case ("rejects bad " ^ field) `Quick (rejects field build))
+
 let () =
   Alcotest.run "core-smoke"
     [
@@ -234,4 +270,5 @@ let () =
           Alcotest.test_case "load shared until written" `Quick
             test_load_shared_until_written;
         ] );
+      ("config", config_cases);
     ]

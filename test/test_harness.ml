@@ -157,7 +157,39 @@ let test_delta_stats () =
   let d = Harness.Runner.delta_stats ~at_start:a ~at_end:b in
   Alcotest.(check int) "commit delta" 15 d.Core.Stats.commits;
   Alcotest.(check int) "read delta" 40 d.Core.Stats.reads;
-  Alcotest.(check int) "abort delta" 3 d.Core.Stats.aborts_local
+  Alcotest.(check int) "abort delta" 3 d.Core.Stats.aborts_local;
+  (* Every counter distinct and nonzero: a field the field-wise
+     operation forgets breaks one of the identities below. *)
+  let x =
+    {
+      Core.Stats.started = 1;
+      commits = 2;
+      read_only_commits = 3;
+      aborts_local = 4;
+      aborts_remote = 5;
+      aborts_evicted = 6;
+      aborts_dependency = 7;
+      aborts_stale_snapshot = 8;
+      aborts_node_failure = 9;
+      aborts_prepare_timeout = 10;
+      spec_reads = 11;
+      cache_reads = 12;
+      reads = 13;
+      remote_reads = 14;
+      spec_commits = 15;
+      ext_misspec = 16;
+      olc_blocks = 17;
+      server_blocks = 18;
+      in_doubt_commits = 19;
+      in_doubt_aborts = 20;
+    }
+  in
+  let zero = Core.Stats.create () in
+  Alcotest.(check bool) "diff x zero = x" true (Core.Stats.diff x zero = x);
+  Alcotest.(check bool) "diff x x = zero" true (Core.Stats.diff x x = zero);
+  Alcotest.(check bool) "copy x = x" true (Core.Stats.copy x = x);
+  Alcotest.(check bool) "sum [x; x] - x = x" true
+    (Core.Stats.diff (Core.Stats.sum [ x; x ]) x = x)
 
 let test_stats_rates () =
   let s = Core.Stats.create () in
