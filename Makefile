@@ -27,7 +27,7 @@ trace-cp:
 	dune build @trace-cp
 
 # Deep model-checking configuration (exhausts the dcs=2/keys=2/txs=3
-# schedule tree; takes on the order of a minute).
+# schedule tree on the heap and on the wheel; about 12 s each).
 mc:
 	dune build @mc
 

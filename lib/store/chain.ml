@@ -10,137 +10,153 @@
       version is newer (by position) than any uncommitted one.
 
     Representation: a growable array sorted by {e ascending} timestamp
-    ([vs.(0)] is the oldest version, [vs.(len-1)] the newest), which
+    ([data.(0)] is the oldest version, [data.(len-1)] the newest), which
     makes the protocol's common case — installing a version whose
     proposal timestamp exceeds everything in the chain — an O(1)
     append, and turns the snapshot lookups into binary searches.  The
     public API still speaks newest-first, matching the paper's
-    presentation.
+    presentation.  The array grows from one slot (1, 2, 4, ...): most
+    keys of a cold keyspace only ever hold one version.
 
-    A slot beyond [len] may retain a stale version reference until the
-    next insert overwrites it; at most a bounded number of versions is
-    kept alive this way, which is irrelevant next to the chains
-    themselves. *)
+    A chain is a {!Nodetbl} node, which is also its bucket's entry in
+    {!Tbl}: it carries its key, its key's hash and the link to the next
+    chain of the bucket, so a key written at a replica costs this one
+    block plus its array.
 
-type t = {
-  mutable vs : Version.t array;  (** ascending ts; only [0..len-1] live *)
-  mutable len : int;
-  mutable nc : int;
-      (** cached index of the newest committed version:
-          [-1] none, [-2] dirty (recomputed lazily) *)
+    Slots beyond [len] hold {!hole}, never a dropped version, so a
+    removed or pruned version is unreachable from its chain. *)
+
+module Key = Keyspace.Key
+
+(* The node's [data] is the version array, ascending ts, with only
+   [0..len-1] live; the live length is the node's owner counter. *)
+type 'a node = 'a Nodetbl.node = {
+  key : Key.t;
+  mutable data : 'a;
+  mutable meta : int;
+  mutable next : 'a node;
 }
 
-let create () = { vs = [||]; len = 0; nc = -1 }
+type t = Version.t array node
 
-let is_empty c = c.len = 0
+let len = Nodetbl.owner
+let set_len = Nodetbl.set_owner
 
-let length c = c.len
+(* Fills the unused slots of every array.  Never returned, so nothing
+   mutates it. *)
+let hole =
+  Version.make ~writer:(Txid.make ~origin:(-1) ~number:(-1)) ~state:Version.Committed
+    ~ts:min_int ~value:Keyspace.Value.Unit
+
+(* Ends every bucket.  Never handed out, so nothing mutates it. *)
+let nil : t = Nodetbl.nil [||]
+
+(* A chain outside any table; its key is never read. *)
+let create () = Nodetbl.node ~nil nil.key [||]
+
+let key c = c.key
+
+let is_empty c = len c = 0
+
+let length c = len c
 
 (** Versions, newest timestamp first (allocates; test/introspection
     support — hot paths use the index-based accessors). *)
 let versions c =
   let acc = ref [] in
-  for i = 0 to c.len - 1 do
-    acc := c.vs.(i) :: !acc
+  for i = 0 to len c - 1 do
+    acc := c.data.(i) :: !acc
   done;
   !acc
 
 (** Fold over the versions newest-first without allocating the list. *)
 let fold_newest f init c =
   let acc = ref init in
-  for i = c.len - 1 downto 0 do
-    acc := f !acc c.vs.(i)
+  for i = len c - 1 downto 0 do
+    acc := f !acc c.data.(i)
   done;
   !acc
 
-(** First index whose timestamp exceeds [ts] ([c.len] if none): the
+(** First index whose timestamp exceeds [ts] ([len c] if none): the
     insertion point that keeps equal-timestamp versions ordered with the
     newest insertion on the newer side. *)
 let upper_bound c ts =
-  let lo = ref 0 and hi = ref c.len in
+  let lo = ref 0 and hi = ref (len c) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if c.vs.(mid).Version.ts <= ts then lo := mid + 1 else hi := mid
+    if c.data.(mid).Version.ts <= ts then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let grow c (fill : Version.t) =
-  if c.len = Array.length c.vs then begin
-    let cap = if c.len = 0 then 4 else 2 * c.len in
-    let vs = Array.make cap fill in
-    Array.blit c.vs 0 vs 0 c.len;
-    c.vs <- vs
+let grow c =
+  if len c = Array.length c.data then begin
+    let vs = Array.make (max 1 (2 * len c)) hole in
+    Array.blit c.data 0 vs 0 (len c);
+    c.data <- vs
   end
 
 (** Insert keeping the ascending-timestamp order; among equal
     timestamps the newly inserted version goes on the newer side (it is
     newer).  O(1) when [v] is the newest, as protocol inserts are. *)
 let insert c (v : Version.t) =
-  grow c v;
+  grow c;
   let pos = upper_bound c v.ts in
-  if pos < c.len then Array.blit c.vs pos c.vs (pos + 1) (c.len - pos);
-  c.vs.(pos) <- v;
-  c.len <- c.len + 1;
-  c.nc <- -2
+  if pos < len c then Array.blit c.data pos c.data (pos + 1) (len c - pos);
+  c.data.(pos) <- v;
+  set_len c (len c + 1)
 
 (** Newest version regardless of state. *)
-let newest c = if c.len = 0 then None else Some c.vs.(c.len - 1)
+let newest c = if len c = 0 then None else Some c.data.(len c - 1)
 
-(** Index of the newest committed version, [-1] if none (lazily cached;
-    any structural mutation invalidates it). *)
+(** Index of the newest committed version, [-1] if none: a scan down
+    the speculative stack, which holds only a few versions. *)
 let newest_committed_idx c =
-  if c.nc = -2 then begin
-    let i = ref (c.len - 1) in
-    while !i >= 0 && not (Version.is_committed c.vs.(!i)) do
-      decr i
-    done;
-    c.nc <- !i
-  end;
-  c.nc
+  let i = ref (len c - 1) in
+  while !i >= 0 && not (Version.is_committed c.data.(!i)) do
+    decr i
+  done;
+  !i
 
 (** Newest committed version. *)
 let newest_committed c =
   let i = newest_committed_idx c in
-  if i < 0 then None else Some c.vs.(i)
+  if i < 0 then None else Some c.data.(i)
 
 (** Latest version with [ts <= rs] (any state) — the version a reader
     with read snapshot [rs] lands on (Alg. 2, latest_before).  Binary
     search. *)
 let latest_before c ~rs =
   let pos = upper_bound c rs - 1 in
-  if pos < 0 then None else Some c.vs.(pos)
+  if pos < 0 then None else Some c.data.(pos)
 
 (** Latest committed version with [ts <= rs]: binary search to the
     visibility frontier, then a short walk over the (small) speculative
     stack above the committed history. *)
 let latest_committed_before c ~rs =
   let pos = ref (upper_bound c rs - 1) in
-  while !pos >= 0 && not (Version.is_committed c.vs.(!pos)) do
+  while !pos >= 0 && not (Version.is_committed c.data.(!pos)) do
     decr pos
   done;
-  if !pos < 0 then None else Some c.vs.(!pos)
+  if !pos < 0 then None else Some c.data.(!pos)
 
 (** Index of [txid]'s version, [-1] if absent.  Scans newest-first:
     uncommitted versions — the usual lookup targets — sit on top. *)
 let index_of_writer c txid =
-  let i = ref (c.len - 1) in
-  while !i >= 0 && not (Txid.equal c.vs.(!i).Version.writer txid) do
+  let i = ref (len c - 1) in
+  while !i >= 0 && not (Txid.equal c.data.(!i).Version.writer txid) do
     decr i
   done;
   !i
 
 let find_writer c txid =
   let i = index_of_writer c txid in
-  if i < 0 then None else Some c.vs.(i)
+  if i < 0 then None else Some c.data.(i)
 
 let remove_at c i =
-  let v = c.vs.(i) in
-  if i < c.len - 1 then Array.blit c.vs (i + 1) c.vs i (c.len - 1 - i);
-  c.len <- c.len - 1;
-  (* Drop the stale tail reference (point it at a version that is live
-     anyway, so nothing is retained beyond the chain itself). *)
-  if c.len > 0 then c.vs.(c.len) <- c.vs.(0);
-  c.nc <- -2;
+  let v = c.data.(i) in
+  if i < len c - 1 then Array.blit c.data (i + 1) c.data i (len c - 1 - i);
+  set_len c (len c - 1);
+  c.data.(len c) <- hole;
   v
 
 (** Remove [txid]'s version, returning it (accounting support). *)
@@ -151,10 +167,10 @@ let remove_writer c txid =
 (** Reposition a version after its timestamp was bumped (pre-commit ->
     local-commit -> commit transitions only increase timestamps).  Must
     be called after any externally performed [ts]/[state] mutation; the
-    newest-committed cache relies on it. *)
+    binary searches rely on it. *)
 let reposition c (v : Version.t) =
-  let i = ref (c.len - 1) in
-  while !i >= 0 && c.vs.(!i) != v do
+  let i = ref (len c - 1) in
+  while !i >= 0 && c.data.(!i) != v do
     decr i
   done;
   if !i >= 0 then ignore (remove_at c !i);
@@ -163,15 +179,15 @@ let reposition c (v : Version.t) =
 (** Uncommitted versions, newest first. *)
 let uncommitted c =
   let acc = ref [] in
-  for i = 0 to c.len - 1 do
-    if Version.is_uncommitted c.vs.(i) then acc := c.vs.(i) :: !acc
+  for i = 0 to len c - 1 do
+    if Version.is_uncommitted c.data.(i) then acc := c.data.(i) :: !acc
   done;
   !acc
 
 (** Any version with [ts > after] (write-write certification): the
     newest version has the maximal timestamp, so this is O(1). *)
 let exists_newer_than c ~after =
-  c.len > 0 && c.vs.(c.len - 1).Version.ts > after
+  len c > 0 && c.data.(len c - 1).Version.ts > after
 
 (** Drop committed versions older than [horizon], always retaining the
     newest committed one and every uncommitted version.  Single
@@ -180,23 +196,18 @@ let exists_newer_than c ~after =
 let prune ?(on_drop = fun (_ : Version.t) -> ()) c ~horizon =
   let nc = newest_committed_idx c in
   let w = ref 0 in
-  for i = 0 to c.len - 1 do
-    let v = c.vs.(i) in
+  for i = 0 to len c - 1 do
+    let v = c.data.(i) in
     if Version.is_uncommitted v || i = nc || v.Version.ts >= horizon then begin
-      if !w < i then c.vs.(!w) <- v;
+      if !w < i then c.data.(!w) <- v;
       incr w
     end
     else on_drop v
   done;
-  let dropped = c.len - !w in
+  let dropped = len c - !w in
   if dropped > 0 then begin
-    (* Clear freed slots so dropped versions are not retained. *)
-    if !w > 0 then
-      for i = !w to c.len - 1 do
-        c.vs.(i) <- c.vs.(0)
-      done;
-    c.len <- !w;
-    c.nc <- -2
+    Array.fill c.data !w dropped hole;
+    set_len c !w
   end;
   dropped
 
@@ -204,10 +215,10 @@ let prune ?(on_drop = fun (_ : Version.t) -> ()) c ~horizon =
     first, committed suffix); returns an error description if broken. *)
 let check_invariants c =
   let rec go i =
-    if i >= c.len - 1 then Ok ()
+    if i >= len c - 1 then Ok ()
     else begin
       (* Newest-first adjacent pair: a = vs.(i+1) sits above b = vs.(i). *)
-      let a = c.vs.(i + 1) and b = c.vs.(i) in
+      let a = c.data.(i + 1) and b = c.data.(i) in
       if a.Version.ts < b.Version.ts then
         Error
           (Printf.sprintf "chain out of order: %s@%d before %s@%d"
@@ -221,9 +232,9 @@ let check_invariants c =
     (* Committed suffix: scanning oldest to newest, once a speculative
        (uncommitted) version appears nothing above it may be committed. *)
     let rec suffix i seen_uncommitted =
-      if i >= c.len then Ok ()
+      if i >= len c then Ok ()
       else begin
-        let v = c.vs.(i) in
+        let v = c.data.(i) in
         if Version.is_committed v then
           if seen_uncommitted then
             Error
@@ -235,3 +246,26 @@ let check_invariants c =
       end
     in
     suffix 0 false
+
+(** Chains by key, in a {!Nodetbl} whose bucket nodes are the chains
+    themselves. *)
+module Tbl = struct
+  type nonrec t = Version.t array Nodetbl.t
+
+  let create () = Nodetbl.create nil
+
+  let find_opt = Nodetbl.find_opt
+  let mem = Nodetbl.mem
+
+  let add t key =
+    let c = Nodetbl.node ~nil key [||] in
+    Nodetbl.add t c;
+    c
+
+  let iter = Nodetbl.iter
+
+  let fold f t init =
+    let acc = ref init in
+    Nodetbl.iter (fun c -> acc := f c !acc) t;
+    !acc
+end

@@ -7,12 +7,19 @@
     Backed by a growable array sorted by timestamp: appending the
     newest version (the protocol's common case) is O(1) amortized, the
     snapshot lookups are binary searches, and {!length}/{!newest}/
-    {!exists_newer_than} are O(1).  The newest-committed version is
-    tracked by a lazily maintained cached index. *)
+    {!exists_newer_than} are O(1).  {!newest_committed} scans down the
+    speculative stack above the committed history.  A chain is also
+    the node of its {!Tbl} bucket. *)
 
 type t
 
+(** A chain outside any table. *)
 val create : unit -> t
+
+(** The key a {!Tbl} chain was added under (meaningless for a chain
+    from {!create}). *)
+val key : t -> Keyspace.Key.t
+
 val is_empty : t -> bool
 
 (** O(1). *)
@@ -67,3 +74,22 @@ val prune : ?on_drop:(Version.t -> unit) -> t -> horizon:int -> int
 (** Validate the ordering invariants — descending timestamps and the
     committed-suffix property (property-test support). *)
 val check_invariants : t -> (unit, string) result
+
+(** Chains by key, in a {!Nodetbl} whose bucket nodes are the chains
+    themselves: an entry costs no block beyond its chain.  Starts with
+    no buckets.  Iteration order is unspecified. *)
+module Tbl : sig
+  type chain := t
+  type t
+
+  val create : unit -> t
+  val find_opt : t -> Keyspace.Key.t -> chain option
+  val mem : t -> Keyspace.Key.t -> bool
+
+  (** Add and return a new empty chain for [key], which must not be in
+      the table. *)
+  val add : t -> Keyspace.Key.t -> chain
+
+  val iter : (chain -> unit) -> t -> unit
+  val fold : (chain -> 'a -> 'a) -> t -> 'a -> 'a
+end

@@ -40,6 +40,14 @@ let key_bytes key = key_overhead_bytes + String.length (Key.name key)
 let version_bytes (v : Version.t) =
   version_overhead_bytes + Keyspace.Value.size_bytes v.value
 
+(* A key's [LastReader] slot: a node whose data is the timestamp. *)
+type reader = int Nodetbl.node
+
+(* Ends every bucket of the [LastReader] tables; its timestamp 0 is
+   what {!last_reader} reads for an unread key.  Never handed out, so
+   nothing mutates it. *)
+let no_reader : reader = Nodetbl.nil 0
+
 type dataset = {
   loaded : Version.t KeyTbl.t;  (** the one loaded version of each key *)
   mutable loaded_bytes : int;
@@ -49,8 +57,8 @@ type dataset = {
 
 type t = {
   dataset : dataset;  (** shared by every replica of the partition *)
-  chains : Chain.t KeyTbl.t;  (** private chains: the keys this replica mutated *)
-  last_reader : int KeyTbl.t;
+  chains : Chain.Tbl.t;  (** private chains: the keys this replica mutated *)
+  last_reader : int Nodetbl.t;
   (* lint: allow fingerprint-coverage — stat counter *)
   mutable reads_served : int;
   (* lint: allow fingerprint-coverage — stat counter *)
@@ -83,8 +91,8 @@ let create_dataset () = { loaded = KeyTbl.create 16; loaded_bytes = 0 }
 let create ?(dataset = create_dataset ()) () =
   {
     dataset;
-    chains = KeyTbl.create 4096;
-    last_reader = KeyTbl.create 4096;
+    chains = Chain.Tbl.create ();
+    last_reader = Nodetbl.create no_reader;
     reads_served = 0;
     versions_pruned = 0;
     version_count = 0;
@@ -102,23 +110,22 @@ let loaded ds key =
    key's chain starts from the shared version, which stays counted in
    the dataset's tally. *)
 let chain t key =
-  match KeyTbl.find_opt t.chains key with
+  match Chain.Tbl.find_opt t.chains key with
   | Some c -> c
   | None ->
-    let c = Chain.create () in
+    let c = Chain.Tbl.add t.chains key in
     (match loaded t.dataset key with
      | Some v -> Chain.insert c v
      | None ->
        t.own_keys <- t.own_keys + 1;
        t.data_bytes <- t.data_bytes + key_bytes key;
        t.sorted_for <- -1);
-    KeyTbl.add t.chains key c;
     c
 
 (* [key]'s versions newest-first: its private chain, else its loaded
    version. *)
 let fold_versions f acc t key =
-  match KeyTbl.find_opt t.chains key with
+  match Chain.Tbl.find_opt t.chains key with
   | Some c -> Chain.fold_newest f acc c
   | None -> (match loaded t.dataset key with Some v -> f acc v | None -> acc)
 
@@ -126,7 +133,7 @@ let key_count t = KeyTbl.length t.dataset.loaded + t.own_keys
 
 let version_count t = KeyTbl.length t.dataset.loaded + t.version_count
 
-let written t key = KeyTbl.length t.chains > 0 && KeyTbl.mem t.chains key
+let written t key = Chain.Tbl.mem t.chains key
 
 let account_insert t (v : Version.t) =
   t.version_count <- t.version_count + 1;
@@ -146,13 +153,17 @@ let load t ?(ts = 0) ~writer key value =
   KeyTbl.add ds.loaded key v;
   ds.loaded_bytes <- ds.loaded_bytes + key_bytes key + version_bytes v
 
-let last_reader t key =
-  match KeyTbl.find_opt t.last_reader key with Some ts -> ts | None -> 0
+let last_reader t key = (Nodetbl.find t.last_reader key).data
 
+(* One lookup, then the slot is raised in place.  A recorded slot holds
+   a timestamp above 0; an unread key finds the table's marker, whose 0
+   is never raised: the key gets a slot of its own instead. *)
 let bump_last_reader t key rs =
   t.reads_served <- t.reads_served + 1;
-  let cur = last_reader t key in
-  if rs > cur then KeyTbl.replace t.last_reader key rs
+  let r = Nodetbl.find t.last_reader key in
+  if rs > r.data then
+    if r.data > 0 then r.data <- rs
+    else Nodetbl.add t.last_reader (Nodetbl.node ~nil:no_reader key rs)
 
 (* A loaded version is committed, so both snapshot lookups agree on it. *)
 let loaded_before t key ~rs =
@@ -163,17 +174,17 @@ let loaded_before t key ~rs =
 (** Latest version visible at read snapshot [rs] (any state); does not
     bump [LastReader] — the partition server does that explicitly. *)
 let latest_before t key ~rs =
-  match KeyTbl.find_opt t.chains key with
+  match Chain.Tbl.find_opt t.chains key with
   | Some c -> Chain.latest_before c ~rs
   | None -> loaded_before t key ~rs
 
 let latest_committed_before t key ~rs =
-  match KeyTbl.find_opt t.chains key with
+  match Chain.Tbl.find_opt t.chains key with
   | Some c -> Chain.latest_committed_before c ~rs
   | None -> loaded_before t key ~rs
 
 let newest_committed t key =
-  match KeyTbl.find_opt t.chains key with
+  match Chain.Tbl.find_opt t.chains key with
   | Some c -> Chain.newest_committed c
   | None -> loaded t.dataset key
 
@@ -182,7 +193,7 @@ let insert_version t key v =
   account_insert t v
 
 let find_version t key txid =
-  match KeyTbl.find_opt t.chains key with
+  match Chain.Tbl.find_opt t.chains key with
   | Some c -> Chain.find_writer c txid
   | None ->
     (match loaded t.dataset key with
@@ -193,7 +204,7 @@ let remove_writer t c txid =
   match Chain.remove_writer c txid with None -> () | Some v -> account_remove t v
 
 let remove_version t key txid =
-  match KeyTbl.find_opt t.chains key with
+  match Chain.Tbl.find_opt t.chains key with
   | Some c -> remove_writer t c txid
   | None ->
     if Option.is_some (find_version t key txid) then remove_writer t (chain t key) txid
@@ -201,11 +212,11 @@ let remove_version t key txid =
 (* Without a private chain there is nothing to move: the key holds only
    its read-only loaded version, which no transition touches. *)
 let reposition t key v =
-  match KeyTbl.find_opt t.chains key with None -> () | Some c -> Chain.reposition c v
+  match Chain.Tbl.find_opt t.chains key with None -> () | Some c -> Chain.reposition c v
 
 (** Uncommitted versions currently stacked on [key]. *)
 let uncommitted t key =
-  match KeyTbl.find_opt t.chains key with None -> [] | Some c -> Chain.uncommitted c
+  match Chain.Tbl.find_opt t.chains key with None -> [] | Some c -> Chain.uncommitted c
 
 (* Only private chains can hold more than one version; a key still on
    its loaded version has nothing to drop (the newest committed version
@@ -214,7 +225,7 @@ let prune t ~horizon =
   let dropped = ref 0 in
   let on_drop v = account_remove t v in
   (* lint: allow hashtbl-order — summing a count is order-insensitive *)
-  KeyTbl.iter (fun _ c -> dropped := !dropped + Chain.prune ~on_drop c ~horizon) t.chains;
+  Chain.Tbl.iter (fun c -> dropped := !dropped + Chain.prune ~on_drop c ~horizon) t.chains;
   t.versions_pruned <- t.versions_pruned + !dropped;
   !dropped
 
@@ -228,7 +239,7 @@ let reads_served t = t.reads_served
     both sides are maintained incrementally. *)
 let storage_bytes t =
   let last_reader_bytes =
-    last_reader_slot_bytes * max (key_count t) (KeyTbl.length t.last_reader)
+    last_reader_slot_bytes * max (key_count t) (Nodetbl.length t.last_reader)
   in
   (t.dataset.loaded_bytes + t.data_bytes, last_reader_bytes)
 
@@ -245,12 +256,13 @@ let check_accounting t =
   (* lint: allow hashtbl-order — summing byte counts is order-insensitive *)
   KeyTbl.iter
     (fun key v ->
-      if not (KeyTbl.mem t.chains key) then
+      if not (written t key) then
         data := count_version (!data + key_bytes key) v)
     ds.loaded;
   (* lint: allow hashtbl-order — summing byte counts is order-insensitive *)
-  KeyTbl.iter
-    (fun key c ->
+  Chain.Tbl.iter
+    (fun c ->
+      let key = Chain.key c in
       if not (KeyTbl.mem ds.loaded key) then incr own;
       data := Chain.fold_newest count_version (!data + key_bytes key) c)
     t.chains;
@@ -272,14 +284,14 @@ let check_accounting t =
 let check_invariants t =
   (* lint: allow hashtbl-order — all chains must pass; order only picks
      which error message surfaces first *)
-  KeyTbl.fold
-    (fun key c acc ->
+  Chain.Tbl.fold
+    (fun c acc ->
       match acc with
       | Error _ -> acc
       | Ok () ->
         (match Chain.check_invariants c with
          | Ok () -> Ok ()
-         | Error e -> Error (Printf.sprintf "%s: %s" (Key.to_string key) e)))
+         | Error e -> Error (Printf.sprintf "%s: %s" (Key.to_string (Chain.key c)) e)))
     t.chains (Ok ())
 
 (* ------------------------------------------------------------------ *)
@@ -303,8 +315,10 @@ let sorted_keys t =
   if t.sorted_for <> KeyTbl.length ds.loaded then begin
     let own =
       (* lint: allow hashtbl-order — keys are sorted before use *)
-      KeyTbl.fold
-        (fun k _ acc -> if KeyTbl.mem ds.loaded k then acc else k :: acc)
+      Chain.Tbl.fold
+        (fun c acc ->
+          let k = Chain.key c in
+          if KeyTbl.mem ds.loaded k then acc else k :: acc)
         t.chains []
     in
     (* lint: allow hashtbl-order — keys are sorted before use *)

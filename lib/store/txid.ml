@@ -22,7 +22,10 @@ let compare a b =
    arguments below visibly do not capture the polymorphic [compare]. *)
 let compare_id = compare
 
-let hash t = Hashtbl.hash (t.origin, t.number)
+(* Hashes the record itself: the same value as hashing the tuple
+   [(origin, number)], which has the same block layout, without
+   allocating that tuple on every table operation. *)
+let hash (t : t) = Hashtbl.hash t
 
 let pp ppf t = Format.fprintf ppf "tx%d.%d" t.origin t.number
 let to_string t = Printf.sprintf "tx%d.%d" t.origin t.number

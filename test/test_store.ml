@@ -154,6 +154,91 @@ let test_key_basics () =
         (Hashtbl.hash (p, n)) (Key.hash (Key.v ~partition:p n)))
     [ (0, ""); (3, "order/1/2"); (-1, "x"); (8, "stock/4/99999") ]
 
+let prop_txid_hash =
+  QCheck.Test.make ~name:"txid hash is the (origin, number) tuple hash" ~count:1000
+    QCheck.(pair (oneof [ int_range (-2) 50; int ]) (oneof [ int_range 0 2000; int ]))
+    (fun (origin, number) ->
+      (* Table layouts, and so every Txid.Tbl iteration, depend on it. *)
+      Txid.hash (Txid.make ~origin ~number) = Hashtbl.hash (origin, number))
+
+(* --- dropped versions are released --- *)
+
+(* Inserts a fresh version for [key] and removes it again, keeping only
+   a weak pointer to it.  Not inlined, so no stack slot of the caller
+   holds the version. *)
+let[@inline never] insert_then_remove s key w =
+  let v = mkv ~state:Version.Pre_committed ~n:1 ~ts:10 () in
+  Weak.set w 0 (Some v);
+  Mvstore.insert_version s key v;
+  Mvstore.remove_version s key v.writer
+
+let test_chain_remove_releases_version () =
+  (* A cache partition's key in the usual end state: its only version
+     removed, the empty chain left in place. *)
+  let s = Mvstore.create () and w = Weak.create 1 in
+  let k = Key.v ~partition:0 "cached" in
+  insert_then_remove s k w;
+  Gc.full_major ();
+  Alcotest.(check bool) "chain left empty" true
+    (Mvstore.written s k && Mvstore.fold_versions (fun n _ -> n + 1) 0 s k = 0);
+  Alcotest.(check bool) "removed version unreachable" false (Weak.check w 0);
+  (* Below a surviving version the freed slot is released too. *)
+  Mvstore.insert_version s k (mkv ~n:2 ~ts:5 ());
+  insert_then_remove s k w;
+  Gc.full_major ();
+  Alcotest.(check bool) "removed top version unreachable" false (Weak.check w 0)
+
+(* A copy made by [Marshal] (how forked workers ship results back) has
+   its own copies of the tables' end markers; absent keys must still
+   read as absent, and writes must land in new chains. *)
+let test_mvstore_marshal_copy () =
+  let s = Mvstore.create () in
+  let k = Key.v ~partition:0 "k" and fresh = Key.v ~partition:0 "fresh" in
+  Mvstore.insert_version s k (mkv ~n:1 ~ts:10 ());
+  Mvstore.bump_last_reader s k 20;
+  let c : Mvstore.t = Marshal.from_string (Marshal.to_string s []) 0 in
+  Alcotest.(check bool) "absent key not written" false (Mvstore.written c fresh);
+  Alcotest.(check bool) "absent key has no version" true
+    (Mvstore.latest_before c fresh ~rs:max_int = None);
+  Alcotest.(check int) "absent key unread" 0 (Mvstore.last_reader c fresh);
+  List.iter
+    (fun s ->
+      Mvstore.insert_version s fresh (mkv ~n:2 ~ts:30 ());
+      Mvstore.bump_last_reader s fresh 40;
+      Mvstore.bump_last_reader s k 25)
+    [ s; c ];
+  Alcotest.(check (pair int int)) "last readers" (25, 40)
+    (Mvstore.last_reader c k, Mvstore.last_reader c fresh);
+  Alcotest.(check int) "same fingerprint" (Mvstore.fingerprint s) (Mvstore.fingerprint c);
+  Alcotest.(check int) "two keys" 2 (Mvstore.key_count c);
+  match Mvstore.check_accounting c with Ok () -> () | Error e -> Alcotest.fail e
+
+(* --- heap layout budgets --- *)
+
+(* Word counts of the store's heap blocks; deterministic, so a layout
+   regression fails here rather than only in peak RSS. *)
+let test_mvstore_layout_budget () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let empty = words (Mvstore.create ()) in
+  Alcotest.(check bool) (Printf.sprintf "fresh store is %d <= 128 words" empty) true
+    (empty <= 128);
+  let n = 10_000 in
+  let keys = Array.init n (fun i -> Key.v ~partition:0 (Printf.sprintf "k%d" i)) in
+  let writer = txid 1 and value = Value.Str "shared" in
+  let s = Mvstore.create () in
+  Array.iteri
+    (fun ts k ->
+      Mvstore.insert_version s k (Version.make ~writer ~state:Version.Committed ~ts ~value))
+    keys;
+  (* The pair's own block is 3 words; the keys, the value and the txid
+     are shared with the caller and not the store's cost. *)
+  let shared = (keys, writer, value) in
+  let per_key =
+    float_of_int (words (s, shared) - 3 - words shared - empty) /. float_of_int n
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f <= 15 words per private key" per_key) true
+    (per_key <= 15.)
+
 (* --- properties --- *)
 
 (* Protocol-plausible version mix: uncommitted (speculative) versions
@@ -485,12 +570,15 @@ type store_op =
   | S_prune of int * int  (** replica, horizon *)
   | S_bump of int * int * int  (** replica, key, rs *)
 
-let store_op_gen =
+(* Ops over [replicas] replicas and keys [0, keys); a loaded-version
+   removal picks among the first [loaded] keys.  [w_insert] weighs
+   inserts against the other ops (prune weighs 1). *)
+let store_op_gen ?(w_insert = 5) ~replicas ~keys ~loaded () =
   QCheck.Gen.(
-    let r = int_range 0 (n_replicas - 1) and k = int_range 0 (n_keys - 1) in
+    let r = int_range 0 (replicas - 1) and k = int_range 0 (keys - 1) in
     frequency
       [
-        ( 5,
+        ( w_insert,
           map3
             (fun r (k, ts) st -> S_insert (r, k, ts, st))
             r (pair k (int_range 0 1000)) (int_range 0 2) );
@@ -499,7 +587,7 @@ let store_op_gen =
             (fun r (p, d) pr -> S_reposition (r, p, d, pr))
             r (pair (int_range 0 1000) (int_range 0 300)) bool );
         (2, map2 (fun r p -> S_remove (r, p)) r (int_range 0 1000));
-        (1, map2 (fun r k -> S_remove_loaded (r, k)) r k);
+        (1, map2 (fun r k -> S_remove_loaded (r, k)) r (int_range 0 (loaded - 1)));
         (1, map2 (fun r h -> S_prune (r, h)) r (int_range 0 1500));
         (2, map3 (fun r k rs -> S_bump (r, k, rs)) r k (int_range 0 1500));
       ])
@@ -518,7 +606,25 @@ let same_versions a b = List.length a = List.length b && List.for_all2 same_vers
 
 let versions_of s k = List.rev (Mvstore.fold_versions (fun l v -> v :: l) [] s k)
 
-let stores_agree a b =
+(* Whole-store agreement: what stays cheap at thousands of keys. *)
+let stores_agree_in_bulk ~keys a b =
+  Mvstore.fingerprint a = Mvstore.fingerprint b
+  && Mvstore.storage_bytes a = Mvstore.storage_bytes b
+  && Mvstore.key_count a = Mvstore.key_count b
+  && Mvstore.version_count a = Mvstore.version_count b
+  && Mvstore.reads_served a = Mvstore.reads_served b
+  && List.for_all2
+       (fun (ka, va) (kb, vb) -> Key.equal ka kb && same_version va vb)
+       (Mvstore.committed_versions a) (Mvstore.committed_versions b)
+  && Mvstore.check_accounting a = Ok ()
+  && Mvstore.check_accounting b = Ok ()
+  (* Random ops may break the committed suffix, on both sides alike:
+     the same ops build both chain tables, so even the first chain
+     reported is the same. *)
+  && Mvstore.check_invariants a = Mvstore.check_invariants b
+  && List.for_all (fun k -> Mvstore.written a k = Mvstore.written b k) keys
+
+let stores_agree ~keys a b =
   let key_agrees k =
     List.for_all
       (fun rs ->
@@ -532,33 +638,28 @@ let stores_agree a b =
     && same_versions (Mvstore.uncommitted a k) (Mvstore.uncommitted b k)
     && same_versions (versions_of a k) (versions_of b k)
     && Mvstore.last_reader a k = Mvstore.last_reader b k
-    && Mvstore.written a k = Mvstore.written b k
   in
-  Mvstore.fingerprint a = Mvstore.fingerprint b
-  && Mvstore.storage_bytes a = Mvstore.storage_bytes b
-  && Mvstore.key_count a = Mvstore.key_count b
-  && Mvstore.version_count a = Mvstore.version_count b
-  && Mvstore.reads_served a = Mvstore.reads_served b
-  && List.for_all2
-       (fun (ka, va) (kb, vb) -> Key.equal ka kb && same_version va vb)
-       (Mvstore.committed_versions a) (Mvstore.committed_versions b)
-  && Mvstore.check_accounting a = Ok ()
-  && Mvstore.check_accounting b = Ok ()
-  && List.for_all key_agrees (List.init n_keys dkey)
+  stores_agree_in_bulk ~keys a b && List.for_all key_agrees keys
 
-let run_shared_differential ops =
+(* Runs [batches] of ops on [replicas] stores sharing a dataset of
+   [loaded] keys and on as many stores loading private copies, and
+   applies [agree] to each replica's pair after every batch. *)
+let run_shared_differential ~replicas ~loaded ~agree batches =
   let dataset = Mvstore.create_dataset () in
-  let shared = Array.init n_replicas (fun _ -> Mvstore.create ~dataset ()) in
-  let priv = Array.init n_replicas (fun _ -> Mvstore.create ()) in
-  for i = 0 to n_loaded - 1 do
+  let shared = Array.init replicas (fun _ -> Mvstore.create ~dataset ()) in
+  let priv = Array.init replicas (fun _ -> Mvstore.create ()) in
+  for i = 0 to loaded - 1 do
     Mvstore.load shared.(0) ~writer:loader (dkey i) (Value.Int i);
     Array.iter (fun s -> Mvstore.load s ~writer:loader (dkey i) (Value.Int i)) priv
   done;
   (* Inserted versions are the same objects on both sides, so a
-     reposition mutates both at once. *)
-  let live = Array.make n_replicas [||] in
+     reposition mutates both at once.  [live.(r)] is a growable array
+     of [n_live.(r)] entries. *)
+  let live = Array.make replicas [||] and n_live = Array.make replicas 0 in
   let next_writer = ref 0 in
-  let pick r p = live.(r).(p mod Array.length live.(r)) in
+  (* Model of each replica's [LastReader]: the largest positive rs. *)
+  let last_read = Array.init replicas (fun _ -> Hashtbl.create 16) in
+  let pick r p = live.(r).(p mod n_live.(r)) in
   let present r (k, (v : Version.t)) =
     match Mvstore.find_version priv.(r) k v.writer with Some w -> w == v | None -> false
   in
@@ -578,10 +679,15 @@ let run_shared_differential ops =
       in
       Mvstore.insert_version shared.(r) (dkey k) v;
       Mvstore.insert_version priv.(r) (dkey k) v;
-      live.(r) <- Array.append live.(r) [| (dkey k, v) |];
+      if n_live.(r) = Array.length live.(r) then
+        live.(r) <-
+          Array.init (max 8 (2 * n_live.(r))) (fun i ->
+              if i < n_live.(r) then live.(r).(i) else (dkey k, v));
+      live.(r).(n_live.(r)) <- (dkey k, v);
+      n_live.(r) <- n_live.(r) + 1;
       true
     | S_reposition (r, p, d, promote) ->
-      if Array.length live.(r) > 0 && present r (pick r p) then begin
+      if n_live.(r) > 0 && present r (pick r p) then begin
         let k, v = pick r p in
         v.Version.ts <- v.Version.ts + d;
         if promote then
@@ -594,7 +700,7 @@ let run_shared_differential ops =
       end;
       true
     | S_remove (r, p) ->
-      if Array.length live.(r) > 0 then begin
+      if n_live.(r) > 0 then begin
         let k, (v : Version.t) = pick r p in
         Mvstore.remove_version shared.(r) k v.writer;
         Mvstore.remove_version priv.(r) k v.writer
@@ -609,22 +715,63 @@ let run_shared_differential ops =
     | S_bump (r, k, rs) ->
       Mvstore.bump_last_reader shared.(r) (dkey k) rs;
       Mvstore.bump_last_reader priv.(r) (dkey k) rs;
+      if rs > Option.value ~default:0 (Hashtbl.find_opt last_read.(r) k) then
+        Hashtbl.replace last_read.(r) k rs;
       true
   in
-  (* Every read accessor is compared at every replica after each step. *)
+  (* Every [LastReader] a replica recorded, against the model. *)
+  let readers_agree r =
+    Hashtbl.fold
+      (fun k rs ok ->
+        ok
+        && Mvstore.last_reader shared.(r) (dkey k) = rs
+        && Mvstore.last_reader priv.(r) (dkey k) = rs)
+      last_read.(r) true
+  in
   List.for_all
-    (fun op ->
-      step op
+    (fun batch ->
+      List.for_all step batch
       && List.for_all
-           (fun r -> stores_agree shared.(r) priv.(r))
-           (List.init n_replicas Fun.id))
-    ops
+           (fun r -> agree shared.(r) priv.(r) && readers_agree r)
+           (List.init replicas Fun.id))
+    batches
 
+(* Every read accessor is compared at every replica after each op. *)
 let prop_shared_dataset_differential =
   QCheck.Test.make
     ~name:"replicas sharing a dataset behave like private copies" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 50) store_op_gen))
-    run_shared_differential
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 50)
+           (store_op_gen ~replicas:n_replicas ~keys:n_keys ~loaded:n_keys ())))
+    (fun ops ->
+      run_shared_differential ~replicas:n_replicas ~loaded:n_loaded
+        ~agree:(stores_agree ~keys:(List.init n_keys dkey))
+        (List.map (fun op -> [ op ]) ops))
+
+(* The same comparison at scale: both sides start with no private chain
+   (an empty chain table), and each replica then writes over 5,000
+   distinct keys, so the chain table crosses every resize from 0 to
+   4,096 buckets.  The stores are compared after each batch. *)
+let big_keys = 50_000
+let big_loaded = 64
+
+let prop_shared_dataset_resizes =
+  QCheck.Test.make
+    ~name:"shared dataset and private copies agree across table resizes" ~count:2
+    (QCheck.make ~print:(fun _ -> "<10 batches of 2,500 ops>")
+       QCheck.Gen.(
+         list_repeat 10
+           (list_repeat 2_500
+              (store_op_gen ~w_insert:8 ~replicas:2 ~keys:big_keys ~loaded:big_loaded ()))))
+    (fun batches ->
+      let keys = List.init big_keys dkey and most_keys = ref 0 in
+      let agree a b =
+        most_keys := max !most_keys (Mvstore.key_count a);
+        stores_agree_in_bulk ~keys a b
+      in
+      run_shared_differential ~replicas:2 ~loaded:big_loaded ~agree batches
+      && !most_keys >= 5_000)
 
 let test_mvstore_shared_isolation () =
   let dataset = Mvstore.create_dataset () in
@@ -672,6 +819,8 @@ let () =
           Alcotest.test_case "committed-suffix invariant" `Quick
             test_chain_committed_suffix;
           QCheck_alcotest.to_alcotest prop_chain_differential;
+          Alcotest.test_case "remove releases the version" `Quick
+            test_chain_remove_releases_version;
         ] );
       ( "mvstore",
         [
@@ -686,6 +835,9 @@ let () =
           Alcotest.test_case "shared dataset isolation" `Quick
             test_mvstore_shared_isolation;
           QCheck_alcotest.to_alcotest prop_shared_dataset_differential;
+          QCheck_alcotest.to_alcotest prop_shared_dataset_resizes;
+          Alcotest.test_case "layout budget" `Quick test_mvstore_layout_budget;
+          Alcotest.test_case "marshalled copy" `Quick test_mvstore_marshal_copy;
         ] );
       ( "placement",
         [
@@ -696,5 +848,6 @@ let () =
         [
           Alcotest.test_case "values" `Quick test_value_accessors;
           Alcotest.test_case "keys" `Quick test_key_basics;
+          QCheck_alcotest.to_alcotest prop_txid_hash;
         ] );
     ]
