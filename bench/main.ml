@@ -111,10 +111,10 @@ let micro_tests =
     Sys.opaque_identity !acc
   in
   (* Protocol-shaped chain workout: every insert is preceded by the
-     timestamp-proposal lookup ([latest_before] at infinity, as
-     [Partition_server.proposal_for] does) and followed by a
+     timestamp-proposal lookup (the newest version, as
+     [Partition_server.prepare] reads it) and followed by a
      mid-history snapshot read (as transaction reads do); the tail is
-     the commit path — reposition of a bumped version — and a GC
+     the local-commit path — reposition of a bumped version — and a GC
      prune.  This is the per-prepare cost profile of the simulator's
      innermost loop. *)
   let chain_bench () =

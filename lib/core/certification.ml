@@ -31,15 +31,13 @@ let add_dep (tx : tx) (dep : tx) =
 (* Abort and commit application                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [f r p writes] for every replica [r] other than the origin of every
-   partition [p] that [tx] writes. *)
-let for_each_remote_replica eng tx f =
+(* [f r p x] for every replica [r] other than [tx]'s origin of every
+   partition [p] in [groups], a list of [(p, x)]. *)
+let for_each_remote_replica eng tx groups f =
   List.iter
-    (fun (p, writes) ->
-      Array.iter
-        (fun r -> if r <> tx.origin then f r p writes)
-        (Placement.replicas eng.placement p))
-    tx.groups
+    (fun (p, x) ->
+      Array.iter (fun r -> if r <> tx.origin then f r p x) (Placement.replicas eng.placement p))
+    groups
 
 let local_partitions_of eng tx =
   List.filter_map
@@ -77,7 +75,7 @@ let rec abort_tx eng tx reason =
       (local_partitions_of eng tx);
     Partition_server.abort nd.cache tx.id;
     if tx.global_started then
-      for_each_remote_replica eng tx (fun r p _ ->
+      for_each_remote_replica eng tx tx.groups (fun r p _ ->
           send_work eng ~kind:Obs.Trace.M_abort ~ctx:(ctx_of_txid tx.id)
             ~src:tx.origin ~dst:r (fun () ->
               let srv = server eng ~node:r ~partition:p in
@@ -112,9 +110,22 @@ let finish_commit eng tx =
   ignore (Ivar.fill_if_empty tx.outcome (Tx_committed tx.ct));
   notify tx
 
+(* One committed version per write of a partition group: the one value
+   every replica of the group installs. *)
+let committed_versions (tx : tx) ~ct writes =
+  let make (_, value) = Version.make ~writer:tx.id ~state:Version.Committed ~ts:ct ~value in
+  match writes with
+  | [] -> [||]
+  | w :: rest ->
+    let vs = Array.make (List.length writes) (make w) in
+    List.iteri (fun i w -> vs.(i + 1) <- make w) rest;
+    vs
+
 (** Final commit with timestamp [ct]: resolve or abort dependents
     (Alg. 1, lines 37-43), apply at local replicas, drop cached entries,
-    and broadcast the decision to remote replicas. *)
+    and broadcast the decision to remote replicas.  Each partition
+    group's committed versions are made once and shared by the local
+    commit and every decision message of the group. *)
 let commit_apply eng tx ct =
   let nd = eng.nodes.(tx.origin) in
   tx.ct <- ct;
@@ -139,11 +150,16 @@ let commit_apply eng tx ct =
         else abort_tx eng d Snapshot_too_old)
     dependents;
   Cpu.exec nd.cpu ~cost:(eng.config.Config.cost_apply_key * tx.n_wkeys) nop;
+  let decided =
+    List.map (fun (p, writes) -> (p, (writes, committed_versions tx ~ct writes))) tx.groups
+  in
   List.iter
-    (fun (p, _) -> Partition_server.commit (server eng ~node:tx.origin ~partition:p) tx.id ~ct)
-    (local_partitions_of eng tx);
-  if tx.unsafe then Partition_server.commit nd.cache tx.id ~ct;
-  for_each_remote_replica eng tx (fun r p writes ->
+    (fun (p, (_, versions)) ->
+      if Placement.replicates eng.placement ~node:tx.origin ~partition:p then
+        Partition_server.commit (server eng ~node:tx.origin ~partition:p) tx.id versions)
+    decided;
+  if tx.unsafe then Partition_server.drop nd.cache tx.id;
+  for_each_remote_replica eng tx decided (fun r p (writes, versions) ->
       send_work eng ~kind:Obs.Trace.M_commit ~ctx:(ctx_of_txid tx.id) ~src:tx.origin
         ~dst:r (fun () ->
           let srv = server eng ~node:r ~partition:p in
@@ -154,11 +170,11 @@ let commit_apply eng tx ct =
                of dropping the decision. *)
             Dispatch_cpu
               ( eng.config.Config.cost_apply_key * List.length writes,
-                fun () -> Partition_server.install_committed srv ~txid:tx.id ~ct writes )
+                fun () -> Partition_server.install_committed srv writes versions )
           else
             Dispatch_cpu
               ( eng.config.Config.cost_apply_key * Partition_server.pending_key_count srv tx.id,
-                fun () -> Partition_server.commit srv tx.id ~ct )));
+                fun () -> Partition_server.commit srv tx.id versions )));
   finish_commit eng tx
 
 (* Prepare [writes] of [tx] at one of the origin's own replicas (or its

@@ -24,7 +24,8 @@ type node = {
   id : int;
   clock : Clock.t;
   cpu : Cpu.t;
-  servers : (int, Partition_server.t) Hashtbl.t;  (** partition -> replica *)
+  servers : Partition_server.t option array;
+      (** by partition: this node's replica, if it holds one *)
   cache : Partition_server.t;
   active : tx Txid.Tbl.t;  (** local transactions, active or local-committed *)
   stats : Stats.t;
@@ -200,7 +201,8 @@ let is_alive eng n = eng.nodes.(n).alive
 let cache_of eng i = eng.nodes.(i).cache
 
 let server eng ~node:n ~partition:p =
-  match Hashtbl.find_opt eng.nodes.(n).servers p with
+  let servers = eng.nodes.(n).servers in
+  match if p >= 0 && p < Array.length servers then servers.(p) else None with
   | Some s -> s
   | None ->
     invalid_arg
@@ -235,14 +237,9 @@ let closest_replica net placement ~src ~ok p =
 let crash_recover_possible eng = eng.recovery_on || eng.fault <> None
 
 (** [f nd srv] for every partition replica [srv] of every node [nd]:
-    nodes in id order, one node's replicas in hash-table order. *)
+    nodes in id order, one node's replicas in partition order. *)
 let iter_servers eng f =
-  Array.iter
-    (fun nd ->
-      (* lint: allow hashtbl-order — every caller is order-insensitive:
-         sums, purges of disjoint stores, an all-must-pass check *)
-      Hashtbl.iter (fun _ srv -> f nd srv) nd.servers)
-    eng.nodes
+  Array.iter (fun nd -> Array.iter (Option.iter (f nd)) nd.servers) eng.nodes
 
 (** [nd]'s registered transactions satisfying [keep], in id order (a
     deterministic sweep order independent of the hash table). *)
@@ -297,7 +294,7 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
           id;
           clock;
           cpu;
-          servers = Hashtbl.create 16;
+          servers = Array.make (Placement.n_partitions placement) None;
           cache =
             Partition_server.create ~sim ~clock ~cpu ~config ~node_id:id
               ~partition:(-1) ~is_cache:true ~stats ~trace ~pid:(node_pid id) ();
@@ -317,10 +314,11 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
     Array.iter
       (fun r ->
         let nd = nodes.(r) in
-        Hashtbl.replace nd.servers p
-          (Partition_server.create ~sim ~clock:nd.clock ~cpu:nd.cpu ~config
-             ~node_id:r ~partition:p ~stats:nd.stats ~dataset ~trace
-             ~pid:(node_pid r) ()))
+        nd.servers.(p) <-
+          Some
+            (Partition_server.create ~sim ~clock:nd.clock ~cpu:nd.cpu ~config
+               ~node_id:r ~partition:p ~stats:nd.stats ~dataset ~trace
+               ~pid:(node_pid r) ()))
       (Placement.replicas placement p)
   done;
   let nearest =

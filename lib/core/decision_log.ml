@@ -25,9 +25,26 @@ open Link
      replicas, blocking (the classic 2PC window) only while neither the
      coordinator nor decisive peer evidence is reachable. *)
 
+(* [txid]'s committed version of [key] at [ct] held by a replica of [p]
+   other than [n], if any: committed versions are immutable, so a
+   resolution at [n] installs the same value the other replicas hold. *)
+let peer_version eng ~node:n ~partition:p txid ~ct key =
+  Array.find_map
+    (fun r ->
+      if r = n then None
+      else
+        match
+          Mvstore.find_version (Partition_server.store (server eng ~node:r ~partition:p)) key txid
+        with
+        | Some (v : Version.t) when Version.is_committed v && v.ts = ct -> Some v
+        | Some _ | None -> None)
+    (Placement.replicas eng.placement p)
+
 (** Apply a recovered decision to an in-doubt prepare held by [node]'s
     replica of [partition].  No-op once nothing is pending for [txid]
-    there (late or duplicate resolutions are absorbed). *)
+    there (late or duplicate resolutions are absorbed).  A commit goes
+    through the same swap as a decision message, with versions another
+    replica already committed where there are any. *)
 let apply_resolution eng ~node:n ~partition:p txid d =
   let nd = eng.nodes.(n) in
   if nd.alive then begin
@@ -36,7 +53,9 @@ let apply_resolution eng ~node:n ~partition:p txid d =
       match d with
       | D_commit ct ->
         nd.stats.Stats.in_doubt_commits <- nd.stats.Stats.in_doubt_commits + 1;
-        Partition_server.commit srv txid ~ct
+        Partition_server.commit srv txid
+          (Partition_server.decided_versions srv txid ~ct
+             ~peer:(peer_version eng ~node:n ~partition:p txid ~ct))
       | D_abort ->
         nd.stats.Stats.in_doubt_aborts <- nd.stats.Stats.in_doubt_aborts + 1;
         Partition_server.abort ~tombstone:true srv txid

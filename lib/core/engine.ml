@@ -151,8 +151,11 @@ let crash eng n =
 (** Ascending partition ids replicated at [nd] (deterministic sweep
     order for recovery). *)
 let sorted_partitions nd =
-  (* lint: allow hashtbl-order — sorted before use *)
-  Hashtbl.fold (fun p _ acc -> p :: acc) nd.servers [] |> List.sort Int.compare
+  let ps = ref [] in
+  for p = Array.length nd.servers - 1 downto 0 do
+    if Option.is_some nd.servers.(p) then ps := p :: !ps
+  done;
+  !ps
 
 (** State transfer at recovery: copy the committed versions a replica
     missed while down from the first live peer replica of each of its
@@ -161,7 +164,8 @@ let sorted_partitions nd =
     {!Decision_log.resolve_in_doubt}; decided-and-fully-applied state is plain data
     movement).  Skips every key the recovering replica already has a
     version of by the same writer, so in-doubt prepares are left for
-    resolution and nothing is duplicated. *)
+    resolution and nothing is duplicated.  The peer's committed
+    versions are inserted themselves: they are never mutated. *)
 let catch_up eng n =
   List.iter
     (fun p ->
@@ -173,9 +177,7 @@ let catch_up eng n =
         List.iter
           (fun (key, (v : Version.t)) ->
             if Mvstore.find_version dst_store key v.Version.writer = None then
-              Mvstore.insert_version dst_store key
-                (Version.make ~writer:v.Version.writer ~state:Version.Committed
-                   ~ts:v.Version.ts ~value:v.Version.value))
+              Mvstore.insert_version dst_store key v)
           (Mvstore.committed_versions src_store))
     (sorted_partitions eng.nodes.(n))
 
@@ -300,7 +302,7 @@ let fingerprint eng =
       List.iter
         (fun p ->
           add p;
-          add (Mvstore.fingerprint (Partition_server.store (Hashtbl.find nd.servers p))))
+          add (Mvstore.fingerprint (Partition_server.store (server eng ~node:nd.id ~partition:p))))
         (sorted_partitions nd);
       add (Mvstore.fingerprint (Partition_server.store nd.cache));
       (* Recovery state, mixed only when present: both tables stay empty

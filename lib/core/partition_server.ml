@@ -32,7 +32,10 @@ type t = {
   tid : int;  (** trace thread id of this replica *)
   holds : int Txid.Tbl.t;
       (** open lock-hold span per pending transaction (tracing only) *)
-  pending : Key.t array Txid.Tbl.t;  (** keys this replica holds uncommitted, per tx *)
+  pending : Chain.t array Txid.Tbl.t;
+      (** per tx, the chains of the keys this replica holds uncommitted,
+          in write-set order: the handles its decision is applied
+          through (a chain is never removed from its store) *)
   tombstones : unit Txid.Tbl.t;
       (** aborts that arrived before the corresponding replicate (an
           abort from the coordinator can race a prepare forwarded by the
@@ -99,7 +102,7 @@ let blocked_reads t = t.blocked_reads
 
 let pending_keys t txid =
   match Txid.Tbl.find_opt t.pending txid with
-  | Some ks -> Array.to_list ks
+  | Some cs -> Array.to_list (Array.map Chain.key cs)
   | None -> []
 
 (** Number of keys this replica holds uncommitted for [txid].  O(1);
@@ -107,7 +110,7 @@ let pending_keys t txid =
     list. *)
 let pending_key_count t txid =
   match Txid.Tbl.find_opt t.pending txid with
-  | Some ks -> Array.length ks
+  | Some cs -> Array.length cs
   | None -> 0
 
 let has_tx t txid = Txid.Tbl.mem t.pending txid
@@ -205,27 +208,10 @@ type prepare_outcome =
           prepare speculatively stacked upon (write-write dependencies) *)
   | Conflict of Key.t
 
-(** Prepare-timestamp proposal (§5.3): Precise Clocks propose
-    [max(LastReader(k) + 1)] over the written keys; Physical clocks
-    propose the replica's current physical time.  Both are raised above
-    any version already in the chains, preserving chain order. *)
-let proposal_for t writes =
-  let base =
-    match t.config.clocks with
-    | Config.Precise -> 0
-    | Config.Physical -> Dsim.Clock.now t.clock
-  in
-  List.fold_left
-    (fun acc (key, _) ->
-      let acc =
-        match t.config.clocks with
-        | Config.Precise -> max acc (Mvstore.last_reader t.store key + 1)
-        | Config.Physical -> acc
-      in
-      match Mvstore.latest_before t.store key ~rs:Types.infinity_ts with
-      | Some newest -> max acc (newest.ts + 1)
-      | None -> acc)
-    base writes
+(* Placeholder in a new pending array for a key this replica has not
+   written yet; [prepare] opens the key's chain when it inserts.  Never
+   mutated. *)
+let unopened = Chain.create ()
 
 (** Write-write certification for one transaction over [writes].
 
@@ -247,7 +233,15 @@ let proposal_for t writes =
       deliver their prepares in order.  This is what lets a node
       pipeline a chain of speculative transactions through global
       certification, without trusting anything the origin did not
-      actually order (e.g. across a speculation on/off toggle). *)
+      actually order (e.g. across a speculation on/off toggle).
+
+    The same pass computes the prepare-timestamp proposal (§5.3):
+    Precise Clocks propose [max(LastReader(k) + 1)] over the written
+    keys, Physical clocks the replica's current physical time; both are
+    raised above every version already in the chains, preserving chain
+    order.  Each key is resolved once: its chain (or, unwritten, its
+    loaded version) serves the check and the proposal, and the chain
+    becomes the pending handle. *)
 let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin ~rs
     ~writes =
   if Txid.Tbl.mem t.tombstones txid then begin
@@ -255,60 +249,76 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
     Conflict (fst (List.hd writes))
   end
   else begin
-  let conflict = ref None in
+  let check = not (Config.seeded t.config Skip_ww_check) in
+  let precise = t.config.clocks = Config.Precise in
+  let chains = Array.make (List.length writes) unopened in
   let wdeps = ref Txid.Set.empty in
-  List.iter
-    (fun (key, _) ->
-      if !conflict = None && not (Config.seeded t.config Skip_ww_check) then begin
-        (match Mvstore.newest_committed t.store key with
-         | Some newest when newest.ts > rs -> conflict := Some key
-         | Some _ | None -> ());
-        if !conflict = None then
-          List.iter
-            (fun (u : Version.t) ->
-              if !conflict = None && not (Txid.equal u.writer txid) then begin
-                let stackable =
-                  if origin = t.node_id then
-                    (* Origin-side local certification: only a
-                       local-committed same-node sibling in the writer's
-                       snapshot may be overwritten; a pre-committed one
-                       is still mid-certification and conflicts. *)
-                    origin_spec
-                    && t.config.speculative_reads
-                    && Txid.origin u.writer = origin
-                    && u.state = Version.Local_committed
-                    && u.ts <= rs
-                  else
-                    (* Remote replica: only stack over declared
-                       dependencies (the origin ordered them). *)
-                    Txid.Set.mem u.writer stack_over
-                in
-                if stackable then wdeps := Txid.Set.add u.writer !wdeps
-                else conflict := Some key
-              end)
-            (Mvstore.uncommitted t.store key)
-      end)
-    writes;
-  match !conflict with
-  | Some key -> Conflict key
-  | None ->
-    let ts = proposal_for t writes in
-    List.iter
-      (fun (key, value) ->
-        Mvstore.insert_version t.store key
+  (* May [u], an uncommitted version of another writer, stay below the
+     new one? *)
+  let stackable (u : Version.t) =
+    if origin = t.node_id then
+      (* Origin-side local certification: only a local-committed
+         same-node sibling in the writer's snapshot may be overwritten;
+         a pre-committed one is still mid-certification and
+         conflicts. *)
+      origin_spec && t.config.speculative_reads
+      && Txid.origin u.writer = origin
+      && u.state = Version.Local_committed
+      && u.ts <= rs
+    else
+      (* Remote replica: only stack over declared dependencies (the
+         origin ordered them). *)
+      Txid.Set.mem u.writer stack_over
+  in
+  (* Certify the keys from the [i]-th on; [Ok proposal] (the maximum
+     over the keys, before the clock) or the conflicting key. *)
+  let rec certify i proposal = function
+    | [] -> Ok proposal
+    | (key, _) :: rest ->
+      let proposal =
+        if precise then max proposal (Mvstore.last_reader t.store key + 1) else proposal
+      in
+      (match Mvstore.find_chain t.store key with
+       | Some c ->
+         chains.(i) <- c;
+         (* Newest-first over the whole chain: the newest committed
+            version must not postdate the snapshot, and every
+            uncommitted one of another writer must be stackable. *)
+         let ok = ref true and seen_committed = ref false and j = ref 0 in
+         while check && !ok && !j < Chain.length c do
+           let v = Chain.nth_newest c !j in
+           if Version.is_committed v then begin
+             if (not !seen_committed) && v.ts > rs then ok := false;
+             seen_committed := true
+           end
+           else if not (Txid.equal v.writer txid) then
+             if stackable v then wdeps := Txid.Set.add v.writer !wdeps else ok := false;
+           incr j
+         done;
+         if not !ok then Error key
+         else if Chain.is_empty c then certify (i + 1) proposal rest
+         else certify (i + 1) (max proposal ((Chain.nth_newest c 0).ts + 1)) rest
+       | None ->
+         (match Mvstore.loaded_version t.store key with
+          | Some v when check && v.ts > rs -> Error key
+          | Some v -> certify (i + 1) (max proposal (v.ts + 1)) rest
+          | None -> certify (i + 1) proposal rest))
+  in
+  match certify 0 0 writes with
+  | Error key -> Conflict key
+  | Ok proposal ->
+    let ts =
+      match t.config.clocks with
+      | Config.Precise -> proposal
+      | Config.Physical -> max (Dsim.Clock.now t.clock) proposal
+    in
+    List.iteri
+      (fun i (key, value) ->
+        if chains.(i) == unopened then chains.(i) <- Mvstore.chain t.store key;
+        Mvstore.chain_insert t.store chains.(i)
           (Version.make ~writer:txid ~state:Version.Pre_committed ~ts ~value))
       writes;
-    let keys =
-      (* build the key array directly — [Array.of_list (List.map ...)]
-         would allocate a second, intermediate list per prepare *)
-      match writes with
-      | [] -> [||]
-      | (k0, _) :: _ ->
-        let a = Array.make (List.length writes) k0 in
-        List.iteri (fun i (k, _) -> a.(i) <- k) writes;
-        a
-    in
-    Txid.Tbl.replace t.pending txid keys;
+    Txid.Tbl.replace t.pending txid chains;
     (* The lock-hold span runs from a successful prepare until the
        decision releases the written keys — the lock hold time whose
        distribution the convoy-effect report compares against the RTT. *)
@@ -321,7 +331,7 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
        versions, drop committed versions older than the horizon (no live
        snapshot can be that old: transactions span at most a couple of
        WAN round trips). *)
-    t.inserts_since_prune <- t.inserts_since_prune + Array.length keys;
+    t.inserts_since_prune <- t.inserts_since_prune + Array.length chains;
     if
       t.config.prune_every_inserts > 0
       && t.inserts_since_prune >= t.config.prune_every_inserts
@@ -336,16 +346,23 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
 (** Local speculative transactions of {e this} node whose uncommitted
     versions conflict with an incoming remote prepare; the engine aborts
     them (and their dependents) before installing the remote prepare
-    (Alg. 2, replicate handler). *)
+    (Alg. 2, replicate handler).  An unwritten key holds only its
+    committed loaded version, so only private chains are scanned. *)
 let evict_candidates t ~writes ~except =
   let victims = ref Txid.Set.empty in
   List.iter
     (fun (key, _) ->
-      List.iter
-        (fun (u : Version.t) ->
-          if (not (Txid.equal u.writer except)) && Txid.origin u.writer = t.node_id then
-            victims := Txid.Set.add u.writer !victims)
-        (Mvstore.uncommitted t.store key))
+      match Mvstore.find_chain t.store key with
+      | None -> ()
+      | Some c ->
+        for i = 0 to Chain.length c - 1 do
+          let u = Chain.nth_newest c i in
+          if
+            Version.is_uncommitted u
+            && (not (Txid.equal u.writer except))
+            && Txid.origin u.writer = t.node_id
+          then victims := Txid.Set.add u.writer !victims
+        done)
     writes;
   Txid.Set.elements !victims
 
@@ -401,6 +418,14 @@ let sweep_stats t = (t.cert_sweeps, t.cert_swept, Array.copy t.cert_occ)
 
 let wake (v : Version.t) = List.iter (fun k -> k ()) (Version.take_waiters v)
 
+(* An uncommitted version a rise from [above] to [floor] displaces. *)
+let displaced ~above ~floor (v : Version.t) =
+  Version.is_uncommitted v && v.ts > above && v.ts <= floor
+
+let raise_to c ts (v : Version.t) =
+  v.ts <- ts;
+  Chain.reposition c v
+
 (** When a version's timestamp rises from [above] to [floor] (local
     commit or final commit), uncommitted successors stacked above it —
     those with ts in (above, floor] — are displaced below it (their
@@ -411,20 +436,26 @@ let wake (v : Version.t) = List.iter (fun k -> k ()) (Version.take_waiters v)
     rs >= predecessor.ct, hence lc > ct), so the bumped positions stay
     at or below their eventual final timestamps and blocking visibility
     is preserved.  Versions at or below [above] (the predecessors) are
-    left untouched. *)
-let restack t key ~above ~floor =
-  let displaced =
-    Mvstore.uncommitted t.store key
-    |> List.filter (fun (v : Version.t) -> v.ts > above && v.ts <= floor)
-    |> List.sort (fun (a : Version.t) (b : Version.t) -> compare a.ts b.ts)
-  in
-  let next = ref floor in
-  List.iter
-    (fun (v : Version.t) ->
-      incr next;
-      v.ts <- !next;
-      Mvstore.reposition t.store key v)
-    displaced
+    left untouched.
+
+    The chain is scanned in place.  One displaced version (in a local
+    commit, usually the committing version itself) is raised directly;
+    only two or more take the list, whose stable sort orders
+    equal-timestamp versions newest-first. *)
+let restack c ~above ~floor =
+  let n = ref 0 and last = ref 0 in
+  for i = 0 to Chain.length c - 1 do
+    if displaced ~above ~floor (Chain.nth_newest c i) then begin
+      incr n;
+      last := i
+    end
+  done;
+  if !n = 1 then raise_to c (floor + 1) (Chain.nth_newest c !last)
+  else if !n > 1 then
+    Chain.uncommitted c
+    |> List.filter (displaced ~above ~floor)
+    |> List.sort (fun (a : Version.t) (b : Version.t) -> Int.compare a.ts b.ts)
+    |> List.iteri (fun i v -> raise_to c (floor + 1 + i) v)
 
 let end_hold t txid =
   if Obs.Trace.enabled t.trace then
@@ -434,50 +465,53 @@ let end_hold t txid =
       Obs.Trace.span_end t.trace s ~t1:(Dsim.Sim.now t.sim);
       Txid.Tbl.remove t.holds txid
 
+(* [f i c v] for [txid]'s version [v] in its [i]-th pending chain [c]:
+   no key lookups, the chains are the handles [prepare] kept. *)
 let update_versions t txid f =
   match Txid.Tbl.find_opt t.pending txid with
   | None -> ()
-  | Some keys ->
-    Array.iter
-      (fun key ->
-        match Mvstore.find_version t.store key txid with
-        | None -> ()
-        | Some v -> f key v)
-      keys
+  | Some chains ->
+    Array.iteri
+      (fun i c -> match Chain.find_writer c txid with None -> () | Some v -> f i c v)
+      chains
 
 (** Convert this tx's pre-committed versions to local-committed with
     timestamp [lc]; wakes readers blocked on them (local ones may now
     read speculatively). *)
 let local_commit t txid ~lc =
-  update_versions t txid (fun key v ->
+  update_versions t txid (fun _ c v ->
       let old_ts = v.ts in
       v.state <- Version.Local_committed;
       v.ts <- lc;
-      Mvstore.reposition t.store key v;
-      restack t key ~above:old_ts ~floor:lc;
+      Chain.reposition c v;
+      restack c ~above:old_ts ~floor:lc;
       wake v)
 
-(** Final commit at this replica.  The cache partition instead drops the
-    versions: the authoritative committed copies live at the key's real
-    replicas (Alg. 1, line 44). *)
-let commit t txid ~ct =
-  if t.is_cache then begin
-    update_versions t txid (fun key v ->
-        Mvstore.remove_version t.store key txid;
-        ignore key;
-        wake v);
-    Txid.Tbl.remove t.pending txid
-  end
-  else begin
-    update_versions t txid (fun key v ->
-        let old_ts = v.ts in
-        v.state <- Version.Committed;
-        v.ts <- ct;
-        Mvstore.reposition t.store key v;
-        restack t key ~above:old_ts ~floor:ct;
-        wake v);
-    Txid.Tbl.remove t.pending txid
-  end;
+(** Final commit at this replica: each pending version is swapped for
+    the shared committed version at the same write-set index, which
+    lands where the pending version would have moved had its timestamp
+    risen to the commit timestamp.  Its blocked readers wake and read
+    again. *)
+let commit t txid versions =
+  update_versions t txid (fun i c old ->
+      let v = versions.(i) in
+      Mvstore.chain_replace t.store c ~old v;
+      restack c ~above:old.ts ~floor:v.ts;
+      wake old);
+  Txid.Tbl.remove t.pending txid;
+  end_hold t txid
+
+(** Remove the tx's versions and wake blocked readers: an abort, and
+    the cache partition's final commit (Alg. 1, line 44: the
+    authoritative committed copies live at the key's real replicas). *)
+let drop t txid =
+  (match Txid.Tbl.find_opt t.pending txid with
+   | None -> ()
+   | Some chains ->
+     Array.iter
+       (fun c -> Option.iter wake (Mvstore.chain_remove t.store c txid))
+       chains);
+  Txid.Tbl.remove t.pending txid;
   end_hold t txid
 
 (** Abort: physically remove the tx's versions and wake blocked readers.
@@ -513,13 +547,7 @@ let abort ?(tombstone = false) t txid =
     end
     end
   end
-  else begin
-    update_versions t txid (fun key v ->
-        Mvstore.remove_version t.store key txid;
-        wake v);
-    Txid.Tbl.remove t.pending txid;
-    end_hold t txid
-  end
+  else drop t txid
 
 (** Drop old committed versions (multi-version GC). *)
 let prune t ~horizon = Mvstore.prune t.store ~horizon
@@ -534,8 +562,8 @@ let prune t ~horizon = Mvstore.prune t.store ~horizon
 let pending_ts t txid =
   match Txid.Tbl.find_opt t.pending txid with
   | None | Some [||] -> None
-  | Some keys ->
-    (match Mvstore.find_version t.store keys.(0) txid with
+  | Some chains ->
+    (match Chain.find_writer chains.(0) txid with
      | Some v -> Some v.Version.ts
      | None -> None)
 
@@ -564,16 +592,34 @@ let status_of t txid ~keys =
     match committed with Some ct -> `Committed ct | None -> `None
   end
 
+(** The committed versions that apply [txid]'s commit at [ct] here, in
+    write-set order, for in-doubt resolution, which carries no write
+    set: [peer key] when it supplies one (a committed copy another
+    replica holds, so the value stays shared), else a new version with
+    this replica's pending value. *)
+let decided_versions t txid ~ct ~peer =
+  match Txid.Tbl.find_opt t.pending txid with
+  | None -> [||]
+  | Some chains ->
+    Array.map
+      (fun c ->
+        match peer (Chain.key c) with
+        | Some v -> v
+        | None ->
+          (* A pending chain holds the transaction's version. *)
+          let pending = Option.get (Chain.find_writer c txid) in
+          Version.make ~writer:txid ~state:Version.Committed ~ts:ct ~value:pending.value)
+      chains
+
 (** Install already-decided committed versions directly, bypassing the
     prepare/commit protocol: applied when a commit decision reaches a
-    replica that lost the corresponding prepare across a crash window
-    (the decision message carries the write set).  Write-once per key;
-    the cache partition drops final commits, so it installs nothing. *)
-let install_committed t ~txid ~ct writes =
-  if not t.is_cache then
-    List.iter
-      (fun (key, value) ->
-        if Mvstore.find_version t.store key txid = None then
-          Mvstore.insert_version t.store key
-            (Version.make ~writer:txid ~state:Version.Committed ~ts:ct ~value))
-      writes
+    replica that lost the corresponding prepare across a crash window.
+    The decision message carries the write set and the shared committed
+    versions, one per write.  Write-once per key. *)
+let install_committed t writes versions =
+  List.iteri
+    (fun i (key, _) ->
+      let (v : Version.t) = versions.(i) in
+      if Mvstore.find_version t.store key v.writer = None then
+        Mvstore.insert_version t.store key v)
+    writes

@@ -7,6 +7,11 @@
     speculative stacking, applies lifecycle transitions, and computes
     prepare-timestamp proposals under Physical or Precise clocks.
 
+    A successful prepare keeps the chains of its keys as the pending
+    transaction's handles, so the decision that follows applies with no
+    key lookups.  A final commit swaps each pending version for a
+    committed version shared by every replica of the write.
+
     The node's {e cache partition} (§5.2) is the same machinery created
     with [is_cache:true]: final commit then drops the cached versions
     (the authoritative copies live on the key's real replicas). *)
@@ -152,9 +157,17 @@ val sweep_stats : t -> int * int * int array
     readers (local ones may now read speculatively). *)
 val local_commit : t -> Txid.t -> lc:int -> unit
 
-(** Final commit at timestamp [ct]; the cache partition instead drops
-    the versions (Alg. 1, line 44). *)
-val commit : t -> Txid.t -> ct:int -> unit
+(** Final commit: [versions] holds one committed version per write of
+    the transaction's write set at this partition, in write-set order,
+    shared by all its replicas.  Each pending version is swapped for the
+    one at its index and its blocked readers wake.  Not for the cache
+    partition (see {!drop}). *)
+val commit : t -> Txid.t -> Version.t array -> unit
+
+(** Remove the transaction's versions and wake blocked readers, without
+    a tombstone: the cache partition's final commit (Alg. 1, line 44 —
+    the authoritative copies live at the keys' real replicas). *)
+val drop : t -> Txid.t -> unit
 
 (** Remove the transaction's versions and wake blocked readers.
     [tombstone] must be true only for aborts delivered over the network,
@@ -181,10 +194,23 @@ val pending_ts : t -> Txid.t -> int option
 val status_of :
   t -> Txid.t -> keys:Keyspace.Key.t list -> [ `Committed of int | `Pending | `None ]
 
+(** The committed versions that apply [txid]'s commit at [ct] here, in
+    write-set order, for in-doubt resolution (which carries no write
+    set): [peer key] where it supplies a committed copy another replica
+    holds, else a new version with this replica's pending value.
+    Empty when nothing is pending for [txid]. *)
+val decided_versions :
+  t ->
+  Txid.t ->
+  ct:int ->
+  peer:(Keyspace.Key.t -> Version.t option) ->
+  Version.t array
+
 (** Install a decided transaction's committed versions directly,
     bypassing prepare — how a commit decision is applied at a replica
-    that lost the corresponding prepare across a crash window (the
-    decision message carries the write set).  Skips keys that already
-    hold a version by [txid]; the cache partition installs nothing. *)
+    that lost the corresponding prepare across a crash window.  The
+    decision message carries the write set and [versions], the shared
+    committed version of each write.  Skips keys that already hold a
+    version by the writer. *)
 val install_committed :
-  t -> txid:Txid.t -> ct:int -> (Keyspace.Key.t * Keyspace.Value.t) list -> unit
+  t -> (Keyspace.Key.t * Keyspace.Value.t) list -> Version.t array -> unit

@@ -24,7 +24,12 @@
     block plus its array.
 
     Slots beyond [len] hold {!hole}, never a dropped version, so a
-    removed or pruned version is unreachable from its chain. *)
+    removed or pruned version is unreachable from its chain.
+
+    {!Tbl} has no removal, so a chain is a stable handle for its key.
+    Committed versions are shared between the replicas that hold them
+    and never mutated; only a replica's own uncommitted versions change
+    timestamp or state. *)
 
 module Key = Keyspace.Key
 
@@ -76,6 +81,8 @@ let fold_newest f init c =
     acc := f !acc c.data.(i)
   done;
   !acc
+
+let nth_newest c i = c.data.(len c - 1 - i)
 
 (** First index whose timestamp exceeds [ts] ([len c] if none): the
     insertion point that keeps equal-timestamp versions ordered with the
@@ -164,17 +171,22 @@ let remove_writer c txid =
   let i = index_of_writer c txid in
   if i < 0 then None else Some (remove_at c i)
 
-(** Reposition a version after its timestamp was bumped (pre-commit ->
-    local-commit -> commit transitions only increase timestamps).  Must
-    be called after any externally performed [ts]/[state] mutation; the
-    binary searches rely on it. *)
-let reposition c (v : Version.t) =
+(** Swap [old] (by physical identity) for [v]: remove, then insert at
+    [v]'s timestamp.  A final commit trades a replica's private
+    uncommitted version for the shared committed one this way. *)
+let replace c ~old v =
   let i = ref (len c - 1) in
-  while !i >= 0 && c.data.(!i) != v do
+  while !i >= 0 && c.data.(!i) != old do
     decr i
   done;
   if !i >= 0 then ignore (remove_at c !i);
   insert c v
+
+(** Reposition a version after its timestamp was bumped (pre-commit ->
+    local-commit transitions only increase timestamps).  Must be called
+    after any externally performed [ts]/[state] mutation; the binary
+    searches rely on it. *)
+let reposition c v = replace c ~old:v v
 
 (** Uncommitted versions, newest first. *)
 let uncommitted c =

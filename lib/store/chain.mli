@@ -9,7 +9,14 @@
     snapshot lookups are binary searches, and {!length}/{!newest}/
     {!exists_newer_than} are O(1).  {!newest_committed} scans down the
     speculative stack above the committed history.  A chain is also
-    the node of its {!Tbl} bucket. *)
+    the node of its {!Tbl} bucket.
+
+    A chain is a stable handle: once added to a {!Tbl} it is never
+    removed from it, so a caller may keep the chain of a key (the
+    partition server keeps each pending transaction's) instead of
+    finding it again.  A committed version may sit in many chains at
+    once (every replica that committed it holds the same value); it is
+    never mutated after it is installed. *)
 
 type t
 
@@ -31,6 +38,10 @@ val versions : t -> Version.t list
 
 (** Fold over the versions newest-first without allocating. *)
 val fold_newest : ('a -> Version.t -> 'a) -> 'a -> t -> 'a
+
+(** The [i]-th newest version ([0] is the newest; [0 <= i < length]).
+    O(1); scans that must not allocate walk the chain with it. *)
+val nth_newest : t -> int -> Version.t
 
 (** Insert keeping descending-timestamp order; among equal timestamps
     the newly inserted version is considered newer.  O(1) amortized
@@ -59,6 +70,13 @@ val remove_writer : t -> Txid.t -> Version.t option
     must be followed by a [reposition] of that version. *)
 val reposition : t -> Version.t -> unit
 
+(** Swap [old] (found by physical identity; nothing is removed if it is
+    absent) for [v], inserted as {!insert} does: the position
+    {!reposition} would give [old] had it been mutated into [v].  How a
+    replica trades its private uncommitted version for the shared
+    committed one. *)
+val replace : t -> old:Version.t -> Version.t -> unit
+
 (** Uncommitted versions, newest first. *)
 val uncommitted : t -> Version.t list
 
@@ -77,7 +95,8 @@ val check_invariants : t -> (unit, string) result
 
 (** Chains by key, in a {!Nodetbl} whose bucket nodes are the chains
     themselves: an entry costs no block beyond its chain.  Starts with
-    no buckets.  Iteration order is unspecified. *)
+    no buckets.  There is no removal.  Iteration order is
+    unspecified. *)
 module Tbl : sig
   type chain := t
   type t

@@ -106,6 +106,10 @@ let create ?(dataset = create_dataset ()) () =
 let loaded ds key =
   if KeyTbl.length ds.loaded = 0 then None else KeyTbl.find_opt ds.loaded key
 
+let find_chain t key = Chain.Tbl.find_opt t.chains key
+
+let loaded_version t key = loaded t.dataset key
+
 (* The private chain of [key], created on its first mutation.  A loaded
    key's chain starts from the shared version, which stays counted in
    the dataset's tally. *)
@@ -188,9 +192,11 @@ let newest_committed t key =
   | Some c -> Chain.newest_committed c
   | None -> loaded t.dataset key
 
-let insert_version t key v =
-  Chain.insert (chain t key) v;
+let chain_insert t c v =
+  Chain.insert c v;
   account_insert t v
+
+let insert_version t key v = chain_insert t (chain t key) v
 
 let find_version t key txid =
   match Chain.Tbl.find_opt t.chains key with
@@ -200,14 +206,21 @@ let find_version t key txid =
      | Some (v : Version.t) as found when Txid.equal v.writer txid -> found
      | Some _ | None -> None)
 
-let remove_writer t c txid =
-  match Chain.remove_writer c txid with None -> () | Some v -> account_remove t v
+let chain_remove t c txid =
+  let removed = Chain.remove_writer c txid in
+  Option.iter (account_remove t) removed;
+  removed
+
+let chain_replace t c ~old v =
+  Chain.replace c ~old v;
+  account_remove t old;
+  account_insert t v
 
 let remove_version t key txid =
   match Chain.Tbl.find_opt t.chains key with
-  | Some c -> remove_writer t c txid
+  | Some c -> ignore (chain_remove t c txid)
   | None ->
-    if Option.is_some (find_version t key txid) then remove_writer t (chain t key) txid
+    if Option.is_some (find_version t key txid) then ignore (chain_remove t (chain t key) txid)
 
 (* Without a private chain there is nothing to move: the key holds only
    its read-only loaded version, which no transition touches. *)

@@ -60,6 +60,31 @@ val reposition : t -> Key.t -> Version.t -> unit
 (** Uncommitted versions currently stacked on the key. *)
 val uncommitted : t -> Key.t -> Version.t list
 
+(** {1 Chain handles}
+
+    A private chain is never removed from its store, so a caller may
+    resolve a key once and keep its chain.  The [chain_*] functions
+    take a chain of this store and keep the accounting in step. *)
+
+(** [key]'s private chain, if this replica has written it. *)
+val find_chain : t -> Key.t -> Chain.t option
+
+(** [key]'s loaded version: its whole history at a replica that has
+    not written it. *)
+val loaded_version : t -> Key.t -> Version.t option
+
+(** [key]'s private chain, opened on the first call (starting from the
+    loaded version, if any). *)
+val chain : t -> Key.t -> Chain.t
+
+val chain_insert : t -> Chain.t -> Version.t -> unit
+
+(** Remove [txid]'s version, returning it. *)
+val chain_remove : t -> Chain.t -> Txid.t -> Version.t option
+
+(** {!Chain.replace} [old] with [v]. *)
+val chain_replace : t -> Chain.t -> old:Version.t -> Version.t -> unit
+
 (** Multi-version GC over every private chain; returns versions
     dropped.  A key still on its loaded version has nothing to drop. *)
 val prune : t -> horizon:int -> int

@@ -10,7 +10,9 @@
     - [Committed]: final committed with its final commit timestamp.
 
     Aborted versions are physically removed from their chain, so no
-    [Aborted] state is represented. *)
+    [Aborted] state is represented.  A [Committed] version is made
+    once per decided write, shared by every replica that installs it,
+    and never mutated. *)
 
 type state = Pre_committed | Local_committed | Committed
 

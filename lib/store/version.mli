@@ -5,7 +5,13 @@
     writer's own node block on it), [Local_committed] (locally certified;
     same-node transactions may read it speculatively per SPSI-1), and
     [Committed].  Aborted versions are physically removed from their
-    chain, so no aborted state exists. *)
+    chain, so no aborted state exists.
+
+    Only an uncommitted version is mutated (its timestamp raised, its
+    state moved to [Local_committed]).  A final commit does not mutate:
+    it replaces the uncommitted version with a new [Committed] one,
+    which every replica of the write shares and nothing changes
+    afterwards. *)
 
 type state = Pre_committed | Local_committed | Committed
 

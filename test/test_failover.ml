@@ -234,6 +234,8 @@ let test_recovery_resolves_in_doubt_commit () =
     (stats.Core.Stats.in_doubt_commits >= 2);
   Alcotest.(check int) "never presumed abort" 0 stats.Core.Stats.in_doubt_aborts;
   no_pending_anywhere eng;
+  Alcotest.(check int) "loaded and committed versions each shared by the replicas" 2
+    (Committed_check.check_shared eng);
   (* The committed value is readable at a survivor. *)
   let seen = ref None in
   Dsim.Fiber.spawn sim (fun () ->
@@ -349,6 +351,8 @@ let test_lost_commit_decision_resolved_by_termination () =
     (stats.Core.Stats.in_doubt_commits >= 2);
   Alcotest.(check int) "no spurious aborts" 0 stats.Core.Stats.in_doubt_aborts;
   no_pending_anywhere eng;
+  Alcotest.(check int) "loaded and committed versions each shared by the replicas" 2
+    (Committed_check.check_shared eng);
   let seen = ref None in
   Dsim.Fiber.spawn sim (fun () ->
       let tx = Core.Engine.begin_tx eng ~origin:2 in
@@ -361,11 +365,12 @@ let test_lost_commit_decision_resolved_by_termination () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let test_faulted_full_run_with_recovery () =
-  (* Whole-cluster workload through a crash-recover cycle plus a
-     transient partition, under the recovery protocol: the cluster keeps
-     committing, every in-doubt prepare is eventually resolved, and the
-     surviving committed history stays consistent. *)
+(* Whole-cluster workload through a crash-recover cycle plus a
+   transient partition, under the recovery protocol.  Node 2 misses
+   decisions while down, so its recovery runs every path that installs
+   a committed version without a local commit: catch-up from a peer,
+   decision messages for prepares it lost, and in-doubt resolution. *)
+let faulted_full_run () =
   let plan =
     [
       (1_000_000, Dsim.Fault.Crash 2);
@@ -399,6 +404,13 @@ let test_faulted_full_run_with_recovery () =
     done
   done;
   ignore (Sim.run sim);
+  (eng, fault, plan, h)
+
+let test_faulted_full_run_with_recovery () =
+  (* The cluster keeps committing, every in-doubt prepare is eventually
+     resolved, and the surviving committed history stays consistent. *)
+  let dcs = 3 in
+  let eng, fault, plan, h = faulted_full_run () in
   let stats = Core.Engine.total_stats eng in
   Alcotest.(check bool) "cluster kept committing" true (stats.Core.Stats.commits > 50);
   Alcotest.(check bool) "fault plan fully applied" true
@@ -416,6 +428,16 @@ let test_faulted_full_run_with_recovery () =
   match violations with
   | [] -> ()
   | vs -> Alcotest.fail (Spsi.Checker.report vs)
+
+let test_recovery_shares_committed_versions () =
+  (* Every replica holding a committed version of a key by a writer
+     holds the same object, also where recovery installed it. *)
+  let eng, _, _, _ = faulted_full_run () in
+  let stats = Core.Engine.total_stats eng in
+  Alcotest.(check bool) "in-doubt prepares resolved to commit" true
+    (stats.Core.Stats.in_doubt_commits > 0);
+  Alcotest.(check bool) "versions held by both replicas" true
+    (Committed_check.check_shared eng > 0)
 
 (* --- differential properties ----------------------------------------- *)
 
@@ -509,6 +531,8 @@ let () =
             test_lost_commit_decision_resolved_by_termination;
           Alcotest.test_case "faulted full run with recovery" `Slow
             test_faulted_full_run_with_recovery;
+          Alcotest.test_case "recovery shares committed versions" `Slow
+            test_recovery_shares_committed_versions;
         ] );
       ( "differential",
         [

@@ -24,6 +24,12 @@ let prepare ?(origin = 0) ?(rs = 100) ?stack_over server n writes =
   PS.prepare ?stack_over server ~txid:(txid ~origin n) ~origin ~rs
     ~writes:(List.map (fun (k, v) -> (k, Value.Int v)) writes)
 
+(* Final commit of [txid n] at [ct], with committed versions built from
+   the server's own pending ones. *)
+let commit server n ~ct =
+  let id = txid n in
+  PS.commit server id (PS.decided_versions server id ~ct ~peer:(fun _ -> None))
+
 (* --- certification --------------------------------------------------- *)
 
 let test_prepare_fresh_key () =
@@ -149,7 +155,7 @@ let test_commit_finalizes_version () =
    | PS.Prepared _ -> ()
    | PS.Conflict _ -> Alcotest.fail "prepare");
   PS.local_commit server (txid 1) ~lc:101;
-  PS.commit server (txid 1) ~ct:140;
+  commit server 1 ~ct:140;
   (match Mvstore.latest_before (PS.store server) (key "a") ~rs:200 with
    | Some v ->
      Alcotest.(check bool) "committed" true (Version.is_committed v);
@@ -172,7 +178,7 @@ let test_cache_commit_drops_versions () =
    | PS.Prepared _ -> ()
    | PS.Conflict _ -> Alcotest.fail "prepare");
   PS.local_commit server (txid 1) ~lc:101;
-  PS.commit server (txid 1) ~ct:140;
+  PS.drop server (txid 1);
   Alcotest.(check bool) "cache emptied at final commit" true
     (Mvstore.latest_before (PS.store server) (key "a") ~rs:max_int = None)
 
@@ -192,7 +198,7 @@ let test_reader_blocks_then_sees_commit () =
   PS.local_commit server (txid 1) ~lc:101;
   ignore (Dsim.Sim.run sim);
   Alcotest.(check bool) "still blocked for remote reader" true (!result = None);
-  PS.commit server (txid 1) ~ct:140;
+  commit server 1 ~ct:140;
   ignore (Dsim.Sim.run sim);
   (match !result with
    | Some r ->

@@ -566,6 +566,100 @@ let test_deterministic_engine_runs () =
   in
   Alcotest.(check (triple int int int)) "bit-identical reruns" (run ()) (run ())
 
+(* --- shared committed versions ----------------------------------------- *)
+
+(* The benchmark's smoke-size synth-a: 9 EC2 DCs, rf 6, 10 clients per
+   node, 0.3 s warmup + 0.7 s measured, seed 1.  Returns the engine
+   after the drain. *)
+let run_synth_a_smoke ?at_window_end () =
+  let module R = Harness.Runner in
+  let placement = Placement.ring ~n_nodes:9 ~replication_factor:6 () in
+  let spec = Workload.Synthetic.make ~params:Workload.Synthetic.synth_a placement in
+  let setup =
+    {
+      (R.default_setup ~workload:spec ~config:(Core.Config.str ())) with
+      R.clients_per_node = 10;
+      warmup_us = 300_000;
+      measure_us = 700_000;
+      seed = 1;
+    }
+  in
+  let sim, net, _, eng, rng = R.build_cluster setup in
+  spec.Workload.Spec.load eng;
+  let measure_from = setup.R.warmup_us in
+  let measure_to = measure_from + setup.R.measure_us in
+  let shared = Harness.Client.make_shared ~measure_from ~measure_to in
+  for node = 0 to Core.Engine.n_nodes eng - 1 do
+    for _ = 1 to setup.R.clients_per_node do
+      let crng = Dsim.Rng.split rng in
+      Harness.Client.spawn eng spec ~node ~rng:crng ~shared ~stop_at:measure_to
+        ~start_delay:(Dsim.Rng.int crng 200_000)
+    done
+  done;
+  ignore
+    (R.run_window ~sim ~net ~eng ~measure_from ~measure_to
+       ?at_window_end:(Option.map (fun f () -> f eng) at_window_end)
+       ());
+  eng
+
+(* The smoke run, and every committed version (with its timestamp) the
+   replicas held at the end of its measured window. *)
+let synth_a_smoke =
+  lazy
+    (let at_window_end = ref [] in
+     let eng =
+       run_synth_a_smoke
+         ~at_window_end:(fun eng ->
+           Committed_check.iter eng (fun _ (v : Version.t) ->
+               at_window_end := (v, v.ts) :: !at_window_end))
+         ()
+     in
+     (eng, !at_window_end))
+
+let test_committed_versions_shared () =
+  let eng, _ = Lazy.force synth_a_smoke in
+  let shared = Committed_check.check_shared eng in
+  Alcotest.(check bool)
+    (Printf.sprintf "some versions are held by several replicas (%d)" shared)
+    true (shared > 1000)
+
+let test_committed_versions_immutable () =
+  let _, at_window_end = Lazy.force synth_a_smoke in
+  Alcotest.(check bool) "versions sampled" true (at_window_end <> []);
+  List.iter
+    (fun ((v : Version.t), ts) ->
+      if v.ts <> ts || not (Version.is_committed v) then
+        Alcotest.failf "committed version of %s changed: ts %d -> %d, now %s"
+          (Txid.to_string v.writer) ts v.ts (Version.state_to_string v.state))
+    at_window_end
+
+(* Memory per stored version over all 54 replica stores, on a run of
+   its own (listing a store's versions caches its sorted keys).
+   Reachable words over one array of the stores count a block the
+   replicas share once: a committed version is made once per write, not
+   once per replica. *)
+let test_store_words_per_version () =
+  let eng = run_synth_a_smoke () in
+  let placement = Core.Engine.placement eng in
+  let stores =
+    List.concat_map
+      (fun p ->
+        Array.to_list
+          (Array.map
+             (fun r -> Core.Partition_server.store (Core.Engine.server eng ~node:r ~partition:p))
+             (Placement.replicas placement p)))
+      (List.init (Placement.n_partitions placement) Fun.id)
+    |> Array.of_list
+  in
+  let versions = Array.fold_left (fun n s -> n + Mvstore.version_count s) 0 stores in
+  let words = Obj.reachable_words (Obj.repr stores) in
+  let per_version = float_of_int words /. float_of_int versions in
+  Alcotest.(check int) "54 replica stores" 54 (Array.length stores);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 13.0"
+       per_version words versions)
+    true (per_version <= 13.0)
+
 let () =
   Alcotest.run "protocol"
     [
@@ -621,5 +715,13 @@ let () =
           Alcotest.test_case "first committer wins (remote)" `Quick
             test_first_committer_wins_remote;
           Alcotest.test_case "deterministic runs" `Quick test_deterministic_engine_runs;
+        ] );
+      ( "shared-versions",
+        [
+          Alcotest.test_case "one committed version per write" `Quick
+            test_committed_versions_shared;
+          Alcotest.test_case "committed versions never change" `Quick
+            test_committed_versions_immutable;
+          Alcotest.test_case "store words per version" `Quick test_store_words_per_version;
         ] );
     ]
