@@ -9,11 +9,10 @@ test:
 	dune runtest
 
 # Static analysis: token lint + cross-file protocol-flow rules
-# (Check.Analyzer).  `--format json` emits a SARIF-style report; add
-# `-j N` to fan the per-file pass over N worker processes (output is
-# byte-identical whatever the value).
+# (Check.Analyzer) over the library, the binaries and the examples.
+# `--format json` emits a SARIF-style report.
 lint:
-	dune build bin/lint.exe && ./_build/default/bin/lint.exe lib
+	dune build bin/lint.exe && ./_build/default/bin/lint.exe lib bin examples
 
 # Trace smoke test: tiny traced run -> validate the Chrome JSON + byte
 # fingerprint golden (test/goldens/trace_smoke.expected).

@@ -4,23 +4,17 @@
    Usage: lint [OPTION ...] [PATH ...]        (defaults to lib/)
      --format text|json   report style (json = SARIF 2.1.0 shape)
      --rule RULE          report only RULE (repeatable)
-     -j / --jobs N        fan the per-file pass over N worker processes
-     --cache FILE         per-file result cache keyed by content hash
 
    Exits 1 when any finding survives the allow markers, 2 on usage or
    I/O errors. *)
 
 let usage () =
-  prerr_endline
-    "usage: lint [--format text|json] [--rule RULE]... [-j N] [--cache FILE] \
-     [PATH ...]";
+  prerr_endline "usage: lint [--format text|json] [--rule RULE]... [PATH ...]";
   exit 2
 
 let () =
   let format = ref "text" in
   let rules = ref [] in
-  let jobs = ref 1 in
-  let cache = ref None in
   let paths = ref [] in
   let rec parse = function
     | [] -> ()
@@ -39,18 +33,7 @@ let () =
       end;
       rules := v :: !rules;
       parse rest
-    | ("-j" | "--jobs") :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        jobs := n;
-        parse rest
-      | _ ->
-        Printf.eprintf "lint: bad job count '%s'\n" v;
-        usage ())
-    | "--cache" :: v :: rest ->
-      cache := Some v;
-      parse rest
-    | ("--format" | "--rule" | "-j" | "--jobs" | "--cache") :: [] -> usage ()
+    | ("--format" | "--rule") :: [] -> usage ()
     | ("--help" | "-h") :: _ -> usage ()
     | p :: rest ->
       if String.length p > 0 && p.[0] = '-' then begin
@@ -69,9 +52,7 @@ let () =
       exit 2
   in
   let rules = match List.rev !rules with [] -> None | rs -> Some rs in
-  let report =
-    Check.Analyzer.analyze ?rules ~jobs:!jobs ?cache_file:!cache sources
-  in
+  let report = Check.Analyzer.analyze ?rules sources in
   print_string
     (match !format with
     | "json" -> Check.Analyzer.render_json report

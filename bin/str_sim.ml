@@ -207,18 +207,22 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     | "precise-sr" -> Core.Config.precise_sr ()
     | other -> failwith ("unknown protocol: " ^ other)
   in
+  (* A malformed flag exits 2 with the library's message, before any
+     simulation runs. *)
+  let usage_error msg =
+    prerr_endline ("str_sim: " ^ msg);
+    exit 2
+  in
+  let or_usage_error f = try f () with Invalid_argument msg -> usage_error msg in
+  if clients < 1 then usage_error "--clients must be at least 1";
   let config =
     (* Applied even with coalescing off (a zero window), so a malformed
        flag fails here instead of being silently ignored. *)
-    try Core.Config.with_batching ~batch_window_us:batch_window ~batch_max config
-    with Invalid_argument msg ->
-      prerr_endline ("str_sim: " ^ msg);
-      exit 2
+    or_usage_error (fun () ->
+        Core.Config.with_batching ~batch_window_us:batch_window ~batch_max config)
   in
-  let placement =
-    Store.Placement.ring ~n_nodes:(Dsim.Topology.size Dsim.Topology.ec2_nine)
-      ~replication_factor:6 ()
-  in
+  let n_dcs = Dsim.Topology.size Dsim.Topology.ec2_nine in
+  let placement = Store.Placement.ring ~n_nodes:n_dcs ~replication_factor:6 () in
   let wl =
     match workload with
     | "synth-a" -> Workload.Synthetic.make ~params:Workload.Synthetic.synth_a placement
@@ -244,6 +248,7 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
            [ (recover_at_ms * 1_000, Dsim.Fault.Recover n) ]
          else [])
       in
+      or_usage_error (fun () -> Dsim.Fault.validate ~n:n_dcs plan);
       (Core.Config.with_recovery config, plan)
   in
   let trace =

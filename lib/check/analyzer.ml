@@ -7,12 +7,11 @@
         constructors, send sites, span opens/closes)
      3. cross-file phase joining the facts into semantic findings
      4. suppression and unused-marker accounting
-     5. renderers (text / SARIF JSON) and the content-hash cache
+     5. renderers (text / SARIF JSON)
 
-   The per-file pass is pure (source text in, facts out), which is what
-   makes both the {!Harness.Procpool} fan-out and the per-file cache sound:
-   the cross-file phase is a deterministic fold over facts in input
-   order, so the report cannot depend on job count or cache state. *)
+   The per-file pass is pure (source text in, facts out), and the
+   cross-file phase is a deterministic fold over the facts in input
+   order, so the report depends only on the sources. *)
 
 type severity = Error | Warning
 
@@ -114,11 +113,6 @@ let rule_order r =
     | ri :: rest -> if ri.name = r then i else go (i + 1) rest
   in
   go 0 rule_infos
-
-let severity_of_rule r =
-  match List.find_opt (fun ri -> ri.name = r) rule_infos with
-  | Some ri -> ri.default_severity
-  | None -> Error
 
 (* ------------------------------------------------------------------ *)
 (* Path scopes                                                         *)
@@ -794,7 +788,7 @@ let sort_dedup findings =
   in
   dedup sorted
 
-type report = { findings : finding list; files : int; cache_hits : int }
+type report = { findings : finding list; files : int }
 
 (* Suppression + unused accounting over per-file facts, shared by
    [analyze] and the single-file [lint_findings]. *)
@@ -845,158 +839,6 @@ let apply_markers ~config ~semantic pf raw =
   kept @ unused
 
 (* ------------------------------------------------------------------ *)
-(* Content-hash cache                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let cache_schema = 3
-
-let content_hash s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
-
-module J = Harness.Bench_json
-
-let jnum i = J.Num (float_of_int i)
-let jstrs ss = J.Arr (List.map (fun s -> J.Str s) ss)
-
-let json_of_facts f =
-  let span_status = function
-    | Sp_ok -> ("ok", "")
-    | Sp_open h -> ("open", h)
-    | Sp_escaped x -> ("escaped", x)
-    | Sp_unbound -> ("unbound", "")
-  in
-  J.Obj
-    [
-      ("findings", J.Arr (List.map (fun (r, l, c) -> J.Arr [ J.Str r; jnum l; jnum c ]) f.f_findings));
-      ("markers", J.Arr (List.map (fun (ml, tg, rs) -> J.Arr [ jnum ml; jnum tg; jstrs rs ]) f.f_markers));
-      ("types", jstrs f.f_types);
-      ("fields", J.Arr (List.map (fun (t, fl, l) -> J.Arr [ J.Str t; J.Str fl; jnum l ]) f.f_fields));
-      ("fp_idents", jstrs f.f_fp_idents);
-      ("has_fp", J.Bool f.f_has_fp);
-      ("ctors", J.Arr (List.map (fun (c, l) -> J.Arr [ J.Str c; jnum l ]) f.f_ctors));
-      ( "ctor_items",
-        J.Arr (List.map (fun (nm, l, cs) -> J.Arr [ J.Str nm; jnum l; jstrs cs ]) f.f_ctor_items) );
-      ( "sends",
-        J.Arr
-          (List.map
-             (fun (c, l, col, hc, hx, wid) ->
-               J.Arr [ J.Str c; jnum l; jnum col; J.Bool hc; J.Bool hx; jstrs wid ])
-             f.f_sends) );
-      ("cost_defs", jstrs f.f_cost_defs);
-      ( "spans",
-        J.Arr
-          (List.map
-             (fun (l, c, st) ->
-               let tag, nm = span_status st in
-               J.Arr [ jnum l; jnum c; J.Str tag; J.Str nm ])
-             f.f_spans) );
-      ("span_ctx", jstrs f.f_span_ctx);
-    ]
-
-exception Bad_cache
-
-let facts_of_json j =
-  let int = function J.Num x -> int_of_float x | _ -> raise Bad_cache in
-  let str = function J.Str s -> s | _ -> raise Bad_cache in
-  let boolean = function J.Bool b -> b | _ -> raise Bad_cache in
-  let arr = function J.Arr xs -> xs | _ -> raise Bad_cache in
-  let strs v = List.map str (arr v) in
-  let field o k = match List.assoc_opt k o with Some v -> v | None -> raise Bad_cache in
-  try
-    let o = match j with J.Obj o -> o | _ -> raise Bad_cache in
-    let span_of = function
-      | [ l; c; J.Str tag; J.Str nm ] ->
-        let st =
-          match tag with
-          | "ok" -> Sp_ok
-          | "open" -> Sp_open nm
-          | "escaped" -> Sp_escaped nm
-          | "unbound" -> Sp_unbound
-          | _ -> raise Bad_cache
-        in
-        (int l, int c, st)
-      | _ -> raise Bad_cache
-    in
-    Some
-      {
-        f_findings =
-          List.map
-            (fun v -> match arr v with [ r; l; c ] -> (str r, int l, int c) | _ -> raise Bad_cache)
-            (arr (field o "findings"));
-        f_markers =
-          List.map
-            (fun v -> match arr v with [ ml; tg; rs ] -> (int ml, int tg, strs rs) | _ -> raise Bad_cache)
-            (arr (field o "markers"));
-        f_types = strs (field o "types");
-        f_fields =
-          List.map
-            (fun v -> match arr v with [ t; fl; l ] -> (str t, str fl, int l) | _ -> raise Bad_cache)
-            (arr (field o "fields"));
-        f_fp_idents = strs (field o "fp_idents");
-        f_has_fp = boolean (field o "has_fp");
-        f_ctors =
-          List.map
-            (fun v -> match arr v with [ c; l ] -> (str c, int l) | _ -> raise Bad_cache)
-            (arr (field o "ctors"));
-        f_ctor_items =
-          List.map
-            (fun v -> match arr v with [ nm; l; cs ] -> (str nm, int l, strs cs) | _ -> raise Bad_cache)
-            (arr (field o "ctor_items"));
-        f_sends =
-          List.map
-            (fun v ->
-              match arr v with
-              | [ c; l; col; hc; hx; wid ] ->
-                (str c, int l, int col, boolean hc, boolean hx, strs wid)
-              | _ -> raise Bad_cache)
-            (arr (field o "sends"));
-        f_cost_defs = strs (field o "cost_defs");
-        f_spans = List.map (fun v -> span_of (arr v)) (arr (field o "spans"));
-        f_span_ctx = strs (field o "span_ctx");
-      }
-  with Bad_cache -> None
-
-(** [(path, hash) -> facts] entries of a cache file; empty on any
-    structural or version mismatch (a stale cache is just a miss). *)
-let load_cache path =
-  if not (Sys.file_exists path) then []
-  else
-    match J.read_file path with
-    | Error _ -> []
-    | Ok (J.Obj o) -> (
-      match (List.assoc_opt "schema" o, List.assoc_opt "entries" o) with
-      | Some (J.Num v), Some (J.Arr es) when int_of_float v = cache_schema ->
-        List.filter_map
-          (fun e ->
-            match e with
-            | J.Obj eo -> (
-              match
-                (List.assoc_opt "path" eo, List.assoc_opt "hash" eo, List.assoc_opt "facts" eo)
-              with
-              | Some (J.Str p), Some (J.Str h), Some fj -> (
-                match facts_of_json fj with Some f -> Some ((p, h), f) | None -> None)
-              | _ -> None)
-            | _ -> None)
-          es
-      | _ -> [])
-    | Ok _ -> []
-
-let save_cache path entries =
-  let es =
-    List.map
-      (fun ((p, h), f) ->
-        J.Obj [ ("path", J.Str p); ("hash", J.Str h); ("facts", json_of_facts f) ])
-      entries
-  in
-  (* Best effort: a read-only location silently disables the cache. *)
-  match J.write_file path (J.Obj [ ("schema", jnum cache_schema); ("entries", J.Arr es) ]) with
-  | Ok () | Error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1020,38 +862,8 @@ let rec collect path =
 
 let scan_paths paths = List.concat_map collect paths
 
-let analyze ?(config = default_config) ?rules ?(jobs = 1) ?cache_file sources =
-  let cache = match cache_file with None -> [] | Some p -> load_cache p in
-  let keyed = List.map (fun s -> (s, content_hash s.text)) sources in
-  let looked =
-    List.map (fun (s, h) -> ((s, h), List.assoc_opt (s.path, h) cache)) keyed
-  in
-  let misses =
-    List.filter_map (fun ((s, _), c) -> match c with None -> Some s | Some _ -> None) looked
-  in
-  let computed =
-    ref
-      (Harness.Procpool.run ~jobs
-         (List.map (fun s () -> extract ~config ~file:s.path s.text) misses))
-  in
-  let cache_hits = ref 0 in
-  let entries =
-    List.map
-      (fun ((s, h), c) ->
-        match c with
-        | Some f ->
-          incr cache_hits;
-          ((s.path, h), f)
-        | None -> (
-          match !computed with
-          | f :: rest ->
-            computed := rest;
-            ((s.path, h), f)
-          | [] -> assert false))
-      looked
-  in
-  (match cache_file with None -> () | Some p -> save_cache p entries);
-  let pf = List.map (fun ((p, _), f) -> (p, f)) entries in
+let analyze ?(config = default_config) ?rules sources =
+  let pf = List.map (fun s -> (s.path, extract ~config ~file:s.path s.text)) sources in
   let raw =
     List.concat_map (fun (p, f) -> token_findings p f) pf @ semantic_findings ~config pf
   in
@@ -1061,7 +873,7 @@ let analyze ?(config = default_config) ?rules ?(jobs = 1) ?cache_file sources =
     | None -> findings
     | Some rs -> List.filter (fun f -> List.mem f.rule rs) findings
   in
-  { findings = sort_dedup findings; files = List.length sources; cache_hits = !cache_hits }
+  { findings = sort_dedup findings; files = List.length sources }
 
 let lint_findings ~file src =
   let facts = extract ~config:default_config ~file src in
@@ -1074,7 +886,7 @@ let lint_findings ~file src =
 
 let render_text r = String.concat "" (List.map (fun f -> to_string f ^ "\n") r.findings)
 
-let level = function Error -> "error" | Warning -> "warning"
+module J = Harness.Bench_json
 
 let render_json r =
   let rules_json =
@@ -1084,7 +896,7 @@ let render_json r =
           [
             ("id", J.Str ri.name);
             ("shortDescription", J.Obj [ ("text", J.Str ri.about) ]);
-            ("defaultConfiguration", J.Obj [ ("level", J.Str (level ri.default_severity)) ]);
+            ("defaultConfiguration", J.Obj [ ("level", J.Str (severity_name ri.default_severity)) ]);
           ])
       rule_infos
   in
@@ -1092,7 +904,7 @@ let render_json r =
     J.Obj
       [
         ("ruleId", J.Str f.rule);
-        ("level", J.Str (level f.severity));
+        ("level", J.Str (severity_name f.severity));
         ("message", J.Obj [ ("text", J.Str f.message) ]);
         ( "locations",
           J.Arr
@@ -1104,7 +916,7 @@ let render_json r =
                       [
                         ("artifactLocation", J.Obj [ ("uri", J.Str f.file) ]);
                         ( "region",
-                          J.Obj [ ("startLine", jnum f.line); ("startColumn", jnum f.col) ] );
+                          J.Obj [ ("startLine", J.Num (float f.line)); ("startColumn", J.Num (float f.col)) ] );
                       ] );
                 ];
             ] );
@@ -1129,5 +941,3 @@ let render_json r =
                  ];
              ] );
        ])
-
-let _ = severity_of_rule

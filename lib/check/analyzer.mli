@@ -115,24 +115,13 @@ val scan_paths : string list -> source list
 type report = {
   findings : finding list;  (** sorted, deduplicated, post-suppression *)
   files : int;
-  cache_hits : int;
 }
 
-val analyze :
-  ?config:config ->
-  ?rules:string list ->
-  ?jobs:int ->
-  ?cache_file:string ->
-  source list ->
-  report
-(** Run every rule over the sources.  [rules] filters the {e reported}
-    findings (everything is still evaluated, so suppression accounting
-    is unaffected).  [jobs > 1] fans the per-file pass over [jobs]
-    {!Harness.Procpool} worker processes; the report is byte-identical
-    whatever the value.  [cache_file] enables per-file result caching
-    keyed by a content hash: unchanged files skip the lexer entirely,
-    and the cache is rewritten after the run (best-effort: an unreadable or
-    stale cache is simply ignored). *)
+val analyze : ?config:config -> ?rules:string list -> source list -> report
+(** Run every rule over the sources in one sequential pass: the
+    per-file extraction over each source in order, then the cross-file
+    phase.  [rules] filters the {e reported} findings (everything is
+    still evaluated, so suppression accounting is unaffected). *)
 
 val render_text : report -> string
 (** One [to_string] line per finding (empty string when clean). *)
@@ -140,7 +129,7 @@ val render_text : report -> string
 val render_json : report -> string
 (** SARIF-style JSON document (version 2.1.0 shape: tool driver with
     rule metadata, one result per finding).  Byte-deterministic:
-    depends only on the findings, never on job count or cache state. *)
+    depends only on the findings. *)
 
 val lint_findings : file:string -> string -> finding list
 (** Single-file pass: the six token rules plus marker suppression over

@@ -63,13 +63,7 @@ let make ?(rf = 1) ?config:(cfg = config ()) ?(queue = `Heap) ?(fault_plan = [])
   if dcs < 2 then invalid_arg "Scenario.make: need at least 2 DCs";
   if keys < 1 || txs < 1 then invalid_arg "Scenario.make: need keys, txs >= 1";
   if rf < 1 || rf > dcs then invalid_arg "Scenario.make: rf out of range";
-  List.iter
-    (fun (_, a) ->
-      match a with
-      | Dsim.Fault.Crash n | Dsim.Fault.Recover n | Dsim.Fault.Isolate n ->
-        if n < 0 || n >= dcs then invalid_arg "Scenario.make: fault node out of range"
-      | _ -> ())
-    fault_plan;
+  Dsim.Fault.validate ~n:dcs fault_plan;
   { dcs; keys; txs; rf; config = cfg; queue; fault_plan; recovery }
 
 (** Key [i] lives on partition [i mod dcs], so consecutive keys are

@@ -51,6 +51,9 @@ val make :
   txs:int ->
   unit ->
   t
+(** @raise Invalid_argument on [dcs < 2], [keys < 1], [txs < 1], [rf]
+    outside [1..dcs], or a [fault_plan] that {!Dsim.Fault.validate}
+    rejects for [dcs] nodes. *)
 
 val key_of : t -> int -> Store.Keyspace.Key.t
 

@@ -46,8 +46,6 @@ type t = {
      prepares, and the queue is a deterministic function of its
      insertion history *)
   mutable tombstone_queue : Txid.t list;  (** FIFO for capping tombstones *)
-  (* lint: allow fingerprint-coverage — stat counter *)
-  mutable blocked_reads : int;
   (* lint: allow fingerprint-coverage — GC pacing counter; affects only
      when pruning work happens, not any protocol outcome *)
   mutable inserts_since_prune : int;
@@ -86,7 +84,6 @@ let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?sta
     pending = Txid.Tbl.create 64;
     tombstones = Txid.Tbl.create 64;
     tombstone_queue = [];
-    blocked_reads = 0;
     inserts_since_prune = 0;
     cert_sweep = -1;
     cert_sweep_n = 0;
@@ -98,7 +95,6 @@ let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?sta
 let store t = t.store
 let node_id t = t.node_id
 let partition t = t.partition
-let blocked_reads t = t.blocked_reads
 
 let pending_keys t txid =
   match Txid.Tbl.find_opt t.pending txid with
@@ -166,7 +162,6 @@ let read ?(allow_spec = true) ?(reader = (min_int, min_int)) t ~rs ~reader_origi
          | Version.Local_committed | Version.Pre_committed ->
            (* Block until the writer's outcome is known at this replica,
               then reconsider from scratch. *)
-           t.blocked_reads <- t.blocked_reads + 1;
            (match t.stats with
             | Some s -> s.Stats.server_blocks <- s.Stats.server_blocks + 1
             | None -> ());
@@ -548,9 +543,6 @@ let abort ?(tombstone = false) t txid =
     end
   end
   else drop t txid
-
-(** Drop old committed versions (multi-version GC). *)
-let prune t ~horizon = Mvstore.prune t.store ~horizon
 
 (* ------------------------------------------------------------------ *)
 (* Atomic-commitment recovery support                                  *)

@@ -45,7 +45,6 @@ val create :
 val store : t -> Mvstore.t
 val node_id : t -> int
 val partition : t -> int
-val blocked_reads : t -> int
 val pending_keys : t -> Txid.t -> Keyspace.Key.t list
 
 (** Number of keys held uncommitted for the transaction; O(1) (cost
@@ -175,9 +174,6 @@ val drop : t -> Txid.t -> unit
     master: a later prepare for a tombstoned transaction is refused
     instead of installing zombie versions. *)
 val abort : ?tombstone:bool -> t -> Txid.t -> unit
-
-(** Multi-version GC (also runs amortized inside [prepare]). *)
-val prune : t -> horizon:int -> int
 
 (** {1 Atomic-commitment recovery support} *)
 

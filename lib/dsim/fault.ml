@@ -48,36 +48,49 @@ let set_handlers t ~crash ~recover =
   t.on_crash <- crash;
   t.on_recover <- recover
 
-let check_node t i =
-  if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Fault: node %d out of range" i)
+let check_action ~n a =
+  let node i =
+    if i < 0 || i >= n then
+      invalid_arg (Printf.sprintf "Fault: node %d is outside 0..%d" i (n - 1))
+  in
+  let prob p =
+    if not (p >= 0. && p < 1.) then
+      invalid_arg (Printf.sprintf "Fault: loss probability %g is outside [0, 1)" p)
+  in
+  match a with
+  | Crash i | Recover i | Isolate i -> node i
+  | Link_down (s, d) | Link_up (s, d) ->
+    node s;
+    node d
+  | Partition (ga, gb) ->
+    List.iter node ga;
+    List.iter node gb
+  | Drop (s, d, p) ->
+    node s;
+    node d;
+    prob p
+  | Drop_all p -> prob p
+  | Heal -> ()
 
-let set_cut t s d v =
-  check_node t s;
-  check_node t d;
-  if s <> d then t.cut.(s).(d) <- v
+let validate ~n plan = List.iter (fun (_, a) -> check_action ~n a) plan
+
+let set_cut t s d v = if s <> d then t.cut.(s).(d) <- v
 
 let set_drop t s d p =
-  check_node t s;
-  check_node t d;
-  if p < 0. || p >= 1. then invalid_arg "Fault: loss probability must be in [0, 1)";
   if s <> d then begin
     t.drop.(s).(d) <- p;
     if p > 0. then t.any_loss <- true
   end
 
 let apply t a =
+  check_action ~n:t.n a;
   t.actions_applied <- t.actions_applied + 1;
   match a with
-  | Crash i ->
-    check_node t i;
-    t.on_crash i
-  | Recover i ->
-    check_node t i;
-    t.on_recover i
+  | Crash i -> t.on_crash i
+  | Recover i -> t.on_recover i
   | Link_down (s, d) -> set_cut t s d true
   | Link_up (s, d) -> set_cut t s d false
   | Isolate i ->
-    check_node t i;
     for m = 0 to t.n - 1 do
       if m <> i then begin
         t.cut.(i).(m) <- true;
@@ -112,6 +125,7 @@ let apply t a =
 (* Plan order is preserved: equal-time actions keep list order in every
    queue mode, and the controlled-mode [Fault] lane is FIFO. *)
 let install t ~sim plan =
+  validate ~n:t.n plan;
   List.iter (fun (time, a) -> Sim.schedule_fault sim ~time (fun () -> apply t a)) plan
 
 let deliverable t ~src ~dst =

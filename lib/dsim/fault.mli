@@ -43,12 +43,22 @@ val create : ?seed:int -> n:int -> unit -> t
     [Crash]/[Recover] action fires. *)
 val set_handlers : t -> crash:(int -> unit) -> recover:(int -> unit) -> unit
 
-(** Apply one action immediately (plans go through {!install}). *)
+(** [validate ~n plan] checks every action against an [n]-node cluster:
+    each node id must lie in [0..n-1] and each loss probability in
+    [\[0, 1)].  Raises [Invalid_argument] naming the first offending
+    value.  Pure: it draws no randomness and schedules nothing. *)
+val validate : n:int -> plan -> unit
+
+(** Apply one action immediately (plans go through {!install}); raises
+    [Invalid_argument] like {!validate} on a malformed action, before
+    changing anything. *)
 val apply : t -> action -> unit
 
 (** Schedule every planned action into [sim]'s event queue (the
     dedicated [Fault] lane under controlled mode, so a chooser orders
-    each action against deliveries and wakeups as its own transition). *)
+    each action against deliveries and wakeups as its own transition).
+    The whole plan is {!validate}d first, so a malformed plan schedules
+    nothing. *)
 val install : t -> sim:Sim.t -> plan -> unit
 
 (** Delivery-gate predicate: false when the directed link is cut, or

@@ -7,7 +7,6 @@ type t = {
   mutable messages_sent : int;
   mutable wan_messages : int;
   mutable batches_sent : int;
-  mutable batched_payloads : int;
   mutable fifo_delays : int;
       (** sends whose delivery was pushed back to preserve per-channel
           FIFO order — a cheap congestion signal for trace summaries *)
@@ -34,7 +33,6 @@ let create ~sim ~topology ~node_dc ~jitter ~rng =
     messages_sent = 0;
     wan_messages = 0;
     batches_sent = 0;
-    batched_payloads = 0;
     fifo_delays = 0;
     last_delivery = Array.make_matrix n n 0;
   }
@@ -78,7 +76,6 @@ let send t ~src ~dst f =
    {!send}. *)
 let send_coalesced t ~src ~dst ~n f =
   t.batches_sent <- t.batches_sent + 1;
-  t.batched_payloads <- t.batched_payloads + n;
   send t ~src ~dst f;
   (* [send] counted the flush as one message; payloads beyond the first
      ride for free on the wire but keep the logical total meaningful. *)
@@ -87,12 +84,10 @@ let send_coalesced t ~src ~dst ~n f =
 let messages_sent t = t.messages_sent
 let wan_messages t = t.wan_messages
 let batches_sent t = t.batches_sent
-let batched_payloads t = t.batched_payloads
 let fifo_delays t = t.fifo_delays
 
 let reset_counters t =
   t.messages_sent <- 0;
   t.wan_messages <- 0;
   t.batches_sent <- 0;
-  t.batched_payloads <- 0;
   t.fifo_delays <- 0

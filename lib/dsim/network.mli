@@ -51,9 +51,6 @@ val wan_messages : t -> int
 (** Coalesced flushes sent via {!send_coalesced}. *)
 val batches_sent : t -> int
 
-(** Logical payloads carried inside those flushes. *)
-val batched_payloads : t -> int
-
 (** Sends whose delivery time was pushed back to preserve per-channel
     FIFO order (a proxy for channel congestion). *)
 val fifo_delays : t -> int

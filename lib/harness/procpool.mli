@@ -6,8 +6,8 @@
     between parallel domains and suspended effect fibers cannot occur.
     The price is that only values cross back:
     - results must be marshallable plain data (no closures, no custom
-      blocks) — true of {!Runner.result}, {!Openloop.result},
-      {!Obs.Trace.t} and the analyzer's per-file facts;
+      blocks) — true of {!Runner.result}, {!Openloop.result} and
+      {!Obs.Trace.t};
     - side effects performed by a cell stay in its worker and are lost
       (a traced {!Sweep} cell ships its recorder back as part of its
       result for this reason);

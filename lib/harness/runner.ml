@@ -243,6 +243,8 @@ let run ?observer ?trace ?timeseries_us setup =
   check_run_setup ~who:"Runner.run" ~topology:setup.topology
     ~replication_factor:setup.replication_factor ~warmup_us:setup.warmup_us
     ~measure_us:setup.measure_us ~jitter:setup.jitter;
+  if setup.clients_per_node < 1 then invalid_arg "Runner.run: clients_per_node < 1";
+  Dsim.Fault.validate ~n:(Dsim.Topology.size setup.topology) setup.fault_plan;
   let sim, net, _placement, eng, rng = build_cluster ?trace setup in
   Option.iter (Core.Engine.set_observer eng) observer;
   setup.workload.Workload.Spec.load eng;

@@ -146,7 +146,9 @@ val standard_series :
     ({!seal_trace}); [timeseries_us] additionally records the standard
     snapshot series at that interval through the end of measurement
     (returned in [result.timeseries] and sealed into the trace).
-    @raise Invalid_argument as {!check_run_setup}. *)
+    @raise Invalid_argument as {!check_run_setup}, when
+    [clients_per_node < 1], or when {!Dsim.Fault.validate} rejects
+    [fault_plan]; all before any event runs. *)
 val run :
   ?observer:(Core.Types.event -> unit) ->
   ?trace:Obs.Trace.t ->

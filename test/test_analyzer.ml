@@ -6,14 +6,14 @@
    configuration's suffix matching applies): a seeded violation must
    fire, and the repaired twin must be clean.  The clean-real-tree
    direction is covered by the root `dune runtest` rule, which runs
-   bin/lint.exe over lib/ and fails on any finding. *)
+   bin/lint.exe over lib/, bin/ and examples/ and fails on any finding. *)
 
 module A = Check.Analyzer
 module T = Check.Token
 
 let src path text = { A.path; A.text }
 
-let run ?rules ?jobs ?cache_file srcs = A.analyze ?rules ?jobs ?cache_file srcs
+let run ?rules srcs = A.analyze ?rules srcs
 
 let fired report =
   List.sort_uniq String.compare
@@ -470,7 +470,7 @@ let test_rule_filter () =
   check_fired "filter reports only the requested rule" report [ "cost-coverage" ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism and caching                                             *)
+(* Renderers                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let corpus =
@@ -485,52 +485,6 @@ let corpus =
     src "lib/workload/wl.ml" "let ks l = List.sort compare l\n";
     src "lib/harness/out.ml" "let show r = print_endline r\n";
   ]
-
-let test_jobs_determinism () =
-  let r1 = run ~jobs:1 corpus in
-  let r4 = run ~jobs:4 corpus in
-  Alcotest.(check bool) "corpus has findings" true (r1.A.findings <> []);
-  Alcotest.(check string) "text identical" (A.render_text r1) (A.render_text r4);
-  Alcotest.(check string) "json identical" (A.render_json r1) (A.render_json r4)
-
-let test_cache () =
-  let cache = Filename.temp_file "analyzer_cache" ".json" in
-  let r1 = run ~cache_file:cache corpus in
-  Alcotest.(check int) "cold cache" 0 r1.A.cache_hits;
-  let r2 = run ~cache_file:cache corpus in
-  Alcotest.(check int) "warm cache hits every file" (List.length corpus)
-    r2.A.cache_hits;
-  Alcotest.(check string) "cached run renders identically" (A.render_json r1)
-    (A.render_json r2);
-  let edited =
-    List.map
-      (fun s ->
-        if s.A.path = "lib/core/stale.ml" then
-          src s.A.path "(* lint: allow raw-random *)\nlet pick n = Random.int n\n"
-        else s)
-      corpus
-  in
-  let r3 = run ~cache_file:cache edited in
-  Alcotest.(check int) "edited file misses, others hit"
-    (List.length corpus - 1) r3.A.cache_hits;
-  Alcotest.(check bool) "edited file's findings change" true
-    (A.render_json r3 <> A.render_json r2);
-  Sys.remove cache
-
-let test_cache_garbage_tolerated () =
-  let cache = Filename.temp_file "analyzer_cache" ".json" in
-  let oc = open_out cache in
-  output_string oc "not json at all {";
-  close_out oc;
-  let r = run ~cache_file:cache corpus in
-  Alcotest.(check int) "garbage cache is a miss" 0 r.A.cache_hits;
-  Alcotest.(check string) "findings unaffected" (A.render_json (run corpus))
-    (A.render_json r);
-  Sys.remove cache
-
-(* ------------------------------------------------------------------ *)
-(* Renderers                                                           *)
-(* ------------------------------------------------------------------ *)
 
 let test_render_shapes () =
   let report = run corpus in
@@ -603,14 +557,6 @@ let () =
         [
           Alcotest.test_case "unused-allow both ways" `Quick test_unused_allow;
           Alcotest.test_case "rule filter" `Quick test_rule_filter;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "jobs=1 vs jobs=4 byte-identical" `Quick
-            test_jobs_determinism;
-          Alcotest.test_case "content-hash cache" `Quick test_cache;
-          Alcotest.test_case "garbage cache tolerated" `Quick
-            test_cache_garbage_tolerated;
         ] );
       ("render", [ Alcotest.test_case "text and sarif shapes" `Quick test_render_shapes ]);
     ]

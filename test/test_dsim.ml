@@ -441,6 +441,26 @@ let test_fault_plan_installs_in_order () =
     (List.rev !log);
   Alcotest.(check int) "both actions applied" 2 (Dsim.Fault.actions_applied f)
 
+let test_fault_malformed_plan_schedules_nothing () =
+  (* The whole plan is validated before the first action is scheduled:
+     a bad action late in the list leaves the event queue untouched. *)
+  let sim = Sim.create () in
+  let f = Dsim.Fault.create ~n:3 () in
+  List.iter
+    (fun bad ->
+      match Dsim.Fault.install f ~sim [ (100, Dsim.Fault.Crash 1); (200, bad) ] with
+      | () -> Alcotest.fail "malformed plan installed"
+      | exception Invalid_argument _ -> ())
+    [
+      Dsim.Fault.Crash 3;
+      Dsim.Fault.Link_down (0, -1);
+      Dsim.Fault.Partition ([ 0 ], [ 1; 12 ]);
+      Dsim.Fault.Drop (0, 1, 1.);
+      Dsim.Fault.Drop_all Float.nan;
+    ];
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.queue_pushes sim);
+  Alcotest.(check int) "nothing applied" 0 (Dsim.Fault.actions_applied f)
+
 let test_fault_fingerprint_tracks_link_state () =
   let f = Dsim.Fault.create ~n:3 () in
   let fp0 = Dsim.Fault.fingerprint f in
@@ -542,6 +562,8 @@ let () =
           Alcotest.test_case "partition groups" `Quick test_fault_partition_groups;
           Alcotest.test_case "deterministic loss" `Quick test_fault_drop_deterministic;
           Alcotest.test_case "plan installation" `Quick test_fault_plan_installs_in_order;
+          Alcotest.test_case "malformed plan schedules nothing" `Quick
+            test_fault_malformed_plan_schedules_nothing;
           Alcotest.test_case "fingerprint tracks links" `Quick
             test_fault_fingerprint_tracks_link_state;
         ] );

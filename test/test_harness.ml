@@ -574,6 +574,29 @@ let test_rejects_arrival_rate () =
             }))
     [ 0.; -5.; Float.nan; Float.infinity ]
 
+let test_rejects_no_clients () =
+  rejects ~field:"clients_per_node" "Runner.run clients_per_node 0" (fun () ->
+      Harness.Runner.run
+        { (small_setup (Core.Config.str ())) with Harness.Runner.clients_per_node = 0 })
+
+(* A plan naming a node the 3-DC set-up lacks, or an impossible loss
+   probability, is rejected by both entry points that take a plan. *)
+let test_rejects_fault_plan () =
+  List.iter
+    (fun (field, action) ->
+      let fault_plan = [ (1_000, action) ] in
+      rejects ~field ("Runner.run " ^ field) (fun () ->
+          Harness.Runner.run
+            { (small_setup (Core.Config.str ())) with Harness.Runner.fault_plan });
+      rejects ~field ("Scenario.make " ^ field) (fun () ->
+          Check.Scenario.make ~fault_plan ~dcs:3 ~keys:1 ~txs:1 ()))
+    [
+      ("node 12", Dsim.Fault.Crash 12);
+      ("node 3", Dsim.Fault.Link_up (0, 3));
+      ("node -1", Dsim.Fault.Partition ([ -1 ], [ 0 ]));
+      ("probability 1", Dsim.Fault.Drop (0, 1, 1.));
+    ]
+
 let test_procpool_matches_inline () =
   (* Forked workers must return the same values in the same order as
      sequential execution, whatever the worker count. *)
@@ -704,6 +727,8 @@ let () =
             test_rejects_replication_factor;
           Alcotest.test_case "jitter out of range" `Quick test_rejects_jitter;
           Alcotest.test_case "arrival rate not positive" `Quick test_rejects_arrival_rate;
+          Alcotest.test_case "clients_per_node below 1" `Quick test_rejects_no_clients;
+          Alcotest.test_case "fault plan out of range" `Quick test_rejects_fault_plan;
         ] );
       ( "bench-json",
         [
