@@ -53,13 +53,13 @@ JOBS_FLAG = $(if $(JOBS),-j $(JOBS),)
 
 # Regenerate every paper table/figure (Quick scale: CI-friendly).
 tables-quick:
-	dune build bench/main.exe
-	./_build/default/bench/main.exe tables $(JOBS_FLAG)
+	dune build bin/str_sim.exe
+	./_build/default/bin/str_sim.exe all $(JOBS_FLAG)
 
 # Same at Full scale (matches the experiment index in DESIGN.md).
 tables:
-	dune build bench/main.exe
-	./_build/default/bench/main.exe tables --full $(JOBS_FLAG)
+	dune build bin/str_sim.exe
+	./_build/default/bin/str_sim.exe all --full $(JOBS_FLAG)
 
 # Per-PR bench trajectory slot: bench/BENCH_<n>.json, n = highest
 # committed slot + 1 (override with BENCH_ID=<n>).
@@ -71,9 +71,9 @@ BENCH_ID ?= $(shell ls bench/BENCH_[0-9]*.json 2>/dev/null \
 # suite, write BENCH.json + the bench/BENCH_$(BENCH_ID).json trajectory
 # snapshot, and diff against the committed baseline
 # (bench/BENCH.baseline.json) — the diff prints the regression verdict.
-bench:
+bench: tables-quick
 	dune build bench/main.exe
-	./_build/default/bench/main.exe $(JOBS_FLAG)
+	./_build/default/bench/main.exe
 	./_build/default/bench/main.exe json
 	./_build/default/bench/main.exe json bench/BENCH_$(if $(BENCH_ID),$(BENCH_ID),0).json
 

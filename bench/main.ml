@@ -1,42 +1,19 @@
 (* Benchmark harness.
 
-   Default mode regenerates every table and figure of the paper's
-   evaluation (printing the same rows/series the paper reports), then
-   runs a Bechamel suite with one Test.make per paper artifact (a
-   scaled-down simulation of that experiment) plus micro-benchmarks of
-   the core data structures.
+   Default mode runs a Bechamel suite with one Test.make per paper
+   artifact (a scaled-down simulation of that experiment) plus
+   micro-benchmarks of the core data structures.  The paper's tables
+   themselves are printed by `str_sim all` (`make tables-quick`).
 
-     dune exec bench/main.exe            # quick regeneration + bechamel
-     dune exec bench/main.exe -- --full  # full-size sweeps (slower)
-     dune exec bench/main.exe -- -j 4    # sweep cells on 4 worker processes
-     dune exec bench/main.exe -- micro   # bechamel suite only
-     dune exec bench/main.exe -- tables  # experiment tables only
+     dune exec bench/main.exe            # bechamel suite
+     dune exec bench/main.exe -- micro   # same
      dune exec bench/main.exe -- json [OUT]  # write OUT (default BENCH.json)
                                              # + diff baseline
      dune exec bench/main.exe -- scale [OUT] # million-client open-loop probe
-                                             # (wheel vs heap) + json rows
-
-   -j (or STR_JOBS) fans the independent experiment cells across
-   worker processes; table output is byte-identical whatever the
-   value. *)
+                                             # (wheel vs heap) + json rows *)
 
 open Bechamel
 open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Experiment regeneration                                              *)
-(* ------------------------------------------------------------------ *)
-
-let run_tables ~jobs scale =
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun report ->
-      Harness.Report.print report;
-      print_newline ())
-    (Harness.Experiments.all ~jobs ~scale ());
-  (* stderr, so stdout stays byte-identical at any worker count *)
-  Printf.eprintf "(regenerated all paper artifacts in %.1fs at jobs=%d)\n%!"
-    (Unix.gettimeofday () -. t0) jobs
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel suite                                                       *)
@@ -551,37 +528,13 @@ let run_scale ?(out = "BENCH.json") () =
   in
   run_json ~extra_micro:rows ~out ()
 
-(* Pull [-j N] (worker processes for the sweep grid) out of the argument
-   list; absent, fall back to STR_JOBS, else 1. *)
-let rec extract_jobs acc = function
-  | "-j" :: n :: rest -> (
-    match int_of_string_opt n with
-    | Some j when j > 0 -> (j, List.rev_append acc rest)
-    | Some _ | None ->
-      Printf.eprintf "-j expects a positive integer, got %s\n" n;
-      exit 2)
-  | arg :: rest -> extract_jobs (arg :: acc) rest
-  | [] -> (
-    try (Harness.Procpool.default_jobs (), List.rev acc)
-    with Invalid_argument msg ->
-      prerr_endline msg;
-      exit 2)
-
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let full = List.mem "--full" args in
-  let scale = if full then Harness.Experiments.Full else Harness.Experiments.Quick in
-  let jobs, args = extract_jobs [] (List.filter (fun a -> a <> "--full") args) in
-  match args with
-  | [ "micro" ] -> run_bechamel ()
-  | [ "tables" ] -> run_tables ~jobs scale
+  match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "micro" ] -> run_bechamel ()
   | [ "json" ] -> run_json ()
   | [ "json"; out ] -> run_json ~out ()
   | [ "scale" ] -> run_scale ()
   | [ "scale"; out ] -> run_scale ~out ()
-  | [] ->
-    run_tables ~jobs scale;
-    run_bechamel ()
   | other ->
     Printf.eprintf "unknown arguments: %s\n" (String.concat " " other);
     exit 2

@@ -1,21 +1,14 @@
 (* Command-line driver: regenerate any table/figure of the paper, or
    run a single custom simulation.
 
-     str_sim fig3a [--full]     Figure 3(a), Synth-A
-     str_sim fig3b [--full]     Figure 3(b), Synth-B
-     str_sim fig4  [--full]     Figure 4, self-tuning
-     str_sim table1 [--full]    Table 1, Precise Clocks ablation
-     str_sim fig5a|fig5b|fig5c  Figure 5, TPC-C mixes
-     str_sim fig6  [--full]     Figure 6, RUBiS
-     str_sim storage            Precise Clocks storage overhead
-     str_sim failover           region failure: goodput through DC crash + recovery
-     str_sim openloop [--full]  open-loop latency vs offered load
-     str_sim batchfig [--full]  batching: throughput vs window x offered load
-     str_sim all   [--full]     everything
-     str_sim run ...            one custom simulation
-                                (--arrival-rate switches it to open loop;
-                                 --crash N crash-stops DC N mid-run and
-                                 recovers it, under the recovery protocol) *)
+     str_sim NAME [--full] [-j N]  one experiment of
+                                   Harness.Experiments.registry (fig3a,
+                                   fig4, table1, ..., ablations); `all`
+                                   prints every table
+     str_sim run ...               one custom simulation
+                                   (--arrival-rate switches it to open loop;
+                                    --crash N crash-stops DC N mid-run and
+                                    recovers it, under the recovery protocol) *)
 
 open Cmdliner
 
@@ -95,28 +88,27 @@ let export_tracer tracer ~trace ~trace_jsonl =
     | None -> ());
     Printf.eprintf "traced %d cell(s)\n%!" (Harness.Tracing.n_selected tr)
 
-let experiment_cmd name doc f =
-  let term =
-    Term.(
-      const (fun full jobs -> print_reports (f ~jobs:(resolve_jobs jobs) (scale_of_full full)))
-      $ full_arg $ jobs_arg)
+(* One subcommand per registry entry; the tracing flags only where the
+   experiment's cells are named for a tracer. *)
+let experiment_cmd ({ Harness.Experiments.name; doc; traced; _ } as e) =
+  let tracing =
+    if traced then
+      Term.(
+        const (fun trace trace_jsonl filter -> (trace, trace_jsonl, filter))
+        $ trace_arg $ trace_jsonl_arg $ trace_filter_arg)
+    else Term.const (None, None, None)
   in
-  Cmd.v (Cmd.info name ~doc) term
-
-(* Experiment command whose sweep supports [?tracer]. *)
-let traced_experiment_cmd name doc f =
-  let term =
-    Term.(
-      const (fun full jobs trace trace_jsonl filter ->
-          let tracer =
-            if trace = None && trace_jsonl = None then None
-            else Some (Harness.Tracing.create ?filter ())
-          in
-          print_reports (f ?tracer ~jobs:(resolve_jobs jobs) (scale_of_full full));
-          export_tracer tracer ~trace ~trace_jsonl)
-      $ full_arg $ jobs_arg $ trace_arg $ trace_jsonl_arg $ trace_filter_arg)
+  let run full jobs (trace, trace_jsonl, filter) =
+    let tracer =
+      if trace = None && trace_jsonl = None then None
+      else Some (Harness.Tracing.create ?filter ())
+    in
+    print_reports
+      (Harness.Experiments.run ?tracer ~jobs:(resolve_jobs jobs)
+         ~scale:(scale_of_full full) e);
+    export_tracer tracer ~trace ~trace_jsonl
   in
-  Cmd.v (Cmd.info name ~doc) term
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ full_arg $ jobs_arg $ tracing)
 
 (* Open-loop variant of `run`: fixed-rate Poisson injection through
    Harness.Openloop; --clients is the population per DC.  Returns the
@@ -187,6 +179,27 @@ let run_closed ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~see
   Format.printf "  stats          : %a@." Core.Stats.pp r.Harness.Runner.stats;
   r.Harness.Runner.timeseries
 
+(* The values `run -p` and `run -w` accept. *)
+let protocols =
+  [
+    ("str", fun () -> Core.Config.str ());
+    ("clocksi", fun () -> Core.Config.clocksi_rep ());
+    ("extspec", fun () -> Core.Config.ext_spec ());
+    ("precise", fun () -> Core.Config.precise ());
+    ("physical-sr", fun () -> Core.Config.physical_sr ());
+    ("precise-sr", fun () -> Core.Config.precise_sr ());
+  ]
+
+let workloads =
+  [
+    ("synth-a", fun pl -> Workload.Synthetic.make ~params:Workload.Synthetic.synth_a pl);
+    ("synth-b", fun pl -> Workload.Synthetic.make ~params:Workload.Synthetic.synth_b pl);
+    ("tpcc-a", fun pl -> fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_a pl));
+    ("tpcc-b", fun pl -> fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_b pl));
+    ("tpcc-c", fun pl -> fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_c pl));
+    ("rubis", fun pl -> Workload.Rubis.make pl);
+  ]
+
 let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     crash crash_at_ms recover_at_ms batch_window batch_max timeseries_us_arg
     timeseries_csv trace_file trace_jsonl =
@@ -197,41 +210,32 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     else if timeseries_csv <> None then Some 500_000
     else None
   in
-  let config =
-    match protocol with
-    | "str" -> Core.Config.str ()
-    | "clocksi" -> Core.Config.clocksi_rep ()
-    | "extspec" -> Core.Config.ext_spec ()
-    | "precise" -> Core.Config.precise ()
-    | "physical-sr" -> Core.Config.physical_sr ()
-    | "precise-sr" -> Core.Config.precise_sr ()
-    | other -> failwith ("unknown protocol: " ^ other)
-  in
-  (* A malformed flag exits 2 with the library's message, before any
-     simulation runs. *)
+  (* A malformed flag exits 2 with one line naming it (or the library's
+     message), before any simulation runs. *)
   let usage_error msg =
     prerr_endline ("str_sim: " ^ msg);
     exit 2
   in
   let or_usage_error f = try f () with Invalid_argument msg -> usage_error msg in
   if clients < 1 then usage_error "--clients must be at least 1";
+  if seconds < 1 then usage_error "--seconds must be at least 1";
+  if warmup < 0 then usage_error "--warmup must not be negative";
+  if timeseries_us_arg < 0 then usage_error "--timeseries-us must not be negative";
+  (match arrival_rate with
+  | Some rate when not (rate > 0. && Float.is_finite rate) ->
+    usage_error "--arrival-rate must be positive and finite"
+  | Some _ | None -> ());
   let config =
     (* Applied even with coalescing off (a zero window), so a malformed
        flag fails here instead of being silently ignored. *)
     or_usage_error (fun () ->
-        Core.Config.with_batching ~batch_window_us:batch_window ~batch_max config)
+        Core.Config.with_batching ~batch_window_us:batch_window ~batch_max
+          (List.assoc protocol protocols ()))
   in
   let n_dcs = Dsim.Topology.size Dsim.Topology.ec2_nine in
-  let placement = Store.Placement.ring ~n_nodes:n_dcs ~replication_factor:6 () in
   let wl =
-    match workload with
-    | "synth-a" -> Workload.Synthetic.make ~params:Workload.Synthetic.synth_a placement
-    | "synth-b" -> Workload.Synthetic.make ~params:Workload.Synthetic.synth_b placement
-    | "tpcc-a" -> fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_a placement)
-    | "tpcc-b" -> fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_b placement)
-    | "tpcc-c" -> fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_c placement)
-    | "rubis" -> Workload.Rubis.make placement
-    | other -> failwith ("unknown workload: " ^ other)
+    List.assoc workload workloads
+      (Store.Placement.ring ~n_nodes:n_dcs ~replication_factor:6 ())
   in
   (* Crash-recover drill: crash-stop one DC mid-measurement and bring it
      back, with the atomic-commitment recovery protocol switched on (the
@@ -282,18 +286,15 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     | None -> ())
 
 let run_cmd =
-  let protocol =
+  let one_of table name flags =
+    let names = List.map fst table in
     Arg.(
       value
-      & opt string "str"
-      & info [ "p"; "protocol" ] ~doc:"str | clocksi | extspec | precise | physical-sr")
+      & opt (enum (List.map (fun n -> (n, n)) names)) name
+      & info flags ~doc:(String.concat " | " names))
   in
-  let workload =
-    Arg.(
-      value
-      & opt string "synth-a"
-      & info [ "w"; "workload" ] ~doc:"synth-a | synth-b | tpcc-a | tpcc-b | tpcc-c | rubis")
-  in
+  let protocol = one_of protocols "str" [ "p"; "protocol" ] in
+  let workload = one_of workloads "synth-a" [ "w"; "workload" ] in
   let clients =
     Arg.(value & opt int 10 & info [ "c"; "clients" ] ~doc:"clients per node")
   in
@@ -395,41 +396,6 @@ let run_cmd =
       $ batch_max $ timeseries_us $ timeseries_csv $ trace_arg $ trace_jsonl_arg)
 
 let () =
-  let open Harness.Experiments in
-  let cmds =
-    [
-      traced_experiment_cmd "fig3a" "Figure 3(a): Synth-A"
-        (fun ?tracer ~jobs s -> [ fig3 ?tracer ~jobs ~scale:s `A ]);
-      traced_experiment_cmd "fig3b" "Figure 3(b): Synth-B"
-        (fun ?tracer ~jobs s -> [ fig3 ?tracer ~jobs ~scale:s `B ]);
-      traced_experiment_cmd "fig4" "Figure 4: self-tuning"
-        (fun ?tracer ~jobs s -> [ fig4 ?tracer ~jobs ~scale:s () ]);
-      traced_experiment_cmd "table1" "Table 1: Precise Clocks ablation"
-        (fun ?tracer ~jobs s -> [ table1 ?tracer ~jobs ~scale:s () ]);
-      traced_experiment_cmd "fig5a" "Figure 5: TPC-C mix A"
-        (fun ?tracer ~jobs s -> [ fig5 ?tracer ~jobs ~scale:s `A ]);
-      traced_experiment_cmd "fig5b" "Figure 5: TPC-C mix B"
-        (fun ?tracer ~jobs s -> [ fig5 ?tracer ~jobs ~scale:s `B ]);
-      traced_experiment_cmd "fig5c" "Figure 5: TPC-C mix C"
-        (fun ?tracer ~jobs s -> [ fig5 ?tracer ~jobs ~scale:s `C ]);
-      traced_experiment_cmd "fig6" "Figure 6: RUBiS"
-        (fun ?tracer ~jobs s -> [ fig6 ?tracer ~jobs ~scale:s () ]);
-      experiment_cmd "storage" "Precise Clocks storage overhead"
-        (fun ~jobs s -> [ storage ~jobs ~scale:s () ]);
-      experiment_cmd "failover"
-        "Region failure: goodput and externalized misspeculation through a DC \
-         crash and recovery"
-        (fun ~jobs s -> [ region_failure ~jobs ~scale:s () ]);
-      experiment_cmd "openloop" "Open-loop latency vs offered load (STR vs baselines)"
-        (fun ~jobs s -> [ openloop_load ~jobs ~scale:s () ]);
-      experiment_cmd "batchfig"
-        "Queue-oriented batching: throughput vs batch window x offered load"
-        (fun ~jobs s -> [ batch_load ~jobs ~scale:s () ]);
-      experiment_cmd "ablations" "Extra ablations (DC count, replication factor, remote reads)"
-        (fun ~jobs s -> ablations ~jobs ~scale:s ());
-      experiment_cmd "all" "All tables and figures" (fun ~jobs s -> all ~jobs ~scale:s ());
-      run_cmd;
-    ]
-  in
   let info = Cmd.info "str_sim" ~doc:"STR / SPSI geo-replication simulator" in
+  let cmds = List.map experiment_cmd Harness.Experiments.registry @ [ run_cmd ] in
   exit (Cmd.eval (Cmd.group info cmds))

@@ -19,15 +19,8 @@ let () =
   in
   let sim, _net, _pl, eng, rng = Harness.Runner.build_cluster setup in
   workload.Workload.Spec.load eng;
-  let horizon = 20_000_000 in
-  let shared = Harness.Client.make_shared ~measure_from:0 ~measure_to:horizon in
-  for node = 0 to 8 do
-    for _ = 1 to setup.Harness.Runner.clients_per_node do
-      let crng = Dsim.Rng.split rng in
-      Harness.Client.spawn eng workload ~node ~rng:crng ~shared ~stop_at:horizon
-        ~start_delay:(Dsim.Rng.int crng 200_000)
-    done
-  done;
+  let horizon = setup.Harness.Runner.measure_us in
+  ignore (Harness.Runner.spawn_clients setup ~eng ~rng);
   let victim = 3 in
   Dsim.Sim.schedule sim ~delay:8_000_000 (fun () ->
       Printf.printf "[ 8.0s] *** data center %d (%s) crashes ***\n" victim

@@ -20,22 +20,12 @@ let run name config =
      runner logic inline so we keep the `shared` record. *)
   let sim, _net, _pl, eng, rng = Harness.Runner.build_cluster setup in
   workload.Workload.Spec.load eng;
+  let shared = Harness.Runner.spawn_clients setup ~eng ~rng in
   let measure_from = setup.Harness.Runner.warmup_us in
-  let measure_to = measure_from + setup.Harness.Runner.measure_us in
-  let shared = Harness.Client.make_shared ~measure_from ~measure_to in
-  for node = 0 to Core.Engine.n_nodes eng - 1 do
-    for _ = 1 to setup.Harness.Runner.clients_per_node do
-      let crng = Dsim.Rng.split rng in
-      Harness.Client.spawn eng workload ~node ~rng:crng ~shared ~stop_at:measure_to
-        ~start_delay:(Dsim.Rng.int crng 200_000)
-    done
-  done;
-  let s0 = Core.Stats.copy (Core.Engine.total_stats eng) in
   ignore (Dsim.Sim.run ~until:measure_from sim);
   let s1 = Core.Stats.copy (Core.Engine.total_stats eng) in
-  ignore (Dsim.Sim.run ~until:measure_to sim);
+  ignore (Dsim.Sim.run ~until:(measure_from + setup.Harness.Runner.measure_us) sim);
   let s2 = Core.Stats.copy (Core.Engine.total_stats eng) in
-  ignore s0;
   let commits = s2.Core.Stats.commits - s1.Core.Stats.commits in
   Printf.printf "=== %s ===\n" name;
   Printf.printf "  throughput : %.1f tx/s\n"

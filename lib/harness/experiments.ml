@@ -1,12 +1,12 @@
 (** Reproduction of every table and figure of the paper's evaluation
-    (§6).  Each function enumerates the corresponding parameter sweep as
-    a grid of independent simulation cells, executes them through
-    {!Sweep} (inline by default, or on [jobs] worker processes),
-    and renders a table with the same rows/series the paper plots.
-    Cells are keyed and results assembled in grid-key order, so the
-    rendered report is byte-identical whatever the worker count.
-    [Quick] uses shorter windows and fewer points (CI-friendly);
-    [Full] matches the experiment index in DESIGN.md. *)
+    (§6), plus extensions and ablations, as data.  Each table is a grid
+    of independent simulation cells and one function from the swept
+    [(key, result)] list to rows; {!sweep} runs the grid through
+    {!Sweep} (inline by default, or on [jobs] worker processes).  Cells
+    are keyed and results assembled in grid-key order, so the rendered
+    report is byte-identical whatever the worker count.  [Quick] uses
+    shorter windows and fewer points (CI-friendly); [Full] matches the
+    experiment index in DESIGN.md. *)
 
 type scale = Quick | Full
 
@@ -40,35 +40,87 @@ let placement () =
   Store.Placement.ring ~n_nodes:(Dsim.Topology.size topology)
     ~replication_factor ()
 
-let run_protocol ?trace ~timing ~workload_of ~clients ~config ~self_tune ~seed () =
-  let setup =
-    {
-      Runner.topology;
-      replication_factor;
-      config;
-      workload = workload_of (placement ());
-      clients_per_node = clients;
-      warmup_us = timing.warmup_us;
-      measure_us = timing.measure_us;
-      seed;
-      jitter = 0.02;
-      self_tune = (if self_tune then `On timing.tuner_window_us else `Off);
-      fault_plan = [];
+let synth params = Workload.Synthetic.make ~params (placement ())
+
+(* The closed-loop set-up every closed-loop cell runs; the ablations
+   override [topology] and [replication_factor] with [{ ... with }]. *)
+let closed ~timing ?(self_tune = false) ~clients ~seed config workload =
+  {
+    Runner.topology;
+    replication_factor;
+    config;
+    workload;
+    clients_per_node = clients;
+    warmup_us = timing.warmup_us;
+    measure_us = timing.measure_us;
+    seed;
+    jitter = 0.02;
+    self_tune = (if self_tune then `On timing.tuner_window_us else `Off);
+    fault_plan = [];
+  }
+
+(* The open-loop set-up of the offered-load sweeps: Synth-A under
+   Poisson arrivals at [rate] per DC, 2000 clients per DC. *)
+let open_loop ~scale ~rate config =
+  let timing = synth_timing scale in
+  {
+    Openloop.topology;
+    replication_factor;
+    config;
+    workload = synth Workload.Synthetic.synth_a;
+    clients_per_dc = 2_000;
+    arrival = Workload.Arrival.poisson ~rate_per_dc:rate;
+    warmup_us = timing.warmup_us;
+    measure_us = timing.measure_us;
+    seed = int_of_float rate + 61;
+    jitter = 0.02;
+    queue = `Heap;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Experiments as data                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One grid cell: its key, the name it is traced under (cells without
+   one are never traced), and its simulation, given the recorder. *)
+type ('k, 'r) cell = { key : 'k; trace_as : string option; run : Obs.Trace.t option -> 'r }
+
+let cell ?trace_as key run = { key; trace_as; run }
+
+type table =
+  | Table : {
+      title : string;
+      headers : string list;
+      cells : ('k, 'r) cell list;
+      rows : ('k * 'r) list -> string list list;
     }
-  in
-  Runner.run ?trace setup
+      -> table
 
-(* Register a cell with the tracer (when there is one) at {e cell
-   construction} time — sequentially, in the parent process — so trace
-   process ids and cell order never depend on the worker count.  The
-   recorder goes to [Sweep.cell ?trace] too, which brings a worker's
-   recording back into it. *)
-let cell_trace tracer name =
-  match tracer with None -> None | Some t -> Tracing.trace_for t ~cell:name
+let sweep ?(jobs = 1) ?tracer (Table t) =
+  let report = Report.create ~title:t.title ~headers:t.headers in
+  t.cells
+  |> List.map (fun c ->
+         (* Register with the tracer at cell construction — sequentially,
+            in the parent process — so trace process ids and cell order
+            never depend on the worker count.  The recorder goes to
+            [Sweep.cell ?trace] too, which brings a worker's recording
+            back into it. *)
+         let trace =
+           match (tracer, c.trace_as) with
+           | Some tr, Some cell -> Tracing.trace_for tr ~cell
+           | _ -> None
+         in
+         Sweep.cell ?trace c.key (fun () -> c.run trace))
+  |> Sweep.run ~jobs
+  |> t.rows
+  |> List.iter (Report.add_row report);
+  report
 
-(* Shared row shape of Figs. 3, 5 and 6: one row per (clients, protocol)
-   cell of the grid. *)
-let protocol_row ~clients ~pname (r : Runner.result) =
+(* ------------------------------------------------------------------ *)
+(* Figures 3, 5 and 6: clients per node x protagonist                   *)
+(* ------------------------------------------------------------------ *)
+
+let protocol_row ((clients, pname), (r : Runner.result)) =
   let misspec =
     if pname = "Ext-Spec" then Report.pct r.Runner.ext_misspec_rate
     else Report.pct r.Runner.misspec_rate
@@ -88,105 +140,130 @@ let protocol_row ~clients ~pname (r : Runner.result) =
     spec_lat;
   ]
 
-(* Grid of Figs. 3, 5 and 6: clients-per-node x protagonist. *)
-let protocol_sweep ?tracer ~jobs ~timing ~workload_of ~clients_list ~seed_of report =
-  Sweep.product clients_list protagonists
-  |> List.map (fun (clients, (pname, mk_config, tune)) ->
-         let trace =
-           cell_trace tracer (Printf.sprintf "clients=%d/protocol=%s" clients pname)
-         in
-         Sweep.cell ?trace (clients, pname)
-           (run_protocol ?trace ~timing ~workload_of ~clients ~config:(mk_config ())
-              ~self_tune:tune ~seed:(seed_of clients)))
-  |> Sweep.run ~jobs
-  |> List.iter (fun ((clients, pname), r) ->
-         Report.add_row report (protocol_row ~clients ~pname r));
-  report
-
-(* ------------------------------------------------------------------ *)
-(* Figure 3: synthetic workloads, three protocols                       *)
-(* ------------------------------------------------------------------ *)
+let protocol_table ~title ~timing ~workload ~clients_list ~seed_of =
+  Table
+    {
+      title;
+      headers =
+        [
+          "clients"; "protocol"; "thr(tx/s)"; "abort"; "misspec"; "lat-p50(ms)";
+          "lat-mean(ms)"; "spec-lat(ms)";
+        ];
+      cells =
+        Sweep.product clients_list protagonists
+        |> List.map (fun (clients, (pname, mk_config, self_tune)) ->
+               cell (clients, pname)
+                 ~trace_as:(Printf.sprintf "clients=%d/protocol=%s" clients pname)
+                 (fun trace ->
+                   Runner.run ?trace
+                     (closed ~timing ~self_tune ~clients ~seed:(seed_of clients)
+                        (mk_config ()) (workload ()))));
+      rows = List.map protocol_row;
+    }
 
 let client_sweep = function Quick -> [ 2; 10; 30 ] | Full -> [ 2; 5; 10; 20; 40; 60 ]
 
-let fig3 ?(jobs = 1) ?tracer ~scale which =
+let fig3 which scale =
   let params, name =
     match which with
     | `A -> (Workload.Synthetic.synth_a, "Synth-A")
     | `B -> (Workload.Synthetic.synth_b, "Synth-B")
   in
-  let report =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "Figure 3 (%s): throughput / abort rate / latency vs clients per node" name)
-      ~headers:
-        [
-          "clients"; "protocol"; "thr(tx/s)"; "abort"; "misspec"; "lat-p50(ms)";
-          "lat-mean(ms)"; "spec-lat(ms)";
-        ]
-  in
-  protocol_sweep ?tracer ~jobs ~timing:(synth_timing scale)
-    ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
+  protocol_table
+    ~title:
+      (Printf.sprintf "Figure 3 (%s): throughput / abort rate / latency vs clients per node"
+         name)
+    ~timing:(synth_timing scale)
+    ~workload:(fun () -> synth params)
     ~clients_list:(client_sweep scale)
     ~seed_of:(fun clients -> clients + 17)
-    report
+
+let tpcc_clients = function Quick -> [ 60; 240 ] | Full -> [ 30; 60; 120; 240; 480 ]
+
+let fig5 which scale =
+  let mix, name =
+    match which with
+    | `A -> (Workload.Tpcc.mix_a, "TPC-C A (5/83/12)")
+    | `B -> (Workload.Tpcc.mix_b, "TPC-C B (45/43/12)")
+    | `C -> (Workload.Tpcc.mix_c, "TPC-C C (5/43/52)")
+  in
+  protocol_table
+    ~title:(Printf.sprintf "Figure 5 (%s): new-order/payment/order-status" name)
+    ~timing:(macro_timing scale)
+    ~workload:(fun () -> fst (Workload.Tpcc.make ~mix (placement ())))
+    ~clients_list:(tpcc_clients scale)
+    ~seed_of:(fun clients -> clients + 31)
+
+let rubis_clients = function Quick -> [ 120; 450 ] | Full -> [ 60; 120; 250; 450; 700 ]
+
+let fig6 scale =
+  (* RUBiS's interesting regime is the slow pile-up of update clients
+     behind the shard-local index keys; give the full scale a longer
+     measurement window so the queueing binds. *)
+  let timing =
+    match scale with
+    | Quick -> macro_timing Quick
+    | Full -> { (macro_timing Full) with measure_us = 20_000_000 }
+  in
+  protocol_table ~title:"Figure 6 (RUBiS, 15% update mix, 2-10s think time)" ~timing
+    ~workload:(fun () -> Workload.Rubis.make (placement ()))
+    ~clients_list:(rubis_clients scale)
+    ~seed_of:(fun clients -> clients + 41)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: static SR on/off vs self-tuning, normalized                *)
 (* ------------------------------------------------------------------ *)
 
-let fig4 ?(jobs = 1) ?tracer ~scale () =
-  let report =
-    Report.create
-      ~title:
+let fig4 scale =
+  let points =
+    Sweep.product
+      [ ("Synth-A", Workload.Synthetic.synth_a); ("Synth-B", Workload.Synthetic.synth_b) ]
+      (client_sweep scale)
+  in
+  let get results ((wname, _), clients) v = Sweep.get results (wname, clients, v) in
+  Table
+    {
+      title =
         "Figure 4: normalized throughput of No-SR / SR / Auto (self-tuning) on \
-         Synth-A and Synth-B"
-      ~headers:[ "workload"; "clients"; "No SR"; "SR"; "Auto"; "auto picked" ]
-  in
-  let workloads =
-    [ ("Synth-A", Workload.Synthetic.synth_a); ("Synth-B", Workload.Synthetic.synth_b) ]
-  in
-  let variants = [ "no-sr"; "sr"; "auto" ] in
-  let results =
-    Sweep.product3 workloads (client_sweep scale) variants
-    |> List.map (fun ((wname, params), clients, variant) ->
-           let sr = variant <> "no-sr" and tune = variant = "auto" in
-           let trace =
-             cell_trace tracer
-               (Printf.sprintf "workload=%s/clients=%d/variant=%s" wname clients variant)
-           in
-           Sweep.cell ?trace (wname, clients, variant)
-             (run_protocol ?trace ~timing:(synth_timing scale)
-                ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
-                ~clients
-                ~config:(Core.Config.str ~speculative_reads:sr ())
-                ~self_tune:tune ~seed:(clients + 23)))
-    |> Sweep.run ~jobs
-  in
-  List.iter
-    (fun ((wname, _), clients) ->
-      let variant v = Sweep.get results (wname, clients, v) in
-      let no_sr = variant "no-sr" and sr = variant "sr" and auto = variant "auto" in
-      let best =
-        List.fold_left max 1.
-          [ no_sr.Runner.throughput; sr.Runner.throughput; auto.Runner.throughput ]
-      in
-      let norm r = Report.f2 (r.Runner.throughput /. best) in
-      Report.add_row report
-        [
-          wname;
-          string_of_int clients;
-          norm no_sr;
-          norm sr;
-          norm auto;
-          (match auto.Runner.tuner_decision with
-           | Some true -> "SR"
-           | Some false -> "No SR"
-           | None -> "?");
-        ])
-    (Sweep.product workloads (client_sweep scale));
-  report
+         Synth-A and Synth-B";
+      headers = [ "workload"; "clients"; "No SR"; "SR"; "Auto"; "auto picked" ];
+      cells =
+        Sweep.product points [ "no-sr"; "sr"; "auto" ]
+        |> List.map (fun (((wname, params), clients), variant) ->
+               cell (wname, clients, variant)
+                 ~trace_as:
+                   (Printf.sprintf "workload=%s/clients=%d/variant=%s" wname clients variant)
+                 (fun trace ->
+                   Runner.run ?trace
+                     (closed ~timing:(synth_timing scale) ~self_tune:(variant = "auto")
+                        ~clients ~seed:(clients + 23)
+                        (Core.Config.str ~speculative_reads:(variant <> "no-sr") ())
+                        (synth params))));
+      rows =
+        (fun results ->
+          List.map
+            (fun (((wname, _), clients) as point) ->
+              let no_sr = get results point "no-sr"
+              and sr = get results point "sr"
+              and auto = get results point "auto" in
+              let best =
+                List.fold_left max 1.
+                  [ no_sr.Runner.throughput; sr.Runner.throughput; auto.Runner.throughput ]
+              in
+              let norm r = Report.f2 (r.Runner.throughput /. best) in
+              [
+                wname;
+                string_of_int clients;
+                norm no_sr;
+                norm sr;
+                norm auto;
+                (match auto.Runner.tuner_decision with
+                | Some true -> "SR"
+                | Some false -> "No SR"
+                | None -> "?");
+              ])
+            points);
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: Physical/Precise clocks x speculative reads                 *)
@@ -205,491 +282,77 @@ let table1_variants =
     ("Precise SR", fun () -> Core.Config.precise_sr ());
   ]
 
-let table1 ?(jobs = 1) ?tracer ~scale () =
+let table1 scale =
   let keys = match scale with Quick -> [ 10; 40 ] | Full -> [ 10; 20; 40; 100 ] in
-  let clients = match scale with Quick -> 10 | Full -> 10 in
-  let report =
-    Report.create
-      ~title:
+  Table
+    {
+      title =
         "Table 1: normalized throughput / abort rate, varying keys updated per \
-         transaction"
-      ~headers:("technique" :: List.map (fun k -> Printf.sprintf "%d keys" k) keys)
-  in
-  let results =
-    Sweep.product keys table1_variants
-    |> List.map (fun (nkeys, (vname, mk_config)) ->
-           let factor = nkeys / 10 in
-           let params = Workload.Synthetic.scale_keys table1_base factor in
-           let trace =
-             cell_trace tracer (Printf.sprintf "keys=%d/technique=%s" nkeys vname)
-           in
-           Sweep.cell ?trace (nkeys, vname)
-             (run_protocol ?trace ~timing:(synth_timing scale)
-                ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
-                ~clients ~config:(mk_config ()) ~self_tune:false ~seed:(nkeys + 3)))
-    |> Sweep.run ~jobs
-  in
-  let columns =
-    List.map
-      (fun nkeys ->
-        let baseline =
-          Float.max (Sweep.get results (nkeys, "Physical")).Runner.throughput 0.001
-        in
-        List.map
-          (fun (vname, _) ->
-            let r = Sweep.get results (nkeys, vname) in
-            ( vname,
-              Printf.sprintf "%s/%s"
-                (Report.f2 (r.Runner.throughput /. baseline))
-                (Report.pct r.Runner.abort_rate) ))
-          table1_variants)
-      keys
-  in
-  List.iter
-    (fun (vname, _) ->
-      let cells =
-        List.map (fun col -> match List.assoc_opt vname col with Some c -> c | None -> "-")
-          columns
-      in
-      Report.add_row report (vname :: cells))
-    table1_variants;
-  report
-
-(* ------------------------------------------------------------------ *)
-(* Figure 5: TPC-C mixes A, B, C                                        *)
-(* ------------------------------------------------------------------ *)
-
-let tpcc_clients = function Quick -> [ 60; 240 ] | Full -> [ 30; 60; 120; 240; 480 ]
-
-let fig5 ?(jobs = 1) ?tracer ~scale which =
-  let mix, name =
-    match which with
-    | `A -> (Workload.Tpcc.mix_a, "TPC-C A (5/83/12)")
-    | `B -> (Workload.Tpcc.mix_b, "TPC-C B (45/43/12)")
-    | `C -> (Workload.Tpcc.mix_c, "TPC-C C (5/43/52)")
-  in
-  let report =
-    Report.create
-      ~title:(Printf.sprintf "Figure 5 (%s): new-order/payment/order-status" name)
-      ~headers:
-        [
-          "clients"; "protocol"; "thr(tx/s)"; "abort"; "misspec"; "lat-p50(ms)";
-          "lat-mean(ms)"; "spec-lat(ms)";
-        ]
-  in
-  protocol_sweep ?tracer ~jobs ~timing:(macro_timing scale)
-    ~workload_of:(fun pl -> fst (Workload.Tpcc.make ~mix pl))
-    ~clients_list:(tpcc_clients scale)
-    ~seed_of:(fun clients -> clients + 31)
-    report
-
-(* ------------------------------------------------------------------ *)
-(* Figure 6: RUBiS                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let rubis_clients = function Quick -> [ 120; 450 ] | Full -> [ 60; 120; 250; 450; 700 ]
-
-let fig6 ?(jobs = 1) ?tracer ~scale () =
-  (* RUBiS's interesting regime is the slow pile-up of update clients
-     behind the shard-local index keys; give the full scale a longer
-     measurement window so the queueing binds. *)
-  let timing =
-    match scale with
-    | Quick -> macro_timing Quick
-    | Full -> { (macro_timing Full) with measure_us = 20_000_000 }
-  in
-  let report =
-    Report.create
-      ~title:"Figure 6 (RUBiS, 15% update mix, 2-10s think time)"
-      ~headers:
-        [
-          "clients"; "protocol"; "thr(tx/s)"; "abort"; "misspec"; "lat-p50(ms)";
-          "lat-mean(ms)"; "spec-lat(ms)";
-        ]
-  in
-  protocol_sweep ?tracer ~jobs ~timing
-    ~workload_of:(fun pl -> Workload.Rubis.make pl)
-    ~clients_list:(rubis_clients scale)
-    ~seed_of:(fun clients -> clients + 41)
-    report
+         transaction";
+      headers = "technique" :: List.map (fun k -> Printf.sprintf "%d keys" k) keys;
+      cells =
+        Sweep.product keys table1_variants
+        |> List.map (fun (nkeys, (vname, mk_config)) ->
+               cell (nkeys, vname)
+                 ~trace_as:(Printf.sprintf "keys=%d/technique=%s" nkeys vname)
+                 (fun trace ->
+                   Runner.run ?trace
+                     (closed ~timing:(synth_timing scale) ~clients:10 ~seed:(nkeys + 3)
+                        (mk_config ())
+                        (synth (Workload.Synthetic.scale_keys table1_base (nkeys / 10))))));
+      rows =
+        (fun results ->
+          List.map
+            (fun (vname, _) ->
+              vname
+              :: List.map
+                   (fun nkeys ->
+                     let baseline =
+                       Float.max (Sweep.get results (nkeys, "Physical")).Runner.throughput
+                         0.001
+                     in
+                     let r = Sweep.get results (nkeys, vname) in
+                     Printf.sprintf "%s/%s"
+                       (Report.f2 (r.Runner.throughput /. baseline))
+                       (Report.pct r.Runner.abort_rate))
+                   keys)
+            table1_variants);
+    }
 
 (* ------------------------------------------------------------------ *)
 (* §6.1 Precise Clocks storage overhead                                 *)
 (* ------------------------------------------------------------------ *)
 
-let storage ?(jobs = 1) ~scale () =
-  let report =
-    Report.create ~title:"Precise Clocks storage overhead (paper: ~9% on TPC-C/RUBiS)"
-      ~headers:[ "benchmark"; "data (KiB)"; "LastReader metadata (KiB)"; "overhead" ]
-  in
-  let measure workload_of clients () =
-    let { warmup_us; measure_us; _ } = macro_timing scale in
+let storage scale =
+  let breakdown ~clients workload =
     let setup =
-      {
-        Runner.topology;
-        replication_factor;
-        config = Core.Config.str ();
-        workload = workload_of (placement ());
-        clients_per_node = clients;
-        warmup_us;
-        measure_us;
-        seed = 5;
-        jitter = 0.02;
-        self_tune = `Off;
-        fault_plan = [];
-      }
+      closed ~timing:(macro_timing scale) ~clients ~seed:5 (Core.Config.str ()) workload
     in
     let sim, _net, _pl, eng, rng = Runner.build_cluster setup in
-    setup.Runner.workload.Workload.Spec.load eng;
-    let shared =
-      Client.make_shared ~measure_from:0 ~measure_to:(warmup_us + measure_us)
-    in
-    for node = 0 to Core.Engine.n_nodes eng - 1 do
-      for _ = 1 to clients do
-        let crng = Dsim.Rng.split rng in
-        Client.spawn eng setup.Runner.workload ~node ~rng:crng ~shared
-          ~stop_at:(warmup_us + measure_us) ~start_delay:(Dsim.Rng.int crng 200_000)
-      done
-    done;
-    ignore (Dsim.Sim.run ~until:(warmup_us + measure_us) sim);
+    workload.Workload.Spec.load eng;
+    ignore (Runner.spawn_clients setup ~eng ~rng);
+    ignore (Dsim.Sim.run ~until:(setup.Runner.warmup_us + setup.Runner.measure_us) sim);
     Core.Engine.storage_breakdown eng
   in
-  [
-    Sweep.cell "TPC-C" (measure (fun pl -> fst (Workload.Tpcc.make pl)) 60);
-    Sweep.cell "RUBiS" (measure (fun pl -> Workload.Rubis.make pl) 120);
-  ]
-  |> Sweep.run ~jobs
-  |> List.iter (fun (name, (data, meta)) ->
-         Report.add_row report
-           [
-             name;
-             string_of_int (data / 1024);
-             string_of_int (meta / 1024);
-             Report.pct (float_of_int meta /. float_of_int (max 1 data));
-           ]);
-  report
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop: latency vs offered load                                   *)
-(* ------------------------------------------------------------------ *)
-
-let openloop_rates = function
-  | Quick -> [ 100.; 400.; 1600. ]
-  | Full -> [ 100.; 200.; 400.; 800.; 1600.; 3200. ]
-
-(** Latency vs offered load under open-loop injection ({!Openloop}):
-    the arrival rate is fixed per cell, so when a protocol saturates,
-    the cliff shows up as latency (and dropped arrivals) instead of the
-    closed-loop harness's silent self-throttling.  Self-tuning is off
-    for all protocols — the controller reacts to closed-loop client
-    pressure, which open-loop injection bypasses. *)
-let openloop_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
-  let report =
-    Report.create
-      ~title:
-        "Open-loop: latency vs offered load (Synth-A, Poisson arrivals, \
-         2000 clients/DC)"
-      ~headers:
+  Table
+    {
+      title = "Precise Clocks storage overhead (paper: ~9% on TPC-C/RUBiS)";
+      headers = [ "benchmark"; "data (KiB)"; "LastReader metadata (KiB)"; "overhead" ];
+      cells =
         [
-          "offered(tx/s/DC)"; "protocol"; "thr(tx/s)"; "dropped"; "abort";
-          "lat-p50(ms)"; "lat-mean(ms)"; "lat-p99(ms)";
-        ]
-  in
-  let timing = synth_timing scale in
-  Sweep.product (openloop_rates scale) protagonists
-  |> List.map (fun (rate, (pname, mk_config, _tune)) ->
-         Sweep.cell (int_of_float rate, pname) (fun () ->
-             Openloop.run
-               {
-                 Openloop.topology;
-                 replication_factor;
-                 config = mk_config ();
-                 workload =
-                   Workload.Synthetic.make ~params:Workload.Synthetic.synth_a
-                     (placement ());
-                 clients_per_dc;
-                 arrival = Workload.Arrival.poisson ~rate_per_dc:rate;
-                 warmup_us = timing.warmup_us;
-                 measure_us = timing.measure_us;
-                 seed = int_of_float rate + 61;
-                 jitter = 0.02;
-                 queue = `Heap;
-               }))
-  |> Sweep.run ~jobs
-  |> List.iter (fun ((rate, pname), r) ->
-         let arrivals = r.Openloop.admitted + r.Openloop.dropped in
-         Report.add_row report
-           [
-             string_of_int rate;
-             pname;
-             Report.f1 r.Openloop.throughput;
-             Report.pct
-               (float_of_int r.Openloop.dropped /. float_of_int (max 1 arrivals));
-             Report.pct r.Openloop.abort_rate;
-             Report.ms_of_us r.Openloop.final_latency.Metrics.p50_us;
-             Report.f1 (r.Openloop.final_latency.Metrics.mean_us /. 1000.);
-             Report.ms_of_us r.Openloop.final_latency.Metrics.p99_us;
-           ]);
-  report
-
-(* ------------------------------------------------------------------ *)
-(* Batching: batch window x offered load                                *)
-(* ------------------------------------------------------------------ *)
-
-let batch_windows = function Quick -> [ 0; 300 ] | Full -> [ 0; 100; 300; 1_000 ]
-let batch_rates = function Quick -> [ 400.; 1_600. ] | Full -> [ 200.; 800.; 1_600.; 3_200. ]
-
-(** Queue-oriented speculative batching: committed throughput and
-    latency as the coalescing window sweeps against offered load, under
-    open-loop injection on STR/Synth-A.  All cells (including window 0,
-    the unbatched baseline) charge the same per-wire-message dispatch
-    overhead [cost_msg], so the comparison isolates what coalescing
-    amortizes: at high offered load a window trades a bounded latency
-    hold for one dispatch header per flush instead of one per payload. *)
-let batch_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
-  let report =
-    Report.create
-      ~title:
-        "Batching: throughput vs batch window x offered load (STR, Synth-A, \
-         open loop, cost_msg=20us)"
-      ~headers:
-        [
-          "offered(tx/s/DC)"; "window(us)"; "thr(tx/s)"; "abort";
-          "lat-p50(ms)"; "lat-p99(ms)"; "batches"; "payload/flush";
-        ]
-  in
-  let timing = synth_timing scale in
-  Sweep.product (batch_rates scale) (batch_windows scale)
-  |> List.map (fun (rate, window) ->
-         Sweep.cell (int_of_float rate, window) (fun () ->
-             Openloop.run
-               {
-                 Openloop.topology;
-                 replication_factor;
-                 config =
-                   Core.Config.with_batching ~batch_window_us:window
-                     ~batch_max:16 ~cost_msg:20 (Core.Config.str ());
-                 workload =
-                   Workload.Synthetic.make ~params:Workload.Synthetic.synth_a
-                     (placement ());
-                 clients_per_dc;
-                 arrival = Workload.Arrival.poisson ~rate_per_dc:rate;
-                 warmup_us = timing.warmup_us;
-                 measure_us = timing.measure_us;
-                 seed = int_of_float rate + 61;
-                 jitter = 0.02;
-                 queue = `Heap;
-               }))
-  |> Sweep.run ~jobs
-  |> List.iter (fun ((rate, window), r) ->
-         Report.add_row report
-           [
-             string_of_int rate;
-             string_of_int window;
-             Report.f1 r.Openloop.throughput;
-             Report.pct r.Openloop.abort_rate;
-             Report.ms_of_us r.Openloop.final_latency.Metrics.p50_us;
-             Report.ms_of_us r.Openloop.final_latency.Metrics.p99_us;
-             string_of_int r.Openloop.batch_flushes;
-             (if r.Openloop.batch_flushes = 0 then "-"
-              else
-                Report.f1
-                  (float_of_int r.Openloop.batch_payloads
-                  /. float_of_int r.Openloop.batch_flushes));
-           ]);
-  report
-
-(* ------------------------------------------------------------------ *)
-(* Ablations (beyond the paper's artifacts)                             *)
-(* ------------------------------------------------------------------ *)
-
-(** Geo-scale ablation: STR's gain over ClockSI-Rep as the deployment
-    grows from 3 to the paper's 9 data centers (the paper evaluates "on
-    up to nine geo-distributed EC2 data centers"). *)
-let ablation_dcs ?(jobs = 1) ~scale () =
-  let report =
-    Report.create ~title:"Ablation: data-center count (Synth-A, 20 clients/node)"
-      ~headers:[ "DCs"; "rf"; "STR (tx/s)"; "ClockSI (tx/s)"; "speedup"; "STR lat-p50(ms)" ]
-  in
-  let dcs_list = match scale with Quick -> [ 3; 9 ] | Full -> [ 3; 5; 7; 9 ] in
-  let protocols = [ ("STR", fun () -> Core.Config.str ()); ("ClockSI", fun () -> Core.Config.clocksi_rep ()) ] in
-  let results =
-    Sweep.product dcs_list protocols
-    |> List.map (fun (dcs, (pname, mk_config)) ->
-           Sweep.cell (dcs, pname) (fun () ->
-               let topo = Dsim.Topology.ec2_prefix dcs in
-               let rf = min 6 dcs in
-               let pl = Store.Placement.ring ~n_nodes:dcs ~replication_factor:rf () in
-               let timing = synth_timing scale in
-               Runner.run
-                 {
-                   Runner.topology = topo;
-                   replication_factor = rf;
-                   config = mk_config ();
-                   workload =
-                     Workload.Synthetic.make ~params:Workload.Synthetic.synth_a pl;
-                   clients_per_node = 20;
-                   warmup_us = timing.warmup_us;
-                   measure_us = timing.measure_us;
-                   seed = dcs;
-                   jitter = 0.02;
-                   self_tune = `Off;
-                   fault_plan = [];
-                 }))
-    |> Sweep.run ~jobs
-  in
-  List.iter
-    (fun dcs ->
-      let str = Sweep.get results (dcs, "STR") in
-      let base = Sweep.get results (dcs, "ClockSI") in
-      Report.add_row report
-        [
-          string_of_int dcs;
-          string_of_int (min 6 dcs);
-          Report.f1 str.Runner.throughput;
-          Report.f1 base.Runner.throughput;
-          Report.f2 (str.Runner.throughput /. Float.max 0.001 base.Runner.throughput);
-          Report.ms_of_us str.Runner.final_latency.Metrics.p50_us;
-        ])
-    dcs_list;
-  report
-
-(** Replication-factor ablation: more slave replicas stretch the
-    certification (longer pre-commit locks), which is exactly where
-    speculative reads pay off. *)
-let ablation_rf ?(jobs = 1) ~scale () =
-  let report =
-    Report.create ~title:"Ablation: replication factor (Synth-A, 20 clients/node)"
-      ~headers:[ "rf"; "STR (tx/s)"; "ClockSI (tx/s)"; "speedup" ]
-  in
-  let rfs = match scale with Quick -> [ 2; 6 ] | Full -> [ 2; 3; 4; 6 ] in
-  let protocols = [ ("STR", fun () -> Core.Config.str ()); ("ClockSI", fun () -> Core.Config.clocksi_rep ()) ] in
-  let results =
-    Sweep.product rfs protocols
-    |> List.map (fun (rf, (pname, mk_config)) ->
-           Sweep.cell (rf, pname) (fun () ->
-               let pl = Store.Placement.ring ~n_nodes:9 ~replication_factor:rf () in
-               let timing = synth_timing scale in
-               Runner.run
-                 {
-                   Runner.topology;
-                   replication_factor = rf;
-                   config = mk_config ();
-                   workload =
-                     Workload.Synthetic.make ~params:Workload.Synthetic.synth_a pl;
-                   clients_per_node = 20;
-                   warmup_us = timing.warmup_us;
-                   measure_us = timing.measure_us;
-                   seed = rf;
-                   jitter = 0.02;
-                   self_tune = `Off;
-                   fault_plan = [];
-                 }))
-    |> Sweep.run ~jobs
-  in
-  List.iter
-    (fun rf ->
-      let str = Sweep.get results (rf, "STR") in
-      let base = Sweep.get results (rf, "ClockSI") in
-      Report.add_row report
-        [
-          string_of_int rf;
-          Report.f1 str.Runner.throughput;
-          Report.f1 base.Runner.throughput;
-          Report.f2 (str.Runner.throughput /. Float.max 0.001 base.Runner.throughput);
-        ])
-    rfs;
-  report
-
-(** Remote-access modeling ablation: reading the remote keys (instead of
-    blind-writing them) stretches the execution phase by WAN round
-    trips; see DESIGN.md §4b. *)
-let ablation_remote_reads ?(jobs = 1) ~scale () =
-  let report =
-    Report.create
-      ~title:"Ablation: remote keys blind-written vs read-modify-written (Synth-A)"
-      ~headers:[ "remote keys"; "protocol"; "thr(tx/s)"; "abort"; "lat-p50(ms)" ]
-  in
-  let protocols = [ ("STR", fun () -> Core.Config.str ()); ("ClockSI-Rep", fun () -> Core.Config.clocksi_rep ()) ] in
-  Sweep.product [ ("blind-write", false); ("read-modify-write", true) ] protocols
-  |> List.map (fun ((label, rr), (pname, mk_config)) ->
-         Sweep.cell (label, pname) (fun () ->
-             let params = { Workload.Synthetic.synth_a with read_remote_keys = rr } in
-             run_protocol ~timing:(synth_timing scale)
-               ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
-               ~clients:10 ~config:(mk_config ()) ~self_tune:false ~seed:3 ()))
-  |> Sweep.run ~jobs
-  |> List.iter (fun ((label, pname), r) ->
-         Report.add_row report
-           [
-             label;
-             pname;
-             Report.f1 r.Runner.throughput;
-             Report.pct r.Runner.abort_rate;
-             Report.ms_of_us r.Runner.final_latency.Metrics.p50_us;
-           ]);
-  report
-
-(** Future-work extension (§7): STR under Serializability (read
-    promotion) vs under SI.  TPC-C's update transactions write everything
-    they read, so promotion is a no-op there; this workload reads eight
-    keys from a shared hot range but updates only two, which is where
-    the stronger criterion starts charging: promoted reads certify (and
-    conflict) like writes. *)
-let ablation_serializability ?(jobs = 1) ~scale () =
-  let report =
-    Report.create
-      ~title:
-        "Extension: STR under SI vs Serializable (read promotion), read-heavy \
-         update workload"
-      ~headers:[ "isolation"; "clients"; "thr(tx/s)"; "abort"; "lat-p50(ms)" ]
-  in
-  let read_heavy placement =
-    let n_nodes = Store.Placement.n_nodes placement in
-    ignore n_nodes;
-    let next_program rng ~node =
-      (* 8 reads over a 64-key shared local range, 2 of them updated. *)
-      let picks =
-        List.init 8 (fun _ ->
-            Workload.Synthetic.local_key ~partition:node (Dsim.Rng.int rng 64))
-      in
-      let updates = List.filteri (fun i _ -> i < 2) picks in
-      {
-        Workload.Spec.label = "read-heavy";
-        read_only = false;
-        think_us = 0;
-        body =
-          (fun eng tx ->
-            List.iter (fun k -> ignore (Core.Engine.read eng tx k)) picks;
-            List.iter
-              (fun k ->
-                let v = Workload.Spec.read_int eng tx k in
-                Core.Engine.write eng tx k (Store.Keyspace.Value.Int (v + 1)))
-              updates);
-      }
-    in
-    { Workload.Spec.name = "read-heavy"; load = (fun _ -> ()); next_program }
-  in
-  let clients_list = match scale with Quick -> [ 10 ] | Full -> [ 5; 10; 20 ] in
-  let isolations =
-    [ ("SI (STR)", fun () -> Core.Config.str ()); ("Serializable (STR)", fun () -> Core.Config.str_serializable ()) ]
-  in
-  Sweep.product clients_list isolations
-  |> List.map (fun (clients, (name, mk_config)) ->
-         Sweep.cell (clients, name) (fun () ->
-             run_protocol ~timing:(synth_timing scale) ~workload_of:read_heavy ~clients
-               ~config:(mk_config ()) ~self_tune:false ~seed:(clients + 51) ()))
-  |> Sweep.run ~jobs
-  |> List.iter (fun ((clients, name), r) ->
-         Report.add_row report
-           [
-             name;
-             string_of_int clients;
-             Report.f1 r.Runner.throughput;
-             Report.pct r.Runner.abort_rate;
-             Report.ms_of_us r.Runner.final_latency.Metrics.p50_us;
-           ]);
-  report
+          cell "TPC-C" (fun _ ->
+              breakdown ~clients:60 (fst (Workload.Tpcc.make (placement ()))));
+          cell "RUBiS" (fun _ -> breakdown ~clients:120 (Workload.Rubis.make (placement ())));
+        ];
+      rows =
+        List.map (fun (name, (data, meta)) ->
+            [
+              name;
+              string_of_int (data / 1024);
+              string_of_int (meta / 1024);
+              Report.pct (float_of_int meta /. float_of_int (max 1 data));
+            ]);
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Region failure: goodput timeline through crash and recovery          *)
@@ -705,55 +368,33 @@ let ablation_serializability ?(jobs = 1) ~scale () =
     reacting to the failure.  Rows are bucket-major so the three
     protocols line up per time slice; [in-doubt] counts the prepares the
     recovery path resolved (commit/abort) so far. *)
-let region_failure ?(jobs = 1) ~scale () =
+let region_failure scale =
   let bucket_us = 500_000 in
-  let crash_at = 2_000_000 and recover_at = 4_000_000 in
   let n_buckets = match scale with Quick -> 12 | Full -> 16 in
   let victim = 3 in
-  let report =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "Region failure: DC %d crashes at 2.0s, recovers at 4.0s (Synth-A, 10 \
-            clients/node)"
-           victim)
-      ~headers:
-        [ "t(s)"; "protocol"; "goodput(tx/s)"; "ext-misspec"; "in-doubt(c/a)"; "DC3" ]
-  in
-  let run_cell mk_config () =
+  let run mk_config =
     let setup =
       {
-        Runner.topology;
-        replication_factor;
-        config = Core.Config.with_recovery (mk_config ());
-        workload =
-          Workload.Synthetic.make ~params:Workload.Synthetic.synth_a (placement ());
-        clients_per_node = 10;
-        warmup_us = 0;
-        measure_us = n_buckets * bucket_us;
-        seed = 11;
-        jitter = 0.02;
-        self_tune = `Off;
-        fault_plan = [ (crash_at, Dsim.Fault.Crash victim); (recover_at, Dsim.Fault.Recover victim) ];
+        (closed
+           ~timing:{ warmup_us = 0; measure_us = n_buckets * bucket_us; tuner_window_us = 0 }
+           ~clients:10 ~seed:11
+           (Core.Config.with_recovery (mk_config ()))
+           (synth Workload.Synthetic.synth_a))
+        with
+        fault_plan =
+          [ (2_000_000, Dsim.Fault.Crash victim); (4_000_000, Dsim.Fault.Recover victim) ];
       }
     in
     let sim, _net, _pl, eng, rng = Runner.build_cluster setup in
     setup.Runner.workload.Workload.Spec.load eng;
-    let stop_at = n_buckets * bucket_us in
-    let shared = Client.make_shared ~measure_from:0 ~measure_to:stop_at in
-    for node = 0 to Core.Engine.n_nodes eng - 1 do
-      for _ = 1 to setup.Runner.clients_per_node do
-        let crng = Dsim.Rng.split rng in
-        Client.spawn eng setup.Runner.workload ~node ~rng:crng ~shared ~stop_at
-          ~start_delay:(Dsim.Rng.int crng 200_000)
-      done
-    done;
+    ignore (Runner.spawn_clients setup ~eng ~rng);
     let fault = Dsim.Fault.create ~n:(Core.Engine.n_nodes eng) () in
     Core.Engine.install_fault eng fault;
     Dsim.Fault.install fault ~sim setup.Runner.fault_plan;
     (* The timeline is an ordinary {!Obs.Timeseries} sampled in-run —
        the commits column is cumulative ([delta] recovers per-bucket
        goodput), the [alive] column is a 0/1 gauge on the victim. *)
+    let stop_at = setup.Runner.measure_us in
     let ts =
       Runner.install_sampler ~sim ~interval_us:bucket_us ~until:stop_at
         ~cols:[ "commits"; "ext_misspec"; "in_doubt_commits"; "in_doubt_aborts"; "alive" ]
@@ -770,59 +411,332 @@ let region_failure ?(jobs = 1) ~scale () =
     ignore (Dsim.Sim.run ~until:stop_at sim);
     ts
   in
-  let results =
-    protagonists
-    |> List.map (fun (pname, mk_config, _tune) -> Sweep.cell pname (run_cell mk_config))
-    |> Sweep.run ~jobs
-  in
-  let goodputs =
-    List.map
-      (fun (pname, _, _) ->
-        (pname, Obs.Timeseries.delta (Sweep.get results pname) ~col:0))
-      protagonists
-  in
-  for b = 0 to n_buckets - 1 do
-    List.iter
-      (fun (pname, _, _) ->
-        let ts = Sweep.get results pname in
-        Report.add_row report
-          [
-            Report.f1 (float_of_int (Obs.Timeseries.time ts b) /. 1_000_000.);
-            pname;
-            Report.f1
-              (float_of_int (List.assoc pname goodputs).(b)
-              /. (float_of_int bucket_us /. 1_000_000.));
-            string_of_int (Obs.Timeseries.value ts ~row:b ~col:1);
-            Printf.sprintf "%d/%d"
-              (Obs.Timeseries.value ts ~row:b ~col:2)
-              (Obs.Timeseries.value ts ~row:b ~col:3);
-            (if Obs.Timeseries.value ts ~row:b ~col:4 = 1 then "up" else "DOWN");
-          ])
-      protagonists
-  done;
-  report
+  Table
+    {
+      title =
+        Printf.sprintf
+          "Region failure: DC %d crashes at 2.0s, recovers at 4.0s (Synth-A, 10 \
+           clients/node)"
+          victim;
+      headers = [ "t(s)"; "protocol"; "goodput(tx/s)"; "ext-misspec"; "in-doubt(c/a)"; "DC3" ];
+      cells =
+        List.map (fun (pname, mk_config, _tune) -> cell pname (fun _ -> run mk_config))
+          protagonists;
+      rows =
+        (fun results ->
+          let series =
+            List.map (fun (pname, ts) -> (pname, ts, Obs.Timeseries.delta ts ~col:0)) results
+          in
+          List.init n_buckets (fun b ->
+              List.map
+                (fun (pname, ts, goodput) ->
+                  [
+                    Report.f1 (float_of_int (Obs.Timeseries.time ts b) /. 1_000_000.);
+                    pname;
+                    Report.f1
+                      (float_of_int goodput.(b) /. (float_of_int bucket_us /. 1_000_000.));
+                    string_of_int (Obs.Timeseries.value ts ~row:b ~col:1);
+                    Printf.sprintf "%d/%d"
+                      (Obs.Timeseries.value ts ~row:b ~col:2)
+                      (Obs.Timeseries.value ts ~row:b ~col:3);
+                    (if Obs.Timeseries.value ts ~row:b ~col:4 = 1 then "up" else "DOWN");
+                  ])
+                series)
+          |> List.concat);
+    }
 
-let ablations ?(jobs = 1) ~scale () =
+(* ------------------------------------------------------------------ *)
+(* Open-loop: latency vs offered load                                   *)
+(* ------------------------------------------------------------------ *)
+
+let openloop_rates = function
+  | Quick -> [ 100.; 400.; 1600. ]
+  | Full -> [ 100.; 200.; 400.; 800.; 1600.; 3200. ]
+
+(** Latency vs offered load under open-loop injection ({!Openloop}):
+    the arrival rate is fixed per cell, so when a protocol saturates,
+    the cliff shows up as latency (and dropped arrivals) instead of the
+    closed-loop harness's silent self-throttling.  Self-tuning is off
+    for all protocols — the controller reacts to closed-loop client
+    pressure, which open-loop injection bypasses. *)
+let openloop_load scale =
+  Table
+    {
+      title =
+        "Open-loop: latency vs offered load (Synth-A, Poisson arrivals, 2000 \
+         clients/DC)";
+      headers =
+        [
+          "offered(tx/s/DC)"; "protocol"; "thr(tx/s)"; "dropped"; "abort";
+          "lat-p50(ms)"; "lat-mean(ms)"; "lat-p99(ms)";
+        ];
+      cells =
+        Sweep.product (openloop_rates scale) protagonists
+        |> List.map (fun (rate, (pname, mk_config, _tune)) ->
+               cell (int_of_float rate, pname) (fun _ ->
+                   Openloop.run (open_loop ~scale ~rate (mk_config ()))));
+      rows =
+        List.map (fun ((rate, pname), r) ->
+            let arrivals = r.Openloop.admitted + r.Openloop.dropped in
+            [
+              string_of_int rate;
+              pname;
+              Report.f1 r.Openloop.throughput;
+              Report.pct (float_of_int r.Openloop.dropped /. float_of_int (max 1 arrivals));
+              Report.pct r.Openloop.abort_rate;
+              Report.ms_of_us r.Openloop.final_latency.Metrics.p50_us;
+              Report.f1 (r.Openloop.final_latency.Metrics.mean_us /. 1000.);
+              Report.ms_of_us r.Openloop.final_latency.Metrics.p99_us;
+            ]);
+    }
+
+(* ------------------------------------------------------------------ *)
+(* Batching: batch window x offered load                                *)
+(* ------------------------------------------------------------------ *)
+
+let batch_windows = function Quick -> [ 0; 300 ] | Full -> [ 0; 100; 300; 1_000 ]
+let batch_rates = function Quick -> [ 400.; 1_600. ] | Full -> [ 200.; 800.; 1_600.; 3_200. ]
+
+(** Queue-oriented speculative batching: committed throughput and
+    latency as the coalescing window sweeps against offered load, under
+    open-loop injection on STR/Synth-A.  All cells (including window 0,
+    the unbatched baseline) charge the same per-wire-message dispatch
+    overhead [cost_msg], so the comparison isolates what coalescing
+    amortizes: at high offered load a window trades a bounded latency
+    hold for one dispatch header per flush instead of one per payload. *)
+let batch_load scale =
+  Table
+    {
+      title =
+        "Batching: throughput vs batch window x offered load (STR, Synth-A, open \
+         loop, cost_msg=20us)";
+      headers =
+        [
+          "offered(tx/s/DC)"; "window(us)"; "thr(tx/s)"; "abort"; "lat-p50(ms)";
+          "lat-p99(ms)"; "batches"; "payload/flush";
+        ];
+      cells =
+        Sweep.product (batch_rates scale) (batch_windows scale)
+        |> List.map (fun (rate, window) ->
+               cell (int_of_float rate, window) (fun _ ->
+                   Openloop.run
+                     (open_loop ~scale ~rate
+                        (Core.Config.with_batching ~batch_window_us:window ~batch_max:16
+                           ~cost_msg:20 (Core.Config.str ())))));
+      rows =
+        List.map (fun ((rate, window), r) ->
+            [
+              string_of_int rate;
+              string_of_int window;
+              Report.f1 r.Openloop.throughput;
+              Report.pct r.Openloop.abort_rate;
+              Report.ms_of_us r.Openloop.final_latency.Metrics.p50_us;
+              Report.ms_of_us r.Openloop.final_latency.Metrics.p99_us;
+              string_of_int r.Openloop.batch_flushes;
+              (if r.Openloop.batch_flushes = 0 then "-"
+               else
+                 Report.f1
+                   (float_of_int r.Openloop.batch_payloads
+                   /. float_of_int r.Openloop.batch_flushes));
+            ]);
+    }
+
+(* ------------------------------------------------------------------ *)
+(* Ablations (beyond the paper's artifacts)                             *)
+(* ------------------------------------------------------------------ *)
+
+let str_vs_clocksi =
   [
-    ablation_dcs ~jobs ~scale ();
-    ablation_rf ~jobs ~scale ();
-    ablation_remote_reads ~jobs ~scale ();
-    ablation_serializability ~jobs ~scale ();
+    ("STR", fun () -> Core.Config.str ());
+    ("ClockSI-Rep", fun () -> Core.Config.clocksi_rep ());
   ]
 
-let all ?(jobs = 1) ~scale () =
+(* STR against ClockSI-Rep on Synth-A at 20 clients/node, at each point
+   of one deployment parameter: [deployment p] gives the topology and
+   replication factor of point [p], which also seeds the run.  [row]
+   renders a point from the STR run and the compared columns. *)
+let deployment_table ~title ~headers ~points ~deployment ~row scale =
+  let run p config =
+    let topology, replication_factor = deployment p in
+    let placement =
+      Store.Placement.ring ~n_nodes:(Dsim.Topology.size topology) ~replication_factor ()
+    in
+    Runner.run
+      {
+        (closed ~timing:(synth_timing scale) ~clients:20 ~seed:p config
+           (Workload.Synthetic.make ~params:Workload.Synthetic.synth_a placement))
+        with
+        topology;
+        replication_factor;
+      }
+  in
+  Table
+    {
+      title;
+      headers;
+      cells =
+        Sweep.product points str_vs_clocksi
+        |> List.map (fun (p, (pname, mk_config)) ->
+               cell (p, pname) (fun _ -> run p (mk_config ())));
+      rows =
+        (fun results ->
+          List.map
+            (fun p ->
+              let str = Sweep.get results (p, "STR")
+              and base = Sweep.get results (p, "ClockSI-Rep") in
+              row p str
+                [
+                  Report.f1 str.Runner.throughput;
+                  Report.f1 base.Runner.throughput;
+                  Report.f2 (str.Runner.throughput /. Float.max 0.001 base.Runner.throughput);
+                ])
+            points);
+    }
+
+(** Geo-scale ablation: STR's gain over ClockSI-Rep as the deployment
+    grows from 3 to the paper's 9 data centers (the paper evaluates "on
+    up to nine geo-distributed EC2 data centers"). *)
+let ablation_dcs scale =
+  deployment_table ~title:"Ablation: data-center count (Synth-A, 20 clients/node)"
+    ~headers:[ "DCs"; "rf"; "STR (tx/s)"; "ClockSI (tx/s)"; "speedup"; "STR lat-p50(ms)" ]
+    ~points:(match scale with Quick -> [ 3; 9 ] | Full -> [ 3; 5; 7; 9 ])
+    ~deployment:(fun dcs -> (Dsim.Topology.ec2_prefix dcs, min 6 dcs))
+    ~row:(fun dcs str compared ->
+      (string_of_int dcs :: string_of_int (min 6 dcs) :: compared)
+      @ [ Report.ms_of_us str.Runner.final_latency.Metrics.p50_us ])
+    scale
+
+(** Replication-factor ablation: more slave replicas stretch the
+    certification (longer pre-commit locks), which is exactly where
+    speculative reads pay off. *)
+let ablation_rf scale =
+  deployment_table ~title:"Ablation: replication factor (Synth-A, 20 clients/node)"
+    ~headers:[ "rf"; "STR (tx/s)"; "ClockSI (tx/s)"; "speedup" ]
+    ~points:(match scale with Quick -> [ 2; 6 ] | Full -> [ 2; 3; 4; 6 ])
+    ~deployment:(fun rf -> (topology, rf))
+    ~row:(fun rf _ compared -> string_of_int rf :: compared)
+    scale
+
+(* Rows of the two ablations below: one per cell, the cell's two key
+   labels first. *)
+let labelled_row ((a, b), r) =
   [
-    fig3 ~jobs ~scale `A;
-    fig3 ~jobs ~scale `B;
-    fig4 ~jobs ~scale ();
-    table1 ~jobs ~scale ();
-    fig5 ~jobs ~scale `A;
-    fig5 ~jobs ~scale `B;
-    fig5 ~jobs ~scale `C;
-    fig6 ~jobs ~scale ();
-    storage ~jobs ~scale ();
-    region_failure ~jobs ~scale ();
-    openloop_load ~jobs ~scale ();
-    batch_load ~jobs ~scale ();
+    a;
+    b;
+    Report.f1 r.Runner.throughput;
+    Report.pct r.Runner.abort_rate;
+    Report.ms_of_us r.Runner.final_latency.Metrics.p50_us;
   ]
-  @ ablations ~jobs ~scale ()
+
+(** Remote-access modeling ablation: reading the remote keys (instead of
+    blind-writing them) stretches the execution phase by WAN round
+    trips; see DESIGN.md §4b. *)
+let ablation_remote_reads scale =
+  Table
+    {
+      title = "Ablation: remote keys blind-written vs read-modify-written (Synth-A)";
+      headers = [ "remote keys"; "protocol"; "thr(tx/s)"; "abort"; "lat-p50(ms)" ];
+      cells =
+        Sweep.product [ ("blind-write", false); ("read-modify-write", true) ] str_vs_clocksi
+        |> List.map (fun ((label, rr), (pname, mk_config)) ->
+               cell (label, pname) (fun _ ->
+                   Runner.run
+                     (closed ~timing:(synth_timing scale) ~clients:10 ~seed:3 (mk_config ())
+                        (synth
+                           { Workload.Synthetic.synth_a with read_remote_keys = rr }))));
+      rows = List.map labelled_row;
+    }
+
+(* 8 reads over a 64-key shared local range, 2 of them updated. *)
+let read_heavy () =
+  let next_program rng ~node =
+    let picks =
+      List.init 8 (fun _ ->
+          Workload.Synthetic.local_key ~partition:node (Dsim.Rng.int rng 64))
+    in
+    let updates = List.filteri (fun i _ -> i < 2) picks in
+    {
+      Workload.Spec.label = "read-heavy";
+      read_only = false;
+      think_us = 0;
+      body =
+        (fun eng tx ->
+          List.iter (fun k -> ignore (Core.Engine.read eng tx k)) picks;
+          List.iter
+            (fun k ->
+              let v = Workload.Spec.read_int eng tx k in
+              Core.Engine.write eng tx k (Store.Keyspace.Value.Int (v + 1)))
+            updates);
+    }
+  in
+  { Workload.Spec.name = "read-heavy"; load = (fun _ -> ()); next_program }
+
+(** Future-work extension (§7): STR under Serializability (read
+    promotion) vs under SI.  TPC-C's update transactions write everything
+    they read, so promotion is a no-op there; this workload reads eight
+    keys from a shared hot range but updates only two, which is where
+    the stronger criterion starts charging: promoted reads certify (and
+    conflict) like writes. *)
+let ablation_serializability scale =
+  let clients_list = match scale with Quick -> [ 10 ] | Full -> [ 5; 10; 20 ] in
+  let isolations =
+    [
+      ("SI (STR)", fun () -> Core.Config.str ());
+      ("Serializable (STR)", fun () -> Core.Config.str_serializable ());
+    ]
+  in
+  Table
+    {
+      title =
+        "Extension: STR under SI vs Serializable (read promotion), read-heavy update \
+         workload";
+      headers = [ "isolation"; "clients"; "thr(tx/s)"; "abort"; "lat-p50(ms)" ];
+      cells =
+        Sweep.product clients_list isolations
+        |> List.map (fun (clients, (name, mk_config)) ->
+               cell (name, string_of_int clients) (fun _ ->
+                   Runner.run
+                     (closed ~timing:(synth_timing scale) ~clients ~seed:(clients + 51)
+                        (mk_config ()) (read_heavy ()))));
+      rows = List.map labelled_row;
+    }
+
+(* ------------------------------------------------------------------ *)
+(* The registry                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type experiment = {
+  name : string;
+  doc : string;
+  traced : bool;
+  tables : (scale -> table) list;
+}
+
+let run ?jobs ?tracer ~scale e =
+  List.map (fun table -> sweep ?jobs ?tracer (table scale)) e.tables
+
+let registry =
+  let e ?(traced = false) name doc tables = { name; doc; traced; tables } in
+  let each =
+    [
+      e ~traced:true "fig3a" "Figure 3(a): Synth-A" [ fig3 `A ];
+      e ~traced:true "fig3b" "Figure 3(b): Synth-B" [ fig3 `B ];
+      e ~traced:true "fig4" "Figure 4: self-tuning" [ fig4 ];
+      e ~traced:true "table1" "Table 1: Precise Clocks ablation" [ table1 ];
+      e ~traced:true "fig5a" "Figure 5: TPC-C mix A" [ fig5 `A ];
+      e ~traced:true "fig5b" "Figure 5: TPC-C mix B" [ fig5 `B ];
+      e ~traced:true "fig5c" "Figure 5: TPC-C mix C" [ fig5 `C ];
+      e ~traced:true "fig6" "Figure 6: RUBiS" [ fig6 ];
+      e "storage" "Precise Clocks storage overhead" [ storage ];
+      e "failover"
+        "Region failure: goodput and externalized misspeculation through a DC crash \
+         and recovery"
+        [ region_failure ];
+      e "openloop" "Open-loop latency vs offered load (STR vs baselines)" [ openloop_load ];
+      e "batchfig" "Queue-oriented batching: throughput vs batch window x offered load"
+        [ batch_load ];
+      e "ablations" "Extra ablations (DC count, replication factor, remote reads)"
+        [ ablation_dcs; ablation_rf; ablation_remote_reads; ablation_serializability ];
+    ]
+  in
+  each @ [ e "all" "All tables and figures" (List.concat_map (fun x -> x.tables) each) ]

@@ -1,10 +1,12 @@
 (** Reproduction of every table and figure of the paper's evaluation
-    (§6), plus ablations.  Each function enumerates the parameter sweep
-    as a grid of independent simulation cells, executes them via
-    {!Sweep} — inline when [jobs] is 1 (the default), on [jobs] worker
-    processes otherwise — and renders the same rows/series the
-    paper plots.  Results are assembled in grid-key order: the rendered
-    report is byte-identical whatever [jobs] is. *)
+    (§6), plus extensions and ablations, as data: a {!registry} of named
+    experiments, each a list of {!table}s.  A table is a grid of
+    independent simulation cells and one function from the swept
+    [(key, result)] list to rows; {!sweep} runs the cells via {!Sweep}
+    — inline when [jobs] is 1 (the default), on [jobs] worker processes
+    otherwise — and renders the rows.  Results are assembled in
+    grid-key order: the rendered report is byte-identical whatever
+    [jobs] is.  [str_sim <name>] prints an experiment's tables. *)
 
 type scale = Quick | Full
 
@@ -12,64 +14,35 @@ type scale = Quick | Full
     the bench suite). *)
 val table1_base : Workload.Synthetic.params
 
-(** The sweeps below accept an optional [tracer] ({!Tracing.t}): each
-    grid cell whose name passes the tracer's filter records the full
-    span/counter trace of its run.  Cells register with the tracer at
-    construction time, in the parent process, so the exported trace bytes
-    are identical whatever [jobs] is.  Cell names: Figs. 3, 5, 6 use
-    ["clients=%d/protocol=%s"], Fig. 4 ["workload=%s/clients=%d/variant=%s"],
-    Table 1 ["keys=%d/technique=%s"]. *)
+(** One report: its title and headers, its cells, its rows. *)
+type table
 
-(** Figure 3: synthetic workloads, STR vs ClockSI-Rep vs Ext-Spec. *)
-val fig3 : ?jobs:int -> ?tracer:Tracing.t -> scale:scale -> [ `A | `B ] -> Report.t
+(** Run a table's cells and render its report.  With a [tracer]
+    ({!Tracing.t}), each traced cell whose name passes the tracer's
+    filter records the full span/counter trace of its run.  Cells
+    register with the tracer here, in the parent process, so the
+    exported trace bytes are identical whatever [jobs] is.  Traced cell
+    names: Figs. 3, 5, 6 use ["clients=%d/protocol=%s"], Fig. 4
+    ["workload=%s/clients=%d/variant=%s"], Table 1
+    ["keys=%d/technique=%s"]; the other tables trace nothing. *)
+val sweep : ?jobs:int -> ?tracer:Tracing.t -> table -> Report.t
 
-(** Figure 4: static SR on/off vs self-tuning, normalized throughput. *)
-val fig4 : ?jobs:int -> ?tracer:Tracing.t -> scale:scale -> unit -> Report.t
+type experiment = {
+  name : string;  (** the [str_sim] subcommand *)
+  doc : string;
+  traced : bool;  (** its cells are named for a tracer *)
+  tables : (scale -> table) list;
+}
 
-(** Table 1: Physical/Precise clocks x speculative reads, varying
-    transaction size. *)
-val table1 : ?jobs:int -> ?tracer:Tracing.t -> scale:scale -> unit -> Report.t
+(** In subcommand order: Figs. 3(a), 3(b), 4, Table 1, Figs. 5(a-c) and
+    6, the storage overhead, the region-failure timeline, open-loop
+    latency vs offered load, batching, the ablations, and last ["all"],
+    every table above in that order. *)
+val registry : experiment list
 
-(** Figure 5: the three TPC-C mixes. *)
-val fig5 : ?jobs:int -> ?tracer:Tracing.t -> scale:scale -> [ `A | `B | `C ] -> Report.t
+(** {!sweep} over the experiment's tables at [scale]. *)
+val run : ?jobs:int -> ?tracer:Tracing.t -> scale:scale -> experiment -> Report.t list
 
-(** Figure 6: RUBiS. *)
-val fig6 : ?jobs:int -> ?tracer:Tracing.t -> scale:scale -> unit -> Report.t
-
-(** §6.1 Precise Clocks storage overhead. *)
-val storage : ?jobs:int -> scale:scale -> unit -> Report.t
-
-(** Region failure (§5.6): goodput and externalized-misspeculation
-    timeline while one DC crash-stops at 2.0s and recovers at 4.0s, for
-    all three protagonists under the atomic-commitment recovery
-    protocol ({!Core.Config.with_recovery}).  Bucket-major rows (500ms
-    buckets), byte-identical whatever [jobs] is. *)
-val region_failure : ?jobs:int -> scale:scale -> unit -> Report.t
-
-(** {1 Ablations and extensions beyond the paper's artifacts} *)
-
-(** Open-loop latency vs offered load (STR vs the baselines): Poisson
-    arrivals at a fixed per-DC rate through {!Openloop}, so saturation
-    shows up as a latency cliff and dropped arrivals instead of
-    closed-loop self-throttling.  [clients_per_dc] bounds concurrency
-    per DC (default 2000). *)
-val openloop_load :
-  ?jobs:int -> ?clients_per_dc:int -> scale:scale -> unit -> Report.t
-
-(** Queue-oriented speculative batching: committed throughput and
-    latency as the coalescing window ([Config.batch_window_us]) sweeps
-    against offered load, open-loop STR/Synth-A.  Every cell — window 0
-    included — charges the same per-wire-message dispatch overhead, so
-    the columns isolate what coalescing amortizes. *)
-val batch_load :
-  ?jobs:int -> ?clients_per_dc:int -> scale:scale -> unit -> Report.t
-
-val ablation_dcs : ?jobs:int -> scale:scale -> unit -> Report.t
-val ablation_rf : ?jobs:int -> scale:scale -> unit -> Report.t
-val ablation_remote_reads : ?jobs:int -> scale:scale -> unit -> Report.t
-val ablation_serializability : ?jobs:int -> scale:scale -> unit -> Report.t
-val ablations : ?jobs:int -> scale:scale -> unit -> Report.t list
-
-(** Everything: the paper's nine artifacts, the region-failure
-    timeline, {!openloop_load} and {!batch_load}, then the ablations. *)
-val all : ?jobs:int -> scale:scale -> unit -> Report.t list
+(** The smallest table, for smoke tests: STR under SI vs Serializable
+    on a read-heavy update workload. *)
+val ablation_serializability : scale -> table

@@ -236,6 +236,20 @@ let seal_trace ?fault ?timeseries tr ~sim ~net ~eng ~topology ~committed =
     Option.iter (Obs.Trace.set_timeseries tr) timeseries
   end
 
+let spawn_clients setup ~eng ~rng =
+  let measure_to = setup.warmup_us + setup.measure_us in
+  let shared = Client.make_shared ~measure_from:setup.warmup_us ~measure_to in
+  for node = 0 to Core.Engine.n_nodes eng - 1 do
+    for _ = 1 to setup.clients_per_node do
+      let crng = Dsim.Rng.split rng in
+      (* Stagger start-up across the first 200ms. *)
+      let start_delay = Dsim.Rng.int crng 200_000 in
+      Client.spawn eng setup.workload ~node ~rng:crng ~shared ~stop_at:measure_to
+        ~start_delay
+    done
+  done;
+  shared
+
 (** Run the experiment.  [observer] optionally receives every engine
     event (e.g. to feed the SPSI checker in tests); [trace] attaches a
     span recorder to the whole cluster. *)
@@ -251,17 +265,7 @@ let run ?observer ?trace ?timeseries_us setup =
   let measure_from = setup.warmup_us in
   let measure_to = setup.warmup_us + setup.measure_us in
   let tseries = standard_series ?timeseries_us ~sim ~net ~eng ~until:measure_to () in
-  let shared = Client.make_shared ~measure_from ~measure_to in
-  let n = Core.Engine.n_nodes eng in
-  for node = 0 to n - 1 do
-    for _ = 1 to setup.clients_per_node do
-      let crng = Dsim.Rng.split rng in
-      (* Stagger start-up across the first 200ms. *)
-      let start_delay = Dsim.Rng.int crng 200_000 in
-      Client.spawn eng setup.workload ~node ~rng:crng ~shared ~stop_at:measure_to
-        ~start_delay
-    done
-  done;
+  let shared = spawn_clients setup ~eng ~rng in
   let tuner =
     match setup.self_tune with
     | `Off -> None

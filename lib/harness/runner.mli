@@ -47,6 +47,13 @@ val build_cluster :
   setup ->
   Dsim.Sim.t * Dsim.Network.t * Store.Placement.t * Core.Engine.t * Dsim.Rng.t
 
+(** Attach [clients_per_node] closed-loop clients to every node of a
+    cluster built with {!build_cluster}, each on its own split of [rng]
+    and staggered across the first 200 ms.  They stop at the end of the
+    measurement window and record latency inside it, into the returned
+    record. *)
+val spawn_clients : setup -> eng:Core.Engine.t -> rng:Dsim.Rng.t -> Client.shared
+
 (** {1 Building blocks shared with {!Openloop}} *)
 
 (** @raise Invalid_argument, prefixed with [who] and naming the field,

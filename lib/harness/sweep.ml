@@ -4,8 +4,6 @@ type ('k, 'r) cell = { key : 'k; trace : Obs.Trace.t option; thunk : unit -> 'r 
 
 let cell ?trace key thunk = { key; trace; thunk }
 
-let keys cells = List.map (fun c -> c.key) cells
-
 let run ?(jobs = 1) cells =
   (* A worker's recorder is a copy of the parent's, so it travels back
      with the result.  Inline, the two are the same recorder and the
@@ -30,6 +28,3 @@ let get results key =
     | None -> invalid_arg "Sweep.get: key absent from sweep results")
 
 let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
-let product3 xs ys zs =
-  List.concat_map (fun x -> List.concat_map (fun y -> List.map (fun z -> (x, y, z)) zs) ys) xs

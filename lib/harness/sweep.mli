@@ -20,8 +20,6 @@ val cell : ?trace:Obs.Trace.t -> 'k -> (unit -> 'r) -> ('k, 'r) cell
     own copy, so {!run} ships that copy back and {!Obs.Trace.adopt}s it
     into [trace]. *)
 
-val keys : ('k, 'r) cell list -> 'k list
-
 val run : ?jobs:int -> ('k, 'r) cell list -> ('k * 'r) list
 (** Execute every cell on [jobs] worker processes (default [1]: inline,
     no fork) and pair results with their grid keys, in the order the
@@ -38,5 +36,3 @@ val get : ('k * 'r) list -> 'k -> 'r
 val product : 'a list -> 'b list -> ('a * 'b) list
 (** Row-major: [product [x1; x2] [y1; y2]] is
     [[(x1,y1); (x1,y2); (x2,y1); (x2,y2)]]. *)
-
-val product3 : 'a list -> 'b list -> 'c list -> ('a * 'b * 'c) list

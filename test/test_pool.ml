@@ -149,13 +149,12 @@ let test_sweep_parallel_deterministic () =
   let parallel = mini_sweep_report ~jobs:4 in
   Alcotest.(check string) "jobs=1 and jobs=4 render byte-identical" sequential parallel
 
-(* The `make tables-quick JOBS=n` path end to end on a real (small)
-   experiment grid: parallel execution must produce a complete,
-   well-formed report. *)
+(* The `str_sim all -j n` path (`make tables-quick JOBS=n`) end to end
+   on a real (small) experiment grid: parallel execution must produce a
+   complete, well-formed report. *)
 let test_experiments_jobs_smoke () =
   let r =
-    Harness.Experiments.ablation_serializability ~jobs:2
-      ~scale:Harness.Experiments.Quick ()
+    Harness.Experiments.(sweep ~jobs:2 (ablation_serializability Quick))
   in
   let rows = Harness.Report.rows r in
   Alcotest.(check int) "one row per grid cell" 2 (List.length rows);
