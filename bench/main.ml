@@ -95,27 +95,28 @@ let micro_tests =
      prune.  This is the per-prepare cost profile of the simulator's
      innermost loop. *)
   let chain_bench () =
-    let c = Store.Chain.create () in
+    let c = ref (Store.Chain.create ()) in
     let acc = ref 0 in
     for i = 1 to 200 do
-      (match Store.Chain.latest_before c ~rs:max_int with
+      (match Store.Chain.latest_before !c ~rs:max_int with
        | Some v -> acc := !acc + v.Store.Version.ts
        | None -> ());
-      Store.Chain.insert c
-        (Store.Version.make
-           ~writer:(Store.Txid.make ~origin:0 ~number:i)
-           ~state:Store.Version.Committed ~ts:(i * 3)
-           ~value:(Store.Keyspace.Value.Int i));
-      (match Store.Chain.latest_before c ~rs:(i * 3 / 2) with
+      c :=
+        Store.Chain.insert !c
+          (Store.Version.make
+             ~writer:(Store.Txid.make ~origin:0 ~number:i)
+             ~state:Store.Version.Committed ~ts:(i * 3)
+             ~value:(Store.Keyspace.Value.Int i));
+      (match Store.Chain.latest_before !c ~rs:(i * 3 / 2) with
        | Some v -> acc := !acc + v.Store.Version.ts
        | None -> ())
     done;
-    (match Store.Chain.newest c with
+    (match Store.Chain.newest !c with
      | Some v ->
        v.Store.Version.ts <- 601;
-       Store.Chain.reposition c v
+       Store.Chain.reposition !c v
      | None -> ());
-    acc := !acc + Store.Chain.prune c ~horizon:300;
+    acc := !acc + Store.Chain.prune !c ~horizon:300;
     Sys.opaque_identity !acc
   in
   let rng_bench () =

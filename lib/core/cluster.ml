@@ -310,16 +310,19 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
         })
   in
   for p = 0 to Placement.n_partitions placement - 1 do
+    let replicas = Placement.replicas placement p in
     let dataset = Mvstore.create_dataset () in
-    Array.iter
-      (fun r ->
+    let directory = Mvstore.create_directory ~slots:(Array.length replicas) in
+    Array.iteri
+      (fun slot r ->
         let nd = nodes.(r) in
         nd.servers.(p) <-
           Some
             (Partition_server.create ~sim ~clock:nd.clock ~cpu:nd.cpu ~config
-               ~node_id:r ~partition:p ~stats:nd.stats ~dataset ~trace
-               ~pid:(node_pid r) ()))
-      (Placement.replicas placement p)
+               ~node_id:r ~partition:p ~stats:nd.stats
+               ~store:(Mvstore.create ~dataset ~directory ~slot ())
+               ~trace ~pid:(node_pid r) ()))
+      replicas
   done;
   let nearest =
     Array.init n (fun src ->

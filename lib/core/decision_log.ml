@@ -25,16 +25,21 @@ open Link
      replicas, blocking (the classic 2PC window) only while neither the
      coordinator nor decisive peer evidence is reachable. *)
 
-(* [txid]'s committed version of [key] at [ct] held by a replica of [p]
-   other than [n], if any: committed versions are immutable, so a
-   resolution at [n] installs the same value the other replicas hold. *)
-let peer_version eng ~node:n ~partition:p txid ~ct key =
+(* [txid]'s committed version at [ct] of the key of directory entry [e]
+   held by a replica of [p] other than [n], if any: committed versions
+   are immutable, so a resolution at [n] installs the same value the
+   other replicas hold.  The replicas share the directory, so [e] holds
+   every sibling's chain.  A sibling that never wrote the key holds at
+   most its loaded version, which no transaction wrote. *)
+let peer_version eng ~node:n ~partition:p txid ~ct e =
   Array.find_map
     (fun r ->
       if r = n then None
       else
         match
-          Mvstore.find_version (Partition_server.store (server eng ~node:r ~partition:p)) key txid
+          Chain.find_writer
+            (Mvstore.chain (Partition_server.store (server eng ~node:r ~partition:p)) e)
+            txid
         with
         | Some (v : Version.t) when Version.is_committed v && v.ts = ct -> Some v
         | Some _ | None -> None)

@@ -32,10 +32,11 @@ type t = {
   tid : int;  (** trace thread id of this replica *)
   holds : int Txid.Tbl.t;
       (** open lock-hold span per pending transaction (tracing only) *)
-  pending : Chain.t array Txid.Tbl.t;
-      (** per tx, the chains of the keys this replica holds uncommitted,
-          in write-set order: the handles its decision is applied
-          through (a chain is never removed from its store) *)
+  pending : Mvstore.entry array Txid.Tbl.t;
+      (** per tx, the directory entries of the keys this replica holds
+          uncommitted, in write-set order: the handles its decision is
+          applied through (an entry is never removed from its
+          directory) *)
   tombstones : unit Txid.Tbl.t;
       (** aborts that arrived before the corresponding replicate (an
           abort from the coordinator can race a prepare forwarded by the
@@ -64,7 +65,7 @@ type t = {
 let max_tombstones = 8192
 
 let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?stats
-    ?dataset ?trace ?(pid = 0) () =
+    ?store ?trace ?(pid = 0) () =
   {
     sim;
     clock;
@@ -80,7 +81,7 @@ let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?sta
       (if is_cache then Obs.Trace.cache_tid node_id
        else Obs.Trace.server_tid ~node:node_id ~partition);
     holds = Txid.Tbl.create 16;
-    store = Mvstore.create ?dataset ();
+    store = (match store with Some s -> s | None -> Mvstore.create ());
     pending = Txid.Tbl.create 64;
     tombstones = Txid.Tbl.create 64;
     tombstone_queue = [];
@@ -98,7 +99,7 @@ let partition t = t.partition
 
 let pending_keys t txid =
   match Txid.Tbl.find_opt t.pending txid with
-  | Some cs -> Array.to_list (Array.map Chain.key cs)
+  | Some es -> Array.to_list (Array.map Mvstore.entry_key es)
   | None -> []
 
 (** Number of keys this replica holds uncommitted for [txid].  O(1);
@@ -203,11 +204,6 @@ type prepare_outcome =
           prepare speculatively stacked upon (write-write dependencies) *)
   | Conflict of Key.t
 
-(* Placeholder in a new pending array for a key this replica has not
-   written yet; [prepare] opens the key's chain when it inserts.  Never
-   mutated. *)
-let unopened = Chain.create ()
-
 (** Write-write certification for one transaction over [writes].
 
     Conflict rule: a version with timestamp greater than [rs] (any
@@ -234,9 +230,11 @@ let unopened = Chain.create ()
     Precise Clocks propose [max(LastReader(k) + 1)] over the written
     keys, Physical clocks the replica's current physical time; both are
     raised above every version already in the chains, preserving chain
-    order.  Each key is resolved once: its chain (or, unwritten, its
-    loaded version) serves the check and the proposal, and the chain
-    becomes the pending handle. *)
+    order.  Each key is resolved once: its directory entry gives this
+    replica's chain (or, unwritten, the loaded version), which serves
+    the check and the proposal, and the entry becomes the pending
+    handle.  A key no replica has written gets its entry when the
+    version is inserted, so a conflicting prepare adds none. *)
 let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin ~rs
     ~writes =
   if Txid.Tbl.mem t.tombstones txid then begin
@@ -246,7 +244,7 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
   else begin
   let check = not (Config.seeded t.config Skip_ww_check) in
   let precise = t.config.clocks = Config.Precise in
-  let chains = Array.make (List.length writes) unopened in
+  let entries = Array.make (List.length writes) Mvstore.no_entry in
   let wdeps = ref Txid.Set.empty in
   (* May [u], an uncommitted version of another writer, stay below the
      new one? *)
@@ -273,31 +271,38 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
       let proposal =
         if precise then max proposal (Mvstore.last_reader t.store key + 1) else proposal
       in
-      (match Mvstore.find_chain t.store key with
-       | Some c ->
-         chains.(i) <- c;
-         (* Newest-first over the whole chain: the newest committed
-            version must not postdate the snapshot, and every
-            uncommitted one of another writer must be stackable. *)
-         let ok = ref true and seen_committed = ref false and j = ref 0 in
-         while check && !ok && !j < Chain.length c do
-           let v = Chain.nth_newest c !j in
-           if Version.is_committed v then begin
-             if (not !seen_committed) && v.ts > rs then ok := false;
-             seen_committed := true
-           end
-           else if not (Txid.equal v.writer txid) then
-             if stackable v then wdeps := Txid.Set.add v.writer !wdeps else ok := false;
-           incr j
-         done;
-         if not !ok then Error key
-         else if Chain.is_empty c then certify (i + 1) proposal rest
-         else certify (i + 1) (max proposal ((Chain.nth_newest c 0).ts + 1)) rest
-       | None ->
-         (match Mvstore.loaded_version t.store key with
-          | Some v when check && v.ts > rs -> Error key
-          | Some v -> certify (i + 1) (max proposal (v.ts + 1)) rest
-          | None -> certify (i + 1) proposal rest))
+      let c =
+        match Mvstore.find_entry t.store key with
+        | Some e ->
+          entries.(i) <- e;
+          Mvstore.chain t.store e
+        | None -> Chain.absent
+      in
+      if not (Chain.is_absent c) then begin
+        (* Newest-first over the whole chain: the newest committed
+           version must not postdate the snapshot, and every
+           uncommitted one of another writer must be stackable. *)
+        let top = Chain.length c - 1 in
+        let ok = ref true and seen_committed = ref false and j = ref top in
+        while check && !ok && !j >= 0 do
+          let v = Chain.get c !j in
+          if Version.is_committed v then begin
+            if (not !seen_committed) && v.ts > rs then ok := false;
+            seen_committed := true
+          end
+          else if not (Txid.equal v.writer txid) then
+            if stackable v then wdeps := Txid.Set.add v.writer !wdeps else ok := false;
+          decr j
+        done;
+        if not !ok then Error key
+        else if top < 0 then certify (i + 1) proposal rest
+        else certify (i + 1) (max proposal ((Chain.get c top).ts + 1)) rest
+      end
+      else
+        match Mvstore.loaded_version t.store key with
+        | Some v when check && v.ts > rs -> Error key
+        | Some v -> certify (i + 1) (max proposal (v.ts + 1)) rest
+        | None -> certify (i + 1) proposal rest
   in
   match certify 0 0 writes with
   | Error key -> Conflict key
@@ -309,11 +314,11 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
     in
     List.iteri
       (fun i (key, value) ->
-        if chains.(i) == unopened then chains.(i) <- Mvstore.chain t.store key;
-        Mvstore.chain_insert t.store chains.(i)
+        if entries.(i) == Mvstore.no_entry then entries.(i) <- Mvstore.entry t.store key;
+        Mvstore.chain_insert t.store entries.(i)
           (Version.make ~writer:txid ~state:Version.Pre_committed ~ts ~value))
       writes;
-    Txid.Tbl.replace t.pending txid chains;
+    Txid.Tbl.replace t.pending txid entries;
     (* The lock-hold span runs from a successful prepare until the
        decision releases the written keys — the lock hold time whose
        distribution the convoy-effect report compares against the RTT. *)
@@ -326,7 +331,7 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
        versions, drop committed versions older than the horizon (no live
        snapshot can be that old: transactions span at most a couple of
        WAN round trips). *)
-    t.inserts_since_prune <- t.inserts_since_prune + Array.length chains;
+    t.inserts_since_prune <- t.inserts_since_prune + Array.length entries;
     if
       t.config.prune_every_inserts > 0
       && t.inserts_since_prune >= t.config.prune_every_inserts
@@ -342,16 +347,18 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
     versions conflict with an incoming remote prepare; the engine aborts
     them (and their dependents) before installing the remote prepare
     (Alg. 2, replicate handler).  An unwritten key holds only its
-    committed loaded version, so only private chains are scanned. *)
+    committed loaded version, so only this replica's chains are
+    scanned. *)
 let evict_candidates t ~writes ~except =
   let victims = ref Txid.Set.empty in
   List.iter
     (fun (key, _) ->
-      match Mvstore.find_chain t.store key with
+      match Mvstore.find_entry t.store key with
       | None -> ()
-      | Some c ->
+      | Some e ->
+        let c = Mvstore.chain t.store e in
         for i = 0 to Chain.length c - 1 do
-          let u = Chain.nth_newest c i in
+          let u = Chain.get c i in
           if
             Version.is_uncommitted u
             && (not (Txid.equal u.writer except))
@@ -440,12 +447,12 @@ let raise_to c ts (v : Version.t) =
 let restack c ~above ~floor =
   let n = ref 0 and last = ref 0 in
   for i = 0 to Chain.length c - 1 do
-    if displaced ~above ~floor (Chain.nth_newest c i) then begin
+    if displaced ~above ~floor (Chain.get c i) then begin
       incr n;
       last := i
     end
   done;
-  if !n = 1 then raise_to c (floor + 1) (Chain.nth_newest c !last)
+  if !n = 1 then raise_to c (floor + 1) (Chain.get c !last)
   else if !n > 1 then
     Chain.uncommitted c
     |> List.filter (displaced ~above ~floor)
@@ -460,21 +467,25 @@ let end_hold t txid =
       Obs.Trace.span_end t.trace s ~t1:(Dsim.Sim.now t.sim);
       Txid.Tbl.remove t.holds txid
 
-(* [f i c v] for [txid]'s version [v] in its [i]-th pending chain [c]:
-   no key lookups, the chains are the handles [prepare] kept. *)
+(* [f i e v] for [txid]'s version [v] in its [i]-th pending entry [e]:
+   no key lookups, the entries are the handles [prepare] kept. *)
 let update_versions t txid f =
   match Txid.Tbl.find_opt t.pending txid with
   | None -> ()
-  | Some chains ->
+  | Some entries ->
     Array.iteri
-      (fun i c -> match Chain.find_writer c txid with None -> () | Some v -> f i c v)
-      chains
+      (fun i e ->
+        match Chain.find_writer (Mvstore.chain t.store e) txid with
+        | None -> ()
+        | Some v -> f i e v)
+      entries
 
 (** Convert this tx's pre-committed versions to local-committed with
     timestamp [lc]; wakes readers blocked on them (local ones may now
     read speculatively). *)
 let local_commit t txid ~lc =
-  update_versions t txid (fun _ c v ->
+  update_versions t txid (fun _ e v ->
+      let c = Mvstore.chain t.store e in
       let old_ts = v.ts in
       v.state <- Version.Local_committed;
       v.ts <- lc;
@@ -488,10 +499,10 @@ let local_commit t txid ~lc =
     risen to the commit timestamp.  Its blocked readers wake and read
     again. *)
 let commit t txid versions =
-  update_versions t txid (fun i c old ->
+  update_versions t txid (fun i e old ->
       let v = versions.(i) in
-      Mvstore.chain_replace t.store c ~old v;
-      restack c ~above:old.ts ~floor:v.ts;
+      Mvstore.chain_replace t.store e ~old v;
+      restack (Mvstore.chain t.store e) ~above:old.ts ~floor:v.ts;
       wake old);
   Txid.Tbl.remove t.pending txid;
   end_hold t txid
@@ -502,10 +513,10 @@ let commit t txid versions =
 let drop t txid =
   (match Txid.Tbl.find_opt t.pending txid with
    | None -> ()
-   | Some chains ->
+   | Some entries ->
      Array.iter
-       (fun c -> Option.iter wake (Mvstore.chain_remove t.store c txid))
-       chains);
+       (fun e -> Option.iter wake (Mvstore.chain_remove t.store e txid))
+       entries);
   Txid.Tbl.remove t.pending txid;
   end_hold t txid
 
@@ -554,8 +565,8 @@ let abort ?(tombstone = false) t txid =
 let pending_ts t txid =
   match Txid.Tbl.find_opt t.pending txid with
   | None | Some [||] -> None
-  | Some chains ->
-    (match Chain.find_writer chains.(0) txid with
+  | Some entries ->
+    (match Chain.find_writer (Mvstore.chain t.store entries.(0)) txid with
      | Some v -> Some v.Version.ts
      | None -> None)
 
@@ -586,22 +597,22 @@ let status_of t txid ~keys =
 
 (** The committed versions that apply [txid]'s commit at [ct] here, in
     write-set order, for in-doubt resolution, which carries no write
-    set: [peer key] when it supplies one (a committed copy another
-    replica holds, so the value stays shared), else a new version with
-    this replica's pending value. *)
+    set: [peer e] for the key's directory entry [e] when it supplies one
+    (a committed copy another replica holds, so the value stays shared),
+    else a new version with this replica's pending value. *)
 let decided_versions t txid ~ct ~peer =
   match Txid.Tbl.find_opt t.pending txid with
   | None -> [||]
-  | Some chains ->
+  | Some entries ->
     Array.map
-      (fun c ->
-        match peer (Chain.key c) with
+      (fun e ->
+        match peer e with
         | Some v -> v
         | None ->
           (* A pending chain holds the transaction's version. *)
-          let pending = Option.get (Chain.find_writer c txid) in
+          let pending = Option.get (Chain.find_writer (Mvstore.chain t.store e) txid) in
           Version.make ~writer:txid ~state:Version.Committed ~ts:ct ~value:pending.value)
-      chains
+      entries
 
 (** Install already-decided committed versions directly, bypassing the
     prepare/commit protocol: applied when a commit decision reaches a

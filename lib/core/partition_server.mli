@@ -7,9 +7,9 @@
     speculative stacking, applies lifecycle transitions, and computes
     prepare-timestamp proposals under Physical or Precise clocks.
 
-    A successful prepare keeps the chains of its keys as the pending
-    transaction's handles, so the decision that follows applies with no
-    key lookups.  A final commit swaps each pending version for a
+    A successful prepare keeps the directory entries of its keys as the
+    pending transaction's handles, so the decision that follows applies
+    with no key lookups.  A final commit swaps each pending version for a
     committed version shared by every replica of the write.
 
     The node's {e cache partition} (§5.2) is the same machinery created
@@ -29,13 +29,14 @@ val create :
   partition:int ->
   ?is_cache:bool ->
   ?stats:Stats.t ->
-  ?dataset:Mvstore.dataset ->
+  ?store:Mvstore.t ->
   ?trace:Obs.Trace.t ->
   ?pid:int ->
   unit ->
   t
-(** [dataset] is the partition's loaded dataset, shared with its other
-    replicas (default: a private, empty one).  [trace]/[pid] attach the
+(** [store] is the replica's view of the partition's loaded dataset and
+    key directory, which it shares with the other replicas (default: a
+    private store).  [trace]/[pid] attach the
     replica to a span recorder (default: a disabled one); [pid] is the
     trace process id of the node's data center.  When tracing is on the
     replica emits [lock-wait] spans for reads blocked on uncommitted
@@ -192,14 +193,15 @@ val status_of :
 
 (** The committed versions that apply [txid]'s commit at [ct] here, in
     write-set order, for in-doubt resolution (which carries no write
-    set): [peer key] where it supplies a committed copy another replica
-    holds, else a new version with this replica's pending value.
+    set): [peer e], given the key's directory entry [e], where it
+    supplies a committed copy another replica holds, else a new version
+    with this replica's pending value.
     Empty when nothing is pending for [txid]. *)
 val decided_versions :
   t ->
   Txid.t ->
   ct:int ->
-  peer:(Keyspace.Key.t -> Version.t option) ->
+  peer:(Mvstore.entry -> Version.t option) ->
   Version.t array
 
 (** Install a decided transaction's committed versions directly,

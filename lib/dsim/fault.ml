@@ -72,7 +72,13 @@ let check_action ~n a =
   | Drop_all p -> prob p
   | Heal -> ()
 
-let validate ~n plan = List.iter (fun (_, a) -> check_action ~n a) plan
+let validate ~n plan =
+  List.iter
+    (fun (time, a) ->
+      if time < 0 then
+        invalid_arg (Printf.sprintf "Fault: action time %d us is before the run starts (0)" time);
+      check_action ~n a)
+    plan
 
 let set_cut t s d v = if s <> d then t.cut.(s).(d) <- v
 

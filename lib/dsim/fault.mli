@@ -44,9 +44,10 @@ val create : ?seed:int -> n:int -> unit -> t
 val set_handlers : t -> crash:(int -> unit) -> recover:(int -> unit) -> unit
 
 (** [validate ~n plan] checks every action against an [n]-node cluster:
-    each node id must lie in [0..n-1] and each loss probability in
-    [\[0, 1)].  Raises [Invalid_argument] naming the first offending
-    value.  Pure: it draws no randomness and schedules nothing. *)
+    each action time must be at least 0, each node id must lie in
+    [0..n-1] and each loss probability in [\[0, 1)].  Raises
+    [Invalid_argument] naming the first offending value.  Pure: it draws
+    no randomness and schedules nothing. *)
 val validate : n:int -> plan -> unit
 
 (** Apply one action immediately (plans go through {!install}); raises

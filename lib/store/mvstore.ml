@@ -6,14 +6,19 @@
     (§5.3 of the paper).  [LastReader] is tracked at every replica that
     serves reads (masters and slaves alike).
 
-    The rows installed before the run ({!load}) live in a {e loaded
-    dataset} that every replica of a partition shares: one read-only
-    committed version per key.  A replica holds a private chain only for
-    the keys it has mutated.  The first mutation of a loaded key starts
-    the private chain from the shared version (copy-on-write); from then
-    on the private chain is the key's whole history at that replica.
-    Every accessor resolves a key through its private chain when there
-    is one, and through the dataset otherwise.
+    The replicas of a partition share two structures, each replica
+    seeing only its own part:
+    - the {e loaded dataset}: the rows installed before the run
+      ({!load}), one read-only committed version per key;
+    - the {e key directory}: one node per key any replica has written,
+      holding one chain per replica.  A replica's store is a directory
+      plus its slot in every node.
+    A replica's slot stays {!Chain.absent} until it first mutates the
+    key.  That first mutation starts the chain from the shared loaded
+    version, if any (copy-on-write); from then on the chain is the key's
+    whole history at that replica.  Every accessor resolves a key
+    through the replica's chain when it has one, and through the
+    dataset otherwise.
 
     Storage accounting is incremental: key and version byte counts are
     maintained on every load/insert/remove/prune, so {!storage_bytes}
@@ -55,9 +60,36 @@ type dataset = {
           {!check_accounting} *)
 }
 
+(* A directory node: its key and one chain per slot. *)
+type entry = Chain.t Nodetbl.node
+
+(* In no directory: the end marker every directory starts with, and a
+   placeholder for arrays of entries. *)
+let no_entry : entry = Nodetbl.nil Chain.absent
+
+type directory = {
+  entries : Chain.t Nodetbl.t;
+  slots : int;
+  absent : entry;
+      (** the end marker of [entries]; a copy made by [Marshal] has its
+          own, which this field shares *)
+}
+
+let create_directory ~slots =
+  if slots < 1 then invalid_arg "Mvstore.create_directory: slots must be positive";
+  { entries = Nodetbl.create no_entry; slots; absent = no_entry }
+
+let directory_keys d =
+  let keys = ref [] in
+  Nodetbl.iter (fun e -> keys := e.Nodetbl.key :: !keys) d.entries;
+  !keys
+
+let entry_key (e : entry) = e.key
+
 type t = {
   dataset : dataset;  (** shared by every replica of the partition *)
-  chains : Chain.Tbl.t;  (** private chains: the keys this replica mutated *)
+  directory : directory;  (** shared by every replica of the partition *)
+  slot : int;  (** this replica's chain in every entry *)
   last_reader : int Nodetbl.t;
   (* lint: allow fingerprint-coverage — stat counter *)
   mutable reads_served : int;
@@ -75,23 +107,29 @@ type t = {
   mutable own_keys : int;
   (* --- fingerprint support --- *)
   mutable sorted_keys : Key.t array;
-      (** every key of the replica (loaded or private), sorted; keys are
+      (** every key of the replica (loaded or written), sorted; keys are
           never removed *)
   (* lint: allow fingerprint-coverage — cache-validity stamp for
      sorted_keys, which the fingerprint recomputes deterministically *)
   mutable sorted_for : int;
       (** dataset size [sorted_keys] was built for; -1 when a new
-          private key made it stale *)
+          written key made it stale *)
 }
 
 (* Small: a cache partition or an open-loop run never loads anything,
    so an empty dataset must cost nothing; a loaded one grows as usual. *)
 let create_dataset () = { loaded = KeyTbl.create 16; loaded_bytes = 0 }
 
-let create ?(dataset = create_dataset ()) () =
+let create ?(dataset = create_dataset ()) ?directory ?(slot = 0) () =
+  let directory =
+    match directory with Some d -> d | None -> create_directory ~slots:1
+  in
+  if slot < 0 || slot >= directory.slots then
+    invalid_arg (Printf.sprintf "Mvstore.create: no slot %d in the directory" slot);
   {
     dataset;
-    chains = Chain.Tbl.create ();
+    directory;
+    slot;
     last_reader = Nodetbl.create no_reader;
     reads_served = 0;
     versions_pruned = 0;
@@ -102,42 +140,66 @@ let create ?(dataset = create_dataset ()) () =
     sorted_for = -1;
   }
 
+let directory t = t.directory
+
 (* The size test keeps a miss free of hashing when nothing is loaded. *)
 let loaded ds key =
   if KeyTbl.length ds.loaded = 0 then None else KeyTbl.find_opt ds.loaded key
 
-let find_chain t key = Chain.Tbl.find_opt t.chains key
-
 let loaded_version t key = loaded t.dataset key
 
-(* The private chain of [key], created on its first mutation.  A loaded
+let find_entry t key = Nodetbl.find_opt t.directory.entries key
+
+(* [key]'s entry, added on the first write at any replica. *)
+let entry t key =
+  let d = t.directory in
+  let e = Nodetbl.find d.entries key in
+  if e != d.absent then e
+  else begin
+    let e = Nodetbl.node ~nil:d.absent ~slots:d.slots key Chain.absent in
+    Nodetbl.add d.entries e;
+    e
+  end
+
+let chain t e = Nodetbl.get e t.slot
+
+(* [key]'s chain at this replica, {!Chain.absent} if it never wrote it. *)
+let chain_of_key t key =
+  let e = Nodetbl.find t.directory.entries key in
+  if e == t.directory.absent then Chain.absent else chain t e
+
+(* This replica's chain of [e], started on its first mutation.  A loaded
    key's chain starts from the shared version, which stays counted in
    the dataset's tally. *)
-let chain t key =
-  match Chain.Tbl.find_opt t.chains key with
-  | Some c -> c
-  | None ->
-    let c = Chain.Tbl.add t.chains key in
-    (match loaded t.dataset key with
-     | Some v -> Chain.insert c v
-     | None ->
-       t.own_keys <- t.own_keys + 1;
-       t.data_bytes <- t.data_bytes + key_bytes key;
-       t.sorted_for <- -1);
+let opened t e =
+  let c = chain t e in
+  if not (Chain.is_absent c) then c
+  else begin
+    let key = entry_key e in
+    let c =
+      match loaded t.dataset key with
+      | Some v -> Chain.insert (Chain.create ()) v
+      | None ->
+        t.own_keys <- t.own_keys + 1;
+        t.data_bytes <- t.data_bytes + key_bytes key;
+        t.sorted_for <- -1;
+        Chain.create ()
+    in
+    Nodetbl.set e t.slot c;
     c
+  end
 
-(* [key]'s versions newest-first: its private chain, else its loaded
-   version. *)
+(* [key]'s versions newest-first: its chain, else its loaded version. *)
 let fold_versions f acc t key =
-  match Chain.Tbl.find_opt t.chains key with
-  | Some c -> Chain.fold_newest f acc c
-  | None -> (match loaded t.dataset key with Some v -> f acc v | None -> acc)
+  let c = chain_of_key t key in
+  if not (Chain.is_absent c) then Chain.fold_newest f acc c
+  else match loaded t.dataset key with Some v -> f acc v | None -> acc
 
 let key_count t = KeyTbl.length t.dataset.loaded + t.own_keys
 
 let version_count t = KeyTbl.length t.dataset.loaded + t.version_count
 
-let written t key = Chain.Tbl.mem t.chains key
+let written t key = not (Chain.is_absent (chain_of_key t key))
 
 let account_insert t (v : Version.t) =
   t.version_count <- t.version_count + 1;
@@ -178,67 +240,82 @@ let loaded_before t key ~rs =
 (** Latest version visible at read snapshot [rs] (any state); does not
     bump [LastReader] — the partition server does that explicitly. *)
 let latest_before t key ~rs =
-  match Chain.Tbl.find_opt t.chains key with
-  | Some c -> Chain.latest_before c ~rs
-  | None -> loaded_before t key ~rs
+  let c = chain_of_key t key in
+  if Chain.is_absent c then loaded_before t key ~rs else Chain.latest_before c ~rs
 
 let latest_committed_before t key ~rs =
-  match Chain.Tbl.find_opt t.chains key with
-  | Some c -> Chain.latest_committed_before c ~rs
-  | None -> loaded_before t key ~rs
+  let c = chain_of_key t key in
+  if Chain.is_absent c then loaded_before t key ~rs
+  else Chain.latest_committed_before c ~rs
 
 let newest_committed t key =
-  match Chain.Tbl.find_opt t.chains key with
-  | Some c -> Chain.newest_committed c
-  | None -> loaded t.dataset key
+  let c = chain_of_key t key in
+  if Chain.is_absent c then loaded t.dataset key else Chain.newest_committed c
 
-let chain_insert t c v =
-  Chain.insert c v;
+let chain_insert t e v =
+  let c = opened t e in
+  let grown = Chain.insert c v in
+  if grown != c then Nodetbl.set e t.slot grown;
   account_insert t v
 
-let insert_version t key v = chain_insert t (chain t key) v
+let insert_version t key v = chain_insert t (entry t key) v
 
 let find_version t key txid =
-  match Chain.Tbl.find_opt t.chains key with
-  | Some c -> Chain.find_writer c txid
-  | None ->
-    (match loaded t.dataset key with
-     | Some (v : Version.t) as found when Txid.equal v.writer txid -> found
-     | Some _ | None -> None)
+  let c = chain_of_key t key in
+  if not (Chain.is_absent c) then Chain.find_writer c txid
+  else
+    match loaded t.dataset key with
+    | Some (v : Version.t) as found when Txid.equal v.writer txid -> found
+    | Some _ | None -> None
 
-let chain_remove t c txid =
-  let removed = Chain.remove_writer c txid in
+let chain_remove t e txid =
+  let removed = Chain.remove_writer (chain t e) txid in
   Option.iter (account_remove t) removed;
   removed
 
-let chain_replace t c ~old v =
-  Chain.replace c ~old v;
+let chain_replace t e ~old v =
+  let c = opened t e in
+  let moved = Chain.replace c ~old v in
+  if moved != c then Nodetbl.set e t.slot moved;
   account_remove t old;
   account_insert t v
 
+(* Removing the loaded version itself opens the chain first, so the
+   removal stays private to this replica. *)
 let remove_version t key txid =
-  match Chain.Tbl.find_opt t.chains key with
-  | Some c -> ignore (chain_remove t c txid)
-  | None ->
-    if Option.is_some (find_version t key txid) then ignore (chain_remove t (chain t key) txid)
+  match find_version t key txid with
+  | None -> ()
+  | Some _ ->
+    let e = entry t key in
+    ignore (opened t e);
+    ignore (chain_remove t e txid)
 
-(* Without a private chain there is nothing to move: the key holds only
-   its read-only loaded version, which no transition touches. *)
+(* Without a chain there is nothing to move: the key holds only its
+   read-only loaded version, which no transition touches. *)
 let reposition t key v =
-  match Chain.Tbl.find_opt t.chains key with None -> () | Some c -> Chain.reposition c v
+  let c = chain_of_key t key in
+  if not (Chain.is_absent c) then Chain.reposition c v
 
 (** Uncommitted versions currently stacked on [key]. *)
-let uncommitted t key =
-  match Chain.Tbl.find_opt t.chains key with None -> [] | Some c -> Chain.uncommitted c
+let uncommitted t key = Chain.uncommitted (chain_of_key t key)
 
-(* Only private chains can hold more than one version; a key still on
+(* [f e c] for every entry whose chain [c] this replica has started, in
+   the directory's hash order. *)
+let iter_chains f t =
+  Nodetbl.iter
+    (fun e ->
+      let c = chain t e in
+      if not (Chain.is_absent c) then f e c)
+    t.directory.entries
+
+(* Only started chains can hold more than one version; a key still on
    its loaded version has nothing to drop (the newest committed version
    is always kept). *)
 let prune t ~horizon =
   let dropped = ref 0 in
   let on_drop v = account_remove t v in
-  (* lint: allow hashtbl-order — summing a count is order-insensitive *)
-  Chain.Tbl.iter (fun c -> dropped := !dropped + Chain.prune ~on_drop c ~horizon) t.chains;
+  (* Hash order: summing a count is order-insensitive. *)
+  iter_chains (fun _ c -> dropped := !dropped + Chain.prune ~on_drop c ~horizon) t;
   t.versions_pruned <- t.versions_pruned + !dropped;
   !dropped
 
@@ -257,8 +334,9 @@ let storage_bytes t =
   (t.dataset.loaded_bytes + t.data_bytes, last_reader_bytes)
 
 (** Recompute the storage accounting by walking the dataset and every
-    private chain and compare it against the incremental counters (test
-    support: the differential oracle for the O(1) fast path). *)
+    chain of this replica and compare it against the incremental
+    counters (test support: the differential oracle for the O(1) fast
+    path). *)
 let check_accounting t =
   let ds = t.dataset in
   let data = ref 0 and versions = ref 0 and own = ref 0 in
@@ -272,13 +350,13 @@ let check_accounting t =
       if not (written t key) then
         data := count_version (!data + key_bytes key) v)
     ds.loaded;
-  (* lint: allow hashtbl-order — summing byte counts is order-insensitive *)
-  Chain.Tbl.iter
-    (fun c ->
-      let key = Chain.key c in
+  (* Hash order: summing byte counts is order-insensitive. *)
+  iter_chains
+    (fun e c ->
+      let key = entry_key e in
       if not (KeyTbl.mem ds.loaded key) then incr own;
       data := Chain.fold_newest count_version (!data + key_bytes key) c)
-    t.chains;
+    t;
   let total = ds.loaded_bytes + t.data_bytes in
   if !data <> total then
     Error (Printf.sprintf "data_bytes drifted: counter %d, recomputed %d" total !data)
@@ -292,20 +370,20 @@ let check_accounting t =
          !own)
   else Ok ()
 
-(** Run the chain invariant checker over every private chain (a loaded
-    version alone is trivially ordered). *)
+(** Run the chain invariant checker over every chain of this replica
+    (a loaded version alone is trivially ordered). *)
 let check_invariants t =
-  (* lint: allow hashtbl-order — all chains must pass; order only picks
-     which error message surfaces first *)
-  Chain.Tbl.fold
-    (fun c acc ->
-      match acc with
-      | Error _ -> acc
-      | Ok () ->
-        (match Chain.check_invariants c with
-         | Ok () -> Ok ()
-         | Error e -> Error (Printf.sprintf "%s: %s" (Key.to_string (Chain.key c)) e)))
-    t.chains (Ok ())
+  let result = ref (Ok ()) in
+  (* Hash order: all chains must pass; order only picks which error
+     message surfaces first. *)
+  iter_chains
+    (fun e c ->
+      if Result.is_ok !result then
+        match Chain.check_invariants c with
+        | Ok () -> ()
+        | Error msg -> result := Error (Printf.sprintf "%s: %s" (Key.to_string (entry_key e)) msg))
+    t;
+  !result
 
 (* ------------------------------------------------------------------ *)
 (* State fingerprinting (model-checker support)                        *)
@@ -321,21 +399,20 @@ let mix_string h s =
   String.iter (fun c -> h := mix !h (Char.code c)) s;
   !h
 
-(* The union of loaded and private keys, sorted; rebuilt only when the
-   dataset grew or a private chain was opened for an unloaded key. *)
+(* The union of loaded and written keys, sorted; rebuilt only when the
+   dataset grew or a chain was started for an unloaded key. *)
 let sorted_keys t =
   let ds = t.dataset in
   if t.sorted_for <> KeyTbl.length ds.loaded then begin
-    let own =
-      (* lint: allow hashtbl-order — keys are sorted before use *)
-      Chain.Tbl.fold
-        (fun c acc ->
-          let k = Chain.key c in
-          if KeyTbl.mem ds.loaded k then acc else k :: acc)
-        t.chains []
-    in
+    let own = ref [] in
+    (* Hash order: keys are sorted before use. *)
+    iter_chains
+      (fun e _ ->
+        let k = entry_key e in
+        if not (KeyTbl.mem ds.loaded k) then own := k :: !own)
+      t;
     (* lint: allow hashtbl-order — keys are sorted before use *)
-    let all = KeyTbl.fold (fun k _ acc -> k :: acc) ds.loaded own in
+    let all = KeyTbl.fold (fun k _ acc -> k :: acc) ds.loaded !own in
     t.sorted_keys <- Array.of_list (List.sort Key.compare all);
     t.sorted_for <- KeyTbl.length ds.loaded
   end;
@@ -343,7 +420,7 @@ let sorted_keys t =
 
 (** Order-independent structural hash of the full replica state —
     version chains (writer, state, timestamp per version) and the
-    [LastReader] table — over the union of loaded and private keys.
+    [LastReader] table — over the union of loaded and written keys.
     The sorted key list is cached (keys are only ever added), so
     repeated fingerprints avoid the sort; versions are mixed
     newest-first via the allocation-free chain fold. *)

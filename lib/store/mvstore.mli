@@ -1,7 +1,11 @@
 (** Multi-versioned storage of one partition replica, including the
     per-key [LastReader] metadata that powers Precise Clocks (§5.3 of
     the paper): the read snapshot of the most recent reader of each key,
-    tracked at every replica that serves reads. *)
+    tracked at every replica that serves reads.
+
+    The replicas of a partition share its loaded {!dataset} and its key
+    {!directory}; a store is one replica's view of the two.  Its
+    [LastReader] table is its own: a read touches one replica. *)
 
 module Key = Keyspace.Key
 module KeyTbl : Hashtbl.S with type key = Key.t
@@ -10,28 +14,49 @@ type t
 
 (** The rows loaded into one partition before the run: one read-only
     committed version per key, shared by every replica store created on
-    it.  A replica copies a loaded key into a private chain only when it
+    it.  A replica copies a loaded key into its own chain only when it
     first mutates it (insert or remove), so loading costs one version
     per key and partition, not per replica. *)
 type dataset
 
 val create_dataset : unit -> dataset
 
-(** A replica store over [dataset] (default: a private, empty one). *)
-val create : ?dataset:dataset -> unit -> t
+(** One partition's key directory: one node per key that any of its
+    replicas has written, holding one chain per replica in numbered
+    slots (a replica that never wrote the key has {!Chain.absent}).
+    The replicas share it, each store reading and writing only its own
+    slot, so a write at one replica is never visible at another. *)
+type directory
+
+(** A directory with [slots] slots per node (the partition's
+    replication factor).
+    @raise Invalid_argument if [slots < 1]. *)
+val create_directory : slots:int -> directory
+
+(** The keys of the directory's nodes, one per node, in no particular
+    order (test support). *)
+val directory_keys : directory -> Key.t list
+
+(** A replica store over [dataset] (default: a private, empty one),
+    reading and writing slot [slot] (default 0) of [directory]
+    (default: a private one-slot directory).
+    @raise Invalid_argument if [directory] has no slot [slot]. *)
+val create : ?dataset:dataset -> ?directory:directory -> ?slot:int -> unit -> t
+
+val directory : t -> directory
 
 (** Keys of the replica: loaded ones plus those it wrote.  O(1). *)
 val key_count : t -> int
 
-(** Total stored versions of the replica, loaded and private.  O(1)
+(** Total stored versions of the replica, loaded and written.  O(1)
     (incremental). *)
 val version_count : t -> int
 
 (** Fold over [key]'s versions at this replica, newest first: its
-    private chain, or else its loaded version. *)
+    chain, or else its loaded version. *)
 val fold_versions : ('a -> Version.t -> 'a) -> 'a -> t -> Key.t -> 'a
 
-(** Has this replica written [key] (does it hold a private chain)? *)
+(** Has this replica written [key] (has it started a chain)? *)
 val written : t -> Key.t -> bool
 
 (** Initial load, bypassing the protocol: installs a committed version
@@ -60,32 +85,48 @@ val reposition : t -> Key.t -> Version.t -> unit
 (** Uncommitted versions currently stacked on the key. *)
 val uncommitted : t -> Key.t -> Version.t list
 
-(** {1 Chain handles}
+(** {1 Entry handles}
 
-    A private chain is never removed from its store, so a caller may
-    resolve a key once and keep its chain.  The [chain_*] functions
-    take a chain of this store and keep the accounting in step. *)
+    A directory node is never removed, so a caller may resolve a key
+    once and keep its entry.  The [chain_*] functions take an entry of
+    this store's directory and keep the accounting in step. *)
 
-(** [key]'s private chain, if this replica has written it. *)
-val find_chain : t -> Key.t -> Chain.t option
+(** A key's directory node. *)
+type entry
+
+(** An entry in no directory: a placeholder for arrays of entries.
+    Never pass it to the functions below. *)
+val no_entry : entry
+
+val entry_key : entry -> Key.t
+
+(** [key]'s entry, if some replica sharing the directory has written
+    it. *)
+val find_entry : t -> Key.t -> entry option
+
+(** [key]'s entry, added to the directory on the first call. *)
+val entry : t -> Key.t -> entry
+
+(** This replica's chain of the entry: {!Chain.absent} until it first
+    mutates the key.  A chain that {!chain_insert} or {!chain_replace}
+    moves to a larger array must be read again. *)
+val chain : t -> entry -> Chain.t
 
 (** [key]'s loaded version: its whole history at a replica that has
     not written it. *)
 val loaded_version : t -> Key.t -> Version.t option
 
-(** [key]'s private chain, opened on the first call (starting from the
-    loaded version, if any). *)
-val chain : t -> Key.t -> Chain.t
-
-val chain_insert : t -> Chain.t -> Version.t -> unit
+(** Insert into this replica's chain, starting it on the first mutation
+    (from the loaded version, if any). *)
+val chain_insert : t -> entry -> Version.t -> unit
 
 (** Remove [txid]'s version, returning it. *)
-val chain_remove : t -> Chain.t -> Txid.t -> Version.t option
+val chain_remove : t -> entry -> Txid.t -> Version.t option
 
 (** {!Chain.replace} [old] with [v]. *)
-val chain_replace : t -> Chain.t -> old:Version.t -> Version.t -> unit
+val chain_replace : t -> entry -> old:Version.t -> Version.t -> unit
 
-(** Multi-version GC over every private chain; returns versions
+(** Multi-version GC over every chain of this replica; returns versions
     dropped.  A key still on its loaded version has nothing to drop. *)
 val prune : t -> horizon:int -> int
 
@@ -97,7 +138,7 @@ val reads_served : t -> int
 val storage_bytes : t -> int * int
 
 (** Recompute the storage counters by walking the dataset and every
-    private chain and compare against the incremental ones
+    chain of this replica and compare against the incremental ones
     (differential oracle, test support). *)
 val check_accounting : t -> (unit, string) result
 

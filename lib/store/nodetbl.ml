@@ -1,32 +1,30 @@
 (* Why each node keeps its hash: comparing another key follows two more
    pointers (the key record, then its name), and on the simulator's
-   heap those are mostly cache misses.  A replica's tables are looked
-   up on every read and write it serves.  The functions are plain
-   polymorphic ones, not a functor's, so every call is direct. *)
+   heap those are mostly cache misses.  A partition's key directory and
+   a replica's [LastReader] table are looked up on every read and write
+   the replica serves.  The functions are plain polymorphic ones, not a
+   functor's, so every call is direct. *)
 
 module Key = Keyspace.Key
 
 type 'a node = {
   key : Key.t;
-  mutable data : 'a;
-  mutable meta : int;
+  hash : int;
   mutable next : 'a node;
+  mutable data : 'a;
+  rest : 'a array;
 }
-
-(* [meta] is the key's hash in the low [hash_bits] bits ([Key.hash] is
-   a [Hashtbl.hash], always below 2^30) and the owner's counter above. *)
-let hash_bits = 30
-let hash_mask = (1 lsl hash_bits) - 1
 
 let nil data =
   let key = Key.v ~partition:(-1) "" in
-  let rec n = { key; data; meta = 0; next = n } in
+  let rec n = { key; hash = 0; next = n; data; rest = [||] } in
   n
 
-let node ~nil key data = { key; data; meta = Key.hash key; next = nil }
-let hash n = n.meta land hash_mask
-let owner n = n.meta lsr hash_bits
-let set_owner n x = n.meta <- (x lsl hash_bits) lor hash n
+let node ~nil ?(slots = 1) key data =
+  { key; hash = Key.hash key; next = nil; data; rest = Array.make (slots - 1) data }
+
+let get n i = if i = 0 then n.data else n.rest.(i - 1)
+let set n i x = if i = 0 then n.data <- x else n.rest.(i - 1) <- x
 
 type 'a t = { nil : 'a node; mutable buckets : 'a node array; mutable size : int }
 
@@ -39,7 +37,7 @@ let find t key =
   else begin
     let h = Key.hash key in
     let n = ref t.buckets.(index t.buckets h) in
-    while !n != t.nil && not (hash !n = h && Key.equal !n.key key) do
+    while !n != t.nil && not (!n.hash = h && Key.equal !n.key key) do
       n := !n.next
     done;
     !n
@@ -50,8 +48,6 @@ let find t key =
 let find_opt t key =
   let n = find t key in
   if n == t.nil then None else Some n
-
-let mem t key = find t key != t.nil
 
 let iter f t =
   Array.iter
@@ -68,7 +64,7 @@ let resize t =
   let buckets = Array.make (max 8 (2 * Array.length t.buckets)) t.nil in
   iter
     (fun n ->
-      let i = index buckets (hash n) in
+      let i = index buckets n.hash in
       n.next <- buckets.(i);
       buckets.(i) <- n)
     t;
@@ -76,7 +72,7 @@ let resize t =
 
 let add t n =
   if t.size >= 2 * Array.length t.buckets then resize t;
-  let i = index t.buckets (hash n) in
+  let i = index t.buckets n.hash in
   n.next <- t.buckets.(i);
   t.buckets.(i) <- n;
   t.size <- t.size + 1

@@ -461,6 +461,22 @@ let test_fault_malformed_plan_schedules_nothing () =
   Alcotest.(check int) "nothing scheduled" 0 (Sim.queue_pushes sim);
   Alcotest.(check int) "nothing applied" 0 (Dsim.Fault.actions_applied f)
 
+let test_fault_negative_time_rejected () =
+  (* An action before time 0 is rejected with a message naming its
+     time, instead of silently firing at 0. *)
+  let sim = Sim.create () in
+  let f = Dsim.Fault.create ~n:3 () in
+  let plan = [ (100, Dsim.Fault.Crash 1); (-5_000, Dsim.Fault.Recover 1) ] in
+  Alcotest.check_raises "validate names the time"
+    (Invalid_argument "Fault: action time -5000 us is before the run starts (0)")
+    (fun () -> Dsim.Fault.validate ~n:3 plan);
+  (match Dsim.Fault.install f ~sim plan with
+   | () -> Alcotest.fail "plan with a negative time installed"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.queue_pushes sim);
+  (* Time 0 itself is the start of the run, and valid. *)
+  Dsim.Fault.validate ~n:3 [ (0, Dsim.Fault.Crash 1) ]
+
 let test_fault_fingerprint_tracks_link_state () =
   let f = Dsim.Fault.create ~n:3 () in
   let fp0 = Dsim.Fault.fingerprint f in
@@ -564,6 +580,8 @@ let () =
           Alcotest.test_case "plan installation" `Quick test_fault_plan_installs_in_order;
           Alcotest.test_case "malformed plan schedules nothing" `Quick
             test_fault_malformed_plan_schedules_nothing;
+          Alcotest.test_case "negative action time rejected" `Quick
+            test_fault_negative_time_rejected;
           Alcotest.test_case "fingerprint tracks links" `Quick
             test_fault_fingerprint_tracks_link_state;
         ] );

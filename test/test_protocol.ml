@@ -656,9 +656,59 @@ let test_store_words_per_version () =
   let per_version = float_of_int words /. float_of_int versions in
   Alcotest.(check int) "54 replica stores" 54 (Array.length stores);
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 13.0"
+    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 8.15"
        per_version words versions)
-    true (per_version <= 13.0)
+    true (per_version <= 8.15)
+
+(* The replicas of a partition keep their chains in one shared key
+   directory: every replica store of the partition holds the same
+   directory, and a key written at any of them has exactly one node
+   there, which holds every replica's chain. *)
+let test_one_directory_per_partition () =
+  let eng, _ = Lazy.force synth_a_smoke in
+  let placement = Core.Engine.placement eng in
+  let directories =
+    List.init (Placement.n_partitions placement) (fun p ->
+        let stores =
+          Array.map
+            (fun r -> Core.Partition_server.store (Core.Engine.server eng ~node:r ~partition:p))
+            (Placement.replicas placement p)
+        in
+        let d = Mvstore.directory stores.(0) in
+        Array.iter
+          (fun s ->
+            Alcotest.(check bool) "replicas share the directory" true (Mvstore.directory s == d))
+          stores;
+        let keys = List.sort Key.compare (Mvstore.directory_keys d) in
+        let rec distinct = function
+          | a :: (b :: _ as rest) -> (not (Key.equal a b)) && distinct rest
+          | [ _ ] | [] -> true
+        in
+        Alcotest.(check bool) "one node per key" true (distinct keys);
+        Alcotest.(check bool)
+          (Printf.sprintf "partition %d wrote keys (%d)" p (List.length keys))
+          true (keys <> []);
+        List.iter
+          (fun k ->
+            if not (Array.exists (fun s -> Mvstore.written s k) stores) then
+              Alcotest.failf "node for %s, which no replica wrote" (Key.to_string k))
+          keys;
+        (* Synth-A loads nothing: a replica's keys are the ones it wrote,
+           and each of them must have its node. *)
+        Array.iter
+          (fun s ->
+            Alcotest.(check int) "every written key has a node" (Mvstore.key_count s)
+              (List.length (List.filter (Mvstore.written s) keys)))
+          stores;
+        d)
+  in
+  List.iteri
+    (fun i d ->
+      List.iteri
+        (fun j d' ->
+          if i < j && d == d' then Alcotest.failf "partitions %d and %d share a directory" i j)
+        directories)
+    directories
 
 let () =
   Alcotest.run "protocol"
@@ -723,5 +773,7 @@ let () =
           Alcotest.test_case "committed versions never change" `Quick
             test_committed_versions_immutable;
           Alcotest.test_case "store words per version" `Quick test_store_words_per_version;
+          Alcotest.test_case "one directory per partition" `Quick
+            test_one_directory_per_partition;
         ] );
     ]

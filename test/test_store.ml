@@ -9,11 +9,11 @@ let txid n = Txid.make ~origin:0 ~number:n
 let mkv ?(state = Version.Committed) ~n ~ts () =
   Version.make ~writer:(txid n) ~state ~ts ~value:(Value.Int n)
 
+(* A chain holding [versions], inserted in order. *)
+let chain_of versions = List.fold_left Chain.insert (Chain.create ()) versions
+
 let test_chain_visibility () =
-  let c = Chain.create () in
-  Chain.insert c (mkv ~n:1 ~ts:10 ());
-  Chain.insert c (mkv ~n:2 ~ts:20 ());
-  Chain.insert c (mkv ~n:3 ~ts:30 ());
+  let c = chain_of [ mkv ~n:1 ~ts:10 (); mkv ~n:2 ~ts:20 (); mkv ~n:3 ~ts:30 () ] in
   let ts_of = function Some (v : Version.t) -> v.ts | None -> -1 in
   Alcotest.(check int) "rs=25 sees ts20" 20 (ts_of (Chain.latest_before c ~rs:25));
   Alcotest.(check int) "rs=30 sees ts30" 30 (ts_of (Chain.latest_before c ~rs:30));
@@ -21,20 +21,22 @@ let test_chain_visibility () =
   Alcotest.(check int) "newest" 30 (ts_of (Chain.newest c))
 
 let test_chain_uncommitted_filtering () =
-  let c = Chain.create () in
-  Chain.insert c (mkv ~n:1 ~ts:10 ());
-  Chain.insert c (mkv ~state:Version.Local_committed ~n:2 ~ts:20 ());
-  Chain.insert c (mkv ~state:Version.Pre_committed ~n:3 ~ts:30 ());
+  let c =
+    chain_of
+      [
+        mkv ~n:1 ~ts:10 ();
+        mkv ~state:Version.Local_committed ~n:2 ~ts:20 ();
+        mkv ~state:Version.Pre_committed ~n:3 ~ts:30 ();
+      ]
+  in
   Alcotest.(check int) "uncommitted count" 2 (List.length (Chain.uncommitted c));
   let v = Chain.latest_committed_before c ~rs:100 in
   Alcotest.(check int) "latest committed" 10
     (match v with Some v -> v.Version.ts | None -> -1)
 
 let test_chain_remove_and_reposition () =
-  let c = Chain.create () in
   let v2 = mkv ~state:Version.Pre_committed ~n:2 ~ts:5 () in
-  Chain.insert c (mkv ~n:1 ~ts:10 ());
-  Chain.insert c v2;
+  let c = chain_of [ mkv ~n:1 ~ts:10 (); v2 ] in
   (* commit v2 with a larger timestamp; it must move above ts=10 *)
   v2.Version.state <- Version.Committed;
   v2.Version.ts <- 15;
@@ -48,11 +50,11 @@ let test_chain_remove_and_reposition () =
   Alcotest.(check int) "removed" 1 (Chain.length c)
 
 let test_chain_prune () =
-  let c = Chain.create () in
-  for i = 1 to 10 do
-    Chain.insert c (mkv ~n:i ~ts:(i * 10) ())
-  done;
-  Chain.insert c (mkv ~state:Version.Local_committed ~n:11 ~ts:5 ());
+  let c =
+    chain_of
+      (List.init 10 (fun i -> mkv ~n:(i + 1) ~ts:((i + 1) * 10) ())
+      @ [ mkv ~state:Version.Local_committed ~n:11 ~ts:5 () ])
+  in
   let dropped = Chain.prune c ~horizon:70 in
   Alcotest.(check int) "dropped old committed" 6 dropped;
   (* newest committed always kept, uncommitted always kept *)
@@ -189,18 +191,24 @@ let test_chain_remove_releases_version () =
   Alcotest.(check bool) "removed top version unreachable" false (Weak.check w 0)
 
 (* A copy made by [Marshal] (how forked workers ship results back) has
-   its own copies of the tables' end markers; absent keys must still
-   read as absent, and writes must land in new chains. *)
+   its own copies of the tables' end markers and of the chains'
+   padding; absent keys must still read as absent, a padded chain must
+   keep its length, and writes must land in new chains. *)
 let test_mvstore_marshal_copy () =
   let s = Mvstore.create () in
   let k = Key.v ~partition:0 "k" and fresh = Key.v ~partition:0 "fresh" in
   Mvstore.insert_version s k (mkv ~n:1 ~ts:10 ());
+  (* Leaves [k]'s chain with one version and one padding slot. *)
+  Mvstore.insert_version s k (mkv ~state:Version.Pre_committed ~n:3 ~ts:12 ());
+  Mvstore.remove_version s k (txid 3);
   Mvstore.bump_last_reader s k 20;
   let c : Mvstore.t = Marshal.from_string (Marshal.to_string s []) 0 in
   Alcotest.(check bool) "absent key not written" false (Mvstore.written c fresh);
   Alcotest.(check bool) "absent key has no version" true
     (Mvstore.latest_before c fresh ~rs:max_int = None);
   Alcotest.(check int) "absent key unread" 0 (Mvstore.last_reader c fresh);
+  Alcotest.(check int) "padded chain keeps its length" 1
+    (Mvstore.fold_versions (fun n _ -> n + 1) 0 c k);
   List.iter
     (fun s ->
       Mvstore.insert_version s fresh (mkv ~n:2 ~ts:30 ());
@@ -237,7 +245,24 @@ let test_mvstore_layout_budget () =
     float_of_int (words (s, shared) - 3 - words shared - empty) /. float_of_int n
   in
   Alcotest.(check bool) (Printf.sprintf "%.2f <= 15 words per private key" per_key) true
-    (per_key <= 15.)
+    (per_key <= 15.);
+  (* Six replicas sharing one directory, each committing the same
+     version of every key: one node and one slot array per key, then a
+     one-version chain per replica. *)
+  let directory = Mvstore.create_directory ~slots:6 in
+  let replicas = Array.init 6 (fun slot -> Mvstore.create ~directory ~slot ()) in
+  let empty = words replicas in
+  Array.iteri
+    (fun ts k ->
+      let v = Version.make ~writer ~state:Version.Committed ~ts ~value in
+      Array.iter (fun s -> Mvstore.insert_version s k v) replicas)
+    keys;
+  let per_replica =
+    float_of_int (words (replicas, shared) - 3 - words shared - empty) /. float_of_int (6 * n)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f <= 5.4 words per (key, replica)" per_replica)
+    true (per_replica <= 5.4)
 
 (* --- properties --- *)
 
@@ -262,8 +287,7 @@ let prop_chain_sorted =
   QCheck.Test.make ~name:"chain stays sorted under inserts" ~count:300
     (QCheck.make QCheck.Gen.(list_size (int_range 0 40) version_gen))
     (fun versions ->
-      let c = Chain.create () in
-      List.iter (Chain.insert c) versions;
+      let c = chain_of versions in
       Chain.check_invariants c = Ok ())
 
 let prop_latest_before_correct =
@@ -272,8 +296,7 @@ let prop_latest_before_correct =
        (QCheck.make QCheck.Gen.(list_size (int_range 0 40) version_gen))
        (QCheck.int_range 0 1000))
     (fun (versions, rs) ->
-      let c = Chain.create () in
-      List.iter (Chain.insert c) versions;
+      let c = chain_of versions in
       let expect =
         List.filter (fun (v : Version.t) -> v.ts <= rs) versions
         |> List.fold_left (fun acc (v : Version.t) -> max acc v.ts) (-1)
@@ -288,8 +311,7 @@ let prop_prune_keeps_visibility =
        (QCheck.make QCheck.Gen.(list_size (int_range 1 40) version_gen))
        (QCheck.int_range 0 1000))
     (fun (versions, horizon) ->
-      let c = Chain.create () in
-      List.iter (Chain.insert c) versions;
+      let c = chain_of versions in
       let newest_before = Chain.newest_committed c in
       ignore (Chain.prune c ~horizon);
       match newest_before with
@@ -304,9 +326,7 @@ let prop_prune_keeps_visibility =
 let test_chain_committed_suffix () =
   (* A committed version stacked above an uncommitted one violates the
      module contract and must be reported. *)
-  let c = Chain.create () in
-  Chain.insert c (mkv ~state:Version.Local_committed ~n:1 ~ts:100 ());
-  Chain.insert c (mkv ~n:2 ~ts:600 ());
+  let c = chain_of [ mkv ~state:Version.Local_committed ~n:1 ~ts:100 (); mkv ~n:2 ~ts:600 () ] in
   (* committed on top *)
   (match Chain.check_invariants c with
    | Ok () -> Alcotest.fail "committed-above-uncommitted not detected"
@@ -315,11 +335,15 @@ let test_chain_committed_suffix () =
        (String.length e > 0));
   (* The legal shape — speculative stack above the committed history —
      passes. *)
-  let c2 = Chain.create () in
-  Chain.insert c2 (mkv ~n:1 ~ts:10 ());
-  Chain.insert c2 (mkv ~n:2 ~ts:20 ());
-  Chain.insert c2 (mkv ~state:Version.Local_committed ~n:3 ~ts:30 ());
-  Chain.insert c2 (mkv ~state:Version.Pre_committed ~n:4 ~ts:40 ());
+  let c2 =
+    chain_of
+      [
+        mkv ~n:1 ~ts:10 ();
+        mkv ~n:2 ~ts:20 ();
+        mkv ~state:Version.Local_committed ~n:3 ~ts:30 ();
+        mkv ~state:Version.Pre_committed ~n:4 ~ts:40 ();
+      ]
+  in
   Alcotest.(check bool) "legal stack passes" true (Chain.check_invariants c2 = Ok ())
 
 (* --- differential testing: array chain vs the seed list chain --- *)
@@ -417,15 +441,15 @@ let same_list a b =
   List.length a = List.length b && List.for_all2 ( == ) a b
 
 let run_chain_differential ops =
-  let c = Chain.create () and r = Ref_chain.create () in
+  let c = ref (Chain.create ()) and r = Ref_chain.create () in
   let live = ref [||] in
   let next_writer = ref 0 in
   let agree rs =
-    same_opt (Chain.latest_before c ~rs) (Ref_chain.latest_before r ~rs)
+    same_opt (Chain.latest_before !c ~rs) (Ref_chain.latest_before r ~rs)
     && same_opt
-         (Chain.latest_committed_before c ~rs)
+         (Chain.latest_committed_before !c ~rs)
          (Ref_chain.latest_committed_before r ~rs)
-    && Chain.exists_newer_than c ~after:rs = Ref_chain.exists_newer_than r ~after:rs
+    && Chain.exists_newer_than !c ~after:rs = Ref_chain.exists_newer_than r ~after:rs
   in
   let step_ok op =
     (match op with
@@ -440,7 +464,7 @@ let run_chain_differential ops =
        let v =
          Version.make ~writer:(txid !next_writer) ~state ~ts ~value:(Value.Int ts)
        in
-       Chain.insert c v;
+       c := Chain.insert !c v;
        Ref_chain.insert r v;
        live := Array.append !live [| v |];
        true
@@ -454,7 +478,12 @@ let run_chain_differential ops =
              (match v.Version.state with
               | Version.Pre_committed -> Version.Local_committed
               | Version.Local_committed | Version.Committed -> Version.Committed);
-         Chain.reposition c v;
+         (* [Chain.reposition] takes a version of the chain; one removed
+            since goes back in through [replace], which may move the
+            chain. *)
+         (match Chain.find_writer !c v.Version.writer with
+          | Some w when w == v -> Chain.reposition !c v
+          | Some _ | None -> c := Chain.replace !c ~old:v v);
          Ref_chain.reposition r v;
          true
        end
@@ -462,17 +491,17 @@ let run_chain_differential ops =
        if Array.length !live = 0 then true
        else begin
          let v = !live.(p mod Array.length !live) in
-         let a = Chain.remove_writer c v.Version.writer in
+         let a = Chain.remove_writer !c v.Version.writer in
          let b = Ref_chain.remove_writer r v.Version.writer in
          same_opt a b
        end
-     | Op_prune h -> Chain.prune c ~horizon:h = Ref_chain.prune r ~horizon:h
+     | Op_prune h -> Chain.prune !c ~horizon:h = Ref_chain.prune r ~horizon:h
      | Op_query rs -> agree rs)
-    && Chain.length c = Ref_chain.length r
-    && same_list (Chain.versions c) (Ref_chain.versions r)
-    && same_opt (Chain.newest c) (Ref_chain.newest r)
-    && same_opt (Chain.newest_committed c) (Ref_chain.newest_committed r)
-    && same_list (Chain.uncommitted c) (Ref_chain.uncommitted r)
+    && Chain.length !c = Ref_chain.length r
+    && same_list (Chain.versions !c) (Ref_chain.versions r)
+    && same_opt (Chain.newest !c) (Ref_chain.newest r)
+    && same_opt (Chain.newest_committed !c) (Ref_chain.newest_committed r)
+    && same_list (Chain.uncommitted !c) (Ref_chain.uncommitted r)
   in
   List.for_all step_ok ops
 
@@ -804,6 +833,134 @@ let test_mvstore_shared_isolation () =
     (fun s -> match Mvstore.check_accounting s with Ok () -> () | Error e -> Alcotest.fail e)
     [ s0; s1 ]
 
+(* --- slot isolation: replicas sharing one key directory --- *)
+
+(* k replica stores on one k-slot directory must be observably identical
+   to k stores that each own a private directory, under any per-replica
+   mix of mutations: a write at one slot is never visible at another.
+   Both sides hold the same version objects. *)
+
+type slot_op =
+  | D_insert of int * int * int * int  (** slot, key, ts, state selector *)
+  | D_reposition of int * int * int  (** slot, live pick, ts increment *)
+  | D_replace of int * int * int  (** slot, live pick, ts increment *)
+  | D_remove of int * int  (** slot, live pick *)
+  | D_prune of int * int  (** slot, horizon *)
+  | D_bump of int * int * int  (** slot, key, rs *)
+
+let n_slot_keys = 5
+
+let slot_op_gen ~slots =
+  QCheck.Gen.(
+    let r = int_range 0 (slots - 1) and k = int_range 0 (n_slot_keys - 1)
+    and p = int_range 0 1000 and d = int_range 0 300 in
+    frequency
+      [
+        (5, map3 (fun r (k, ts) st -> D_insert (r, k, ts, st)) r (pair k p) (int_range 0 2));
+        (2, map3 (fun r p d -> D_reposition (r, p, d)) r p d);
+        (2, map3 (fun r p d -> D_replace (r, p, d)) r p d);
+        (2, map2 (fun r p -> D_remove (r, p)) r p);
+        (1, map2 (fun r h -> D_prune (r, h)) r (int_range 0 1500));
+        (2, map3 (fun r k rs -> D_bump (r, k, rs)) r k (int_range 1 1500));
+      ])
+
+let run_slot_isolation ~slots ops =
+  let directory = Mvstore.create_directory ~slots in
+  let shared = Array.init slots (fun slot -> Mvstore.create ~directory ~slot ()) in
+  let own = Array.init slots (fun _ -> Mvstore.create ()) in
+  let keys = List.init n_slot_keys dkey in
+  (* Versions inserted at each slot (removed ones included), newest
+     first. *)
+  let live = Array.make slots [||] and next_writer = ref 0 in
+  let pick r p = live.(r).(p mod Array.length live.(r)) in
+  let present r (k, (v : Version.t)) =
+    match Mvstore.find_version own.(r) k v.writer with Some w -> w == v | None -> false
+  in
+  let both r f =
+    f shared.(r);
+    f own.(r)
+  in
+  let step = function
+    | D_insert (r, k, ts, st) ->
+      incr next_writer;
+      let state =
+        match st with
+        | 0 -> Version.Committed
+        | 1 -> Version.Local_committed
+        | _ -> Version.Pre_committed
+      in
+      let v =
+        Version.make ~writer:(Txid.make ~origin:r ~number:!next_writer) ~state ~ts
+          ~value:(Value.Int ts)
+      in
+      both r (fun s -> Mvstore.insert_version s (dkey k) v);
+      live.(r) <- Array.append [| (dkey k, v) |] live.(r);
+      true
+    | D_reposition (r, p, d) ->
+      if Array.length live.(r) > 0 && present r (pick r p) then begin
+        let k, v = pick r p in
+        v.Version.ts <- v.Version.ts + d;
+        both r (fun s -> Mvstore.reposition s k v)
+      end;
+      true
+    | D_replace (r, p, d) ->
+      (* A final commit: the version is swapped, through its entry, for a
+         committed one at a timestamp no lower. *)
+      if Array.length live.(r) > 0 && present r (pick r p) then begin
+        let k, (old : Version.t) = pick r p in
+        let v =
+          Version.make ~writer:old.writer ~state:Version.Committed ~ts:(old.ts + d)
+            ~value:old.value
+        in
+        both r (fun s -> Mvstore.chain_replace s (Mvstore.entry s k) ~old v);
+        live.(r) <- Array.append [| (k, v) |] live.(r)
+      end;
+      true
+    | D_remove (r, p) ->
+      if Array.length live.(r) > 0 then begin
+        let k, (v : Version.t) = pick r p in
+        both r (fun s -> Mvstore.remove_version s k v.writer)
+      end;
+      true
+    | D_prune (r, h) -> Mvstore.prune shared.(r) ~horizon:h = Mvstore.prune own.(r) ~horizon:h
+    | D_bump (r, k, rs) ->
+      both r (fun s -> Mvstore.bump_last_reader s (dkey k) rs);
+      true
+  in
+  let agree a b =
+    Mvstore.fingerprint a = Mvstore.fingerprint b
+    && Mvstore.key_count a = Mvstore.key_count b
+    && Mvstore.version_count a = Mvstore.version_count b
+    && Mvstore.storage_bytes a = Mvstore.storage_bytes b
+    && Mvstore.check_accounting a = Ok ()
+    && Mvstore.check_accounting b = Ok ()
+    && Result.is_ok (Mvstore.check_invariants a) = Result.is_ok (Mvstore.check_invariants b)
+    && List.for_all2
+         (fun (ka, va) (kb, vb) -> Key.equal ka kb && va == vb)
+         (Mvstore.committed_versions a) (Mvstore.committed_versions b)
+    && List.for_all
+         (fun k ->
+           Mvstore.written a k = Mvstore.written b k
+           && Mvstore.last_reader a k = Mvstore.last_reader b k
+           && List.for_all
+                (fun rs ->
+                  same_opt (Mvstore.latest_before a k ~rs) (Mvstore.latest_before b k ~rs))
+                [ 0; 250; 500; 750; 1000; max_int ])
+         keys
+  in
+  List.for_all
+    (fun op ->
+      step op && List.for_all (fun r -> agree shared.(r) own.(r)) (List.init slots Fun.id))
+    ops
+
+let prop_slot_isolation =
+  QCheck.Test.make ~name:"directory slots behave like private stores" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 1 6 >>= fun slots ->
+         map (fun ops -> (slots, ops)) (list_size (int_range 0 60) (slot_op_gen ~slots))))
+    (fun (slots, ops) -> run_slot_isolation ~slots ops)
+
 let () =
   Alcotest.run "store"
     [
@@ -836,6 +993,7 @@ let () =
             test_mvstore_shared_isolation;
           QCheck_alcotest.to_alcotest prop_shared_dataset_differential;
           QCheck_alcotest.to_alcotest prop_shared_dataset_resizes;
+          QCheck_alcotest.to_alcotest prop_slot_isolation;
           Alcotest.test_case "layout budget" `Quick test_mvstore_layout_budget;
           Alcotest.test_case "marshalled copy" `Quick test_mvstore_marshal_copy;
         ] );
