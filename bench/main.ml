@@ -114,7 +114,7 @@ let micro_tests =
     (match Store.Chain.newest !c with
      | Some v ->
        v.Store.Version.ts <- 601;
-       Store.Chain.reposition !c v
+       c := Store.Chain.reposition !c v
      | None -> ());
     acc := !acc + Store.Chain.prune !c ~horizon:300;
     Sys.opaque_identity !acc

@@ -12,12 +12,16 @@
 
    Exit status: 0 when the outcome matches the expectation flags
    (--expect-clean / --expect-violation; no flag = report only), 1
-   otherwise. *)
+   otherwise, 2 on a bad scenario parameter or a --max-runs below 1. *)
 
 open Cmdliner
 
 let run dcs keys txs rf broken crash_recover batching wheel max_runs max_depth
     expect quiet =
+  if max_runs < 1 then begin
+    Format.eprintf "mc: --max-runs must be at least 1@.";
+    exit 2
+  end;
   let config = Check.Scenario.config ?seeded_bug:broken ~batching () in
   let fault_plan =
     match crash_recover with
@@ -41,7 +45,7 @@ let run dcs keys txs rf broken crash_recover batching wheel max_runs max_depth
       (Check.Explorer.interleavings report)
       report.Check.Explorer.states
       (if clean then "clean" else "VIOLATION");
-  if (not quiet) && clean && not report.Check.Explorer.exhausted then
+  if clean && not report.Check.Explorer.exhausted then
     Format.printf "(run limit hit before exhausting the tree — raise --max-runs)@.";
   match expect with
   | None -> 0

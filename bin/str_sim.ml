@@ -243,8 +243,13 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
      in-doubt prepares terminate). *)
   let config, fault_plan =
     match crash with
-    | None -> (config, [])
+    | None ->
+      if crash_at_ms <> None then usage_error "--crash-at-ms needs --crash";
+      if recover_at_ms <> None then usage_error "--recover-at-ms needs --crash";
+      (config, [])
     | Some n ->
+      let crash_at_ms = Option.value crash_at_ms ~default:7_000 in
+      let recover_at_ms = Option.value recover_at_ms ~default:9_000 in
       let plan =
         (crash_at_ms * 1_000, Dsim.Fault.Crash n)
         ::
@@ -338,13 +343,15 @@ let run_cmd =
   in
   let crash_at_ms =
     Arg.(
-      value & opt int 7_000
+      value
+      & opt (some ~none:"7000" int) None
       & info [ "crash-at-ms" ] ~docv:"MS"
           ~doc:"Crash instant, absolute simulated milliseconds (with $(b,--crash)).")
   in
   let recover_at_ms =
     Arg.(
-      value & opt int 9_000
+      value
+      & opt (some ~none:"9000" int) None
       & info [ "recover-at-ms" ] ~docv:"MS"
           ~doc:
             "Recovery instant, absolute simulated milliseconds (with \

@@ -424,9 +424,9 @@ let wake (v : Version.t) = List.iter (fun k -> k ()) (Version.take_waiters v)
 let displaced ~above ~floor (v : Version.t) =
   Version.is_uncommitted v && v.ts > above && v.ts <= floor
 
-let raise_to c ts (v : Version.t) =
+let raise_to store e ts (v : Version.t) =
   v.ts <- ts;
-  Chain.reposition c v
+  Mvstore.chain_reposition store e v
 
 (** When a version's timestamp rises from [above] to [floor] (local
     commit or final commit), uncommitted successors stacked above it —
@@ -440,11 +440,12 @@ let raise_to c ts (v : Version.t) =
     is preserved.  Versions at or below [above] (the predecessors) are
     left untouched.
 
-    The chain is scanned in place.  One displaced version (in a local
-    commit, usually the committing version itself) is raised directly;
-    only two or more take the list, whose stable sort orders
-    equal-timestamp versions newest-first. *)
-let restack c ~above ~floor =
+    The chain of [store]'s entry [e] is scanned in place.  One displaced
+    version (in a local commit, usually the committing version itself)
+    is raised directly; only two or more take the list, whose stable
+    sort orders equal-timestamp versions newest-first. *)
+let restack store e ~above ~floor =
+  let c = Mvstore.chain store e in
   let n = ref 0 and last = ref 0 in
   for i = 0 to Chain.length c - 1 do
     if displaced ~above ~floor (Chain.get c i) then begin
@@ -452,12 +453,12 @@ let restack c ~above ~floor =
       last := i
     end
   done;
-  if !n = 1 then raise_to c (floor + 1) (Chain.get c !last)
+  if !n = 1 then raise_to store e (floor + 1) (Chain.get c !last)
   else if !n > 1 then
     Chain.uncommitted c
     |> List.filter (displaced ~above ~floor)
     |> List.sort (fun (a : Version.t) (b : Version.t) -> Int.compare a.ts b.ts)
-    |> List.iteri (fun i v -> raise_to c (floor + 1 + i) v)
+    |> List.iteri (fun i v -> raise_to store e (floor + 1 + i) v)
 
 let end_hold t txid =
   if Obs.Trace.enabled t.trace then
@@ -485,12 +486,11 @@ let update_versions t txid f =
     read speculatively). *)
 let local_commit t txid ~lc =
   update_versions t txid (fun _ e v ->
-      let c = Mvstore.chain t.store e in
       let old_ts = v.ts in
       v.state <- Version.Local_committed;
       v.ts <- lc;
-      Chain.reposition c v;
-      restack c ~above:old_ts ~floor:lc;
+      Mvstore.chain_reposition t.store e v;
+      restack t.store e ~above:old_ts ~floor:lc;
       wake v)
 
 (** Final commit at this replica: each pending version is swapped for
@@ -502,7 +502,7 @@ let commit t txid versions =
   update_versions t txid (fun i e old ->
       let v = versions.(i) in
       Mvstore.chain_replace t.store e ~old v;
-      restack (Mvstore.chain t.store e) ~above:old.ts ~floor:v.ts;
+      restack t.store e ~above:old.ts ~floor:v.ts;
       wake old);
   Txid.Tbl.remove t.pending txid;
   end_hold t txid

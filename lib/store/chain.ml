@@ -31,7 +31,15 @@
 
     Committed versions are shared between the replicas that hold them
     and never mutated; only a replica's own uncommitted versions change
-    timestamp or state. *)
+    timestamp or state.
+
+    A {e frozen} chain — one slot, holding a committed version — may be
+    shared by several replicas of its key, so no mutator writes it:
+    {!insert} finds it full and grows into a new array, {!remove},
+    {!replace} and {!reposition} work on a copy, and {!prune} keeps the
+    newest committed version, the frozen chain's only one.  The rule is
+    structural: it holds whatever the caller removes or moves, a
+    committed version included. *)
 
 type t = Version.t array
 
@@ -84,6 +92,11 @@ let fold_newest f init c =
   !acc
 
 let get c i = c.(i)
+
+(* One slot, holding a committed version: possibly shared, so never
+   written.  The hole is committed too, but sits at [max_int]. *)
+let frozen c =
+  Array.length c = 1 && c.(0).Version.ts <> max_int && Version.is_committed c.(0)
 
 (** Insert keeping the ascending-timestamp order; among equal
     timestamps the newly inserted version goes on the newer side (it is
@@ -159,36 +172,41 @@ let find_writer c txid =
   let i = index_of_writer c txid in
   if i < 0 then None else Some c.(i)
 
-(* Remove the [i]-th oldest of [len] versions. *)
+(* Remove the [i]-th oldest of [len] versions, in place. *)
 let remove_at c ~len i =
-  let v = c.(i) in
   if i < len - 1 then Array.blit c (i + 1) c i (len - 1 - i);
-  c.(len - 1) <- hole;
-  v
+  c.(len - 1) <- hole
 
-(** Remove [txid]'s version, returning it (accounting support). *)
-let remove_writer c txid =
-  let i = index_of_writer c txid in
-  if i < 0 then None else Some (remove_at c ~len:(length c) i)
+(* Index of [v] (by physical identity), [-1] if absent. *)
+let index_of c v =
+  let i = ref (length c - 1) in
+  while !i >= 0 && c.(!i) != v do
+    decr i
+  done;
+  !i
+
+(** Remove [v] (by physical identity).  Returns the chain to keep: [c]
+    when [v] is absent, a copy when [c] was frozen. *)
+let remove c v =
+  let i = index_of c v in
+  if i < 0 then c
+  else begin
+    let c = if frozen c then Array.copy c else c in
+    remove_at c ~len:(length c) i;
+    c
+  end
 
 (** Swap [old] (by physical identity) for [v]: remove, then insert at
     [v]'s timestamp.  A final commit trades a replica's private
     uncommitted version for the shared committed one this way. *)
-let replace c ~old v =
-  let len = length c in
-  let i = ref (len - 1) in
-  while !i >= 0 && c.(!i) != old do
-    decr i
-  done;
-  if !i >= 0 then ignore (remove_at c ~len !i);
-  insert c v
+let replace c ~old v = insert (remove c old) v
 
 (** Reposition a version of the chain after its timestamp was bumped
     (pre-commit -> local-commit transitions only increase timestamps).
     Must be called after any externally performed [ts]/[state]
-    mutation; the binary searches rely on it.  In place: removing [v]
-    makes the room its insertion takes. *)
-let reposition c v = ignore (replace c ~old:v v)
+    mutation; the binary searches rely on it.  Removing [v] makes the
+    room its insertion takes, so only a frozen chain is copied. *)
+let reposition c v = replace c ~old:v v
 
 (** Uncommitted versions, newest first. *)
 let uncommitted c =
@@ -206,7 +224,9 @@ let exists_newer_than c ~after =
 (** Drop committed versions older than [horizon], always retaining the
     newest committed one and every uncommitted version.  Single
     compaction pass; [on_drop] fires once per dropped version (storage
-    accounting).  Returns the number of versions dropped. *)
+    accounting).  Returns the number of versions dropped.  In place: a
+    chain it writes has dropped a version, so it held two or more and
+    was not frozen. *)
 let prune ?(on_drop = fun (_ : Version.t) -> ()) c ~horizon =
   let len = length c in
   let nc = newest_committed_idx c in

@@ -14,11 +14,20 @@
     binary search for the padding.  {!newest_committed} scans down the
     speculative stack above the committed history.
 
-    {!insert} and {!replace} may move the chain to a larger array and
-    return the chain to keep; every other mutation is in place.  A
-    committed version may sit in many chains at once (every replica
-    that committed it holds the same value); it is never mutated after
-    it is installed. *)
+    Every mutator but {!prune} returns the chain to keep, and the old
+    array must not be used again: {!insert} moves a full chain to a
+    larger array, and the others write in place except on a frozen
+    chain.  A committed
+    version may sit in many chains at once (every replica that committed
+    it holds the same value); it is never mutated after it is installed.
+
+    {e Immutability rule.}  A {e frozen} chain is a full one-slot chain
+    whose only version is committed.  The replicas of a key may share
+    one, so no mutator ever writes it: {!insert} grows it into a new
+    array, {!remove}, {!replace} and {!reposition} work on a copy, and
+    {!prune} never drops the newest committed version, a frozen chain's
+    only one.  The rule is structural: it holds whatever the caller
+    removes or moves, the committed version included. *)
 
 type t
 
@@ -47,6 +56,9 @@ val fold_newest : ('a -> Version.t -> 'a) -> 'a -> t -> 'a
     must not allocate walk the chain with it. *)
 val get : t -> int -> Version.t
 
+(** Is this a frozen chain (one slot, holding a committed version)? *)
+val frozen : t -> bool
+
 (** Insert keeping descending-timestamp order; among equal timestamps
     the newly inserted version is considered newer.  O(1) amortized
     when the version is the newest of the chain.  Returns the chain,
@@ -68,21 +80,22 @@ val latest_committed_before : t -> rs:int -> Version.t option
 
 val find_writer : t -> Txid.t -> Version.t option
 
-(** Remove the writer's version, returning it so callers can keep
-    storage accounting incremental. *)
-val remove_writer : t -> Txid.t -> Version.t option
+(** Remove [v] (by physical identity).  Returns the chain to keep: [c]
+    itself when [v] is absent, a copy when [c] was frozen. *)
+val remove : t -> Version.t -> t
 
 (** Re-sort one version of the chain after its timestamp was bumped by
     a state transition.  Any external mutation of a version's [ts] or
-    [state] must be followed by a [reposition] of that version.  In
-    place: the version's own slot makes room for it. *)
-val reposition : t -> Version.t -> unit
+    [state] must be followed by a [reposition] of that version.  The
+    version's own slot makes room for it, so only a frozen chain is
+    copied.  Returns the chain to keep. *)
+val reposition : t -> Version.t -> t
 
 (** Swap [old] (found by physical identity; nothing is removed if it is
     absent) for [v], inserted as {!insert} does: the position
     {!reposition} would give [old] had it been mutated into [v].  How a
     replica trades its private uncommitted version for the shared
-    committed one.  Returns the chain, as {!insert} does. *)
+    committed one.  Returns the chain to keep. *)
 val replace : t -> old:Version.t -> Version.t -> t
 
 (** Uncommitted versions, newest first. *)
@@ -92,9 +105,10 @@ val uncommitted : t -> Version.t list
 val exists_newer_than : t -> after:int -> bool
 
 (** Drop committed versions older than [horizon], always retaining the
-    newest committed one and every uncommitted version; single pass,
-    returns how many were dropped.  [on_drop] fires once per dropped
-    version (storage accounting). *)
+    newest committed one and every uncommitted version; single pass, in
+    place (a frozen chain has nothing to drop), returns how many were
+    dropped.  [on_drop] fires once per dropped version (storage
+    accounting). *)
 val prune : ?on_drop:(Version.t -> unit) -> t -> horizon:int -> int
 
 (** Validate the ordering invariants — descending timestamps and the

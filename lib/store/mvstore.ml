@@ -20,6 +20,13 @@
     through the replica's chain when it has one, and through the
     dataset otherwise.
 
+    Every mutation stores the chain it returns back in the replica's
+    slot ({!settle}).  {!Chain} never writes a frozen chain (one slot,
+    one committed version) in place, so the replicas may share one: a
+    chain left with one committed version adopts a sibling slot's
+    frozen array of exactly that version, and once every slot holds one
+    array the node collapses (see {!Nodetbl.set}).
+
     Storage accounting is incremental: key and version byte counts are
     maintained on every load/insert/remove/prune, so {!storage_bytes}
     (and hence the metrics sampler) is O(1) instead of walking every
@@ -156,38 +163,60 @@ let entry t key =
   let e = Nodetbl.find d.entries key in
   if e != d.absent then e
   else begin
-    let e = Nodetbl.node ~nil:d.absent ~slots:d.slots key Chain.absent in
+    let e = Nodetbl.node ~nil:d.absent key Chain.absent in
     Nodetbl.add d.entries e;
     e
   end
 
 let chain t e = Nodetbl.get e t.slot
+let collapsed = Nodetbl.collapsed
 
 (* [key]'s chain at this replica, {!Chain.absent} if it never wrote it. *)
 let chain_of_key t key =
   let e = Nodetbl.find t.directory.entries key in
   if e == t.directory.absent then Chain.absent else chain t e
 
-(* This replica's chain of [e], started on its first mutation.  A loaded
-   key's chain starts from the shared version, which stays counted in
-   the dataset's tally. *)
+(* This replica's chain of [e], started for its first mutation, which
+   stores it (see [settle]).  A loaded key's chain starts from the
+   shared version, which stays counted in the dataset's tally. *)
 let opened t e =
   let c = chain t e in
   if not (Chain.is_absent c) then c
   else begin
     let key = entry_key e in
-    let c =
-      match loaded t.dataset key with
-      | Some v -> Chain.insert (Chain.create ()) v
-      | None ->
-        t.own_keys <- t.own_keys + 1;
-        t.data_bytes <- t.data_bytes + key_bytes key;
-        t.sorted_for <- -1;
-        Chain.create ()
-    in
-    Nodetbl.set e t.slot c;
-    c
+    match loaded t.dataset key with
+    | Some v -> Chain.insert (Chain.create ()) v
+    | None ->
+      t.own_keys <- t.own_keys + 1;
+      t.data_bytes <- t.data_bytes + key_bytes key;
+      t.sorted_for <- -1;
+      Chain.create ()
   end
+
+(* A frozen chain of exactly [v] other than [c] in a slot from [i] up,
+   else [c].  A chain mutated in place may still sit in its own slot. *)
+let rec sibling e ~slots v c i =
+  if i = slots then c
+  else begin
+    let s = Nodetbl.get e i in
+    if s != c && Chain.frozen s && Chain.get s 0 == v then s
+    else sibling e ~slots v c (i + 1)
+  end
+
+(* Store [c], this replica's chain of [e] after a mutation.  A chain
+   left with one committed version adopts the array of a slot that
+   holds that version frozen: the replicas of a write-once key share
+   one array, and once every slot holds it the node drops its slot
+   array.  With no such slot, [c] itself is the array the others adopt
+   later (when it is frozen). *)
+let settle t e c =
+  let slots = t.directory.slots in
+  let c =
+    if Chain.length c = 1 && Version.is_committed (Chain.get c 0) then
+      sibling e ~slots (Chain.get c 0) c 0
+    else c
+  in
+  if c != Nodetbl.get e t.slot then Nodetbl.set ~slots e t.slot c
 
 (* [key]'s versions newest-first: its chain, else its loaded version. *)
 let fold_versions f acc t key =
@@ -253,9 +282,7 @@ let newest_committed t key =
   if Chain.is_absent c then loaded t.dataset key else Chain.newest_committed c
 
 let chain_insert t e v =
-  let c = opened t e in
-  let grown = Chain.insert c v in
-  if grown != c then Nodetbl.set e t.slot grown;
+  settle t e (Chain.insert (opened t e) v);
   account_insert t v
 
 let insert_version t key v = chain_insert t (entry t key) v
@@ -268,17 +295,23 @@ let find_version t key txid =
     | Some (v : Version.t) as found when Txid.equal v.writer txid -> found
     | Some _ | None -> None
 
-let chain_remove t e txid =
-  let removed = Chain.remove_writer (chain t e) txid in
-  Option.iter (account_remove t) removed;
-  removed
+(* Remove [txid]'s version from [c], this replica's chain of [e]. *)
+let remove_from t e c txid =
+  match Chain.find_writer c txid with
+  | None -> None
+  | Some v as removed ->
+    settle t e (Chain.remove c v);
+    account_remove t v;
+    removed
+
+let chain_remove t e txid = remove_from t e (chain t e) txid
 
 let chain_replace t e ~old v =
-  let c = opened t e in
-  let moved = Chain.replace c ~old v in
-  if moved != c then Nodetbl.set e t.slot moved;
+  settle t e (Chain.replace (opened t e) ~old v);
   account_remove t old;
   account_insert t v
+
+let chain_reposition t e v = settle t e (Chain.reposition (chain t e) v)
 
 (* Removing the loaded version itself opens the chain first, so the
    removal stays private to this replica. *)
@@ -287,14 +320,14 @@ let remove_version t key txid =
   | None -> ()
   | Some _ ->
     let e = entry t key in
-    ignore (opened t e);
-    ignore (chain_remove t e txid)
+    ignore (remove_from t e (opened t e) txid)
 
 (* Without a chain there is nothing to move: the key holds only its
    read-only loaded version, which no transition touches. *)
 let reposition t key v =
-  let c = chain_of_key t key in
-  if not (Chain.is_absent c) then Chain.reposition c v
+  match find_entry t key with
+  | Some e when not (Chain.is_absent (chain t e)) -> chain_reposition t e v
+  | Some _ | None -> ()
 
 (** Uncommitted versions currently stacked on [key]. *)
 let uncommitted t key = Chain.uncommitted (chain_of_key t key)
@@ -314,8 +347,16 @@ let iter_chains f t =
 let prune t ~horizon =
   let dropped = ref 0 in
   let on_drop v = account_remove t v in
-  (* Hash order: summing a count is order-insensitive. *)
-  iter_chains (fun _ c -> dropped := !dropped + Chain.prune ~on_drop c ~horizon) t;
+  (* Hash order: each chain is pruned on its own, and summing a count is
+     order-insensitive. *)
+  iter_chains
+    (fun e c ->
+      let n = Chain.prune ~on_drop c ~horizon in
+      if n > 0 then begin
+        dropped := !dropped + n;
+        settle t e c
+      end)
+    t;
   t.versions_pruned <- t.versions_pruned + !dropped;
   !dropped
 

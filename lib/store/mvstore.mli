@@ -25,7 +25,13 @@ val create_dataset : unit -> dataset
     replicas has written, holding one chain per replica in numbered
     slots (a replica that never wrote the key has {!Chain.absent}).
     The replicas share it, each store reading and writing only its own
-    slot, so a write at one replica is never visible at another. *)
+    slot, so a write at one replica is never visible at another.
+
+    A chain left holding one committed version [v] adopts a sibling
+    slot's array when that one is physically [[|v|]], which is
+    {!Chain.frozen} and so never written in place: the replicas of a
+    write-once key share one array.  A node whose slots all hold the
+    same chain is collapsed ({!collapsed}): it keeps no slot array. *)
 type directory
 
 (** A directory with [slots] slots per node (the partition's
@@ -108,9 +114,13 @@ val find_entry : t -> Key.t -> entry option
 val entry : t -> Key.t -> entry
 
 (** This replica's chain of the entry: {!Chain.absent} until it first
-    mutates the key.  A chain that {!chain_insert} or {!chain_replace}
-    moves to a larger array must be read again. *)
+    mutates the key.  Every [chain_*] mutator may move the chain to
+    another array; it must be read again after one. *)
 val chain : t -> entry -> Chain.t
+
+(** Do all the replicas' slots of the entry hold one chain, with no slot
+    array (test support)? *)
+val collapsed : entry -> bool
 
 (** [key]'s loaded version: its whole history at a replica that has
     not written it. *)
@@ -125,6 +135,9 @@ val chain_remove : t -> entry -> Txid.t -> Version.t option
 
 (** {!Chain.replace} [old] with [v]. *)
 val chain_replace : t -> entry -> old:Version.t -> Version.t -> unit
+
+(** {!Chain.reposition} [v]. *)
+val chain_reposition : t -> entry -> Version.t -> unit
 
 (** Multi-version GC over every chain of this replica; returns versions
     dropped.  A key still on its loaded version has nothing to drop. *)

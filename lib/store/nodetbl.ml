@@ -12,7 +12,7 @@ type 'a node = {
   hash : int;
   mutable next : 'a node;
   mutable data : 'a;
-  rest : 'a array;
+  mutable rest : 'a array;
 }
 
 let nil data =
@@ -20,11 +20,34 @@ let nil data =
   let rec n = { key; hash = 0; next = n; data; rest = [||] } in
   n
 
-let node ~nil ?(slots = 1) key data =
-  { key; hash = Key.hash key; next = nil; data; rest = Array.make (slots - 1) data }
+let node ~nil key data = { key; hash = Key.hash key; next = nil; data; rest = [||] }
 
-let get n i = if i = 0 then n.data else n.rest.(i - 1)
-let set n i x = if i = 0 then n.data <- x else n.rest.(i - 1) <- x
+(* Collapsed: every slot holds [data].  Tested by length, not by
+   identity with one empty array, so a copy made by [Marshal] reads the
+   same. *)
+let collapsed n = Array.length n.rest = 0
+let get n i = if i = 0 || collapsed n then n.data else n.rest.(i - 1)
+
+(* Do the slots past 0 all hold [data]? *)
+let uniform n =
+  let i = ref 0 and len = Array.length n.rest in
+  while !i < len && n.rest.(!i) == n.data do
+    incr i
+  done;
+  !i = len
+
+let set ~slots n i x =
+  if collapsed n then begin
+    if x != n.data && slots > 1 then begin
+      n.rest <- Array.make (slots - 1) n.data;
+      if i = 0 then n.data <- x else n.rest.(i - 1) <- x
+    end
+    else n.data <- x
+  end
+  else begin
+    if i = 0 then n.data <- x else n.rest.(i - 1) <- x;
+    if uniform n then n.rest <- [||]
+  end
 
 type 'a t = { nil : 'a node; mutable buckets : 'a node array; mutable size : int }
 

@@ -1,22 +1,25 @@
 (** Hash tables keyed by {!Keyspace.Key.t} whose bucket nodes carry the
     entry itself: an entry costs one block, its node, plus the array of
-    its further slots when it has more than one.  A node keeps its key's
-    hash, so a bucket walk compares another key only when the hashes
-    match.  The bucket array starts empty and doubles once the table
-    holds twice as many nodes as buckets.  There is no removal.
-    Iteration order is unspecified. *)
+    its further slots while they do not all hold the same value.  A
+    node keeps its key's hash, so a bucket walk compares another key
+    only when the hashes match.  The bucket array starts empty and
+    doubles once the table holds twice as many nodes as buckets.  There
+    is no removal.  Iteration order is unspecified. *)
 
 (** A table entry: its key and its owner's slots, numbered from 0.
-    Slot 0 is [data], held in the node itself, so a one-slot entry has
-    no second block; slots 1 and up are [rest].  [hash] and [next]
-    belong to this module: [next] links the bucket.  An owner may read
-    and write [data] directly. *)
+    Slot 0 is [data], held in the node itself; slots 1 and up are
+    [rest].  A node is {e collapsed} when [rest] is empty: every slot
+    then holds [data], so an entry whose slots agree (or that has one
+    slot) costs no second block.  The mark is the array's length, not
+    its identity, so a copy made by [Marshal] reads the same.  [hash],
+    [next] and [rest] belong to this module: [next] links the bucket.
+    An owner of one-slot entries may read and write [data] directly. *)
 type 'a node = {
   key : Keyspace.Key.t;
   hash : int;
   mutable next : 'a node;
   mutable data : 'a;
-  rest : 'a array;
+  mutable rest : 'a array;
 }
 
 (** A fresh end marker holding [data] in its one slot: a node that is
@@ -24,14 +27,20 @@ type 'a node = {
     placeholder. *)
 val nil : 'a -> 'a node
 
-(** A node for [key] with [slots] slots (default 1), each holding
-    [data].  [nil] is the end marker of the table it will join. *)
-val node : nil:'a node -> ?slots:int -> Keyspace.Key.t -> 'a -> 'a node
+(** A collapsed node for [key], every slot holding [data].  [nil] is
+    the end marker of the table it will join. *)
+val node : nil:'a node -> Keyspace.Key.t -> 'a -> 'a node
+
+(** Do all the node's slots hold [data]? *)
+val collapsed : 'a node -> bool
 
 (** Slot [i] of the node ([0 <= i <] its slot count). *)
 val get : 'a node -> int -> 'a
 
-val set : 'a node -> int -> 'a -> unit
+(** Write slot [i] of a node with [slots] slots.  The first write that
+    makes the slots differ (by physical identity) builds [rest]; a write
+    that makes them agree again drops it. *)
+val set : slots:int -> 'a node -> int -> 'a -> unit
 
 type 'a t
 

@@ -656,9 +656,9 @@ let test_store_words_per_version () =
   let per_version = float_of_int words /. float_of_int versions in
   Alcotest.(check int) "54 replica stores" 54 (Array.length stores);
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 8.15"
+    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 5.89"
        per_version words versions)
-    true (per_version <= 8.15)
+    true (per_version <= 5.89)
 
 (* The replicas of a partition keep their chains in one shared key
    directory: every replica store of the partition holds the same
@@ -709,6 +709,48 @@ let test_one_directory_per_partition () =
           if i < j && d == d' then Alcotest.failf "partitions %d and %d share a directory" i j)
         directories)
     directories
+
+(* A key whose replicas all hold the same single committed version (in
+   this run, a key written once) costs one chain array and one node:
+   every replica's slot holds the same frozen array, and the node keeps
+   no slot array. *)
+let test_write_once_keys_share_one_chain () =
+  let eng, _ = Lazy.force synth_a_smoke in
+  let placement = Core.Engine.placement eng in
+  let shared = ref 0 and nodes = ref 0 in
+  for p = 0 to Placement.n_partitions placement - 1 do
+    let stores =
+      Array.map
+        (fun r -> Core.Partition_server.store (Core.Engine.server eng ~node:r ~partition:p))
+        (Placement.replicas placement p)
+    in
+    List.iter
+      (fun k ->
+        incr nodes;
+        let e = Option.get (Mvstore.find_entry stores.(0) k) in
+        let chains = Array.map (fun s -> Mvstore.chain s e) stores in
+        let one = chains.(0) in
+        let sole c =
+          Chain.length c = 1 && Version.is_committed (Chain.get c 0)
+          && Chain.get c 0 == Chain.get one 0
+        in
+        if Array.for_all sole chains then begin
+          incr shared;
+          if
+            not
+              (Mvstore.collapsed e && Chain.frozen one
+              && Array.for_all (fun c -> c == one) chains)
+          then
+            Alcotest.failf "%s: its replicas hold one committed version in %s" (Key.to_string k)
+              (if Mvstore.collapsed e then "several arrays" else "a node with a slot array")
+        end
+        else if Mvstore.collapsed e then
+          Alcotest.failf "%s: a collapsed node whose replicas differ" (Key.to_string k))
+      (Mvstore.directory_keys (Mvstore.directory stores.(0)))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d nodes share one chain" !shared !nodes)
+    true (!shared > 0)
 
 let () =
   Alcotest.run "protocol"
@@ -775,5 +817,7 @@ let () =
           Alcotest.test_case "store words per version" `Quick test_store_words_per_version;
           Alcotest.test_case "one directory per partition" `Quick
             test_one_directory_per_partition;
+          Alcotest.test_case "write-once keys share one chain" `Quick
+            test_write_once_keys_share_one_chain;
         ] );
     ]

@@ -40,14 +40,15 @@ let test_chain_remove_and_reposition () =
   (* commit v2 with a larger timestamp; it must move above ts=10 *)
   v2.Version.state <- Version.Committed;
   v2.Version.ts <- 15;
-  Chain.reposition c v2;
+  let c = Chain.reposition c v2 in
   Alcotest.(check bool) "invariants hold" true (Chain.check_invariants c = Ok ());
   Alcotest.(check int) "newest is repositioned" 15
     (match Chain.newest c with Some v -> v.Version.ts | None -> -1);
-  (match Chain.remove_writer c (txid 2) with
-   | Some v -> Alcotest.(check int) "removed version returned" 15 v.Version.ts
-   | None -> Alcotest.fail "remove_writer found nothing");
-  Alcotest.(check int) "removed" 1 (Chain.length c)
+  match Chain.find_writer c (txid 2) with
+  | Some v ->
+    Alcotest.(check int) "found version" 15 v.Version.ts;
+    Alcotest.(check int) "removed" 1 (Chain.length (Chain.remove c v))
+  | None -> Alcotest.fail "find_writer found nothing"
 
 let test_chain_prune () =
   let c =
@@ -193,7 +194,8 @@ let test_chain_remove_releases_version () =
 (* A copy made by [Marshal] (how forked workers ship results back) has
    its own copies of the tables' end markers and of the chains'
    padding; absent keys must still read as absent, a padded chain must
-   keep its length, and writes must land in new chains. *)
+   keep its length, writes must land in new chains, and a collapsed
+   node and a frozen chain must keep their meaning. *)
 let test_mvstore_marshal_copy () =
   let s = Mvstore.create () in
   let k = Key.v ~partition:0 "k" and fresh = Key.v ~partition:0 "fresh" in
@@ -219,7 +221,34 @@ let test_mvstore_marshal_copy () =
     (Mvstore.last_reader c k, Mvstore.last_reader c fresh);
   Alcotest.(check int) "same fingerprint" (Mvstore.fingerprint s) (Mvstore.fingerprint c);
   Alcotest.(check int) "two keys" 2 (Mvstore.key_count c);
-  match Mvstore.check_accounting c with Ok () -> () | Error e -> Alcotest.fail e
+  (match Mvstore.check_accounting c with Ok () -> () | Error e -> Alcotest.fail e);
+  (* Three replicas whose slots of [k] share one frozen chain, so the
+     node is collapsed: the copy must read the same, and a write at one
+     of its slots must stay there. *)
+  let directory = Mvstore.create_directory ~slots:3 in
+  let replicas = Array.init 3 (fun slot -> Mvstore.create ~directory ~slot ()) in
+  let v5 = mkv ~n:5 ~ts:11 () in
+  Array.iter (fun s -> Mvstore.insert_version s k v5) replicas;
+  let copy : Mvstore.t array = Marshal.from_string (Marshal.to_string replicas []) 0 in
+  let node stores = Option.get (Mvstore.find_entry stores.(0) k) in
+  let one_chain stores =
+    let e = node stores in
+    Mvstore.collapsed e
+    && Array.for_all (fun s -> Mvstore.chain s e == Mvstore.chain stores.(0) e) stores
+  in
+  Alcotest.(check (pair bool bool)) "one chain before and after the copy" (true, true)
+    (one_chain replicas, one_chain copy);
+  let versions s = Mvstore.fold_versions (fun l (v : Version.t) -> (v.writer, v.ts) :: l) [] s k in
+  Mvstore.insert_version copy.(1) k (mkv ~state:Version.Pre_committed ~n:6 ~ts:20 ());
+  Alcotest.(check bool) "the written slot splits the node" false (Mvstore.collapsed (node copy));
+  Alcotest.(check int) "the written slot has both versions" 2 (List.length (versions copy.(1)));
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "a sibling keeps its one version" true
+        (versions s = [ (txid 5, 11) ]))
+    [ copy.(0); copy.(2); replicas.(1) ];
+  Mvstore.remove_version copy.(1) k (txid 6);
+  Alcotest.(check bool) "the slots agree again" true (one_chain copy)
 
 (* --- heap layout budgets --- *)
 
@@ -246,23 +275,28 @@ let test_mvstore_layout_budget () =
   in
   Alcotest.(check bool) (Printf.sprintf "%.2f <= 15 words per private key" per_key) true
     (per_key <= 15.);
-  (* Six replicas sharing one directory, each committing the same
-     version of every key: one node and one slot array per key, then a
-     one-version chain per replica. *)
+  (* Six replicas sharing one directory, each swapping a pending
+     version for the same committed one, as a final commit does: per
+     key, one collapsed node and one frozen array shared by the six. *)
   let directory = Mvstore.create_directory ~slots:6 in
   let replicas = Array.init 6 (fun slot -> Mvstore.create ~directory ~slot ()) in
   let empty = words replicas in
   Array.iteri
     (fun ts k ->
       let v = Version.make ~writer ~state:Version.Committed ~ts ~value in
-      Array.iter (fun s -> Mvstore.insert_version s k v) replicas)
+      Array.iter
+        (fun s ->
+          let old = Version.make ~writer ~state:Version.Pre_committed ~ts ~value in
+          Mvstore.insert_version s k old;
+          Mvstore.chain_replace s (Mvstore.entry s k) ~old v)
+        replicas)
     keys;
   let per_replica =
     float_of_int (words (replicas, shared) - 3 - words shared - empty) /. float_of_int (6 * n)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f <= 5.4 words per (key, replica)" per_replica)
-    true (per_replica <= 5.4)
+    (Printf.sprintf "%.2f <= 2.59 words per (key, replica)" per_replica)
+    true (per_replica <= 2.59)
 
 (* --- properties --- *)
 
@@ -482,7 +516,7 @@ let run_chain_differential ops =
             since goes back in through [replace], which may move the
             chain. *)
          (match Chain.find_writer !c v.Version.writer with
-          | Some w when w == v -> Chain.reposition !c v
+          | Some w when w == v -> c := Chain.reposition !c v
           | Some _ | None -> c := Chain.replace !c ~old:v v);
          Ref_chain.reposition r v;
          true
@@ -491,7 +525,8 @@ let run_chain_differential ops =
        if Array.length !live = 0 then true
        else begin
          let v = !live.(p mod Array.length !live) in
-         let a = Chain.remove_writer !c v.Version.writer in
+         let a = Chain.find_writer !c v.Version.writer in
+         Option.iter (fun w -> c := Chain.remove !c w) a;
          let b = Ref_chain.remove_writer r v.Version.writer in
          same_opt a b
        end
@@ -838,7 +873,10 @@ let test_mvstore_shared_isolation () =
 (* k replica stores on one k-slot directory must be observably identical
    to k stores that each own a private directory, under any per-replica
    mix of mutations: a write at one slot is never visible at another.
-   Both sides hold the same version objects. *)
+   Both sides hold the same version objects.  [D_share] commits one
+   version at several slots, as a final commit does, so their chains
+   share one frozen array (and the node may collapse); every later op at
+   one slot must then leave the other slots' chains as they were. *)
 
 type slot_op =
   | D_insert of int * int * int * int  (** slot, key, ts, state selector *)
@@ -847,6 +885,7 @@ type slot_op =
   | D_remove of int * int  (** slot, live pick *)
   | D_prune of int * int  (** slot, horizon *)
   | D_bump of int * int * int  (** slot, key, rs *)
+  | D_share of int * int * int  (** slots 0 to n-1, key, ts *)
 
 let n_slot_keys = 5
 
@@ -862,6 +901,7 @@ let slot_op_gen ~slots =
         (2, map2 (fun r p -> D_remove (r, p)) r p);
         (1, map2 (fun r h -> D_prune (r, h)) r (int_range 0 1500));
         (2, map3 (fun r k rs -> D_bump (r, k, rs)) r k (int_range 1 1500));
+        (3, map3 (fun n k ts -> D_share (n, k, ts)) (int_range 1 slots) k p);
       ])
 
 let run_slot_isolation ~slots ops =
@@ -926,6 +966,37 @@ let run_slot_isolation ~slots ops =
     | D_bump (r, k, rs) ->
       both r (fun s -> Mvstore.bump_last_reader s (dkey k) rs);
       true
+    | D_share (n, k, ts) ->
+      (* Each slot's pending version is swapped for the shared committed
+         one, the adoption path of a final commit. *)
+      incr next_writer;
+      let writer = Txid.make ~origin:0 ~number:!next_writer in
+      let v = Version.make ~writer ~state:Version.Committed ~ts ~value:(Value.Int ts) in
+      for r = 0 to n - 1 do
+        let old = Version.make ~writer ~state:Version.Pre_committed ~ts ~value:v.value in
+        both r (fun s ->
+            Mvstore.insert_version s (dkey k) old;
+            Mvstore.chain_replace s (Mvstore.entry s (dkey k)) ~old v);
+        live.(r) <- Array.append [| (dkey k, v) |] live.(r)
+      done;
+      true
+  in
+  (* The slot an op mutates; [D_share] mutates several. *)
+  let slot_of = function
+    | D_insert (r, _, _, _) | D_reposition (r, _, _) | D_replace (r, _, _)
+    | D_remove (r, _) | D_prune (r, _) | D_bump (r, _, _) ->
+      Some r
+    | D_share _ -> None
+  in
+  (* Every slot's versions of every key, by identity. *)
+  let contents () =
+    Array.map
+      (fun s -> List.map (Mvstore.fold_versions (fun l v -> v :: l) [] s) keys)
+      shared
+  in
+  let unchanged before after =
+    List.for_all2 (fun a b -> List.length a = List.length b && List.for_all2 ( == ) a b)
+      before after
   in
   let agree a b =
     Mvstore.fingerprint a = Mvstore.fingerprint b
@@ -950,7 +1021,17 @@ let run_slot_isolation ~slots ops =
   in
   List.for_all
     (fun op ->
-      step op && List.for_all (fun r -> agree shared.(r) own.(r)) (List.init slots Fun.id))
+      let before = contents () in
+      step op
+      && List.for_all (fun r -> agree shared.(r) own.(r)) (List.init slots Fun.id)
+      &&
+      match slot_of op with
+      | None -> true
+      | Some r ->
+        let after = contents () in
+        List.for_all
+          (fun r' -> r' = r || unchanged before.(r') after.(r'))
+          (List.init slots Fun.id))
     ops
 
 let prop_slot_isolation =
