@@ -12,7 +12,9 @@
 
    Exit status: 0 when the outcome matches the expectation flags
    (--expect-clean / --expect-violation; no flag = report only), 1
-   otherwise, 2 on a bad scenario parameter or a --max-runs below 1. *)
+   otherwise, 2 on a bad scenario parameter or a --max-runs or
+   --max-depth below 1.  A clean run that stopped at the run limit, or
+   whose depth bound cut the tree, says so on its own line. *)
 
 open Cmdliner
 
@@ -20,6 +22,10 @@ let run dcs keys txs rf broken crash_recover batching wheel max_runs max_depth
     expect quiet =
   if max_runs < 1 then begin
     Format.eprintf "mc: --max-runs must be at least 1@.";
+    exit 2
+  end;
+  if max_depth < 1 then begin
+    Format.eprintf "mc: --max-depth must be at least 1@.";
     exit 2
   end;
   let config = Check.Scenario.config ?seeded_bug:broken ~batching () in
@@ -46,7 +52,9 @@ let run dcs keys txs rf broken crash_recover batching wheel max_runs max_depth
       report.Check.Explorer.states
       (if clean then "clean" else "VIOLATION");
   if clean && not report.Check.Explorer.exhausted then
-    Format.printf "(run limit hit before exhausting the tree — raise --max-runs)@.";
+    Format.printf "(run limit hit before exhausting the tree — raise --max-runs)@."
+  else if clean && report.Check.Explorer.depth_cut then
+    Format.printf "(depth bound %d cut the tree — raise --max-depth)@." max_depth;
   match expect with
   | None -> 0
   | Some `Clean -> if clean then 0 else 1

@@ -42,6 +42,9 @@ type report = {
   sleep_blocked : int;  (** runs cut short with every candidate asleep *)
   states : int;  (** distinct choice-point fingerprints *)
   max_depth_seen : int;  (** deepest choice point reached *)
+  depth_cut : bool;
+      (** some run reached [max_depth] at a choice point and followed
+          the default schedule from there *)
   exhausted : bool;  (** the whole bounded tree was covered *)
   violation : (step list * Spsi.Checker.violation list) option;
       (** first violating schedule found, with the oracle's verdicts *)
@@ -90,7 +93,7 @@ let explore ?(max_runs = 200_000) ?(max_depth = 4_000) ~oracle (s : Scenario.t) 
   let visited : (int, unit) Hashtbl.t = Hashtbl.create 65_536 in
   let stack : frame list ref = ref [] in  (* deepest frame first *)
   let runs = ref 0 and pruned = ref 0 and sleep_blocked = ref 0 in
-  let max_depth_seen = ref 0 in
+  let max_depth_seen = ref 0 and depth_cut = ref false in
   let violation = ref None in
   let stopped_early = ref false in
 
@@ -112,7 +115,9 @@ let explore ?(max_runs = 200_000) ?(max_depth = 4_000) ~oracle (s : Scenario.t) 
       end
       else if d >= max_depth then begin
         (* runaway guard: past the depth bound, stop branching and
-           follow the default schedule to quiescence *)
+           follow the default schedule to quiescence (every choice
+           point has several candidates, so this cuts the tree) *)
+        depth_cut := true;
         trace := { cands; chosen = 0 } :: !trace;
         0
       end
@@ -190,6 +195,7 @@ let explore ?(max_runs = 200_000) ?(max_depth = 4_000) ~oracle (s : Scenario.t) 
     sleep_blocked = !sleep_blocked;
     states = Hashtbl.length visited;
     max_depth_seen = !max_depth_seen;
+    depth_cut = !depth_cut;
     exhausted = (not !stopped_early) && !violation = None;
     violation = !violation;
   }
@@ -216,9 +222,10 @@ let pp_report ppf r =
     (interleavings r) r.runs r.pruned r.sleep_blocked;
   Format.fprintf ppf "distinct states: %d; deepest choice point: %d; %s@."
     r.states r.max_depth_seen
-    (if r.exhausted then "bounded tree exhausted"
-     else if r.violation <> None then "stopped at first violation"
-     else "stopped at run limit");
+    (if r.violation <> None then "stopped at first violation"
+     else if not r.exhausted then "stopped at run limit"
+     else if r.depth_cut then "the depth bound cut the tree"
+     else "bounded tree exhausted");
   match r.violation with
   | None -> Format.fprintf ppf "no violations@."
   | Some (steps, vs) ->

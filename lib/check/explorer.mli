@@ -1,9 +1,10 @@
 (** Stateless bounded model checker: depth-first enumeration of event
     schedules of a {!Scenario} world by whole-run replay, with
     state-hash dedup and sleep-set partial-order reduction.  A clean
-    [exhausted] report covers every reachable terminal state of the
-    bounded scenario (modulo fingerprint collisions, which only prune);
-    a violation comes with the exact schedule that produced it. *)
+    [exhausted] report that the depth bound did not cut covers every
+    reachable terminal state of the bounded scenario (modulo
+    fingerprint collisions, which only prune); a violation comes with
+    the exact schedule that produced it. *)
 
 type step = { cands : Dsim.Sim.candidate array; chosen : int }
 
@@ -13,6 +14,9 @@ type report = {
   sleep_blocked : int;  (** runs cut short with every candidate asleep *)
   states : int;  (** distinct choice-point fingerprints *)
   max_depth_seen : int;  (** deepest choice point reached *)
+  depth_cut : bool;
+      (** some run reached [max_depth] at a choice point and followed
+          the default schedule from there: the tree was cut *)
   exhausted : bool;  (** the whole bounded tree was covered *)
   violation : (step list * Spsi.Checker.violation list) option;
       (** first violating schedule, with the oracle's verdicts *)
@@ -26,7 +30,8 @@ val interleavings : report -> int
     [oracle] on every quiescent terminal world; stops at the first
     violation, at [max_runs] executions, or when the tree is exhausted.
     [max_depth] bounds branching choice points per run (a runaway guard;
-    beyond it the default schedule is followed). *)
+    beyond it the default schedule is followed, and the report says
+    [depth_cut]). *)
 val explore :
   ?max_runs:int ->
   ?max_depth:int ->

@@ -65,7 +65,8 @@ val load : t -> Store.Keyspace.Key.t -> Store.Keyspace.Value.t -> unit
 (** Install an initial committed version (timestamp 0) of the key,
     bypassing the protocol.  It goes into the partition's loaded
     dataset, stored once and shared by every replica of the partition
-    until a replica writes the key.
+    until a replica writes the key; a key loaded with a row the
+    partition already holds shares that row's version.
     @raise Invalid_argument naming the key if it is already loaded or a
     replica has already written it. *)
 

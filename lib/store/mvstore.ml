@@ -9,7 +9,8 @@
     The replicas of a partition share two structures, each replica
     seeing only its own part:
     - the {e loaded dataset}: the rows installed before the run
-      ({!load}), one read-only committed version per key;
+      ({!load}), one read-only committed version per distinct row,
+      which every key loaded with that row shares;
     - the {e key directory}: one node per key any replica has written,
       holding one chain per replica.  A replica's store is a directory
       plus its slot in every node.
@@ -60,12 +61,65 @@ type reader = int Nodetbl.node
    nothing mutates it. *)
 let no_reader : reader = Nodetbl.nil 0
 
+(* FNV-1a-style mixing over native ints; quality is ample for the
+   model checker's visited-state dedup (collisions only cost a pruned
+   branch, never a false violation) and for the row table below. *)
+let mix h x = (h lxor x) * 0x100000001b3
+
+(* Two loaded values are one row only when no program can tell them
+   apart: [Value.equal] has [0.0 = -0.0], so floats compare by their
+   bits. *)
+let rec identical (a : Keyspace.Value.t) (b : Keyspace.Value.t) =
+  match a, b with
+  | Float x, Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | List x, List y -> List.equal identical x y
+  | Rec x, Rec y ->
+    List.equal (fun (m, u) (n, w) -> String.equal m n && identical u w) x y
+  | (Unit | Int _ | Str _), _ -> Keyspace.Value.equal a b
+  | (Float _ | List _ | Rec _), _ -> false
+
+(* A value's scalars mixed in order.  Field names are left out: the
+   rows of one table share them, and hashing them would cost most of a
+   lookup. *)
+let rec mix_scalars h (x : Keyspace.Value.t) =
+  match x with
+  | Unit -> h
+  | Int i -> mix h i
+  | Float f -> mix h (Hashtbl.hash f)
+  | Str s -> mix h (Hashtbl.hash s)
+  | List l -> List.fold_left mix_scalars (h + 1) l
+  | Rec fs -> List.fold_left (fun h (_, x) -> mix_scalars h x) (h + 2) fs
+
+(* One loaded row: same writer, timestamp and value. *)
+let same_row (a : Version.t) (b : Version.t) =
+  a.ts = b.ts && Txid.equal a.writer b.writer && identical a.value b.value
+
+(* [mix] leaves the low bits, which pick the slot, to the low bits of
+   the scalars; hashing the result spreads them. *)
+let row_hash (v : Version.t) = Hashtbl.hash (mix_scalars v.ts v.value)
+
+(* What a dataset's loads added beyond its keys. *)
+type rows = {
+  mutable hashes : int array;
+      (** an open-addressing set of the distinct rows: slot [i] holds
+          the hash of [versions.(i)], or -1 while empty.  A probe and a
+          resize compare the kept hashes, not the rows, which are
+          scattered in the heap. *)
+  mutable versions : Version.t array;
+      (** each distinct row once: the version of every key loaded with
+          it *)
+  mutable distinct : int;  (** occupied slots, at most half of them *)
+  mutable bytes : int;
+      (** keys + versions of the dataset's [loaded]; derived tally,
+          cross-checked by {!check_accounting} *)
+}
+
 type dataset = {
   loaded : Version.t KeyTbl.t;  (** the one loaded version of each key *)
-  mutable loaded_bytes : int;
-      (** keys + versions of [loaded]; derived tally, cross-checked by
-          {!check_accounting} *)
+  mutable rows : rows option;  (** made by the first load *)
 }
+
+let loaded_bytes ds = match ds.rows with None -> 0 | Some r -> r.bytes
 
 (* A directory node: its key and one chain per slot. *)
 type entry = Chain.t Nodetbl.node
@@ -124,8 +178,9 @@ type t = {
 }
 
 (* Small: a cache partition or an open-loop run never loads anything,
-   so an empty dataset must cost nothing; a loaded one grows as usual. *)
-let create_dataset () = { loaded = KeyTbl.create 16; loaded_bytes = 0 }
+   so an empty dataset must cost nothing (its row table waits for the
+   first load); a loaded one grows as usual. *)
+let create_dataset () = { loaded = KeyTbl.create 16; rows = None }
 
 let create ?(dataset = create_dataset ()) ?directory ?(slot = 0) () =
   let directory =
@@ -148,6 +203,7 @@ let create ?(dataset = create_dataset ()) ?directory ?(slot = 0) () =
   }
 
 let directory t = t.directory
+let dataset t = t.dataset
 
 (* The size test keeps a miss free of hashing when nothing is loaded. *)
 let loaded ds key =
@@ -238,6 +294,39 @@ let account_remove t (v : Version.t) =
   t.version_count <- t.version_count - 1;
   t.data_bytes <- t.data_bytes - version_bytes v
 
+(* The slot of [v]'s row in [r], or the empty slot where it goes. *)
+let rec find_slot r h v i =
+  let hi = r.hashes.(i) in
+  if hi < 0 || (hi = h && same_row r.versions.(i) v) then i
+  else find_slot r h v ((i + 1) land (Array.length r.hashes - 1))
+
+let place r h v =
+  let i = find_slot r h v (h land (Array.length r.hashes - 1)) in
+  r.hashes.(i) <- h;
+  r.versions.(i) <- v
+
+(* Doubles [r], placing each row again by its kept hash. *)
+let grow r =
+  let hashes = r.hashes and versions = r.versions in
+  r.hashes <- Array.make (2 * Array.length hashes) (-1);
+  r.versions <- Array.make (2 * Array.length hashes) versions.(0);
+  Array.iteri (fun i h -> if h >= 0 then place r h versions.(i)) hashes
+
+(* The dataset's version of [v]'s row, [v] itself for a new row.  A
+   committed version is never written in place, so the keys of one row
+   may share it just as the replicas of one key do. *)
+let shared_row r v =
+  let h = row_hash v in
+  let i = find_slot r h v (h land (Array.length r.hashes - 1)) in
+  if r.hashes.(i) >= 0 then r.versions.(i)
+  else begin
+    r.hashes.(i) <- h;
+    r.versions.(i) <- v;
+    r.distinct <- r.distinct + 1;
+    if 2 * r.distinct > Array.length r.hashes then grow r;
+    v
+  end
+
 let load t ?(ts = 0) ~writer key value =
   let ds = t.dataset in
   if loaded ds key <> None || written t key then
@@ -245,8 +334,20 @@ let load t ?(ts = 0) ~writer key value =
       (Printf.sprintf "Mvstore.load: key %s is already loaded or written"
          (Key.to_string key));
   let v = Version.make ~writer ~state:Version.Committed ~ts ~value in
+  let r =
+    match ds.rows with
+    | Some r -> r
+    | None ->
+      (* [v] fills the empty slots; only the hashes are read there. *)
+      let r =
+        { hashes = Array.make 64 (-1); versions = Array.make 64 v; distinct = 0; bytes = 0 }
+      in
+      ds.rows <- Some r;
+      r
+  in
+  let v = shared_row r v in
   KeyTbl.add ds.loaded key v;
-  ds.loaded_bytes <- ds.loaded_bytes + key_bytes key + version_bytes v
+  r.bytes <- r.bytes + key_bytes key + version_bytes v
 
 let last_reader t key = (Nodetbl.find t.last_reader key).data
 
@@ -372,7 +473,7 @@ let storage_bytes t =
   let last_reader_bytes =
     last_reader_slot_bytes * max (key_count t) (Nodetbl.length t.last_reader)
   in
-  (t.dataset.loaded_bytes + t.data_bytes, last_reader_bytes)
+  (loaded_bytes t.dataset + t.data_bytes, last_reader_bytes)
 
 (** Recompute the storage accounting by walking the dataset and every
     chain of this replica and compare it against the incremental
@@ -398,7 +499,7 @@ let check_accounting t =
       if not (KeyTbl.mem ds.loaded key) then incr own;
       data := Chain.fold_newest count_version (!data + key_bytes key) c)
     t;
-  let total = ds.loaded_bytes + t.data_bytes in
+  let total = loaded_bytes ds + t.data_bytes in
   if !data <> total then
     Error (Printf.sprintf "data_bytes drifted: counter %d, recomputed %d" total !data)
   else if !versions <> version_count t then
@@ -429,11 +530,6 @@ let check_invariants t =
 (* ------------------------------------------------------------------ *)
 (* State fingerprinting (model-checker support)                        *)
 (* ------------------------------------------------------------------ *)
-
-(* FNV-1a-style mixing over native ints; quality is ample for the
-   model checker's visited-state dedup (collisions only cost a pruned
-   branch, never a false violation). *)
-let mix h x = (h lxor x) * 0x100000001b3
 
 let mix_string h s =
   let h = ref (mix h (String.length s)) in

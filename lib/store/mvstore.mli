@@ -13,10 +13,13 @@ module KeyTbl : Hashtbl.S with type key = Key.t
 type t
 
 (** The rows loaded into one partition before the run: one read-only
-    committed version per key, shared by every replica store created on
-    it.  A replica copies a loaded key into its own chain only when it
-    first mutates it (insert or remove), so loading costs one version
-    per key and partition, not per replica. *)
+    committed version per distinct row, shared by every key loaded with
+    that row and by every replica store created on the dataset.  Two
+    rows are one when they have the same writer and timestamp and
+    values no program can tell apart (floats compare by their bits).
+    A replica copies a loaded key into its own chain only when it first
+    mutates it (insert or remove), so loading costs one version per
+    distinct row and partition, not per key and replica. *)
 type dataset
 
 val create_dataset : unit -> dataset
@@ -51,6 +54,9 @@ val create : ?dataset:dataset -> ?directory:directory -> ?slot:int -> unit -> t
 
 val directory : t -> directory
 
+(** The dataset the store reads its loaded rows from (test support). *)
+val dataset : t -> dataset
+
 (** Keys of the replica: loaded ones plus those it wrote.  O(1). *)
 val key_count : t -> int
 
@@ -67,7 +73,8 @@ val written : t -> Key.t -> bool
 
 (** Initial load, bypassing the protocol: installs a committed version
     at timestamp [ts] (default 0) into the store's dataset, so every
-    replica sharing it sees the version.
+    replica sharing it sees the version.  A key whose row the dataset
+    already holds shares that row's version.
     @raise Invalid_argument if the key is already loaded or this store
     has written it. *)
 val load : t -> ?ts:int -> writer:Txid.t -> Key.t -> Keyspace.Value.t -> unit

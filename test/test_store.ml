@@ -257,8 +257,8 @@ let test_mvstore_marshal_copy () =
 let test_mvstore_layout_budget () =
   let words x = Obj.reachable_words (Obj.repr x) in
   let empty = words (Mvstore.create ()) in
-  Alcotest.(check bool) (Printf.sprintf "fresh store is %d <= 128 words" empty) true
-    (empty <= 128);
+  Alcotest.(check bool) (Printf.sprintf "fresh store is %d <= 75 words" empty) true
+    (empty <= 75);
   let n = 10_000 in
   let keys = Array.init n (fun i -> Key.v ~partition:0 (Printf.sprintf "k%d" i)) in
   let writer = txid 1 and value = Value.Str "shared" in
@@ -275,6 +275,18 @@ let test_mvstore_layout_budget () =
   in
   Alcotest.(check bool) (Printf.sprintf "%.2f <= 15 words per private key" per_key) true
     (per_key <= 15.);
+  (* A loaded key whose row repeats costs its table cell, not a
+     version: 10 distinct rows over the [n] keys. *)
+  let rows = Array.init 10 (fun i -> Value.Rec [ ("qty", Value.Int i) ]) in
+  let s = Mvstore.create () in
+  Array.iteri (fun i k -> Mvstore.load s ~writer k rows.(i mod 10)) keys;
+  let shared = (keys, writer, rows) in
+  let per_loaded =
+    float_of_int (words (s, shared) - 3 - words shared - empty) /. float_of_int n
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f <= 5.08 words per loaded key" per_loaded)
+    true (per_loaded <= 5.08);
   (* Six replicas sharing one directory, each swapping a pending
      version for the same committed one, as a final commit does: per
      key, one collapsed node and one frozen array shared by the six. *)
@@ -618,13 +630,18 @@ let test_mvstore_fingerprint_stable () =
 (* R replicas sharing one loaded dataset must be observably identical to
    R stores that each load a private copy, under any per-replica mix of
    mutations.  Loaded versions are distinct objects on the two
-   sides, so versions are compared by content. *)
+   sides, so versions are compared by content.  The loaded rows repeat
+   across keys, so the keys of one row share one version too. *)
 
 let n_replicas = 3
 let n_keys = 6
 let n_loaded = 4
+let n_rows = 3
 let dkey i = Key.v ~partition:0 (Printf.sprintf "d%d" i)
 let loader = Txid.make ~origin:(-1) ~number:0
+
+(* The row loaded at key [i]. *)
+let row i = Value.Int (i mod n_rows)
 
 type store_op =
   | S_insert of int * int * int * int  (** replica, key, ts, state selector *)
@@ -713,19 +730,74 @@ let run_shared_differential ~replicas ~loaded ~agree batches =
   let shared = Array.init replicas (fun _ -> Mvstore.create ~dataset ()) in
   let priv = Array.init replicas (fun _ -> Mvstore.create ()) in
   for i = 0 to loaded - 1 do
-    Mvstore.load shared.(0) ~writer:loader (dkey i) (Value.Int i);
-    Array.iter (fun s -> Mvstore.load s ~writer:loader (dkey i) (Value.Int i)) priv
+    Mvstore.load shared.(0) ~writer:loader (dkey i) (row i);
+    Array.iter (fun s -> Mvstore.load s ~writer:loader (dkey i) (row i)) priv
   done;
+  (* The one version of each row, which every key loaded with it
+     shares: no op may change it. *)
+  let row_version =
+    Array.init (min loaded n_rows) (fun i ->
+        Option.get (Mvstore.latest_before shared.(0) (dkey i) ~rs:0))
+  in
+  let rows_shared =
+    List.for_all
+      (fun i ->
+        match Mvstore.latest_before shared.(0) (dkey i) ~rs:0 with
+        | Some v -> v == row_version.(i mod n_rows)
+        | None -> false)
+      (List.init loaded Fun.id)
+  in
+  let rows_intact () =
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun i (v : Version.t) ->
+           v.state = Version.Committed && v.ts = 0 && Value.equal v.value (row i)
+           && v.waiters = [])
+         row_version)
+  in
+  (* What a replica shows of key [i]: its versions and its reads. *)
+  let view s i =
+    let k = dkey i in
+    let content = Option.map (fun (v : Version.t) -> (v.writer, v.state, v.ts, v.value)) in
+    ( List.map (fun v -> content (Some v)) (versions_of s k),
+      List.map
+        (fun rs ->
+          ( content (Mvstore.latest_before s k ~rs),
+            content (Mvstore.latest_committed_before s k ~rs) ))
+        [ 0; 500; max_int ],
+      content (Mvstore.newest_committed s k) )
+  in
+  (* The other loaded keys of key [i]'s row, at every replica. *)
+  let row_siblings i =
+    if i >= loaded then []
+    else
+      List.concat_map
+        (fun j ->
+          if j <> i && j mod n_rows = i mod n_rows then
+            List.init replicas (fun r -> (r, j))
+          else [])
+        (List.init loaded Fun.id)
+  in
   (* Inserted versions are the same objects on both sides, so a
      reposition mutates both at once.  [live.(r)] is a growable array
-     of [n_live.(r)] entries. *)
+     of [n_live.(r)] entries of (key index, version). *)
   let live = Array.make replicas [||] and n_live = Array.make replicas 0 in
   let next_writer = ref 0 in
   (* Model of each replica's [LastReader]: the largest positive rs. *)
   let last_read = Array.init replicas (fun _ -> Hashtbl.create 16) in
-  let pick r p = live.(r).(p mod n_live.(r)) in
+  let pick r p =
+    let i, v = live.(r).(p mod n_live.(r)) in
+    (dkey i, v)
+  in
   let present r (k, (v : Version.t)) =
     match Mvstore.find_version priv.(r) k v.writer with Some w -> w == v | None -> false
+  in
+  (* The key an op names, if any. *)
+  let key_of = function
+    | S_insert (_, i, _, _) | S_remove_loaded (_, i) | S_bump (_, i, _) -> Some i
+    | S_reposition (r, p, _, _) | S_remove (r, p) ->
+      if n_live.(r) > 0 then Some (fst live.(r).(p mod n_live.(r))) else None
+    | S_prune _ -> None
   in
   let step op =
     match op with
@@ -746,8 +818,8 @@ let run_shared_differential ~replicas ~loaded ~agree batches =
       if n_live.(r) = Array.length live.(r) then
         live.(r) <-
           Array.init (max 8 (2 * n_live.(r))) (fun i ->
-              if i < n_live.(r) then live.(r).(i) else (dkey k, v));
-      live.(r).(n_live.(r)) <- (dkey k, v);
+              if i < n_live.(r) then live.(r).(i) else (k, v));
+      live.(r).(n_live.(r)) <- (k, v);
       n_live.(r) <- n_live.(r) + 1;
       true
     | S_reposition (r, p, d, promote) ->
@@ -792,9 +864,21 @@ let run_shared_differential ~replicas ~loaded ~agree batches =
         && Mvstore.last_reader priv.(r) (dkey k) = rs)
       last_read.(r) true
   in
-  List.for_all
+  (* An op on one key leaves the other keys of its row as they were,
+     and the row's shared version as it was loaded. *)
+  let checked_step op =
+    let siblings =
+      match key_of op with Some i -> row_siblings i | None -> []
+    in
+    let before = List.map (fun (r, j) -> view shared.(r) j) siblings in
+    step op
+    && List.for_all2 (fun (r, j) b -> view shared.(r) j = b) siblings before
+    && rows_intact ()
+  in
+  rows_shared
+  && List.for_all
     (fun batch ->
-      List.for_all step batch
+      List.for_all checked_step batch
       && List.for_all
            (fun r -> agree shared.(r) priv.(r) && readers_agree r)
            (List.init replicas Fun.id))
@@ -867,6 +951,39 @@ let test_mvstore_shared_isolation () =
   List.iter
     (fun s -> match Mvstore.check_accounting s with Ok () -> () | Error e -> Alcotest.fail e)
     [ s0; s1 ]
+
+(* Loading merges rows only when nothing can tell them apart. *)
+let test_mvstore_identical_rows () =
+  let s = Mvstore.create () in
+  let n = ref 0 in
+  (* Loads [a] and [b] at two fresh keys; true if they share a version. *)
+  let one_version ?(writer_b = loader) ?(ts_b = 0) a b =
+    let ka = dkey (2 * !n) and kb = dkey ((2 * !n) + 1) in
+    incr n;
+    Mvstore.load s ~writer:loader ka a;
+    Mvstore.load s ~ts:ts_b ~writer:writer_b kb b;
+    match (Mvstore.newest_committed s ka, Mvstore.newest_committed s kb) with
+    | Some va, Some vb -> va == vb
+    | _ -> Alcotest.fail "a loaded key has no version"
+  in
+  let row = Value.Rec [ ("qty", Value.Int 7); ("name", Value.Str "x"); ("w", Value.Float 1.5) ] in
+  let copy = Value.Rec [ ("qty", Value.Int 7); ("name", Value.Str "x"); ("w", Value.Float 1.5) ] in
+  Alcotest.(check bool) "equal rows share one version" true (one_version row copy);
+  Alcotest.(check bool) "equal lists share one version" true
+    (one_version (Value.List [ Value.Unit; Value.Int 1 ]) (Value.List [ Value.Unit; Value.Int 1 ]));
+  Alcotest.(check bool) "0.0 and -0.0 stay apart" false
+    (one_version (Value.Float 0.0) (Value.Float (-0.0)));
+  Alcotest.(check bool) "reordered fields stay apart" false
+    (one_version
+       (Value.Rec [ ("a", Value.Int 1); ("b", Value.Int 2) ])
+       (Value.Rec [ ("b", Value.Int 2); ("a", Value.Int 1) ]));
+  Alcotest.(check bool) "another writer stays apart" false
+    (one_version ~writer_b:(txid 3) row copy);
+  Alcotest.(check bool) "another timestamp stays apart" false (one_version ~ts_b:1 row copy);
+  (* Accounting stays per key: each load counts its key and version. *)
+  Alcotest.(check (pair int int)) "keys and versions" (2 * !n, 2 * !n)
+    (Mvstore.key_count s, Mvstore.version_count s);
+  match Mvstore.check_accounting s with Ok () -> () | Error e -> Alcotest.fail e
 
 (* --- slot isolation: replicas sharing one key directory --- *)
 
@@ -1072,6 +1189,8 @@ let () =
             test_mvstore_fingerprint_stable;
           Alcotest.test_case "shared dataset isolation" `Quick
             test_mvstore_shared_isolation;
+          Alcotest.test_case "identical rows share a version" `Quick
+            test_mvstore_identical_rows;
           QCheck_alcotest.to_alcotest prop_shared_dataset_differential;
           QCheck_alcotest.to_alcotest prop_shared_dataset_resizes;
           QCheck_alcotest.to_alcotest prop_slot_isolation;
