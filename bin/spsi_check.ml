@@ -7,32 +7,44 @@
 
 open Cmdliner
 
-let run protocol workload clients seconds seed verbose =
-  let config, check_si =
-    match protocol with
-    | "str" -> (Core.Config.str (), false)
-    | "clocksi" -> (Core.Config.clocksi_rep (), true)
-    | "extspec" -> (Core.Config.ext_spec (), true)
-    | "physical-sr" -> (Core.Config.physical_sr (), false)
-    | "serializable" -> (Core.Config.str_serializable (), false)
-    | "unsafe" -> (Core.Config.unrestricted_speculation (), false)
-    | other -> failwith ("unknown protocol: " ^ other)
+(* The values `-p` accepts: the configuration and whether the run is
+   held to SI rather than SPSI. *)
+let protocols =
+  [
+    ("str", (Core.Config.str (), false));
+    ("clocksi", (Core.Config.clocksi_rep (), true));
+    ("extspec", (Core.Config.ext_spec (), true));
+    ("physical-sr", (Core.Config.physical_sr (), false));
+    ("serializable", (Core.Config.str_serializable (), false));
+    ("unsafe", (Core.Config.unrestricted_speculation (), false));
+  ]
+
+let workloads =
+  [
+    ("synth-a", fun pl -> Workload.Synthetic.make ~params:Workload.Synthetic.synth_a pl);
+    ( "synth-b",
+      fun pl ->
+        Workload.Synthetic.make
+          ~params:{ Workload.Synthetic.synth_b with read_remote_keys = true }
+          pl );
+    ("tpcc", fun pl -> fst (Workload.Tpcc.make pl));
+    ("rubis", fun pl -> Workload.Rubis.make pl);
+  ]
+
+let run (config, check_si) workload clients seconds seed verbose =
+  (* A malformed flag exits 2 with one line naming it, before any
+     simulation runs. *)
+  let usage_error msg =
+    prerr_endline ("spsi_check: " ^ msg);
+    exit 2
   in
+  if clients < 1 then usage_error "--clients must be at least 1";
+  if seconds < 1 then usage_error "--seconds must be at least 1";
   let placement =
     Store.Placement.ring ~n_nodes:(Dsim.Topology.size Dsim.Topology.ec2_nine)
       ~replication_factor:6 ()
   in
-  let wl =
-    match workload with
-    | "synth-a" -> Workload.Synthetic.make ~params:Workload.Synthetic.synth_a placement
-    | "synth-b" ->
-      Workload.Synthetic.make
-        ~params:{ Workload.Synthetic.synth_b with read_remote_keys = true }
-        placement
-    | "tpcc" -> fst (Workload.Tpcc.make placement)
-    | "rubis" -> Workload.Rubis.make placement
-    | other -> failwith ("unknown workload: " ^ other)
-  in
+  let wl = workload placement in
   let setup =
     {
       (Harness.Runner.default_setup ~workload:wl ~config) with
@@ -63,19 +75,15 @@ let run protocol workload clients seconds seed verbose =
     1
 
 let () =
-  let protocol =
+  let one_of table name flags =
+    let names = List.map fst table in
     Arg.(
       value
-      & opt string "str"
-      & info [ "p"; "protocol" ]
-          ~doc:"str | clocksi | extspec | physical-sr | serializable | unsafe")
+      & opt (enum table) (List.assoc name table)
+      & info flags ~doc:(String.concat " | " names))
   in
-  let workload =
-    Arg.(
-      value
-      & opt string "synth-b"
-      & info [ "w"; "workload" ] ~doc:"synth-a | synth-b | tpcc | rubis")
-  in
+  let protocol = one_of protocols "str" [ "p"; "protocol" ] in
+  let workload = one_of workloads "synth-b" [ "w"; "workload" ] in
   let clients = Arg.(value & opt int 4 & info [ "c"; "clients" ] ~doc:"clients per node") in
   let seconds = Arg.(value & opt int 3 & info [ "t"; "seconds" ] ~doc:"simulated seconds") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"random seed") in

@@ -142,15 +142,26 @@ let path_matches ~suffix path =
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type fp_check = { record_file : string; record_name : string; fp_file : string }
-
-type config = {
-  trace_file : string;
-  fingerprint_checks : fp_check list;
-  span_exempt : string list;
+type fp_check = {
+  record_file : string;  (** path suffix of the file declaring the record *)
+  record_name : string;  (** the record type's name *)
+  fp_file : string;  (** path suffix of the file with the [fingerprint] *)
 }
 
-let default_config =
+type config = {
+  trace_file : string;  (** path suffix of the message-kind module *)
+  fingerprint_checks : fp_check list;
+  span_exempt : string list;
+      (** path suffixes where [span_begin] occurrences are not span
+          opens (the trace module itself) *)
+}
+
+(* This repository's layout: [lib/obs/trace.ml] declares the message
+   kinds; the [fingerprint] in [lib/core/engine.ml] covers the [tx]
+   record of [lib/core/types.ml], the [node] and cluster [t] records of
+   [lib/core/cluster.ml] and the partition server's [t]; the store
+   record fingerprints in [lib/store/mvstore.ml]. *)
+let config =
   {
     trace_file = "lib/obs/trace.ml";
     fingerprint_checks =
@@ -240,7 +251,7 @@ type facts = {
   f_span_ctx : string list;  (** idents around span_end call sites *)
 }
 
-let extract ~config ~file src =
+let extract ~file src =
   let lx = Token.lex src in
   let toks = lx.Token.tokens in
   let n = Array.length toks in
@@ -581,7 +592,7 @@ let mk ?(severity = Error) file line col rule message =
 let token_findings path facts =
   List.map (fun (rule, line, col) -> mk path line col rule (token_message rule)) facts.f_findings
 
-let semantic_findings ~config pf =
+let semantic_findings pf =
   let all_cost_defs =
     List.sort_uniq String.compare (List.concat_map (fun (_, f) -> f.f_cost_defs) pf)
   in
@@ -750,7 +761,7 @@ let semantic_findings ~config pf =
    reporting is restricted to evaluated rules so that partial scans (a
    single file, a subtree without the trace module) do not flag markers
    whose rule simply could not run. *)
-let rule_evaluated ~config ~trace_present pf_assoc path facts rule =
+let rule_evaluated ~trace_present pf_assoc path facts rule =
   match rule with
   | "hashtbl-order" | "raw-random" | "wall-clock" | "poly-compare" -> true
   | "domain-unsafe" -> domain_unsafe_scope path
@@ -790,9 +801,8 @@ let sort_dedup findings =
 
 type report = { findings : finding list; files : int }
 
-(* Suppression + unused accounting over per-file facts, shared by
-   [analyze] and the single-file [lint_findings]. *)
-let apply_markers ~config ~semantic pf raw =
+(* Suppression + unused accounting over per-file facts. *)
+let apply_markers pf raw =
   let allowed = Hashtbl.create 64 in
   List.iter
     (fun (p, f) ->
@@ -812,29 +822,26 @@ let apply_markers ~config ~semantic pf raw =
       raw
   in
   let unused =
-    if not semantic then []
-    else begin
-      let trace_present =
-        List.exists (fun (p, _) -> path_matches ~suffix:config.trace_file p) pf
-      in
-      List.concat_map
-        (fun (p, f) ->
-          List.concat_map
-            (fun (ml, tgt, rs) ->
-              List.filter_map
-                (fun r ->
-                  match Hashtbl.find_opt allowed (p, tgt, r) with
-                  | Some (ml', used)
-                    when ml' = ml && (not !used)
-                         && rule_evaluated ~config ~trace_present pf p f r ->
-                    Some
-                      (mk ~severity:Warning p ml 1 "unused-allow"
-                         (Printf.sprintf "allow marker for '%s' suppresses nothing; remove it" r))
-                  | _ -> None)
-                rs)
-            f.f_markers)
-        pf
-    end
+    let trace_present =
+      List.exists (fun (p, _) -> path_matches ~suffix:config.trace_file p) pf
+    in
+    List.concat_map
+      (fun (p, f) ->
+        List.concat_map
+          (fun (ml, tgt, rs) ->
+            List.filter_map
+              (fun r ->
+                match Hashtbl.find_opt allowed (p, tgt, r) with
+                | Some (ml', used)
+                  when ml' = ml && (not !used)
+                       && rule_evaluated ~trace_present pf p f r ->
+                  Some
+                    (mk ~severity:Warning p ml 1 "unused-allow"
+                       (Printf.sprintf "allow marker for '%s' suppresses nothing; remove it" r))
+                | _ -> None)
+              rs)
+          f.f_markers)
+      pf
   in
   kept @ unused
 
@@ -862,23 +869,18 @@ let rec collect path =
 
 let scan_paths paths = List.concat_map collect paths
 
-let analyze ?(config = default_config) ?rules sources =
-  let pf = List.map (fun s -> (s.path, extract ~config ~file:s.path s.text)) sources in
+let analyze ?rules sources =
+  let pf = List.map (fun s -> (s.path, extract ~file:s.path s.text)) sources in
   let raw =
-    List.concat_map (fun (p, f) -> token_findings p f) pf @ semantic_findings ~config pf
+    List.concat_map (fun (p, f) -> token_findings p f) pf @ semantic_findings pf
   in
-  let findings = apply_markers ~config ~semantic:true pf raw in
+  let findings = apply_markers pf raw in
   let findings =
     match rules with
     | None -> findings
     | Some rs -> List.filter (fun f -> List.mem f.rule rs) findings
   in
   { findings = sort_dedup findings; files = List.length sources }
-
-let lint_findings ~file src =
-  let facts = extract ~config:default_config ~file src in
-  let pf = [ (file, facts) ] in
-  sort_dedup (apply_markers ~config:default_config ~semantic:false pf (token_findings file facts))
 
 (* ------------------------------------------------------------------ *)
 (* Renderers                                                           *)

@@ -65,43 +65,9 @@ type finding = {
   message : string;
 }
 
-val to_string : finding -> string
-(** [file:line:col: severity [rule] message] *)
-
-type rule_info = {
-  name : string;
-  about : string;  (** one-line description (SARIF rule metadata) *)
-  default_severity : severity;
-}
-
-val rule_infos : rule_info list
+val rule_names : string list
 (** Canonical rule order; finding lists are sorted by (file, line,
     rule order, col). *)
-
-val rule_names : string list
-
-(** {2 Configuration} *)
-
-type fp_check = {
-  record_file : string;  (** path suffix of the file declaring the record *)
-  record_name : string;  (** the record type's name *)
-  fp_file : string;  (** path suffix of the file with the [fingerprint] *)
-}
-
-type config = {
-  trace_file : string;  (** path suffix of the message-kind module *)
-  fingerprint_checks : fp_check list;
-  span_exempt : string list;
-      (** path suffixes where [span_begin] occurrences are not span
-          opens (the trace module itself) *)
-}
-
-val default_config : config
-(** This repository's layout: [lib/obs/trace.ml] declares the message
-    kinds; the [fingerprint] in [lib/core/engine.ml] covers the [tx]
-    record of [lib/core/types.ml], the [node] and cluster [t] records
-    of [lib/core/cluster.ml] and the partition server's [t]; the store
-    record fingerprints in [lib/store/mvstore.ml]. *)
 
 (** {2 Running the analyzer} *)
 
@@ -117,21 +83,17 @@ type report = {
   files : int;
 }
 
-val analyze : ?config:config -> ?rules:string list -> source list -> report
+val analyze : ?rules:string list -> source list -> report
 (** Run every rule over the sources in one sequential pass: the
     per-file extraction over each source in order, then the cross-file
     phase.  [rules] filters the {e reported} findings (everything is
     still evaluated, so suppression accounting is unaffected). *)
 
 val render_text : report -> string
-(** One [to_string] line per finding (empty string when clean). *)
+(** One [file:line:col: severity [rule] message] line per finding
+    (empty string when clean). *)
 
 val render_json : report -> string
 (** SARIF-style JSON document (version 2.1.0 shape: tool driver with
     rule metadata, one result per finding).  Byte-deterministic:
     depends only on the findings. *)
-
-val lint_findings : file:string -> string -> finding list
-(** Single-file pass: the six token rules plus marker suppression over
-    one source ([file] is only used in findings and for rule scoping) —
-    no cross-file rules, no [unused-allow]. *)

@@ -39,5 +39,4 @@ val explore :
   Scenario.t ->
   report
 
-val pp_schedule : Format.formatter -> step list -> unit
 val pp_report : Format.formatter -> report -> unit

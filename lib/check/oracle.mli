@@ -6,7 +6,6 @@
 val check_deadlock : Spsi.History.t -> Spsi.Checker.violation list
 val check_lost_local_commit : Spsi.History.t -> Spsi.Checker.violation list
 val check_monotonic_rs : Spsi.History.t -> Spsi.Checker.violation list
-val check_store : Core.Engine.t -> Spsi.Checker.violation list
 
 (** All of the above plus {!Spsi.Checker.check_spsi}. *)
 val check : Scenario.world -> Spsi.Checker.violation list

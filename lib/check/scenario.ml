@@ -155,9 +155,3 @@ let prepare ?chooser s =
 (** Run the world to quiescence (the event queue drains completely —
     there are no periodic timers in this configuration). *)
 let start w = ignore (Dsim.Sim.run w.sim)
-
-(** Convenience: build and run under the default FIFO schedule. *)
-let run ?chooser s =
-  let w = prepare ?chooser s in
-  start w;
-  w

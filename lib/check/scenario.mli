@@ -55,12 +55,6 @@ val make :
     outside [1..dcs], or a [fault_plan] that {!Dsim.Fault.validate}
     rejects for [dcs] nodes. *)
 
-val key_of : t -> int -> Store.Keyspace.Key.t
-
-(** [(origin, keys read, keys written)] of transaction [j] — a fixed
-    function of the index. *)
-val program : t -> int -> int * int list * int list
-
 type world = {
   sim : Dsim.Sim.t;
   eng : Core.Engine.t;
@@ -76,6 +70,3 @@ val prepare : ?chooser:(Dsim.Sim.candidate array -> int) -> t -> world
 
 (** Run to quiescence (drains the event queue completely). *)
 val start : world -> unit
-
-(** {!prepare} + {!start}. *)
-val run : ?chooser:(Dsim.Sim.candidate array -> int) -> t -> world

@@ -217,4 +217,3 @@ let lex src =
     n_lines = !line;
   }
 
-let strip src = (lex src).stripped

@@ -46,7 +46,3 @@ type lexed = {
 }
 
 val lex : string -> lexed
-
-val strip : string -> string
-(** [strip s = (lex s).stripped].  Guaranteed to have the same length
-    and the same newline positions as [s]. *)

@@ -91,12 +91,11 @@ let rec abort_tx eng tx reason =
       Obs.Trace.span_end eng.trace tx.span ~t1:now
     end;
     emit eng (Ev_abort { id = tx.id; reason; time = Sim.now eng.sim });
-    ignore (Ivar.fill_if_empty tx.outcome (Tx_aborted_out reason));
     notify tx
 
 (** The commit epilogue shared by read-only and update transactions:
-    count the commit, deregister [tx] and publish its outcome
-    ([tx.ct] is final). *)
+    count the commit, deregister [tx] and publish the commit ([tx.ct]
+    is final). *)
 let finish_commit eng tx =
   let nd = eng.nodes.(tx.origin) in
   nd.stats.Stats.commits <- nd.stats.Stats.commits + 1;
@@ -107,7 +106,6 @@ let finish_commit eng tx =
     Obs.Trace.span_end eng.trace tx.span ~t1:now
   end;
   emit eng (Ev_commit { id = tx.id; ct = tx.ct; time = Sim.now eng.sim });
-  ignore (Ivar.fill_if_empty tx.outcome (Tx_committed tx.ct));
   notify tx
 
 (* One committed version per write of a partition group: the one value

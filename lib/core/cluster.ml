@@ -156,13 +156,9 @@ type t = {
 let sim t = t.sim
 let net t = t.net
 let config t = t.config
-let trace t = t.trace
 let placement t = t.placement
 let n_nodes t = Array.length t.nodes
-let node t i = t.nodes.(i)
-let node_stats t i = t.nodes.(i).stats
 let set_observer t f = t.observer <- Some f
-let clear_observer t = t.observer <- None
 
 let emit t ev = match t.observer with None -> () | Some f -> f ev
 
@@ -373,12 +369,8 @@ let loader = Txid.make ~origin:(-1) ~number:0
     measured run. *)
 let load eng key value =
   let p = Key.partition key in
-  let replicas = Placement.replicas eng.placement p in
-  let store r = Partition_server.store (server eng ~node:r ~partition:p) in
-  if Array.exists (fun r -> Mvstore.written (store r) key) replicas then
-    invalid_arg
-      (Printf.sprintf "Engine.load: key %s is already written" (Key.to_string key));
-  Mvstore.load (store replicas.(0)) ~writer:loader key value
+  let master = Placement.master eng.placement p in
+  Mvstore.load (Partition_server.store (server eng ~node:master ~partition:p)) ~writer:loader key value
 
 (* ------------------------------------------------------------------ *)
 (* Fiber helpers                                                       *)

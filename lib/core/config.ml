@@ -84,9 +84,8 @@ type t = {
           cost model where delivery is free; coalescing amortizes this
           term (one header per flush instead of one per payload). *)
   (* --- message coalescing (0 = off = bit-identical to unbatched) --- *)
-  mutable batch_window_us : int;
-      (** per-(src,dst) coalescing window for commit-pipeline messages;
-          runtime-toggleable: the self-tuner can adjust it live *)
+  batch_window_us : int;
+      (** per-(src,dst) coalescing window for commit-pipeline messages *)
   batch_max : int;  (** size cap: a link queue flushes early at this many payloads *)
   (* --- clock model --- *)
   max_clock_skew_us : int;  (** per-node skew drawn uniformly in [-max, max] *)
@@ -201,13 +200,3 @@ let physical () = clocksi_rep ()
 let precise () = make ~clocks:Precise ~speculative_reads:false ()
 let physical_sr () = make ~clocks:Physical ~speculative_reads:true ()
 let precise_sr () = make ~clocks:Precise ~speculative_reads:true ()
-
-let name t =
-  match t.clocks, t.speculative_reads, t.externalize_local_commit with
-  | Precise, true, false -> "STR"
-  | Physical, false, true -> "Ext-Spec"
-  | Physical, false, false -> "ClockSI-Rep"
-  | Precise, false, false -> "Precise"
-  | Physical, true, false -> "Physical+SR"
-  | Precise, true, true -> "STR+ext"
-  | Physical, true, true | Precise, false, true -> "custom"

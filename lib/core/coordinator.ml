@@ -415,7 +415,3 @@ let commit eng tx =
     commit_apply eng tx ct;
     ct
   end
-
-(** Await the final outcome of a transaction committed (or aborted) by
-    another fiber. *)
-let await_outcome tx = Fiber.await tx.outcome

@@ -5,7 +5,8 @@
     and {!Coordinator} (Alg. 1); this module adds crash, fail-over and
     recovery (§5.6), cluster-wide introspection and the model checker's
     state fingerprint, and re-exports the API that [engine.mli]
-    narrows. *)
+    narrows.  Those five modules are private to the [core] library
+    (dune [private_modules]), so [engine.mli] is their only interface. *)
 
 open Store
 open Types
@@ -14,7 +15,6 @@ include Coordinator
 open Decision_log
 
 let abort_tx = Certification.abort_tx
-let flush_open_batches = Link.flush_open_batches
 
 (* ------------------------------------------------------------------ *)
 (* Cluster-wide introspection                                          *)

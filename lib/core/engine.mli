@@ -9,10 +9,6 @@
     operation the client is in — the transparent-retry contract of the
     paper. *)
 
-type node
-(** One simulated server: clock, CPU, partition replicas, cache
-    partition and local transaction registry. *)
-
 type t
 
 val create :
@@ -40,12 +36,8 @@ val sim : t -> Dsim.Sim.t
 val net : t -> Dsim.Network.t
 val config : t -> Config.t
 
-(** The recorder passed at {!create} (or the default disabled one). *)
-val trace : t -> Obs.Trace.t
 val placement : t -> Store.Placement.t
 val n_nodes : t -> int
-val node : t -> int -> node
-val node_stats : t -> int -> Stats.t
 
 val server : t -> node:int -> partition:int -> Partition_server.t
 (** The replica of [partition] hosted by [node].
@@ -56,8 +48,6 @@ val cache_of : t -> int -> Partition_server.t
 
 val set_observer : t -> (Types.event -> unit) -> unit
 (** Install an execution-event observer (e.g. {!Spsi.History.record}). *)
-
-val clear_observer : t -> unit
 
 (** {1 Data loading} *)
 
@@ -94,9 +84,6 @@ val commit : t -> Types.tx -> int
     @raise Types.Tx_abort on any certification conflict or cascading
     abort (the client should retry with a fresh transaction). *)
 
-val await_outcome : Types.tx -> Types.outcome
-(** Block (fiber) until the transaction's final outcome is decided. *)
-
 val abort_tx : t -> Types.tx -> Types.abort_reason -> unit
 (** Force-abort (test support); idempotent, cascades to dependents. *)
 
@@ -108,26 +95,17 @@ val abort_tx : t -> Types.tx -> Types.abort_reason -> unit
     by their clients, and the closest live slave of each partition it
     mastered is promoted.  Without the recovery protocol its remote
     pre-commits are also purged at the survivors (crash-stop presumed
-    abort); with it they are held in doubt for {!recover}-time
-    resolution against the coordinator's persistent decision log.
-    Idempotent. *)
+    abort); with it they are held in doubt for recovery-time resolution
+    against the coordinator's persistent decision log.  Idempotent. *)
 val crash : t -> int -> unit
 
-(** Restart a crashed node from its persistent state: committed and
-    pre-committed store state plus the decision log survive, volatile
-    state (active transactions, speculation, cache) is gone.  Reclaims
-    the node's static masterships, copies the committed state it missed
-    from a live peer replica, and re-resolves in-doubt prepares
-    cluster-wide — querying the coordinator's decision log, or running
-    cooperative termination over surviving peers when the coordinator
-    is down (AC1–AC5).  Idempotent. *)
-val recover : t -> int -> unit
-
-(** Attach a declarative fault layer: [Crash]/[Recover] actions drive
-    {!crash}/{!recover} and the layer's link state (cuts, probabilistic
-    loss) composes with the liveness delivery gate.  [recovery] (default
-    [true]) additionally switches on the atomic-commitment recovery
-    protocol — decision logging, in-doubt holds across crashes and
+(** Attach a declarative fault layer: [Crash] actions drive {!crash},
+    [Recover] actions restart the node from its persistent state
+    (committed and pre-committed store state plus the decision log),
+    and the layer's link state (cuts, probabilistic loss) composes with
+    the liveness delivery gate.  [recovery] (default [true])
+    additionally switches on the atomic-commitment recovery protocol —
+    decision logging, in-doubt holds across crashes and
     decision-carrying commit upserts — independent of the config's
     detection periods; pass [false] to keep legacy crash-stop semantics
     while using the layer as a pure transport harness (an installed but
@@ -160,11 +138,6 @@ val cert_sweep_stats : t -> int * int * int array
 (** Batched-certification sweeps summed over every partition server:
     [(sweeps, swept prepares, occupancy histogram)] — see
     {!Partition_server.sweep_stats}. *)
-
-val flush_open_batches : t -> unit
-(** Force-flush every open coalescing queue; call before changing
-    [Config.batch_window_us] on a live engine so no parked payload is
-    overtaken by a post-change unbatched send on the same link. *)
 
 val storage_breakdown : t -> int * int
 (** [(data_bytes, last_reader_metadata_bytes)] summed over all replicas

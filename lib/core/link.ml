@@ -231,13 +231,3 @@ let send_work eng ~kind ~ctx ~src ~dst work =
         exec_dispatch eng ~dst w)
   end
   else send_raw eng ~kind ~src ~dst (fun () -> exec_dispatch eng ~dst (work ()))
-
-(** Force-flush every open link queue.  Callers that change
-    [Config.batch_window_us] live (the self-tuner's ladder exploration)
-    drain first so no payload enqueued under the old window can be
-    overtaken by a post-change unbatched send on the same link. *)
-let flush_open_batches eng =
-  Array.iteri
-    (fun src row ->
-      Array.iteri (fun dst b -> if b.bq_n > 0 then flush_batch eng ~src ~dst b) row)
-    eng.batches

@@ -23,8 +23,6 @@ type t = {
   cpu : Dsim.Cpu.t;
   config : Config.t;
   node_id : int;
-  partition : int;
-  is_cache : bool;
   stats : Stats.t option;  (** node-level counters, when attached *)
   store : Mvstore.t;
   trace : Obs.Trace.t;
@@ -72,8 +70,6 @@ let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?sta
     cpu;
     config;
     node_id;
-    partition;
-    is_cache;
     stats;
     trace = (match trace with Some tr -> tr | None -> Obs.Trace.disabled ());
     pid;
@@ -94,8 +90,6 @@ let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?sta
   }
 
 let store t = t.store
-let node_id t = t.node_id
-let partition t = t.partition
 
 let pending_keys t txid =
   match Txid.Tbl.find_opt t.pending txid with

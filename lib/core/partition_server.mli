@@ -44,8 +44,6 @@ val create :
     releasing commit/abort. *)
 
 val store : t -> Mvstore.t
-val node_id : t -> int
-val partition : t -> int
 val pending_keys : t -> Txid.t -> Keyspace.Key.t list
 
 (** Number of keys held uncommitted for the transaction; O(1) (cost

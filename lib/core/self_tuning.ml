@@ -7,10 +7,9 @@
     committed-transaction counts) and transparent to applications.
 
     The controller can optionally re-explore periodically, which is the
-    natural extension the paper sketches (reacting to workload change,
-    e.g. driven by a CUSUM detector; see {!Cusum}). *)
+    natural extension the paper sketches (reacting to workload change). *)
 
-type phase = Warmup | Explore_on | Explore_off | Explore_batch of int | Exploit
+type phase = Warmup | Explore_on | Explore_off | Exploit
 
 (** What the controller optimizes.  [Throughput] is the paper's
     criterion; [Throughput_bounded_misspec m] is one of the multi-KPI
@@ -20,31 +19,19 @@ type phase = Warmup | Explore_on | Explore_off | Explore_batch of int | Exploit
 type criterion = Throughput | Throughput_bounded_misspec of float
 
 type t = {
-  eng : Engine.t;
-  window_us : int;
   criterion : criterion;
-  batch_windows : int array;  (** candidate ladder; [[||]] = no batch tuning *)
-  batch_thr : float array;  (** throughput measured per candidate *)
   mutable phase : phase;
   mutable thr_on : float;
   mutable thr_off : float;
   mutable misspec_on : float;
   mutable decision : bool option;  (** Some true = speculation enabled *)
-  mutable batch_decision : int option;  (** chosen [batch_window_us] *)
   mutable rounds : int;  (** completed explore rounds *)
   mutable stopped : bool;
 }
 
 let decision t = t.decision
 
-let batch_decision t = t.batch_decision
-
-let batch_throughputs t =
-  Array.mapi (fun i w -> (w, t.batch_thr.(i))) t.batch_windows
-
 let rounds t = t.rounds
-
-let throughputs t = (t.thr_on, t.thr_off)
 
 let explored_misspec t = t.misspec_on
 
@@ -54,28 +41,17 @@ let stop t = t.stopped <- true
     controller fiber.  Exploration starts after [warmup_us]; each
     measurement lasts [window_us] (the paper samples every 10 s).  When
     [reexplore_every > 0] the controller re-runs the A/B comparison
-    after that many exploit windows.  A non-empty [batch_windows] ladder
-    additionally co-tunes [Config.batch_window_us]: after the
-    speculation A/B decides, each candidate window gets one measurement
-    and the best locks in (under [Throughput_bounded_misspec] a
-    candidate whose abort share exceeds the bound is ineligible — a
-    wider window holds prepares longer, which can inflate stale-read
-    aborts under contention). *)
+    after that many exploit windows. *)
 let install eng ~window_us ?(warmup_us = 0) ?(reexplore_every = 0)
-    ?(criterion = Throughput) ?(batch_windows = [||]) () =
+    ?(criterion = Throughput) () =
   let t =
     {
-      eng;
-      window_us;
       criterion;
-      batch_windows;
-      batch_thr = Array.make (Array.length batch_windows) 0.;
       phase = Warmup;
       thr_on = 0.;
       thr_off = 0.;
       misspec_on = 0.;
       decision = None;
-      batch_decision = None;
       rounds = 0;
       stopped = false;
     }
@@ -100,14 +76,6 @@ let install eng ~window_us ?(warmup_us = 0) ?(reexplore_every = 0)
     | Throughput_bounded_misspec bound ->
       t.thr_on >= t.thr_off && t.misspec_on <= bound
   in
-  let set_window w =
-    if config.Config.batch_window_us <> w then begin
-      (* Drain open queues before the knob moves so no parked payload is
-         overtaken by a post-change unbatched send on the same link. *)
-      Engine.flush_open_batches eng;
-      config.Config.batch_window_us <- w
-    end
-  in
   let rec controller () =
     if not t.stopped then begin
       (match t.phase with
@@ -128,25 +96,7 @@ let install eng ~window_us ?(warmup_us = 0) ?(reexplore_every = 0)
          t.decision <- Some enable;
          t.rounds <- t.rounds + 1;
          config.Config.speculative_reads <- enable;
-         t.phase <-
-           (if Array.length t.batch_windows > 0 then Explore_batch 0 else Exploit)
-       | Explore_batch i ->
-         set_window t.batch_windows.(i);
-         let thr, misspec = measure_window () in
-         t.batch_thr.(i) <-
-           (match t.criterion with
-            | Throughput_bounded_misspec bound when misspec > bound -> -1.
-            | Throughput | Throughput_bounded_misspec _ -> thr);
-         if i + 1 < Array.length t.batch_windows then t.phase <- Explore_batch (i + 1)
-         else begin
-           (* Ties go to the smaller (earlier) window: less added commit
-              latency for the same throughput. *)
-           let best = ref 0 in
-           Array.iteri (fun j v -> if v > t.batch_thr.(!best) then best := j) t.batch_thr;
-           set_window t.batch_windows.(!best);
-           t.batch_decision <- Some t.batch_windows.(!best);
-           t.phase <- Exploit
-         end
+         t.phase <- Exploit
        | Exploit ->
          if reexplore_every > 0 then begin
            Dsim.Fiber.sleep sim (reexplore_every * window_us);
@@ -158,48 +108,3 @@ let install eng ~window_us ?(warmup_us = 0) ?(reexplore_every = 0)
   in
   Dsim.Fiber.spawn sim controller;
   t
-
-(** CUSUM change detector over a stream of throughput samples — the
-    robust load-change detection the paper proposes for re-triggering
-    self-tuning.  One-sided (detects decreases and increases with two
-    accumulators). *)
-module Cusum = struct
-  type t = {
-    drift : float;  (** allowed slack per sample, as a fraction of mean *)
-    threshold : float;  (** alarm level, as a fraction of mean *)
-    mutable mean : float;
-    mutable n : int;
-    mutable pos : float;
-    mutable neg : float;
-  }
-
-  let create ?(drift = 0.05) ?(threshold = 0.5) () =
-    { drift; threshold; mean = 0.; n = 0; pos = 0.; neg = 0. }
-
-  (** Feed a sample; returns [true] when a statistically meaningful
-      change is detected (accumulators then reset and the reference mean
-      restarts from the current sample). *)
-  let observe t x =
-    if t.n = 0 then begin
-      t.mean <- x;
-      t.n <- 1;
-      false
-    end
-    else begin
-      let k = t.drift *. t.mean in
-      let h = t.threshold *. t.mean in
-      t.pos <- Float.max 0. (t.pos +. (x -. t.mean -. k));
-      t.neg <- Float.max 0. (t.neg +. (t.mean -. x -. k));
-      t.n <- t.n + 1;
-      (* Running reference mean. *)
-      t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
-      if t.pos > h || t.neg > h then begin
-        t.pos <- 0.;
-        t.neg <- 0.;
-        t.mean <- x;
-        t.n <- 1;
-        true
-      end
-      else false
-    end
-end

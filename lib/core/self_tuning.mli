@@ -17,21 +17,13 @@ type criterion = Throughput | Throughput_bounded_misspec of float
 (** Spawn the controller fiber.  Exploration starts after [warmup_us];
     each measurement lasts [window_us] (the paper samples every 10 s).
     With [reexplore_every > 0], the A/B comparison re-runs after that
-    many exploit windows (e.g. when triggered by load-change detection;
-    see {!Cusum}).  A non-empty [batch_windows] ladder (candidate
-    [Config.batch_window_us] values, e.g. [[|0; 100; 300; 1000|]])
-    additionally co-tunes message coalescing: after the speculation A/B
-    decides, each candidate gets one measurement window and the best
-    throughput locks in, with ties to the smaller window; under
-    [Throughput_bounded_misspec] a candidate whose abort share exceeds
-    the bound is ineligible. *)
+    many exploit windows. *)
 val install :
   Engine.t ->
   window_us:int ->
   ?warmup_us:int ->
   ?reexplore_every:int ->
   ?criterion:criterion ->
-  ?batch_windows:int array ->
   unit ->
   t
 
@@ -39,37 +31,9 @@ val install :
     still exploring. *)
 val decision : t -> bool option
 
-(** The chosen batch window from the last ladder exploration; [None]
-    while undecided or when no ladder was given. *)
-val batch_decision : t -> int option
-
-(** [(window_us, committed tx/s)] per ladder candidate from the last
-    exploration; a [-1.] throughput marks a candidate ruled ineligible
-    by the misspeculation bound. *)
-val batch_throughputs : t -> (int * float) array
-
 val rounds : t -> int
-
-(** [(throughput_with_sr, throughput_without)] from the last explore
-    round, in committed transactions per second. *)
-val throughputs : t -> float * float
 
 (** Misspeculation share observed in the last SR-enabled explore window. *)
 val explored_misspec : t -> float
 
 val stop : t -> unit
-
-(** CUSUM change detector over throughput samples — the robust
-    load-change detection the paper proposes for re-triggering the
-    self-tuning process. *)
-module Cusum : sig
-  type t
-
-  (** [drift] is the tolerated slack per sample and [threshold] the
-      alarm level, both as fractions of the running mean. *)
-  val create : ?drift:float -> ?threshold:float -> unit -> t
-
-  (** Feed a sample; [true] when a statistically meaningful change is
-      detected (the detector then resets around the new level). *)
-  val observe : t -> float -> bool
-end

@@ -29,13 +29,6 @@ let abort_reason_to_string = function
   | Node_failure -> "node-failure"
   | Prepare_timeout -> "prepare-timeout"
 
-(** Aborts caused by failed speculation (as opposed to plain
-    certification conflicts, which occur in non-speculative protocols
-    too). *)
-let is_misspeculation = function
-  | Dependency_aborted | Snapshot_too_old -> true
-  | Local_conflict | Remote_conflict | Evicted | Node_failure | Prepare_timeout -> false
-
 (** Map a protocol abort reason onto the closed observability taxonomy.
     Exhaustive by construction: adding an [abort_reason] constructor
     breaks this match at compile time, forcing a taxonomy decision. *)
@@ -57,8 +50,6 @@ type tx_state =
   | Local_committed  (** passed local certification, awaiting global *)
   | Committed
   | Aborted of abort_reason
-
-type outcome = Tx_committed of int (* final commit timestamp *) | Tx_aborted_out of abort_reason
 
 (** Raised by coordinator operations when the transaction has been
     aborted (e.g. by a cascading abort) while the client was executing. *)
@@ -136,7 +127,6 @@ type tx = {
      wbuf fixed at certification; no independent degrees of freedom *)
   mutable groups : (int * (Keyspace.Key.t * Keyspace.Value.t) list) list;
       (** write-set grouped by partition, fixed at certification time *)
-  outcome : outcome Dsim.Ivar.t;
   spec_commit : int Dsim.Ivar.t;
       (** Ext-Spec: filled with the simulated time of the speculative
           (local) commit that was externalized to the client *)
@@ -173,7 +163,6 @@ let make_tx ~id ~origin ~rs ~start_time ~sr =
     reads_done = 0;
     span = -1;
     groups = [];
-    outcome = Dsim.Ivar.create ();
     spec_commit = Dsim.Ivar.create ();
   }
 

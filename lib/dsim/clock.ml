@@ -7,7 +7,6 @@ type t = {
 
 let create ~sim ~skew_us ~drift_ppm = { sim; skew_us; drift_ppm; last = min_int }
 
-let perfect sim = create ~sim ~skew_us:0 ~drift_ppm:0.
 
 let raw t s = s + t.skew_us + int_of_float (t.drift_ppm *. float_of_int s /. 1_000_000.)
 
@@ -34,5 +33,3 @@ let delay_until t target =
     (* Guard against rounding: ensure the clock really catches up. *)
     if raw t (Sim.now t.sim + d) >= target then d else d + 1
   end
-
-let skew_us t = t.skew_us

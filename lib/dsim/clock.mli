@@ -11,9 +11,6 @@ type t
     simulated time [s] is [s + skew_us + drift_ppm * s / 1_000_000]. *)
 val create : sim:Sim.t -> skew_us:int -> drift_ppm:float -> t
 
-(** A perfectly synchronized clock (zero skew and drift). *)
-val perfect : Sim.t -> t
-
 (** Current physical time of this node; guaranteed non-decreasing across
     successive calls even if parameters would regress. *)
 val now : t -> int
@@ -21,5 +18,3 @@ val now : t -> int
 (** Simulated-time delay until this clock will read at least [target];
     0 when it already does.  Used to implement Clock-SI read delays. *)
 val delay_until : t -> int -> int
-
-val skew_us : t -> int

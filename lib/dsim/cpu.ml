@@ -1,6 +1,6 @@
-type t = { sim : Sim.t; mutable busy_until : int; mutable busy_accum : int }
+type t = { sim : Sim.t; mutable busy_until : int }
 
-let create sim = { sim; busy_until = 0; busy_accum = 0 }
+let create sim = { sim; busy_until = 0 }
 
 let exec t ~cost k =
   if cost < 0 then invalid_arg "Cpu.exec: negative cost";
@@ -8,13 +8,8 @@ let exec t ~cost k =
   let start = if t.busy_until > now then t.busy_until else now in
   let finish = start + cost in
   t.busy_until <- finish;
-  t.busy_accum <- t.busy_accum + cost;
   Sim.schedule_at t.sim ~time:finish k
-
-let busy_us t = t.busy_accum
 
 let backlog_us t =
   let now = Sim.now t.sim in
   if t.busy_until > now then t.busy_until - now else 0
-
-let reset t = t.busy_accum <- 0

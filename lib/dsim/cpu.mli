@@ -14,10 +14,5 @@ val create : Sim.t -> t
     still via the event queue. *)
 val exec : t -> cost:int -> (unit -> unit) -> unit
 
-(** Total busy microseconds accumulated. *)
-val busy_us : t -> int
-
 (** Work currently queued ahead (microseconds until idle). *)
 val backlog_us : t -> int
-
-val reset : t -> unit

@@ -27,5 +27,3 @@ let sleep sim delay =
   let iv = Ivar.create () in
   Sim.schedule sim ~delay (fun () -> Ivar.fill iv ());
   await iv
-
-let yield sim = sleep sim 0

@@ -17,6 +17,3 @@ val await : 'a Ivar.t -> 'a
 
 (** Block the current fiber for [delay] simulated microseconds. *)
 val sleep : Sim.t -> int -> unit
-
-(** Let other events at the current instant run first. *)
-val yield : Sim.t -> unit

@@ -37,7 +37,6 @@ let create ~sim ~topology ~node_dc ~jitter ~rng =
     last_delivery = Array.make_matrix n n 0;
   }
 
-let sim t = t.sim
 let topology t = t.topology
 let node_count t = Array.length t.node_dc
 let dc_of_node t i = t.node_dc.(i)

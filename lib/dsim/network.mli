@@ -20,7 +20,6 @@ val create :
   rng:Rng.t ->
   t
 
-val sim : t -> Sim.t
 val topology : t -> Topology.t
 val node_count : t -> int
 val dc_of_node : t -> int -> int

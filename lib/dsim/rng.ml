@@ -29,17 +29,11 @@ let int_range t ~lo ~hi =
 
 let float t = Int64.to_float (Int64.shift_right_logical (next64 t) 11) *. 0x1.p-53
 
-let bool t = Int64.logand (next64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t in
   (* Guard against log 0. *)
   let u = if u <= 0. then 1e-12 else u in
   -.mean *. log u
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -23,14 +23,8 @@ val int_range : t -> lo:int -> hi:int -> int
 (** Uniform float in [0, 1). *)
 val float : t -> float
 
-(** [bool t] is a fair coin flip. *)
-val bool : t -> bool
-
 (** Exponentially distributed float with the given [mean]. *)
 val exponential : t -> mean:float -> float
-
-(** Pick a uniformly random element of a non-empty array. *)
-val pick : t -> 'a array -> 'a
 
 (** Fisher-Yates shuffle in place. *)
 val shuffle : t -> 'a array -> unit

@@ -284,9 +284,4 @@ let run ?until t =
   done;
   !processed
 
-let us x = x
-let ms x = x * 1_000
-let ms_f x = int_of_float (x *. 1_000.)
-let sec x = x * 1_000_000
-let sec_f x = int_of_float (x *. 1_000_000.)
 let to_sec x = float_of_int x /. 1_000_000.

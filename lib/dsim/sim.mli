@@ -109,12 +109,5 @@ val queue_max_depth : t -> int
     fingerprint. *)
 val pending_fingerprint : t -> int
 
-(** Microseconds helpers. *)
-val us : int -> int
-val ms : int -> int
-val ms_f : float -> int
-val sec : int -> int
-val sec_f : float -> int
-
 (** Render a simulated timestamp as seconds for reporting. *)
 val to_sec : int -> float

@@ -36,8 +36,6 @@ let uniform ~dcs ~rtt_ms ~intra_rtt_ms =
   let rtt = Array.init dcs (fun i -> Array.init dcs (fun j -> if i = j then 0. else rtt_ms)) in
   of_rtt_ms ~names ~rtt_ms:rtt ~intra_rtt_ms
 
-let single_dc ~intra_rtt_ms = uniform ~dcs:1 ~rtt_ms:0. ~intra_rtt_ms
-
 (* RTTs in milliseconds between the nine EC2 regions of the paper's
    testbed, calibrated to published inter-region measurements.  Order:
    Virginia, California, Oregon, Ireland, Frankfurt, Tokyo, Seoul,
@@ -80,14 +78,3 @@ let mean_remote_oneway_us t i =
     done;
     !total / (n - 1)
   end
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>topology (%d DCs):@," (size t);
-  for i = 0 to size t - 1 do
-    Format.fprintf ppf "  %-12s" (name t i);
-    for j = 0 to size t - 1 do
-      Format.fprintf ppf " %4dms" (rtt_us t i j / 1000)
-    done;
-    Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -26,9 +26,6 @@ val of_rtt_ms : names:string array -> rtt_ms:float array array -> intra_rtt_ms:f
     handy for tests and controlled experiments. *)
 val uniform : dcs:int -> rtt_ms:float -> intra_rtt_ms:float -> t
 
-(** Single data center (everything at intra-DC latency). *)
-val single_dc : intra_rtt_ms:float -> t
-
 (** The nine-region Amazon EC2 topology used in the paper's evaluation:
     Virginia, California, Oregon, Ireland, Frankfurt, Tokyo, Seoul,
     Singapore, Sydney — spanning four continents, with RTTs calibrated
@@ -40,5 +37,3 @@ val ec2_prefix : int -> t
 
 (** Mean one-way latency from one DC to all remote DCs, in microseconds. *)
 val mean_remote_oneway_us : t -> int -> int
-
-val pp : Format.formatter -> t -> unit

@@ -35,8 +35,6 @@ let record t v =
   t.n <- t.n + 1;
   t.cache <- None
 
-let count t = t.n
-
 let summarize t =
   match t.cache with
   | Some s -> s

@@ -7,8 +7,6 @@ val create : unit -> t
 (** Record one sample (microseconds). *)
 val record : t -> int -> unit
 
-val count : t -> int
-
 type summary = {
   count : int;
   mean_us : float;
@@ -17,8 +15,6 @@ type summary = {
   p99_us : int;
   max_us : int;
 }
-
-val empty_summary : summary
 
 (** Sort-and-scan percentile summary of everything recorded so far. *)
 val summarize : t -> summary

@@ -21,9 +21,6 @@ val create : ?filter:string -> unit -> t
     Pass the result as [?trace] to {!Runner.run} / {!Core.Engine.create}. *)
 val trace_for : t -> cell:string -> Obs.Trace.t option
 
-(** [(cell_name, trace)] pairs in registration order. *)
-val traces : t -> (string * Obs.Trace.t) list
-
 (** Number of cells actually traced (post-filter). *)
 val n_selected : t -> int
 

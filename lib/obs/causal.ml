@@ -28,7 +28,6 @@ type t = { on : bool; mutable evs : edge array; mutable n : int }
 
 let create () = { on = true; evs = [||]; n = 0 }
 let disabled () = { on = false; evs = [||]; n = 0 }
-let enabled t = t.on
 
 let record t e =
   if t.on then begin

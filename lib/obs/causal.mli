@@ -29,7 +29,6 @@ type t
 
 val create : unit -> t
 val disabled : unit -> t
-val enabled : t -> bool
 
 val record : t -> edge -> unit
 (** Append one edge (no-op when off). *)

@@ -32,8 +32,6 @@ let bucket_hi b =
     (1 lsl k) + ((sub + 1) lsl (k - 3)) - 1
   end
 
-let bucket_lo b = if b < 16 then b else bucket_hi (b - 1) + 1
-
 type t = {
   counts : int array;
   mutable n : int;
@@ -55,10 +53,6 @@ let record t v =
   t.n <- t.n + 1;
   t.sum <- t.sum + v;
   if v > t.max_exact then t.max_exact <- v
-
-let count t = t.n
-
-let max_relative_error = 0.125
 
 let percentile t p =
   if t.n = 0 then 0
@@ -98,14 +92,3 @@ let summary t =
       p999_us = percentile t 0.999;
       max_us = t.max_exact;
     }
-
-let iter_buckets t f =
-  for b = 0 to n_buckets - 1 do
-    if t.counts.(b) > 0 then f ~lo:(bucket_lo b) ~hi:(bucket_hi b) ~count:t.counts.(b)
-  done
-
-let pp_summary ppf s =
-  if s.count = 0 then Format.pp_print_string ppf "(no samples)"
-  else
-    Format.fprintf ppf "n=%d mean=%.1fus p50=%dus p90=%dus p99=%dus p999=%dus max=%dus"
-      s.count s.mean_us s.p50_us s.p90_us s.p99_us s.p999_us s.max_us

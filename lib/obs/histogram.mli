@@ -2,8 +2,8 @@
 
     Values (microseconds) below 16 are recorded exactly; above that,
     buckets subdivide each power of two into 8 sub-buckets, bounding the
-    relative quantization error of any reported percentile by
-    {!max_relative_error} (12.5%).  Recording is O(1) with no
+    relative quantization error of any reported percentile by 12.5%,
+    one sub-bucket width.  Recording is O(1) with no
     allocation, so histograms can sit on hot paths; the bucket layout is
     a pure function of the value, so summaries are deterministic
     whatever the recording order. *)
@@ -15,18 +15,12 @@ val create : unit -> t
 val record : t -> int -> unit
 (** Record one sample.  Negative values clamp to 0. *)
 
-val count : t -> int
-
-val max_relative_error : float
-(** Upper bound on [(reported - exact) / exact] for any percentile of
-    values >= 16 (exact below that): [0.125], one sub-bucket width. *)
-
 val percentile : t -> float -> int
 (** [percentile t p] with [p] in [0, 1]: the upper bound of the bucket
     holding the sample of rank [floor (p * (count - 1))] — the same rank
     convention as {!Harness.Metrics} — clamped to the exact maximum.
-    Always >= the exact order statistic, and within
-    {!max_relative_error} of it.  0 when empty. *)
+    Always >= the exact order statistic, and within 12.5% of it.  0
+    when empty. *)
 
 type summary = {
   count : int;
@@ -38,12 +32,4 @@ type summary = {
   max_us : int;  (** exact *)
 }
 
-val empty_summary : summary
-
 val summary : t -> summary
-
-val iter_buckets : t -> (lo:int -> hi:int -> count:int -> unit) -> unit
-(** Visit the non-empty buckets in ascending value order, with their
-    inclusive value range (export support). *)
-
-val pp_summary : Format.formatter -> summary -> unit

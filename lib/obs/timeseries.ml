@@ -24,12 +24,7 @@ let create ~interval_us ~cols =
 
 let interval_us t = t.interval_us
 let cols t = Array.to_list t.cols
-let n_cols t = Array.length t.cols
 let n_rows t = t.n
-
-let col_index t name =
-  let rec scan i = if i >= Array.length t.cols then None else if t.cols.(i) = name then Some i else scan (i + 1) in
-  scan 0
 
 let sample t ~time row =
   if Array.length row <> Array.length t.cols then
@@ -50,7 +45,6 @@ let sample t ~time row =
   t.n <- t.n + 1
 
 let time t i = t.times.(i)
-let row t i = t.rows.(i)
 
 let iter t f =
   for i = 0 to t.n - 1 do

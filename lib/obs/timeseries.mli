@@ -16,16 +16,13 @@ val create : interval_us:int -> cols:string list -> t
 
 val interval_us : t -> int
 val cols : t -> string list
-val n_cols : t -> int
 val n_rows : t -> int
-val col_index : t -> string -> int option
 
 val sample : t -> time:int -> int array -> unit
-(** Append one row (copied).  Row width must equal {!n_cols}.
+(** Append one row (copied).  Row width must equal the column count.
     @raise Invalid_argument on width mismatch. *)
 
 val time : t -> int -> int
-val row : t -> int -> int array
 val value : t -> row:int -> col:int -> int
 val iter : t -> (time:int -> int array -> unit) -> unit
 

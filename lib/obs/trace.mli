@@ -58,11 +58,8 @@ type msg_kind =
   | M_prepare_batch
   | M_replicate_batch
 
-val msg_kinds : msg_kind list
-val msg_name : msg_kind -> string
-
 val msg_index : msg_kind -> int
-(** Dense index in {!msg_kinds} declaration order (stable across
+(** Dense index in [msg_kind] declaration order (stable across
     schema-compatible additions, which only ever append). *)
 
 (** One recorded event.  [t1 = -1] marks a still-open span; instants

@@ -30,13 +30,5 @@ val check_spsi : History.t -> violation list
     like {!check_spsi}. *)
 val check_si : History.t -> violation list
 
-(** Individual rule groups (exposed for targeted tests). *)
-val check_ww_committed : History.t -> violation list
-
-val check_snapshot_reads : History.t -> violation list
-val check_speculative_reads : History.t -> violation list
-val check_snapshot_atomicity : History.t -> violation list
-val check_snapshot_conflicts : History.t -> violation list
-
 (** Render violations one per line. *)
 val report : violation list -> string

@@ -51,10 +51,6 @@ let find t id = Txid.Tbl.find_opt t.txs id
 let transactions t =
   List.rev_map (fun id -> Txid.Tbl.find t.txs id) t.order
 
-let committed t =
-  List.filter (fun tx -> match tx.outcome with Committed _ -> true | _ -> false)
-    (transactions t)
-
 let size t = Txid.Tbl.length t.txs
 
 (** Feed one engine event.  Use with [Core.Engine.set_observer]:

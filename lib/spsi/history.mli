@@ -43,7 +43,6 @@ val find : t -> Txid.t -> tx option
 (** All transactions, in begin order. *)
 val transactions : t -> tx list
 
-val committed : t -> tx list
 val size : t -> int
 
 (** Structural hash of the whole history, independent of hash-table

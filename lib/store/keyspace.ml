@@ -51,16 +51,7 @@ module Value = struct
                                  | Unit -> "Unit" | Float _ -> "Float" | Str _ -> "Str"
                                  | List _ -> "List" | Rec _ -> "Rec" | Int _ -> "Int")))
 
-  let float = function
-    | Float f -> f
-    | Int i -> float_of_int i
-    | _ -> raise (Type_error "expected Float")
-
   let str = function Str s -> s | _ -> raise (Type_error "expected Str")
-
-  let list = function List l -> l | _ -> raise (Type_error "expected List")
-
-  let fields = function Rec fs -> fs | _ -> raise (Type_error "expected Rec")
 
   (** Record field access. @raise Type_error when missing. *)
   let field v name =

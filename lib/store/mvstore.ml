@@ -327,9 +327,11 @@ let shared_row r v =
     v
   end
 
+(* A key enters the shared directory on its first write at any replica,
+   so one directory probe refuses a key written anywhere. *)
 let load t ?(ts = 0) ~writer key value =
   let ds = t.dataset in
-  if loaded ds key <> None || written t key then
+  if loaded ds key <> None || Nodetbl.find t.directory.entries key != t.directory.absent then
     invalid_arg
       (Printf.sprintf "Mvstore.load: key %s is already loaded or written"
          (Key.to_string key));

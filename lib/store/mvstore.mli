@@ -75,8 +75,8 @@ val written : t -> Key.t -> bool
     at timestamp [ts] (default 0) into the store's dataset, so every
     replica sharing it sees the version.  A key whose row the dataset
     already holds shares that row's version.
-    @raise Invalid_argument if the key is already loaded or this store
-    has written it. *)
+    @raise Invalid_argument if the key is already loaded or a replica
+    sharing the store's directory has written it. *)
 val load : t -> ?ts:int -> writer:Txid.t -> Key.t -> Keyspace.Value.t -> unit
 
 val last_reader : t -> Key.t -> int

@@ -4,7 +4,7 @@
     The paper's deployment ("a replication factor of six, [...] each
     instance holds one master replica of a partition and slave replicas
     of five other partitions") corresponds to [ring] with
-    [partitions_per_node = 1] and [replication_factor = 6]. *)
+    [replication_factor = 6]. *)
 
 type t = {
   n_partitions : int;
@@ -21,13 +21,8 @@ let master t p = t.master.(p)
 let replicas t p = t.replicas.(p)
 let hosted t n = t.hosted.(n)
 
-let is_master t ~node ~partition = t.master.(partition) = node
-
 let replicates t ~node ~partition =
   Array.exists (fun r -> r = node) t.replicas.(partition)
-
-(** Slave replicas of [partition] (all replicas but the master). *)
-let slaves t p = Array.sub t.replicas.(p) 1 (Array.length t.replicas.(p) - 1)
 
 let of_replicas ~n_nodes ~replicas =
   let n_partitions = Array.length replicas in
@@ -52,28 +47,12 @@ let of_replicas ~n_nodes ~replicas =
   let hosted = Array.map (fun l -> Array.of_list (List.sort Int.compare l)) hosted_lists in
   { n_partitions; n_nodes; master; replicas; hosted }
 
-(** Ring placement: partition [p] (for [p = node * partitions_per_node + j])
-    is mastered by [node] and replicated on the next
-    [replication_factor - 1] nodes around the ring. *)
-let ring ~n_nodes ~replication_factor ?(partitions_per_node = 1) () =
+(** Ring placement: partition [p] is mastered by node [p] and replicated
+    on the next [replication_factor - 1] nodes around the ring. *)
+let ring ~n_nodes ~replication_factor () =
   if replication_factor < 1 || replication_factor > n_nodes then
     invalid_arg "Placement.ring: replication factor out of range";
-  let n_partitions = n_nodes * partitions_per_node in
   let replicas =
-    Array.init n_partitions (fun p ->
-        let home = p / partitions_per_node in
-        Array.init replication_factor (fun i -> (home + i) mod n_nodes))
+    Array.init n_nodes (fun p -> Array.init replication_factor (fun i -> (p + i) mod n_nodes))
   in
   of_replicas ~n_nodes ~replicas
-
-(** The partition of a key is carried by the key itself. *)
-let partition_of_key (k : Keyspace.Key.t) = Keyspace.Key.partition k
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>placement (%d nodes, %d partitions):@," t.n_nodes t.n_partitions;
-  Array.iteri
-    (fun p reps ->
-      Format.fprintf ppf "  p%d -> master n%d, replicas [%s]@," p t.master.(p)
-        (String.concat "," (Array.to_list (Array.map string_of_int reps))))
-    t.replicas;
-  Format.fprintf ppf "@]"

@@ -17,23 +17,14 @@ val replicas : t -> int -> int array
 (** Partitions replicated by a node. *)
 val hosted : t -> int -> int array
 
-val is_master : t -> node:int -> partition:int -> bool
 val replicates : t -> node:int -> partition:int -> bool
-
-(** All replicas except the master. *)
-val slaves : t -> int -> int array
 
 (** Explicit placement: [replicas.(p)] lists partition [p]'s replica
     nodes, master first.
     @raise Invalid_argument on empty/duplicate/out-of-range replicas. *)
 val of_replicas : n_nodes:int -> replicas:int array array -> t
 
-(** Ring placement: partition [node * partitions_per_node + j] is
-    mastered by [node] and replicated on the following
-    [replication_factor - 1] nodes around the ring. *)
-val ring : n_nodes:int -> replication_factor:int -> ?partitions_per_node:int -> unit -> t
-
-(** Keys carry their partition. *)
-val partition_of_key : Keyspace.Key.t -> int
-
-val pp : Format.formatter -> t -> unit
+(** Ring placement: partition [p] is mastered by node [p] and
+    replicated on the following [replication_factor - 1] nodes around
+    the ring. *)
+val ring : n_nodes:int -> replication_factor:int -> unit -> t

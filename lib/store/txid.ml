@@ -27,7 +27,6 @@ let compare_id = compare
    allocating that tuple on every table operation. *)
 let hash (t : t) = Hashtbl.hash t
 
-let pp ppf t = Format.fprintf ppf "tx%d.%d" t.origin t.number
 let to_string t = Printf.sprintf "tx%d.%d" t.origin t.number
 
 module Map = Map.Make (struct

@@ -10,7 +10,6 @@ val number : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Map : Map.S with type key = t

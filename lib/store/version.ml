@@ -38,11 +38,3 @@ let take_waiters v =
   let w = List.rev v.waiters in
   v.waiters <- [];
   w
-
-let state_to_string = function
-  | Pre_committed -> "pre-committed"
-  | Local_committed -> "local-committed"
-  | Committed -> "committed"
-
-let pp ppf v =
-  Format.fprintf ppf "%a@%d[%s]" Txid.pp v.writer v.ts (state_to_string v.state)

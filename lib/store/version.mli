@@ -36,6 +36,3 @@ val add_waiter : t -> (unit -> unit) -> unit
 
 (** Pop all blocked readers, in registration order (caller wakes them). *)
 val take_waiters : t -> (unit -> unit) list
-
-val state_to_string : state -> string
-val pp : Format.formatter -> t -> unit

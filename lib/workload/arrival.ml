@@ -7,26 +7,16 @@
     at an externally fixed rate per data center, which is what exposes
     the latency cliff as offered load approaches capacity.
 
-    This module is only the rate spec: which renewal process generates
-    arrivals and at what per-DC rate.  Draws are made against a caller-
-    supplied {!Dsim.Rng.t}, so arrival times are deterministic in the
-    experiment seed like every other stochastic component. *)
+    This module is only the rate spec: a Poisson process at a per-DC
+    rate.  Draws are made against a caller-supplied {!Dsim.Rng.t}, so
+    arrival times are deterministic in the experiment seed like every
+    other stochastic component. *)
 
-type process =
-  | Poisson  (** exponential interarrival gaps (memoryless) *)
-  | Fixed  (** evenly spaced arrivals at exactly the configured rate *)
+type t = { rate_per_dc : float  (** transactions per second injected into each DC *) }
 
-type t = {
-  process : process;
-  rate_per_dc : float;  (** transactions per second injected into each DC *)
-}
-
-let make ?(process = Poisson) ~rate_per_dc () =
-  if not (rate_per_dc > 0.) then invalid_arg "Arrival.make: rate must be positive";
-  { process; rate_per_dc }
-
-let poisson ~rate_per_dc = make ~process:Poisson ~rate_per_dc ()
-let fixed ~rate_per_dc = make ~process:Fixed ~rate_per_dc ()
+let poisson ~rate_per_dc =
+  if not (rate_per_dc > 0.) then invalid_arg "Arrival.poisson: rate must be positive";
+  { rate_per_dc }
 
 (* Mean gap in simulated microseconds.  Clamped to >= 1us per draw below
    so an arrival chain always advances simulated time (the clamp caps a
@@ -35,11 +25,4 @@ let fixed ~rate_per_dc = make ~process:Fixed ~rate_per_dc ()
 let mean_gap_us t = 1e6 /. t.rate_per_dc
 
 let interarrival_us t rng =
-  match t.process with
-  | Fixed -> max 1 (int_of_float (Float.round (mean_gap_us t)))
-  | Poisson -> max 1 (int_of_float (Dsim.Rng.exponential rng ~mean:(mean_gap_us t)))
-
-let pp ppf t =
-  Format.fprintf ppf "%s %.1f tx/s/DC"
-    (match t.process with Poisson -> "poisson" | Fixed -> "fixed")
-    t.rate_per_dc
+  max 1 (int_of_float (Dsim.Rng.exponential rng ~mean:(mean_gap_us t)))

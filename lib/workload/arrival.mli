@@ -1,25 +1,14 @@
-(** Open-loop arrival-rate spec: which renewal process injects
-    transactions into each data center, and how fast.  Consumed by
+(** Open-loop arrival-rate spec: how fast a Poisson process injects
+    transactions into each data center.  Consumed by
     {!Harness.Openloop}; draws go through a caller-supplied RNG so
     arrival times are deterministic in the experiment seed. *)
 
-type process =
-  | Poisson  (** exponential interarrival gaps (memoryless) *)
-  | Fixed  (** evenly spaced arrivals at exactly the configured rate *)
+type t = { rate_per_dc : float  (** transactions per second injected into each DC *) }
 
-type t = {
-  process : process;
-  rate_per_dc : float;  (** transactions per second injected into each DC *)
-}
-
-(** @raise Invalid_argument unless [rate_per_dc > 0]. *)
-val make : ?process:process -> rate_per_dc:float -> unit -> t
-
+(** Exponential interarrival gaps (memoryless).
+    @raise Invalid_argument unless [rate_per_dc > 0]. *)
 val poisson : rate_per_dc:float -> t
-val fixed : rate_per_dc:float -> t
 
 (** Next gap in simulated microseconds; always [>= 1] so an arrival
     chain advances time. *)
 val interarrival_us : t -> Dsim.Rng.t -> int
-
-val pp : Format.formatter -> t -> unit

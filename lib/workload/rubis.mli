@@ -18,14 +18,7 @@ val default : params
 
 (** {1 Key schema} (exposed for tests) *)
 
-val counter_key : int -> string -> Store.Keyspace.Key.t
-val user_key : int -> int -> Store.Keyspace.Key.t
-val item_key : int -> int -> Store.Keyspace.Key.t
 val bid_key : int -> int -> Store.Keyspace.Key.t
-val comment_key : int -> int -> Store.Keyspace.Key.t
-val buynow_key : int -> int -> Store.Keyspace.Key.t
-val category_key : int -> int -> Store.Keyspace.Key.t
-val region_key : int -> int -> Store.Keyspace.Key.t
 
 (** Transactionally draw the next id from a node-local index counter. *)
 val next_id : Core.Engine.t -> Core.Types.tx -> int -> string -> int

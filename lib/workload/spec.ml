@@ -25,12 +25,3 @@ let read_int ?(default = 0) eng tx key =
   match Core.Engine.read eng tx key with
   | Some (Store.Keyspace.Value.Int i) -> i
   | Some _ | None -> default
-
-(** Read a record field as int, absent key/field -> [default]. *)
-let read_field_int ?(default = 0) eng tx key field =
-  match Core.Engine.read eng tx key with
-  | Some (Store.Keyspace.Value.Rec _ as r) ->
-    (match Store.Keyspace.Value.field_opt r field with
-     | Some (Store.Keyspace.Value.Int i) -> i
-     | Some _ | None -> default)
-  | Some _ | None -> default

@@ -32,6 +32,5 @@ val synth_b : params
 val scale_keys : params -> int -> params
 
 val local_key : partition:int -> int -> Store.Keyspace.Key.t
-val remote_key : partition:int -> int -> Store.Keyspace.Key.t
 
 val make : ?params:params -> Store.Placement.t -> Spec.t

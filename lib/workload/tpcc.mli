@@ -38,14 +38,10 @@ val mix_full : mix
 
 (** {1 Key schema} (exposed for tests and custom drivers) *)
 
-val node_of_warehouse : params -> int -> int
-val warehouse_key : params -> int -> Store.Keyspace.Key.t
 val district_key : params -> int -> int -> Store.Keyspace.Key.t
 val customer_key : params -> int -> int -> int -> Store.Keyspace.Key.t
 val order_key : params -> int -> int -> int -> Store.Keyspace.Key.t
 val order_line_key : params -> int -> int -> int -> int -> Store.Keyspace.Key.t
-val stock_key : params -> int -> int -> Store.Keyspace.Key.t
-val delivery_cursor_key : params -> int -> int -> Store.Keyspace.Key.t
 
 (** {1 Observable anomaly counters} *)
 
@@ -55,12 +51,6 @@ val delivery_cursor_key : params -> int -> int -> Store.Keyspace.Key.t
 type counters = { mutable null_order_lines : int; mutable orders_checked : int }
 
 (** {1 Transaction bodies} (exposed for targeted tests) *)
-
-val payment :
-  params -> Dsim.Rng.t -> int -> int -> Core.Engine.t -> Core.Types.tx -> unit
-
-val new_order :
-  params -> Dsim.Rng.t -> int -> int -> Core.Engine.t -> Core.Types.tx -> unit
 
 val order_status :
   params -> Dsim.Rng.t -> counters -> int -> Core.Engine.t -> Core.Types.tx -> unit

@@ -92,7 +92,7 @@ let prop_strip_preserves_lines =
     (QCheck.make
        QCheck.Gen.(string_size ~gen:(oneofl chars) (int_bound 200)))
     (fun s ->
-      let s' = T.strip s in
+      let s' = (T.lex s).stripped in
       String.length s' = String.length s
       && (let ok = ref true in
           String.iteri
@@ -491,7 +491,11 @@ let test_render_shapes () =
   let txt = A.render_text report in
   List.iter
     (fun (f : A.finding) ->
-      let line = A.to_string f in
+      let line =
+        Printf.sprintf "%s:%d:%d: %s [%s] %s" f.file f.line f.col
+          (match f.severity with A.Error -> "error" | A.Warning -> "warning")
+          f.rule f.message
+      in
       Alcotest.(check bool) (line ^ " present in text") true
         (List.mem line (String.split_on_char '\n' txt)))
     report.A.findings;

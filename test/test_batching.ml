@@ -13,6 +13,11 @@ module Key = Keyspace.Key
 module Value = Keyspace.Value
 module Sim = Dsim.Sim
 
+let run_scenario ?chooser s =
+  let w = Check.Scenario.prepare ?chooser s in
+  Check.Scenario.start w;
+  w
+
 let fingerprints (w : Check.Scenario.world) =
   ( Core.Engine.fingerprint w.Check.Scenario.eng,
     Spsi.History.fingerprint w.Check.Scenario.history )
@@ -40,8 +45,8 @@ let prop_window_zero_bit_identical =
                    (Check.Scenario.config ()))
               ~dcs ~keys ~txs ()
           in
-          fingerprints (Check.Scenario.run base)
-          = fingerprints (Check.Scenario.run zeroed))
+          fingerprints (run_scenario base)
+          = fingerprints (run_scenario zeroed))
         [ `Heap; `Wheel ])
 
 (* Same under controlled mode: a seeded random chooser replayed against
@@ -64,8 +69,8 @@ let prop_window_zero_bit_identical_controlled =
                (Check.Scenario.config ()))
           ~dcs:2 ~keys:2 ~txs ()
       in
-      let w0 = Check.Scenario.run ~chooser:(chooser_of seed) base in
-      let w1 = Check.Scenario.run ~chooser:(chooser_of seed) zeroed in
+      let w0 = run_scenario ~chooser:(chooser_of seed) base in
+      let w1 = run_scenario ~chooser:(chooser_of seed) zeroed in
       fingerprints w0 = fingerprints w1)
 
 (* Coalescing ON, no faults: the committed history must satisfy full
@@ -80,7 +85,7 @@ let prop_batched_runs_spsi_clean =
           ~config:(Check.Scenario.config ~batching:true ())
           ~dcs ~keys ~txs ()
       in
-      let w = Check.Scenario.run s in
+      let w = run_scenario s in
       Spsi.Checker.check_spsi w.Check.Scenario.history = []
       && Core.Engine.check_invariants w.Check.Scenario.eng = Ok ())
 
@@ -103,7 +108,7 @@ let prop_batched_faulted_runs_consistent =
           ~config:(Check.Scenario.config ~batching:true ())
           ~fault_plan:plan ~dcs:3 ~keys:2 ~txs:3 ()
       in
-      let w = Check.Scenario.run s in
+      let w = run_scenario s in
       List.for_all
         (fun (v : Spsi.Checker.violation) -> v.rule <> "SPSI-2")
         (Spsi.Checker.check_spsi w.Check.Scenario.history)
@@ -117,7 +122,7 @@ let test_batching_counters_consistent () =
       ~config:(Check.Scenario.config ~batching:true ())
       ~dcs:3 ~keys:2 ~txs:5 ()
   in
-  let w = Check.Scenario.run s in
+  let w = run_scenario s in
   let eng = w.Check.Scenario.eng in
   let flushes = Core.Engine.batch_flushes eng in
   let payloads = Core.Engine.batch_payloads eng in
@@ -142,74 +147,12 @@ let test_batching_counters_consistent () =
 
 let test_unbatched_counters_stay_zero () =
   let s = Check.Scenario.make ~rf:2 ~dcs:2 ~keys:2 ~txs:3 () in
-  let w = Check.Scenario.run s in
+  let w = run_scenario s in
   let eng = w.Check.Scenario.eng in
   Alcotest.(check int) "no flushes" 0 (Core.Engine.batch_flushes eng);
   Alcotest.(check int) "no batched payloads" 0 (Core.Engine.batch_payloads eng);
   Alcotest.(check int) "no coalesced wire messages" 0
     (Dsim.Network.batches_sent (Core.Engine.net eng))
-
-(* --- self-tuning ladder ----------------------------------------------- *)
-
-let test_tuner_batch_ladder_decides () =
-  let dcs = 3 in
-  let sim = Sim.create () in
-  let topology = Dsim.Topology.uniform ~dcs ~rtt_ms:80. ~intra_rtt_ms:0.5 in
-  let node_dc = Array.init dcs (fun i -> i) in
-  let rng = Dsim.Rng.create ~seed:13 in
-  let net = Dsim.Network.create ~sim ~topology ~node_dc ~jitter:0. ~rng in
-  let placement = Placement.ring ~n_nodes:dcs ~replication_factor:2 () in
-  (* Per-wire-message dispatch cost on: the ladder has a real trade-off
-     to measure.  Window starts at 0 (off); the tuner flips it live. *)
-  let config =
-    Core.Config.with_batching ~batch_window_us:0 ~batch_max:16 ~cost_msg:20
-      (Core.Config.str ())
-  in
-  let eng = Core.Engine.create ~sim ~net ~placement ~config () in
-  let wl =
-    Workload.Synthetic.make
-      ~params:
-        {
-          Workload.Synthetic.default with
-          local_hot = 1;
-          local_space = 50;
-          remote_hot = 5;
-          remote_space = 50;
-        }
-      placement
-  in
-  let shared = Harness.Client.make_shared ~measure_from:0 ~measure_to:2_500_000 in
-  let crng = Dsim.Rng.create ~seed:41 in
-  for node = 0 to dcs - 1 do
-    for _ = 1 to 4 do
-      let r = Dsim.Rng.split crng in
-      Harness.Client.spawn eng wl ~node ~rng:r ~shared ~stop_at:2_500_000
-        ~start_delay:(Dsim.Rng.int r 20_000)
-    done
-  done;
-  let ladder = [| 0; 200 |] in
-  let tuner =
-    Core.Self_tuning.install eng ~window_us:300_000 ~batch_windows:ladder ()
-  in
-  ignore (Sim.run ~until:2_600_000 sim);
-  (match Core.Self_tuning.batch_decision tuner with
-   | None -> Alcotest.fail "ladder exploration did not decide"
-   | Some w ->
-     Alcotest.(check bool) "decision comes from the ladder" true
-       (Array.exists (( = ) w) ladder);
-     Alcotest.(check int) "decision installed in the live config"
-       w
-       (Core.Engine.config eng).Core.Config.batch_window_us);
-  let thr = Core.Self_tuning.batch_throughputs tuner in
-  Alcotest.(check int) "one measurement per candidate" (Array.length ladder)
-    (Array.length thr);
-  Array.iter
-    (fun (_, t) ->
-      Alcotest.(check bool) "candidate throughput measured" true (t >= 0.))
-    thr;
-  match Core.Engine.check_invariants eng with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
 
 let () =
   Alcotest.run "batching"
@@ -227,10 +170,5 @@ let () =
             test_batching_counters_consistent;
           Alcotest.test_case "unbatched counters stay zero" `Quick
             test_unbatched_counters_stay_zero;
-        ] );
-      ( "self-tuning",
-        [
-          Alcotest.test_case "batch-window ladder decides" `Quick
-            test_tuner_batch_ladder_decides;
         ] );
     ]

@@ -8,6 +8,11 @@ open Store
 module H = Spsi.History
 module Analyzer = Check.Analyzer
 
+let run_scenario s =
+  let w = Check.Scenario.prepare s in
+  Check.Scenario.start w;
+  w
+
 let txid o n = Txid.make ~origin:o ~number:n
 let key ~p name = Keyspace.Key.v ~partition:p name
 
@@ -37,6 +42,13 @@ let has_rule rule vs = List.mem rule (rules vs)
 
 (* --- determinism lint ---------------------------------------------- *)
 
+(* The six token rules over one source; [file] scopes the rules. *)
+let lint_findings ~file src =
+  let token_rules =
+    [ "hashtbl-order"; "raw-random"; "wall-clock"; "poly-compare"; "domain-unsafe"; "no-direct-print" ]
+  in
+  (Analyzer.analyze ~rules:token_rules [ { Analyzer.path = file; text = src } ]).findings
+
 let finding_rules fs = List.map (fun (f : Analyzer.finding) -> f.rule) fs
 
 let test_lint_flags_hazards () =
@@ -47,7 +59,7 @@ let test_lint_flags_hazards () =
      let s l = List.sort compare l\n\
      let compare = compare\n"
   in
-  let fs = Analyzer.lint_findings ~file:"fixture.ml" src in
+  let fs = lint_findings ~file:"fixture.ml" src in
   Alcotest.(check (list string))
     "all four rules fire"
     [ "raw-random"; "wall-clock"; "hashtbl-order"; "poly-compare"; "poly-compare" ]
@@ -62,7 +74,7 @@ let test_lint_allow_marker () =
      let total tbl = Hashtbl.fold (fun _ v acc -> acc + v) tbl 0\n\
      let n tbl = Hashtbl.fold (fun _ _ n -> n + 1) tbl 0\n"
   in
-  let fs = Analyzer.lint_findings ~file:"fixture.ml" src in
+  let fs = lint_findings ~file:"fixture.ml" src in
   (* the marker covers only line 2; line 3 still fires *)
   Alcotest.(check (list int))
     "only the unannotated fold" [ 3 ]
@@ -77,13 +89,13 @@ let test_lint_allow_multiline_comment () =
   in
   Alcotest.(check int)
     "suppressed" 0
-    (List.length (Analyzer.lint_findings ~file:"fixture.ml" src))
+    (List.length (lint_findings ~file:"fixture.ml" src))
 
 let test_lint_same_line_marker () =
   let src = "let x = Hashtbl.fold f tbl 0 (* lint: allow hashtbl-order *)\n" in
   Alcotest.(check int)
     "suppressed" 0
-    (List.length (Analyzer.lint_findings ~file:"fixture.ml" src))
+    (List.length (lint_findings ~file:"fixture.ml" src))
 
 let test_lint_ignores_strings_and_comments () =
   let src =
@@ -94,7 +106,7 @@ let test_lint_ignores_strings_and_comments () =
   in
   Alcotest.(check int)
     "nothing fires" 0
-    (List.length (Analyzer.lint_findings ~file:"fixture.ml" src))
+    (List.length (lint_findings ~file:"fixture.ml" src))
 
 let test_lint_runtime_fixture () =
   (* The ISSUE's acceptance fixture: a file written at runtime
@@ -107,7 +119,7 @@ let test_lint_runtime_fixture () =
       output_string oc "let () = Random.self_init ()\nlet x = Random.int 7\n";
       close_out oc;
       let fs =
-        Analyzer.lint_findings ~file:path (In_channel.with_open_bin path In_channel.input_all)
+        lint_findings ~file:path (In_channel.with_open_bin path In_channel.input_all)
       in
       Alcotest.(check (list string))
         "raw-random flagged twice" [ "raw-random"; "raw-random" ]
@@ -126,7 +138,7 @@ let test_lint_domain_unsafe () =
     \  let t = Hashtbl.create 4 in\n\
     \  t\n"
   in
-  let fs = Analyzer.lint_findings ~file:"lib/core/fixture.ml" src in
+  let fs = lint_findings ~file:"lib/core/fixture.ml" src in
   Alcotest.(check (list string))
     "only the toplevel mutable bindings"
     [ "domain-unsafe"; "domain-unsafe"; "domain-unsafe" ]
@@ -141,7 +153,7 @@ let test_lint_domain_unsafe_self_init () =
   let src = "let seed () = Random.self_init ()\n" in
   Alcotest.(check (list string))
     "both rules fire" [ "raw-random"; "domain-unsafe" ]
-    (finding_rules (Analyzer.lint_findings ~file:"lib/dsim/fixture.ml" src))
+    (finding_rules (lint_findings ~file:"lib/dsim/fixture.ml" src))
 
 let test_lint_domain_unsafe_scope () =
   (* The rule is scoped to the directories whose modules run inside
@@ -154,16 +166,16 @@ let test_lint_domain_unsafe_scope () =
       Alcotest.(check int)
         (Printf.sprintf "%s out of scope" file)
         0
-        (List.length (Analyzer.lint_findings ~file src)))
+        (List.length (lint_findings ~file src)))
     [ "fixture.ml"; "lib/check/analyzer.ml"; "bin/str_sim.ml" ];
   Alcotest.(check int)
     "lib/store in scope" 2
-    (List.length (Analyzer.lint_findings ~file:"lib/store/fixture.ml" src));
+    (List.length (lint_findings ~file:"lib/store/fixture.ml" src));
   (* Workloads run inside sweep cells too (arrival processes,
      Zipf tables): in scope since the open-loop harness landed. *)
   Alcotest.(check int)
     "lib/workload in scope" 2
-    (List.length (Analyzer.lint_findings ~file:"lib/workload/fixture.ml" src))
+    (List.length (lint_findings ~file:"lib/workload/fixture.ml" src))
 
 let test_lint_domain_unsafe_allow () =
   let src =
@@ -173,7 +185,7 @@ let test_lint_domain_unsafe_allow () =
   in
   Alcotest.(check int)
     "suppressed" 0
-    (List.length (Analyzer.lint_findings ~file:"lib/harness/fixture.ml" src))
+    (List.length (lint_findings ~file:"lib/harness/fixture.ml" src))
 
 let test_lint_no_direct_print () =
   (* Library code printing to stdout is flagged; Format.pp_print_*
@@ -184,7 +196,7 @@ let test_lint_no_direct_print () =
      let baz ppf = Format.pp_print_string ppf \"ok\"\n\
      let qux () = print_endline \"done\"\n"
   in
-  let fs = Analyzer.lint_findings ~file:"lib/harness/fixture.ml" src in
+  let fs = lint_findings ~file:"lib/harness/fixture.ml" src in
   Alcotest.(check (list string))
     "stdout prints flagged, pp_print_* not"
     [ "no-direct-print"; "no-direct-print"; "no-direct-print" ]
@@ -202,7 +214,7 @@ let test_lint_no_direct_print_scope_and_allow () =
       Alcotest.(check int)
         (Printf.sprintf "%s out of scope" file)
         0
-        (List.length (Analyzer.lint_findings ~file src)))
+        (List.length (lint_findings ~file src)))
     [ "bin/str_sim.ml"; "bench/main.ml"; "test/test_check.ml" ];
   let allowed =
     "(* lint: allow no-direct-print — sanctioned report sink *)\n\
@@ -210,7 +222,7 @@ let test_lint_no_direct_print_scope_and_allow () =
   in
   Alcotest.(check int)
     "marker suppresses" 0
-    (List.length (Analyzer.lint_findings ~file:"lib/harness/fixture.ml" allowed))
+    (List.length (lint_findings ~file:"lib/harness/fixture.ml" allowed))
 
 (* --- checker output determinism (satellite) ------------------------- *)
 
@@ -417,7 +429,7 @@ let test_mc_replay_deterministic () =
   (* Identical worlds under the default schedule produce identical
      histories — the property the whole replay search rests on. *)
   let s = Check.Scenario.make ~dcs:2 ~keys:2 ~txs:3 () in
-  let w1 = Check.Scenario.run s and w2 = Check.Scenario.run s in
+  let w1 = run_scenario s and w2 = run_scenario s in
   Alcotest.(check int) "history fingerprints agree"
     (H.fingerprint w1.Check.Scenario.history)
     (H.fingerprint w2.Check.Scenario.history);
@@ -503,12 +515,12 @@ let test_mc_catches_double_resolution () =
    cached exploration result. *)
 let test_engine_fingerprint_stable () =
   let s = Check.Scenario.make ~dcs:2 ~keys:2 ~txs:3 () in
-  let w = Check.Scenario.run s in
+  let w = run_scenario s in
   Alcotest.(check int) "dcs=2 keys=2 txs=3 unchanged from seed"
     (-1100911168134096797)
     (Core.Engine.fingerprint w.Check.Scenario.eng);
   let s' = Check.Scenario.make ~rf:1 ~dcs:3 ~keys:2 ~txs:4 () in
-  let w' = Check.Scenario.run s' in
+  let w' = run_scenario s' in
   Alcotest.(check int) "rf=1 dcs=3 keys=2 txs=4 unchanged from seed"
     (-165138366610592553)
     (Core.Engine.fingerprint w'.Check.Scenario.eng)

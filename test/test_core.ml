@@ -188,7 +188,7 @@ let test_duplicate_load_rejected () =
     (Version.make ~writer:(Txid.make ~origin:1 ~number:1) ~state:Version.Committed ~ts:5
        ~value:(Value.Int 0));
   Alcotest.check_raises "load of a key written at a replica"
-    (Invalid_argument "Engine.load: key 0:w is already written") (fun () ->
+    (Invalid_argument "Mvstore.load: key 0:w is already loaded or written") (fun () ->
       Core.Engine.load eng w (Value.Int 2));
   (* The refused loads changed nothing: one version of [k] per replica. *)
   List.iter

@@ -6,6 +6,11 @@ module Key = Keyspace.Key
 module Value = Keyspace.Value
 module Sim = Dsim.Sim
 
+let run_scenario s =
+  let w = Check.Scenario.prepare s in
+  Check.Scenario.start w;
+  w
+
 let key ~p name = Key.v ~partition:p name
 
 let make_cluster ?(dcs = 5) ?(rf = 3) () =
@@ -474,8 +479,8 @@ let prop_benign_faults_leave_no_trace =
         Check.Scenario.make ~dcs:3 ~keys:2 ~txs:3 ~rf:2 ~fault_plan:plan
           ~recovery:false ()
       in
-      let w0 = Check.Scenario.run base in
-      let w1 = Check.Scenario.run faulted in
+      let w0 = run_scenario base in
+      let w1 = run_scenario faulted in
       Core.Engine.fingerprint w0.Check.Scenario.eng
       = Core.Engine.fingerprint w1.Check.Scenario.eng
       && Spsi.History.fingerprint w0.Check.Scenario.history
@@ -498,8 +503,8 @@ let prop_heap_wheel_agree_under_faults =
       let mk queue =
         Check.Scenario.make ~dcs:3 ~keys:2 ~txs:3 ~rf:2 ~queue ~fault_plan:plan ()
       in
-      let wh = Check.Scenario.run (mk `Heap) in
-      let ww = Check.Scenario.run (mk `Wheel) in
+      let wh = run_scenario (mk `Heap) in
+      let ww = run_scenario (mk `Wheel) in
       Core.Engine.fingerprint wh.Check.Scenario.eng
       = Core.Engine.fingerprint ww.Check.Scenario.eng
       && Spsi.History.fingerprint wh.Check.Scenario.history

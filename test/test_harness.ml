@@ -25,7 +25,7 @@ let test_metrics_growth () =
   for i = 1 to 10_000 do
     Harness.Metrics.record m i
   done;
-  Alcotest.(check int) "all recorded" 10_000 (Harness.Metrics.count m);
+  Alcotest.(check int) "all recorded" 10_000 (Harness.Metrics.summarize m).Harness.Metrics.count;
   Alcotest.(check int) "max" 10_000 (Harness.Metrics.summarize m).Harness.Metrics.max_us
 
 let test_metrics_interleaved () =
@@ -381,7 +381,7 @@ let test_per_label_sorted () =
   (* The recorders themselves are the live ones, not copies. *)
   Harness.Metrics.record (Harness.Client.label_metrics shared "payment") 7;
   let payment = List.assoc "payment" (Harness.Client.per_label_sorted shared) in
-  Alcotest.(check int) "live recorder" 2 (Harness.Metrics.count payment)
+  Alcotest.(check int) "live recorder" 2 (Harness.Metrics.summarize payment).Harness.Metrics.count
 
 (* --- open-loop harness --------------------------------------------- *)
 
@@ -570,7 +570,7 @@ let test_rejects_arrival_rate () =
             {
               (openloop_setup (Core.Config.str ())) with
               Harness.Openloop.arrival =
-                { Workload.Arrival.process = Workload.Arrival.Poisson; rate_per_dc };
+                { Workload.Arrival.rate_per_dc };
             }))
     [ 0.; -5.; Float.nan; Float.infinity ]
 

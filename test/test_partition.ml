@@ -12,7 +12,7 @@ let txid ?(origin = 0) n = Txid.make ~origin ~number:n
 
 let make_server ?(config = Core.Config.str ()) ?(is_cache = false) ?(node_id = 0) () =
   let sim = Dsim.Sim.create () in
-  let clock = Dsim.Clock.perfect sim in
+  let clock = Dsim.Clock.create ~sim ~skew_us:0 ~drift_ppm:0. in
   let cpu = Dsim.Cpu.create sim in
   let server = PS.create ~sim ~clock ~cpu ~config ~node_id ~partition:0 ~is_cache () in
   (sim, server)

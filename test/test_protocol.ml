@@ -326,29 +326,6 @@ let test_clocksi_read_delay () =
 
 (* --- self-tuning ------------------------------------------------------ *)
 
-let test_cusum_detects_step () =
-  let c = Core.Self_tuning.Cusum.create ~drift:0.05 ~threshold:0.4 () in
-  let alarms = ref 0 in
-  for _ = 1 to 50 do
-    if Core.Self_tuning.Cusum.observe c 100. then incr alarms
-  done;
-  Alcotest.(check int) "no false alarm on stable input" 0 !alarms;
-  let fired = ref false in
-  for _ = 1 to 20 do
-    if Core.Self_tuning.Cusum.observe c 55. then fired := true
-  done;
-  Alcotest.(check bool) "detects 45% drop" true !fired
-
-let test_cusum_ignores_noise () =
-  let c = Core.Self_tuning.Cusum.create ~drift:0.1 ~threshold:1.0 () in
-  let rng = Dsim.Rng.create ~seed:9 in
-  let alarms = ref 0 in
-  for _ = 1 to 200 do
-    let x = 100. +. (4. *. ((2. *. Dsim.Rng.float rng) -. 1.)) in
-    if Core.Self_tuning.Cusum.observe c x then incr alarms
-  done;
-  Alcotest.(check int) "small noise never alarms" 0 !alarms
-
 let test_tuner_picks_speculation_when_it_wins () =
   (* Synth-A-like conditions: the tuner must end with SR enabled. *)
   let sim, eng = make_cluster ~dcs:3 ~rf:2 () in
@@ -629,8 +606,8 @@ let test_committed_versions_immutable () =
   List.iter
     (fun ((v : Version.t), ts) ->
       if v.ts <> ts || not (Version.is_committed v) then
-        Alcotest.failf "committed version of %s changed: ts %d -> %d, now %s"
-          (Txid.to_string v.writer) ts v.ts (Version.state_to_string v.state))
+        Alcotest.failf "committed version of %s changed: ts %d -> %d, committed %b"
+          (Txid.to_string v.writer) ts v.ts (Version.is_committed v))
     at_window_end
 
 (* Memory per stored version over all 54 replica stores, on a run of
@@ -785,8 +762,6 @@ let () =
         [ Alcotest.test_case "read delay until catch-up" `Quick test_clocksi_read_delay ] );
       ( "self-tuning",
         [
-          Alcotest.test_case "CUSUM detects step" `Quick test_cusum_detects_step;
-          Alcotest.test_case "CUSUM ignores noise" `Quick test_cusum_ignores_noise;
           Alcotest.test_case "tuner picks SR when it wins" `Slow
             test_tuner_picks_speculation_when_it_wins;
           Alcotest.test_case "bounded-misspec criterion" `Slow

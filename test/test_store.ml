@@ -921,6 +921,19 @@ let prop_shared_dataset_resizes =
       run_shared_differential ~replicas:2 ~loaded:big_loaded ~agree batches
       && !most_keys >= 5_000)
 
+let test_mvstore_load_refuses_written_elsewhere () =
+  let directory = Mvstore.create_directory ~slots:2 in
+  let s0 = Mvstore.create ~directory ~slot:0 ()
+  and s1 = Mvstore.create ~directory ~slot:1 () in
+  let k = dkey 0 in
+  Mvstore.insert_version s1 k (mkv ~n:7 ~ts:10 ());
+  Alcotest.(check bool) "slot 0 never wrote the key" false (Mvstore.written s0 k);
+  Alcotest.check_raises "slot 0 refuses a key written at slot 1"
+    (Invalid_argument (Printf.sprintf "Mvstore.load: key %s is already loaded or written"
+       (Key.to_string k))) (fun () -> Mvstore.load s0 ~writer:loader k (Value.Int 1));
+  Alcotest.(check bool) "slot 0 loaded nothing" true
+    (Mvstore.latest_before s0 k ~rs:max_int = None)
+
 let test_mvstore_shared_isolation () =
   let dataset = Mvstore.create_dataset () in
   let s0 = Mvstore.create ~dataset () and s1 = Mvstore.create ~dataset () in
@@ -1189,6 +1202,8 @@ let () =
             test_mvstore_fingerprint_stable;
           Alcotest.test_case "shared dataset isolation" `Quick
             test_mvstore_shared_isolation;
+          Alcotest.test_case "load refuses a key written at another slot" `Quick
+            test_mvstore_load_refuses_written_elsewhere;
           Alcotest.test_case "identical rows share a version" `Quick
             test_mvstore_identical_rows;
           QCheck_alcotest.to_alcotest prop_shared_dataset_differential;

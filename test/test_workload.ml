@@ -145,8 +145,6 @@ let test_tpcc_load () =
   let wl, _ = Workload.Tpcc.make ~params:small_tpcc placement in
   wl.Workload.Spec.load eng;
   (* Warehouse 0 lives on node 0 (partition 0). *)
-  let srv = Core.Engine.node eng 0 in
-  ignore srv;
   let store0 =
     Core.Partition_server.store (Core.Engine.server eng ~node:0 ~partition:0)
   in
