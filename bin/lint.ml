@@ -1,5 +1,8 @@
-(* Static-analysis driver: run Check.Analyzer (token lint + cross-file
-   protocol-flow rules) over OCaml sources.
+(* Static-analysis driver: run Check.Analyzer (the token rules no type
+   can state + the cross-file protocol-flow rules) over OCaml sources.
+   Hash-table order, Random, the wall clock, library printing,
+   fingerprint coverage and message costs are checked by the compiler
+   instead (see lib/prelude/prelude.mli).
 
    Usage: lint [OPTION ...] [PATH ...]        (defaults to lib/)
      --format text|json   report style (json = SARIF 2.1.0 shape)

@@ -292,8 +292,8 @@ let sum_counts cells proj =
           Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
         (proj c))
     cells;
-  (* lint: allow hashtbl-order — sorted below *)
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  (* Hash order: sorted below. *)
+  (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] [@alert "-nondet"])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let stat_range cells name ~f ~init =

@@ -2,8 +2,7 @@
    interface for the rule catalog.  Layout:
 
      1. rule table, messages, path scopes
-     2. per-file pass: token rules (the regex-lint port) + fact
-        extraction (markers, records, fingerprints, message
+     2. per-file pass: token rules + fact extraction (markers, message
         constructors, send sites, span opens/closes)
      3. cross-file phase joining the facts into semantic findings
      4. suppression and unused-marker accounting
@@ -32,16 +31,8 @@ let to_string f =
 
 type rule_info = { name : string; about : string; default_severity : severity }
 
-(* Messages of the ported rules are kept verbatim from the regex lint:
-   they are part of the tool's user interface and pinned by tests. *)
-let msg_hashtbl_order =
-  "hash-table iteration order is nondeterministic; sort before exposing the \
-   result"
-
-let msg_raw_random = "use the seeded Dsim.Rng, not the global Random state"
-
-let msg_wall_clock = "wall-clock time breaks replay; use Dsim.Sim.now / Dsim.Clock"
-
+(* Messages of the token rules are part of the tool's user interface
+   and pinned by tests. *)
 let msg_poly_compare =
   "polymorphic compare's order on structured types is brittle; use a typed \
    comparator"
@@ -51,46 +42,20 @@ let msg_domain_unsafe =
    process runs in turn, so output would depend on -j; allocate per run \
    instead"
 
-let msg_no_direct_print =
-  "library code must not print to stdout; return a string/Report and let the \
-   binary print it"
+let msg_prelude_bypass =
+  "a Stdlib-qualified name skips the Prelude's nondet/print alerts; use the \
+   unqualified name so the compiler checks it"
 
 let rule_infos =
   [
-    { name = "hashtbl-order"; about = msg_hashtbl_order; default_severity = Error };
-    { name = "raw-random"; about = msg_raw_random; default_severity = Error };
-    { name = "wall-clock"; about = msg_wall_clock; default_severity = Error };
     { name = "poly-compare"; about = msg_poly_compare; default_severity = Error };
     { name = "domain-unsafe"; about = msg_domain_unsafe; default_severity = Error };
-    { name = "no-direct-print"; about = msg_no_direct_print; default_severity = Error };
+    { name = "prelude-bypass"; about = msg_prelude_bypass; default_severity = Error };
     {
       name = "message-flow";
       about =
         "every declared message kind must be sent somewhere and matched in \
          every dispatch/coverage table; unknown kinds must not be sent";
-      default_severity = Error;
-    };
-    {
-      name = "cost-coverage";
-      about =
-        "every message send must pair with a CPU cost expression (replies are \
-         exempt), or the latency model undercounts the hop";
-      default_severity = Error;
-    };
-    {
-      name = "causal-coverage";
-      about =
-        "every message send must carry the emitting transaction's causal \
-         context (~ctx), or the delivery cannot be linked into the causal \
-         DAG (send_batch flushes are exempt: item contexts are stamped at \
-         enqueue)";
-      default_severity = Error;
-    };
-    {
-      name = "fingerprint-coverage";
-      about =
-        "every mutable field of a fingerprinted state record must reach the \
-         fingerprint, or model-checker dedup may equate distinct states";
       default_severity = Error;
     };
     {
@@ -100,7 +65,9 @@ let rule_infos =
     };
     {
       name = "unused-allow";
-      about = "a lint-allow marker that suppresses nothing is stale";
+      about =
+        "a lint-allow marker that suppresses nothing, or names no known rule, \
+         is stale";
       default_severity = Warning;
     };
   ]
@@ -131,8 +98,6 @@ let domain_unsafe_scope file =
       contains_sub file ("lib/" ^ d ^ "/") || String.ends_with ~suffix:("lib/" ^ d) file)
     [ "core"; "dsim"; "store"; "harness"; "obs"; "workload" ]
 
-let lib_scope file = String.starts_with ~prefix:"lib/" file || contains_sub file "/lib/"
-
 (* Suffix match with a path-component boundary: "lib/obs/trace.ml"
    matches itself and ".../lib/obs/trace.ml" but not "xlib/obs/trace.ml". *)
 let path_matches ~suffix path =
@@ -142,42 +107,26 @@ let path_matches ~suffix path =
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type fp_check = {
-  record_file : string;  (** path suffix of the file declaring the record *)
-  record_name : string;  (** the record type's name *)
-  fp_file : string;  (** path suffix of the file with the [fingerprint] *)
-}
-
 type config = {
   trace_file : string;  (** path suffix of the message-kind module *)
-  fingerprint_checks : fp_check list;
   span_exempt : string list;
       (** path suffixes where [span_begin] occurrences are not span
           opens (the trace module itself) *)
+  prelude_files : string list;
+      (** path suffixes of the Prelude, which alone may name the
+          Stdlib originals it shadows *)
 }
 
 (* This repository's layout: [lib/obs/trace.ml] declares the message
-   kinds; the [fingerprint] in [lib/core/engine.ml] covers the [tx]
-   record of [lib/core/types.ml], the [node] and cluster [t] records of
-   [lib/core/cluster.ml] and the partition server's [t]; the store
-   record fingerprints in [lib/store/mvstore.ml]. *)
+   kinds; [lib/prelude] re-exports the Stdlib with alerts. *)
 let config =
   {
     trace_file = "lib/obs/trace.ml";
-    fingerprint_checks =
-      [
-        { record_file = "lib/core/types.ml"; record_name = "tx"; fp_file = "lib/core/engine.ml" };
-        { record_file = "lib/core/cluster.ml"; record_name = "node"; fp_file = "lib/core/engine.ml" };
-        { record_file = "lib/core/cluster.ml"; record_name = "t"; fp_file = "lib/core/engine.ml" };
-        {
-          record_file = "lib/core/partition_server.ml";
-          record_name = "t";
-          fp_file = "lib/core/engine.ml";
-        };
-        { record_file = "lib/store/mvstore.ml"; record_name = "t"; fp_file = "lib/store/mvstore.ml" };
-      ];
     span_exempt = [ "lib/obs/trace.ml" ];
+    prelude_files = [ "lib/prelude/prelude.ml"; "lib/prelude/prelude.mli" ];
   }
+
+let in_prelude file = List.exists (fun sfx -> path_matches ~suffix:sfx file) config.prelude_files
 
 type source = { path : string; text : string }
 
@@ -196,10 +145,13 @@ let find_sub hay sub =
   in
   go 0
 
-(** Rules named in one marker comment body ([lint: allow r1, r2 ...]). *)
+(** Rules named in one marker comment body ([allow r1, r2 ...] after
+    the [lint:] tag), as [(known, unknown)].  Prose may follow a rule
+    name, so only the first word of each comma-separated part must
+    name a rule; a later word counts only when it is one. *)
 let marker_rules body =
   match find_sub body "lint:" with
-  | None -> []
+  | None -> ([], [])
   | Some i ->
     let n = String.length body in
     let rec ws j = if j < n && (body.[j] = ' ' || body.[j] = '\t') then ws (j + 1) else j in
@@ -216,12 +168,21 @@ let marker_rules body =
         | _ -> cont := false);
         if !cont then incr k
       done;
-      String.split_on_char ',' (Buffer.contents buf)
-      |> List.concat_map (fun part -> String.split_on_char ' ' (String.trim part))
-      |> List.concat_map (fun part -> String.split_on_char '\t' part)
-      |> List.filter (fun tok -> List.mem tok allowable_rules)
+      let words part =
+        String.split_on_char ' ' (String.trim part)
+        |> List.concat_map (String.split_on_char '\t')
+        |> List.filter (fun w -> w <> "")
+      in
+      let parts = List.map words (String.split_on_char ',' (Buffer.contents buf)) in
+      let known = List.concat_map (List.filter (fun w -> List.mem w allowable_rules)) parts in
+      let unknown =
+        List.filter_map
+          (function w :: _ when not (List.mem w allowable_rules) -> Some w | _ -> None)
+          parts
+      in
+      (known, unknown)
     end
-    else []
+    else ([], [])
 
 (* ------------------------------------------------------------------ *)
 (* Per-file facts                                                      *)
@@ -235,18 +196,12 @@ type span_status =
 
 type facts = {
   f_findings : (string * int * int) list;  (** token-rule hits: rule, line, col *)
-  f_markers : (int * int * string list) list;  (** marker line, target line, rules *)
-  f_types : string list;  (** names of the toplevel type items *)
-  f_fields : (string * string * int) list;  (** type name, mutable field, line *)
-  f_fp_idents : string list;  (** idents inside [let fingerprint ...] *)
-  f_has_fp : bool;
+  f_markers : (int * int * string list * string list) list;
+      (** marker line, target line, rules, unknown rule names *)
   f_ctors : (string * int) list;  (** [M_*] constructors declared in type items *)
   f_ctor_items : (string * int * string list) list;
       (** let items mentioning message constructors: name, line, ctors *)
-  f_sends : (string * int * int * bool * bool * string list) list;
-      (** kind, line, col, body has a cost marker, site has a [~ctx]
-          argument, body idents *)
-  f_cost_defs : string list;  (** let items whose body takes/charges ~cost *)
+  f_sends : (string * int * int) list;  (** kind, line, col *)
   f_spans : (int * int * span_status) list;  (** line, col, classification *)
   f_span_ctx : string list;  (** idents around span_end call sites *)
 }
@@ -262,6 +217,7 @@ let extract ~file src =
   let is_uid i = tkind i = Some Token.Uident in
   let is_ident i = tkind i = Some Token.Ident in
   let is_label i s = tkind i = Some Token.Label && text i = s in
+  let is_stdlib_dot i = is_uid i && text i = "Stdlib" && is_sym (i + 1) "." in
   let line i = toks.(i).Token.line in
   let col1 i = toks.(i).Token.col + 1 in
   (* --- toplevel items: a structure item starts at a column-0 keyword --- *)
@@ -295,29 +251,16 @@ let extract ~file src =
     else n
   in
   let end_of_item_at i = if i < n && item_of.(i) >= 0 then item_end item_of.(i) else n in
-  (* --- token rules (the regex-lint port) --- *)
+  (* --- token rules --- *)
   let tfs = ref [] in
   let add_tf rule i = tfs := (rule, line i, col1 i) :: !tfs in
   let du = domain_unsafe_scope file in
-  let lib = lib_scope file in
+  let bypass = not (in_prelude file) in
   for i = 0 to n - 1 do
-    if
-      is_uid i
-      && (text i = "Hashtbl" || String.ends_with ~suffix:"Tbl" (text i))
-      && is_sym (i + 1) "."
-      && (is_id (i + 2) "iter" || is_id (i + 2) "fold")
-    then add_tf "hashtbl-order" i;
-    if is_uid i && text i = "Random" && is_sym (i + 1) "." then add_tf "raw-random" i;
-    if
-      is_uid i
-      && is_sym (i + 1) "."
-      && ((text i = "Unix" && (is_id (i + 2) "gettimeofday" || is_id (i + 2) "time"))
-         || (text i = "Sys" && is_id (i + 2) "time"))
-    then add_tf "wall-clock" i;
     if
       (is_id i "let" && is_id (i + 1) "compare" && is_sym (i + 2) "="
       && is_id (i + 3) "compare")
-      || (is_uid i && text i = "Stdlib" && is_sym (i + 1) "." && is_id (i + 2) "compare")
+      || (is_stdlib_dot i && is_id (i + 2) "compare")
       || (is_uid i
          && is_sym (i + 1) "."
          && ((text i = "List"
@@ -367,23 +310,16 @@ let extract ~file src =
         end
       end
     end;
-    if lib then begin
-      if
-        is_uid i
-        && (text i = "Printf" || text i = "Format")
-        && is_sym (i + 1) "."
-        && is_id (i + 2) "printf"
-      then add_tf "no-direct-print" i;
-      if
-        is_ident i
-        && (match text i with
-           | "print_string" | "print_endline" | "print_newline" | "print_int"
-           | "print_char" | "print_float" ->
-             true
-           | _ -> false)
-        && not (is_sym (i - 1) ".")
-      then add_tf "no-direct-print" i
-    end
+    (* The Prelude shadows these names to attach its alerts; a
+       Stdlib-qualified path reaches the originals unchecked. *)
+    if
+      bypass
+      && is_stdlib_dot i
+      &&
+      match text (i + 2) with
+      | "Hashtbl" | "Random" | "Sys" | "Printf" | "Format" -> is_uid (i + 2)
+      | w -> is_ident (i + 2) && String.starts_with ~prefix:"print_" w
+    then add_tf "prelude-bypass" i
   done;
   (* --- allow markers: a marker covers the first line at/after the
      comment that carries a token --- *)
@@ -399,45 +335,30 @@ let extract ~file src =
     List.filter_map
       (fun (c : Token.comment) ->
         match marker_rules c.Token.ctext with
-        | [] -> None
-        | rs -> Some (c.Token.cline, marker_target c.Token.cline, rs))
+        | [], [] -> None
+        | rs, unknown -> Some (c.Token.cline, marker_target c.Token.cline, rs, unknown))
       lx.Token.comments
   in
-  (* --- record fields, fingerprints, message constructors --- *)
-  let types = ref [] and fields = ref [] in
-  let fp_idents = ref [] and has_fp = ref false in
+  (* --- message constructors: declared in type items, matched in let
+     items --- *)
   let ctors = ref [] in
   let ctor_items = ref [] in
-  let cost_defs = ref [] in
   for k = 0 to Array.length items - 1 do
     let kw, name, iline, s = items.(k) in
     let e = item_end k in
-    if kw = "type" then begin
-      types := name :: !types;
+    if kw = "type" then
       for i = s to e - 1 do
-        if is_id i "mutable" && is_ident (i + 1) then
-          fields := (name, text (i + 1), line (i + 1)) :: !fields;
         if is_uid i && String.starts_with ~prefix:"M_" (text i)
            && not (List.mem_assoc (text i) !ctors)
         then ctors := (text i, line i) :: !ctors
       done
-    end
     else if kw = "let" then begin
-      if name = "fingerprint" then begin
-        has_fp := true;
-        for i = s to e - 1 do
-          if is_ident i then fp_idents := text i :: !fp_idents
-        done
-      end;
       let cs = ref [] in
-      let costly = ref false in
       for i = s to e - 1 do
         if is_uid i && String.starts_with ~prefix:"M_" (text i) && not (List.mem (text i) !cs)
-        then cs := text i :: !cs;
-        if is_label i "cost" then costly := true
+        then cs := text i :: !cs
       done;
-      if !cs <> [] then ctor_items := (name, iline, List.rev !cs) :: !ctor_items;
-      if !costly && name <> "" then cost_defs := name :: !cost_defs
+      if !cs <> [] then ctor_items := (name, iline, List.rev !cs) :: !ctor_items
     end
   done;
   (* --- message send sites --- *)
@@ -467,32 +388,7 @@ let extract ~file src =
            else find (k + 1)
        in
        find (i + 1));
-      if !ctor <> "" then begin
-        (* Cost window: the send's own body — up to the next send site,
-           the end of the enclosing item, or a fixed horizon. *)
-        let wstop = ref (min (end_of_item_at i) (i + 90)) in
-        (let rec nxt k = if k < !wstop then if send_site k then wstop := k else nxt (k + 1) in
-         nxt (i + 1));
-        (* A coalesced flush charges one amortized ~cost inside its
-           delivery closure, not at the send site. *)
-        (* A coalesced flush charges one amortized ~cost and carries the
-           per-item contexts stamped at enqueue time, so a [send_batch]
-           site satisfies both coverages by construction. *)
-        let has_cost = ref (is_id i "send_batch") in
-        let has_ctx = ref (is_id i "send_batch") in
-        let wid = ref [] in
-        for k = i to !wstop - 1 do
-          if is_label k "cost" then has_cost := true;
-          if is_label k "ctx" then has_ctx := true;
-          if is_ident k then begin
-            if String.starts_with ~prefix:"cost_" (text k) then has_cost := true;
-            wid := text k :: !wid
-          end
-        done;
-        sends :=
-          (!ctor, line i, col1 i, !has_cost, !has_ctx, List.sort_uniq String.compare !wid)
-          :: !sends
-      end
+      if !ctor <> "" then sends := (!ctor, line i, col1 i) :: !sends
     end
   done;
   (* --- span opens and close contexts --- *)
@@ -560,14 +456,9 @@ let extract ~file src =
   {
     f_findings = List.rev !tfs;
     f_markers = markers;
-    f_types = List.rev !types;
-    f_fields = List.rev !fields;
-    f_fp_idents = List.sort_uniq String.compare !fp_idents;
-    f_has_fp = !has_fp;
     f_ctors = List.rev !ctors;
     f_ctor_items = List.rev !ctor_items;
     f_sends = List.rev !sends;
-    f_cost_defs = List.rev !cost_defs;
     f_spans = List.rev !spans;
     f_span_ctx = List.sort_uniq String.compare !span_ctx;
   }
@@ -578,12 +469,9 @@ let extract ~file src =
 
 let token_message rule =
   match rule with
-  | "hashtbl-order" -> msg_hashtbl_order
-  | "raw-random" -> msg_raw_random
-  | "wall-clock" -> msg_wall_clock
   | "poly-compare" -> msg_poly_compare
   | "domain-unsafe" -> msg_domain_unsafe
-  | "no-direct-print" -> msg_no_direct_print
+  | "prelude-bypass" -> msg_prelude_bypass
   | _ -> rule
 
 let mk ?(severity = Error) file line col rule message =
@@ -593,9 +481,6 @@ let token_findings path facts =
   List.map (fun (rule, line, col) -> mk path line col rule (token_message rule)) facts.f_findings
 
 let semantic_findings pf =
-  let all_cost_defs =
-    List.sort_uniq String.compare (List.concat_map (fun (_, f) -> f.f_cost_defs) pf)
-  in
   let span_ctx_all =
     List.sort_uniq String.compare (List.concat_map (fun (_, f) -> f.f_span_ctx) pf)
   in
@@ -624,7 +509,7 @@ let semantic_findings pf =
       let sent =
         List.sort_uniq String.compare
           (List.concat_map
-             (fun (_, f) -> List.map (fun (c, _, _, _, _, _) -> c) f.f_sends)
+             (fun (_, f) -> List.map (fun (c, _, _) -> c) f.f_sends)
              pf)
       in
       let dead =
@@ -638,7 +523,7 @@ let semantic_findings pf =
         List.concat_map
           (fun (p, f) ->
             f.f_sends
-            |> List.filter_map (fun (c, l, col, _, _, _) ->
+            |> List.filter_map (fun (c, l, col) ->
                    if List.mem c declared then None
                    else
                      Some
@@ -649,81 +534,6 @@ let semantic_findings pf =
       in
       tables @ dead @ unknown
     | _ -> []
-  in
-  let cost =
-    List.concat_map
-      (fun (p, f) ->
-        f.f_sends
-        |> List.filter_map (fun (c, l, col, has_cost, _, wid) ->
-               if String.ends_with ~suffix:"_reply" c then None
-               else if has_cost || List.exists (fun w -> List.mem w all_cost_defs) wid
-               then None
-               else
-                 Some
-                   (mk p l col "cost-coverage"
-                      (Printf.sprintf
-                         "send of %s has no CPU cost in its body (~cost, a cost_* \
-                          parameter, or a charging call); the latency model \
-                          undercounts this hop"
-                         c))))
-      pf
-  in
-  let causal =
-    List.concat_map
-      (fun (p, f) ->
-        f.f_sends
-        |> List.filter_map (fun (c, l, col, _, has_ctx, _) ->
-               if has_ctx then None
-               else
-                 Some
-                   (mk p l col "causal-coverage"
-                      (Printf.sprintf
-                         "send of %s carries no causal context (~ctx); its delivery \
-                          cannot be linked into the emitting transaction's causal \
-                          DAG and the critical-path decomposition loses this hop"
-                         c))))
-      pf
-  in
-  let fp =
-    List.concat_map
-      (fun fc ->
-        let find sfx = List.find_opt (fun (p, _) -> path_matches ~suffix:sfx p) pf in
-        match (find fc.record_file, find fc.fp_file) with
-        | Some (rp, rf), Some (_, ff) ->
-          let flds = List.filter (fun (tn, _, _) -> tn = fc.record_name) rf.f_fields in
-          if ff.f_has_fp && not (List.mem fc.record_name rf.f_types) then
-            (* A stale configuration (the record moved or was renamed)
-               would otherwise silence the check for good. *)
-            [
-              mk rp 1 1 "fingerprint-coverage"
-                (Printf.sprintf
-                   "%s declares no type %s, but the fingerprint in %s is checked \
-                    against it; point the fingerprint-coverage configuration at \
-                    the file declaring the record"
-                   fc.record_file fc.record_name fc.fp_file);
-            ]
-          else if flds = [] then []
-          else if not ff.f_has_fp then
-            List.map
-              (fun (_, fld, l) ->
-                mk rp l 1 "fingerprint-coverage"
-                  (Printf.sprintf "mutable field %s.%s: %s declares no fingerprint function"
-                     fc.record_name fld fc.fp_file))
-              flds
-          else
-            List.filter_map
-              (fun (_, fld, l) ->
-                if List.mem fld ff.f_fp_idents then None
-                else
-                  Some
-                    (mk rp l 1 "fingerprint-coverage"
-                       (Printf.sprintf
-                          "mutable field %s.%s is not mixed into the fingerprint in \
-                           %s; model-checker state dedup may equate distinct states"
-                          fc.record_name fld fc.fp_file)))
-              flds
-        | _ -> [])
-      config.fingerprint_checks
   in
   let span =
     List.concat_map
@@ -755,27 +565,20 @@ let semantic_findings pf =
                        be closed")))
       pf
   in
-  message_flow @ cost @ causal @ fp @ span
+  message_flow @ span
 
 (* Was [rule] actually evaluated against [path]?  Unused-marker
    reporting is restricted to evaluated rules so that partial scans (a
    single file, a subtree without the trace module) do not flag markers
    whose rule simply could not run. *)
-let rule_evaluated ~trace_present pf_assoc path facts rule =
+let rule_evaluated ~trace_present path facts rule =
   match rule with
-  | "hashtbl-order" | "raw-random" | "wall-clock" | "poly-compare" -> true
+  | "poly-compare" -> true
+  | "prelude-bypass" -> not (in_prelude path)
   | "domain-unsafe" -> domain_unsafe_scope path
-  | "no-direct-print" -> lib_scope path
   | "message-flow" ->
     trace_present && (path_matches ~suffix:config.trace_file path || facts.f_sends <> [])
-  | "cost-coverage" | "causal-coverage" -> facts.f_sends <> []
   | "span-pairing" -> facts.f_spans <> []
-  | "fingerprint-coverage" ->
-    List.exists
-      (fun fc ->
-        path_matches ~suffix:fc.record_file path
-        && List.exists (fun (p, _) -> path_matches ~suffix:fc.fp_file p) pf_assoc)
-      config.fingerprint_checks
   | _ -> false
 
 let sort_dedup findings =
@@ -807,7 +610,7 @@ let apply_markers pf raw =
   List.iter
     (fun (p, f) ->
       List.iter
-        (fun (ml, tgt, rs) ->
+        (fun (ml, tgt, rs, _) ->
           List.iter (fun r -> Hashtbl.replace allowed (p, tgt, r) (ml, ref false)) rs)
         f.f_markers)
     pf;
@@ -828,18 +631,25 @@ let apply_markers pf raw =
     List.concat_map
       (fun (p, f) ->
         List.concat_map
-          (fun (ml, tgt, rs) ->
+          (fun (ml, tgt, rs, unknown) ->
             List.filter_map
               (fun r ->
                 match Hashtbl.find_opt allowed (p, tgt, r) with
                 | Some (ml', used)
-                  when ml' = ml && (not !used)
-                       && rule_evaluated ~trace_present pf p f r ->
+                  when ml' = ml && (not !used) && rule_evaluated ~trace_present p f r ->
                   Some
                     (mk ~severity:Warning p ml 1 "unused-allow"
                        (Printf.sprintf "allow marker for '%s' suppresses nothing; remove it" r))
                 | _ -> None)
-              rs)
+              rs
+            @ List.map
+                (fun r ->
+                  mk ~severity:Warning p ml 1 "unused-allow"
+                    (Printf.sprintf
+                       "allow marker names '%s', which is no rule it can suppress; \
+                        remove it"
+                       r))
+                unknown)
           f.f_markers)
       pf
   in

@@ -1,21 +1,28 @@
 (** Protocol-flow static analyzer: cross-file semantic checks over the
-    token stream of {!Token}, plus the token-rule port of the original
-    determinism lint.
+    token stream of {!Token}, plus the token rules no type can state.
 
     The analyzer exists because the repo's central property — a run is
     a deterministic, fully-checked function of (config, seed) — is
-    guarded by conventions that a line regex cannot see: every message
-    kind needs a dispatch arm, every message send needs a CPU cost,
-    every mutable state field needs to reach the state fingerprint, and
-    every trace span needs a close.  Each convention is stated once
-    here and re-checked mechanically on every [dune runtest].
+    guarded by conventions.  Those the type checker can state are
+    checked while compiling: the [Prelude] opened by every library,
+    binary and example puts a [nondet] alert on hash-table iteration,
+    [Random] and the wall clock and a [print] alert on stdout printing
+    (an error in [lib/]); the model-checker fingerprints match each
+    state record field by field (warning 9); and a message send takes
+    its causal context and its cost as required labels.  The rest is
+    stated here and re-checked mechanically on every [dune runtest].
 
     {2 Rule catalog}
 
-    Token rules (per file, ported from the regex lint; same names,
-    same messages, same suppression markers):
-    [hashtbl-order], [raw-random], [wall-clock], [poly-compare],
-    [domain-unsafe], [no-direct-print].
+    Token rules (per file):
+    - {b poly-compare} — [compare] rebound or passed to a sort, or
+      [Stdlib.compare]: use a typed comparator.
+    - {b domain-unsafe} — toplevel mutable state ([ref], a hash table)
+      or [Random.self_init] in the directories whose modules run inside
+      sweep cells.
+    - {b prelude-bypass} — a [Stdlib.]-qualified [Hashtbl], [Random],
+      [Sys], [Printf], [Format] or [print_*], which reaches the Stdlib
+      original past the Prelude's alerts (the Prelude itself exempt).
 
     Semantic rules (cross-file):
     - {b message-flow} — every [M_*] constructor declared in the trace
@@ -23,36 +30,17 @@
       in every dispatch/coverage table of the trace module (a toplevel
       definition mentioning at least two message constructors); kinds
       sent but not declared are flagged at the send site.
-    - {b cost-coverage} — every message-send site (a [send ~kind:M_*]
-      call) must pair with a cost expression in its body: a [~cost]
-      argument, a [cost_*] identifier, or a call to a definition that
-      itself charges cost.  [*_reply] kinds are exempt: replies
-      deliver to an already-charged coordinator fiber.
-    - {b causal-coverage} — every message-send site ([send] /
-      [send_work]) must carry the emitting transaction's causal
-      context (a [~ctx] argument), or the delivery cannot be linked
-      into the per-transaction causal DAG and the critical-path
-      decomposition loses the hop.  [send_batch] flush sites are
-      exempt: each queued item's context was stamped at its
-      [send_work ~ctx] enqueue, so the flush carries no single
-      context of its own.
-    - {b fingerprint-coverage} — every [mutable] field of the
-      configured state records must appear in the corresponding
-      [fingerprint] function, or the model checker's visited-state
-      dedup can equate states that differ.  A configured record file
-      that is scanned but declares no type of the configured name is
-      itself a finding (when its fingerprint file is scanned and
-      defines [fingerprint]): a moved or renamed record must not
-      silence the check.
     - {b span-pairing} — every [span_begin] must have a reachable
       [span_end]: a let-bound handle must be closed in the same
       toplevel definition; a handle stored into a field or table must
       have a [span_end] mentioning that field somewhere in the tree.
     - {b unused-allow} (warning) — a [lint: allow <rule>] marker whose
-      rule was evaluated on that file but suppressed nothing.
+      rule was evaluated on that file but suppressed nothing, or whose
+      rule name is not one it can suppress.
 
-    Any finding can be suppressed with the usual marker comment on (or
-    directly above) the offending line. *)
+    Any finding can be suppressed with the marker comment
+    [(* lint: allow <rule> — reason *)] on (or directly above) the
+    offending line. *)
 
 type severity = Error | Warning
 

@@ -126,25 +126,14 @@ type t = {
       (** (src,dst) coalescing queues; all permanently empty when
           [batch_window_us = 0], restoring the unbatched engine
           bit-for-bit.  Mixed into {!Engine.fingerprint} only when nonempty. *)
-  (* lint: allow fingerprint-coverage — monotone stat counter (flush
-     count doubles as the sweep-token generator), not protocol state *)
   mutable batch_flushes : int;
-  (* lint: allow fingerprint-coverage — monotone stat counter *)
   mutable batch_payloads : int;
-  (* lint: allow fingerprint-coverage — derived observability gauge
-     (count of transactions sitting in Local_committed), recomputable
-     from the transaction records that ARE fingerprinted *)
   mutable spec_live : int;
   batch_occ : int array;  (** flush-size histogram; index [min n 16] *)
-  (* lint: allow fingerprint-coverage — test/trace hook installed by
-     harnesses; not simulation state *)
   mutable observer : (event -> unit) option;
   mutable fault : Dsim.Fault.t option;
       (** declarative fault layer, when installed; its link state is
           mixed into {!Engine.fingerprint} via [Fault.fingerprint] *)
-  (* lint: allow fingerprint-coverage — derived from static configuration
-     (recovery periods / fault installation), not evolving protocol
-     state *)
   mutable recovery_on : bool;
       (** atomic-commitment recovery enabled: decision logging, in-doubt
           holds across crashes, and decision-carrying commit upserts.
@@ -240,8 +229,9 @@ let iter_servers eng f =
 (** [nd]'s registered transactions satisfying [keep], in id order (a
     deterministic sweep order independent of the hash table). *)
 let sorted_active ?(keep = fun _ -> true) nd =
-  (* lint: allow hashtbl-order — sorted before use *)
-  Txid.Tbl.fold (fun _ tx acc -> if keep tx then tx :: acc else acc) nd.active []
+  (* Hash order: sorted before use. *)
+  (Txid.Tbl.fold (fun _ tx acc -> if keep tx then tx :: acc else acc) nd.active []
+   [@alert "-nondet"])
   |> List.sort (fun (a : tx) b -> Txid.compare a.id b.id)
 
 let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =

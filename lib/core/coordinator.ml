@@ -98,7 +98,7 @@ let rec read eng tx key =
                ~reader:(ctx_of_txid tx.id) key
                (fun r ->
                  send eng ~kind:Obs.Trace.M_read_reply ~ctx:(ctx_of_txid tx.id)
-                   ~src:target ~dst:tx.origin
+                   ~dcost:0 ~src:target ~dst:tx.origin
                    (fun () -> ignore (Ivar.fill_if_empty iv r))))
        in
        if not eng.nodes.(target).alive then

@@ -70,8 +70,8 @@ let apply_resolution eng ~node:n ~partition:p txid d =
 (* Answer [asker]'s status query for its replica of [partition] with
    decision [d]. *)
 let send_resolution eng ~src ~asker ~partition txid d =
-  send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid) ~src ~dst:asker (fun () ->
-      apply_resolution eng ~node:asker ~partition txid d)
+  send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid) ~dcost:0 ~src
+    ~dst:asker (fun () -> apply_resolution eng ~node:asker ~partition txid d)
 
 (* A status query from [src] about [txid], served by [k] on [dst]'s CPU. *)
 let query_status eng txid ~src ~dst k =
@@ -169,8 +169,8 @@ let rec resolve_in_doubt ?(tries = 0) eng ~node:n ~partition:p txid =
                    let st =
                      Partition_server.status_of (server eng ~node:r ~partition:p) txid ~keys
                    in
-                   send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid) ~src:r
-                     ~dst:n (fun () ->
+                   send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid)
+                     ~dcost:0 ~src:r ~dst:n (fun () ->
                        if not !settled then
                          match st with
                          | `Committed ct ->

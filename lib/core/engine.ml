@@ -252,73 +252,136 @@ let fnv_mix h x = (h lxor x) * 0x100000001b3
 
 (* A table's bindings in transaction-id order. *)
 let sorted_bindings tbl =
-  (* lint: allow hashtbl-order — sorted before use *)
-  Txid.Tbl.fold (fun txid v acc -> (txid, v) :: acc) tbl []
+  (* Hash order: sorted before use. *)
+  (Txid.Tbl.fold (fun txid v acc -> (txid, v) :: acc) tbl [] [@alert "-nondet"])
   |> List.sort (fun (a, _) (b, _) -> Txid.compare a b)
 
 (** Structural hash of the protocol-visible cluster state, independent
     of hash-table iteration order (everything is sorted before mixing).
     Two engine values with equal fingerprints are, with overwhelming
     probability, in the same protocol state — the model checker uses
-    this to prune interleavings that converged. *)
+    this to prune interleavings that converged.
+
+    Each state record is matched field by field, so a new field fails
+    to compile (warning 9) until it is mixed in or named [_] here with
+    the reason it is not protocol state. *)
 let fingerprint eng =
   let h = ref 0x811c9dc5 in
   let add x = h := fnv_mix !h x in
   let addb b = add (if b then 1 else 0) in
+  let {
+    nodes; cur_master; batches; fault;
+    sim = _ (* its pending events are mixed by the model checker *);
+    net = _; placement = _; config = _; nearest = _ (* static configuration *);
+    trace = _ (* observability only *);
+    (* monotone stat counters (the flush count doubles as the
+       sweep-token generator) and the flush-size histogram *)
+    batch_flushes = _; batch_payloads = _; batch_occ = _;
+    (* derived observability gauge (count of transactions sitting in
+       Local_committed), recomputable from the transaction records
+       that ARE fingerprinted *)
+    spec_live = _;
+    observer = _ (* test/trace hook installed by harnesses *);
+    (* derived from static configuration (recovery periods / fault
+       installation), not evolving protocol state *)
+    recovery_on = _;
+  } =
+    eng
+  in
   Array.iter
-    (fun nd ->
-      add nd.id;
-      addb nd.alive;
+    (fun ({ id; alive; epoch; next_tx; servers; cache; decisions; status_waiters;
+            active = _ (* mixed through [sorted_active nd] *);
+            (* timing: the model checker's scenarios have no skew and
+               charge no CPU cost *)
+            clock = _; cpu = _;
+            stats = _ (* counters *);
+            (* transport plumbing for crash-time read completion *)
+            outstanding_reads = _; outstanding_read_count = _ } as nd) ->
+      add id;
+      addb alive;
       (* Mixed only once a recovery happened, so fault-free fingerprints
          are unchanged from the pre-recovery engine. *)
-      if nd.epoch > 0 then add (0x5ec lxor nd.epoch);
-      add nd.next_tx;
+      if epoch > 0 then add (0x5ec lxor epoch);
+      add next_tx;
       List.iter
-        (fun (tx : tx) ->
-          add (Txid.origin tx.id);
-          add (Txid.number tx.id);
+        (fun ({ id = txid; state; rs; ffc; lc; ct; unsafe; pending_prepares; prepare_failed;
+                prepare_timed_out; max_proposal; global_started; deps;
+                olcset = _ (* mixed through [olc_min tx] *);
+                origin = _ (* the origin of [txid] *);
+                start_time = _ (* timing of the attempt *);
+                sr = _ (* latched from the configuration, fixed during a model-checking run *);
+                (* the write buffer's contents reach the fingerprint
+                   through the version chains; wkeys and n_wkeys are
+                   derived views of it, and groups its deterministic
+                   regrouping fixed at certification *)
+                wbuf = _; wkeys = _; n_wkeys = _; groups = _;
+                (* tracked only under Serializable, which the model
+                   checker does not run; rset_keys is a derived view *)
+                rset = _; rset_keys = _;
+                (* monotone superset of deps (which is fingerprinted);
+                   only consulted to scope remote stacking *)
+                all_deps = _;
+                (* reverse edges of deps; the forward edges are
+                   fingerprinted on every dependent *)
+                dependents = _;
+                (* scheduler wakeup callbacks, not protocol state; the
+                   conditions they wait on are fingerprinted *)
+                watchers = _;
+                (* output side: misspeculation accounting and the
+                   Ext-Spec latency probe, never read back by the
+                   protocol *)
+                spec_exposed = _; spec_commit = _;
+                (* progress counter mirrored by the workload fiber's own
+                   program counter *)
+                reads_done = _;
+                (* observability-only trace span handle; tracing is off
+                   during model checking *)
+                span = _ } as tx : tx) ->
+          add (Txid.origin txid);
+          add (Txid.number txid);
           add
-            (match tx.state with
+            (match state with
             | Active -> 1
             | Types.Local_committed -> 2
             | Types.Committed -> 3
             | Aborted _ -> 4);
-          add tx.rs;
-          add tx.ffc;
-          add tx.lc;
-          add tx.ct;
-          addb tx.unsafe;
-          add tx.pending_prepares;
-          addb tx.prepare_failed;
+          add rs;
+          add ffc;
+          add lc;
+          add ct;
+          addb unsafe;
+          add pending_prepares;
+          addb prepare_failed;
           (* Mixed only when set, so fault-free fingerprints (where no
              prepare can time out) are unchanged from the pre-recovery
              engine. *)
-          if tx.prepare_timed_out then add 0x7e0;
-          add tx.max_proposal;
-          addb tx.global_started;
+          if prepare_timed_out then add 0x7e0;
+          add max_proposal;
+          addb global_started;
           add (olc_min tx);
-          add (Txid.Set.cardinal tx.deps))
+          add (Txid.Set.cardinal deps))
         (sorted_active nd);
-      List.iter
+      Array.iteri
         (fun p ->
-          add p;
-          add (Mvstore.fingerprint (Partition_server.store (server eng ~node:nd.id ~partition:p))))
-        (sorted_partitions nd);
-      add (Mvstore.fingerprint (Partition_server.store nd.cache));
+          Option.iter (fun srv ->
+              add p;
+              add (Partition_server.fingerprint srv)))
+        servers;
+      add (Partition_server.fingerprint cache);
       (* Recovery state, mixed only when present: both tables stay empty
          unless the recovery protocol is on, keeping fault-free
          fingerprints identical to the pre-recovery engine. *)
-      if Txid.Tbl.length nd.decisions > 0 then begin
+      if Txid.Tbl.length decisions > 0 then begin
         add 0x6dec;
-        sorted_bindings nd.decisions
+        sorted_bindings decisions
         |> List.iter (fun (txid, d) ->
                add (Txid.origin txid);
                add (Txid.number txid);
                add (match d with D_commit ct -> ct | D_abort -> -1))
       end;
-      if Txid.Tbl.length nd.status_waiters > 0 then begin
+      if Txid.Tbl.length status_waiters > 0 then begin
         add 0x3a17;
-        sorted_bindings nd.status_waiters
+        sorted_bindings status_waiters
         |> List.iter (fun (txid, ws) ->
                add (Txid.origin txid);
                add (Txid.number txid);
@@ -332,8 +395,8 @@ let fingerprint eng =
                       if c <> 0 then c else Int.compare p1 p2)
                     ws))
       end)
-    eng.nodes;
-  Array.iter add eng.cur_master;
+    nodes;
+  Array.iter add cur_master;
   (* Coalescing queues are protocol state while nonempty (parked
      prepares/decisions the destination has not seen).  Mixed only when
      nonempty, so with batching off — or every queue flushed — the
@@ -350,8 +413,8 @@ let fingerprint eng =
             List.iter (fun it -> add (Obs.Trace.msg_index it.bkind)) (List.rev b.bq)
           end)
         row)
-    eng.batches;
-  (match eng.fault with
+    batches;
+  (match fault with
    | None -> ()
    | Some f ->
      (* Only an ACTIVE fault layer is protocol-visible state: with every

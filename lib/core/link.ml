@@ -35,10 +35,9 @@ let send_raw eng ~kind ~src ~dst f =
     else Network.send eng.net ~src ~dst f
 
 (* Causal context of a protocol send: the emitting transaction's
-   identity [(origin, number)], threaded to every [send] / [send_work]
-   site so deliveries link into the per-transaction causal DAG
-   (Obs.Causal).  The analyzer's [causal-coverage] rule enforces that
-   every site carries one. *)
+   identity [(origin, number)], a required argument of every [send] /
+   [send_work] so deliveries link into the per-transaction causal DAG
+   (Obs.Causal). *)
 let ctx_of_txid id = (Txid.origin id, Txid.number id)
 
 (** Record one causal message edge at delivery time, when the
@@ -51,12 +50,13 @@ let record_edge eng ~kind ~a ~b ~src ~dst ~t_enq ~t_wire ~cost =
     ~cost ()
 
 (** Traced protocol send.  [ctx] is the emitting transaction; [dcost]
-    is the destination-side handler cost when the site knows it (read
-    service, coordinator-op bookkeeping) so the edge's dispatch-cpu
-    segment matches the [Cpu.exec] the handler will issue.  With
-    tracing off this forwards to {!send_raw} untouched — one branch,
-    zero allocation. *)
-let send eng ~kind ~ctx ?(dcost = 0) ~src ~dst f =
+    is the destination-side handler cost (read service, coordinator-op
+    bookkeeping) so the edge's dispatch-cpu segment matches the
+    [Cpu.exec] the handler will issue.  Both are required: a reply,
+    which delivers to an already-charged coordinator fiber, passes
+    [~dcost:0] in plain sight.  With tracing off this forwards to
+    {!send_raw} untouched — one branch, zero allocation. *)
+let send eng ~kind ~ctx ~dcost ~src ~dst f =
   if Obs.Trace.enabled eng.trace then begin
     let t_send = Sim.now eng.sim in
     let a, b = ctx in

@@ -40,22 +40,11 @@ type t = {
           abort from the coordinator can race a prepare forwarded by the
           partition master); a later prepare for a tombstoned tx is
           refused instead of installing zombie versions *)
-  (* lint: allow fingerprint-coverage — FIFO mirror of the tombstones
-     table (bounded-size eviction order); the table is what gates
-     prepares, and the queue is a deterministic function of its
-     insertion history *)
   mutable tombstone_queue : Txid.t list;  (** FIFO for capping tombstones *)
-  (* lint: allow fingerprint-coverage — GC pacing counter; affects only
-     when pruning work happens, not any protocol outcome *)
   mutable inserts_since_prune : int;
-  (* lint: allow fingerprint-coverage — batched-certification stat
-     bookkeeping (sweep token), not protocol state *)
   mutable cert_sweep : int;  (** token of the sweep in progress; -1 = none *)
-  (* lint: allow fingerprint-coverage — sweep-size accumulator (stats) *)
   mutable cert_sweep_n : int;  (** prepares certified in that sweep so far *)
-  (* lint: allow fingerprint-coverage — monotone stat counter *)
   mutable cert_sweeps : int;
-  (* lint: allow fingerprint-coverage — monotone stat counter *)
   mutable cert_swept : int;
   cert_occ : int array;  (** sweep-occupancy histogram; index [min n 16] *)
 }
@@ -91,6 +80,33 @@ let create ~sim ~clock ~cpu ~config ~node_id ~partition ?(is_cache = false) ?sta
 
 let store t = t.store
 
+(** The replica's part of {!Engine.fingerprint}: its store.  Every
+    field is matched by name, so a new one fails to compile (warning 9)
+    until it is mixed in or named [_] here with its reason. *)
+let fingerprint
+    { store;
+      (* wiring, configuration and counters *)
+      sim = _; clock = _; cpu = _; config = _; node_id = _; trace = _; pid = _; tid = _;
+      stats = _;
+      holds = _ (* lock-hold span handles (tracing only) *);
+      (* the directory entries of the transactions' uncommitted
+         versions, which the store's chains carry *)
+      pending = _;
+      (* aborts that overtook their prepare; a tombstone is consumed by
+         that prepare, which is still in flight *)
+      tombstones = _;
+      (* FIFO mirror of the tombstones table (bounded-size eviction
+         order); the table is what gates prepares, and the queue is a
+         deterministic function of its insertion history *)
+      tombstone_queue = _;
+      (* GC pacing counter; affects only when pruning work happens, not
+         any protocol outcome *)
+      inserts_since_prune = _;
+      (* batched-certification stats: the sweep token and size
+         accumulator, monotone counters and the occupancy histogram *)
+      cert_sweep = _; cert_sweep_n = _; cert_sweeps = _; cert_swept = _; cert_occ = _ } =
+  Mvstore.fingerprint store
+
 let pending_keys t txid =
   match Txid.Tbl.find_opt t.pending txid with
   | Some es -> Array.to_list (Array.map Mvstore.entry_key es)
@@ -109,8 +125,8 @@ let has_tx t txid = Txid.Tbl.mem t.pending txid
 (** Transactions with uncommitted state at this replica, sorted by
     transaction id for deterministic downstream iteration. *)
 let pending_txids t =
-  (* lint: allow hashtbl-order — result is sorted below *)
-  Txid.Tbl.fold (fun id _ acc -> id :: acc) t.pending []
+  (* Hash order: the result is sorted below. *)
+  (Txid.Tbl.fold (fun id _ acc -> id :: acc) t.pending [] [@alert "-nondet"])
   |> List.sort Txid.compare
 
 (* ------------------------------------------------------------------ *)

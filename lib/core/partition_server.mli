@@ -44,6 +44,11 @@ val create :
     releasing commit/abort. *)
 
 val store : t -> Mvstore.t
+
+(** The replica's protocol state as {!Mvstore.fingerprint} hashes it
+    (model-checker support). *)
+val fingerprint : t -> int
+
 val pending_keys : t -> Txid.t -> Keyspace.Key.t list
 
 (** Number of keys held uncommitted for the transaction; O(1) (cost

@@ -75,31 +75,20 @@ type tx = {
   mutable unsafe : bool;  (** updated some non-locally-replicated key *)
   (* --- write buffer --- *)
   wbuf : Keyspace.Value.t KeyTbl.t;
-  (* lint: allow fingerprint-coverage — derived view of wbuf, whose
-     contents reach the fingerprint through the version chains *)
   mutable wkeys : Keyspace.Key.t list;  (** reverse insertion order *)
-  (* lint: allow fingerprint-coverage — cached length of wkeys *)
   mutable n_wkeys : int;  (** [List.length wkeys], maintained on insert *)
   rset : Keyspace.Value.t KeyTbl.t;
       (** read set with observed values (tracked only under the
           Serializable isolation level, for read promotion) *)
-  (* lint: allow fingerprint-coverage — derived view of rset (key list
-     in insertion order); rset itself drives certification *)
   mutable rset_keys : Keyspace.Key.t list;
   (* --- dependency graph (node-local by construction) --- *)
   mutable deps : Txid.Set.t;  (** unresolved dependees this tx read/stacked on *)
-  (* lint: allow fingerprint-coverage — monotone superset of deps
-     (which is fingerprinted); only consulted to scope remote stacking *)
   mutable all_deps : Txid.Set.t;
       (** every dependee ever recorded (never shrinks); declared to
           remote replicas so they only stack this transaction's prepare
           over versions its origin actually ordered it after *)
-  (* lint: allow fingerprint-coverage — reverse edges of deps; the
-     forward edges are fingerprinted on every dependent *)
   mutable dependents : tx list;  (** unresolved txs that read/stacked on this tx *)
   (* --- coordination --- *)
-  (* lint: allow fingerprint-coverage — scheduler wakeup callbacks, not
-     protocol state; the conditions they wait on are fingerprinted *)
   mutable watchers : (unit -> unit) list;
       (** callbacks run on any state/bookkeeping change; used to
           implement condition waits in the coordinator fiber *)
@@ -112,19 +101,11 @@ type tx = {
           (only ever set when [Config.prepare_timeout_us > 0]) *)
   mutable max_proposal : int;
   mutable global_started : bool;
-  (* lint: allow fingerprint-coverage — output-side misspeculation
-     accounting; never read back by the protocol *)
   mutable spec_exposed : bool;  (** Ext-Spec: result externalized at LC *)
-  (* lint: allow fingerprint-coverage — progress counter mirrored by
-     the workload fiber's own program counter *)
   mutable reads_done : int;
-  (* lint: allow fingerprint-coverage — observability-only trace span
-     handle; tracing is off during model checking *)
   mutable span : int;
       (** open tx-lifecycle span handle in the engine's trace recorder
           ([-1] when tracing is off; see {!Obs.Trace}) *)
-  (* lint: allow fingerprint-coverage — deterministic regrouping of
-     wbuf fixed at certification; no independent degrees of freedom *)
   mutable groups : (int * (Keyspace.Key.t * Keyspace.Value.t) list) list;
       (** write-set grouped by partition, fixed at certification time *)
   spec_commit : int Dsim.Ivar.t;
@@ -169,8 +150,8 @@ let make_tx ~id ~origin ~rs ~start_time ~sr =
 let infinity_ts = max_int
 
 (** Minimum of the OLCSet (∞ when only the sentinel remains). *)
-(* lint: allow hashtbl-order — min is order-insensitive *)
-let olc_min tx = Txid.Tbl.fold (fun _ v acc -> min v acc) tx.olcset infinity_ts
+(* Hash order: min is order-insensitive. *)
+let olc_min tx = (Txid.Tbl.fold (fun _ v acc -> min v acc) tx.olcset infinity_ts [@alert "-nondet"])
 
 (** Record/refresh an OLCSet entry (Alg. 1, line 13). *)
 let olc_put tx dep_id v = Txid.Tbl.replace tx.olcset dep_id v

@@ -35,10 +35,3 @@ let exponential t ~mean =
   let u = if u <= 0. then 1e-12 else u in
   -.mean *. log u
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

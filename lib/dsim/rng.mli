@@ -26,5 +26,3 @@ val float : t -> float
 (** Exponentially distributed float with the given [mean]. *)
 val exponential : t -> mean:float -> float
 
-(** Fisher-Yates shuffle in place. *)
-val shuffle : t -> 'a array -> unit

@@ -68,13 +68,3 @@ let ec2_prefix n =
   let rtt = Array.init n (fun i -> Array.sub ec2_rtt_ms.(i) 0 n) in
   of_rtt_ms ~names ~rtt_ms:rtt ~intra_rtt_ms:ec2_intra_rtt_ms
 
-let mean_remote_oneway_us t i =
-  let n = size t in
-  if n <= 1 then t.intra_oneway
-  else begin
-    let total = ref 0 in
-    for j = 0 to n - 1 do
-      if j <> i then total := !total + oneway_us t i j
-    done;
-    !total / (n - 1)
-  end

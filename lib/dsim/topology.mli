@@ -35,5 +35,3 @@ val ec2_nine : t
 (** First [n] regions of {!ec2_nine} (3 <= n <= 9 recommended). *)
 val ec2_prefix : int -> t
 
-(** Mean one-way latency from one DC to all remote DCs, in microseconds. *)
-val mean_remote_oneway_us : t -> int -> int

@@ -44,8 +44,8 @@ let label_metrics shared label =
 (* Hashtbl.fold order depends on hashing internals; anything rendered
    from [per_label] must go through here so reports stay byte-stable. *)
 let per_label_sorted shared =
-  (* lint: allow hashtbl-order — sorted by label before exposure *)
-  Hashtbl.fold (fun label m acc -> (label, m) :: acc) shared.per_label []
+  (* Hash order: sorted by label before exposure. *)
+  (Hashtbl.fold (fun label m acc -> (label, m) :: acc) shared.per_label [] [@alert "-nondet"])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (** Spawn one client fiber.  [start_delay] staggers client start-up so

@@ -39,10 +39,9 @@ let render t =
   List.iter row_str (rows t);
   Buffer.contents buf
 
-(* lint: allow no-direct-print — [print] is the one sanctioned sink the
-   binaries call to emit a rendered report; everything else returns
-   strings. *)
-let print t = print_string (render t)
+(* [print] is the one sanctioned sink the binaries call to emit a
+   rendered report; everything else returns strings. *)
+let print t = (print_string (render t) [@alert "-print"])
 
 (* Formatting helpers shared by the experiment tables. *)
 let f1 x = Printf.sprintf "%.1f" x

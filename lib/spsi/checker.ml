@@ -64,8 +64,9 @@ let check_ww_committed h =
      intermediate list deterministic makes the checker byte-stable under
      replay, which the model checker relies on. *)
   let keys =
-    (* lint: allow hashtbl-order — keys are sorted before use *)
-    Hashtbl.fold (fun ks _ acc -> ks :: acc) per_key [] |> List.sort String.compare
+    (* Hash order: keys are sorted before use. *)
+    (Hashtbl.fold (fun ks _ acc -> ks :: acc) per_key [] [@alert "-nondet"])
+    |> List.sort String.compare
   in
   List.iter
     (fun ks ->

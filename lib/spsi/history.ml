@@ -117,8 +117,8 @@ let fingerprint t =
   in
   let mix_txid h (id : Txid.t) = mix (mix h (Txid.origin id)) (Txid.number id) in
   let txs =
-    (* lint: allow hashtbl-order — sorted before hashing *)
-    Txid.Tbl.fold (fun _ tx acc -> tx :: acc) t.txs []
+    (* Hash order: sorted before hashing. *)
+    (Txid.Tbl.fold (fun _ tx acc -> tx :: acc) t.txs [] [@alert "-nondet"])
     |> List.sort (fun a b -> Txid.compare a.id b.id)
   in
   List.fold_left
@@ -156,11 +156,11 @@ let is_initial_writer (w : Txid.t) = Txid.origin w < 0
 (** Committed transactions that wrote [key], with their commit
     timestamps, sorted by commit timestamp. *)
 let committed_writers t key =
-  (* lint: allow hashtbl-order — result is sorted below *)
-  Txid.Tbl.fold
-    (fun _ tx acc ->
-      match tx.outcome with
-      | Committed ct when KeySet.mem key tx.writes -> (tx, ct) :: acc
-      | Committed _ | Aborted _ | Unfinished -> acc)
-    t.txs []
+  (* Hash order: the result is sorted below. *)
+  (Txid.Tbl.fold
+     (fun _ tx acc ->
+       match tx.outcome with
+       | Committed ct when KeySet.mem key tx.writes -> (tx, ct) :: acc
+       | Committed _ | Aborted _ | Unfinished -> acc)
+     t.txs [] [@alert "-nondet"])
   |> List.sort (fun (_, a) (_, b) -> compare a b)

@@ -51,7 +51,6 @@ module Value = struct
                                  | Unit -> "Unit" | Float _ -> "Float" | Str _ -> "Str"
                                  | List _ -> "List" | Rec _ -> "Rec" | Int _ -> "Int")))
 
-  let str = function Str s -> s | _ -> raise (Type_error "expected Str")
 
   (** Record field access. @raise Type_error when missing. *)
   let field v name =

@@ -152,26 +152,16 @@ type t = {
   directory : directory;  (** shared by every replica of the partition *)
   slot : int;  (** this replica's chain in every entry *)
   last_reader : int Nodetbl.t;
-  (* lint: allow fingerprint-coverage — stat counter *)
   mutable reads_served : int;
-  (* lint: allow fingerprint-coverage — stat counter *)
   mutable versions_pruned : int;
   (* --- incremental accounting, on top of the dataset's tally --- *)
-  (* lint: allow fingerprint-coverage — derived tally of the chains,
-     cross-checked by check_accounting *)
   mutable version_count : int;
-  (* lint: allow fingerprint-coverage — derived tally of the chains,
-     cross-checked by check_accounting *)
   mutable data_bytes : int;
-  (* lint: allow fingerprint-coverage — derived tally of the chains (how
-     many have no loaded version), cross-checked by check_accounting *)
   mutable own_keys : int;
   (* --- fingerprint support --- *)
   mutable sorted_keys : Key.t array;
       (** every key of the replica (loaded or written), sorted; keys are
           never removed *)
-  (* lint: allow fingerprint-coverage — cache-validity stamp for
-     sorted_keys, which the fingerprint recomputes deterministically *)
   mutable sorted_for : int;
       (** dataset size [sorted_keys] was built for; -1 when a new
           written key made it stale *)
@@ -488,12 +478,12 @@ let check_accounting t =
     incr versions;
     acc + version_bytes v
   in
-  (* lint: allow hashtbl-order — summing byte counts is order-insensitive *)
-  KeyTbl.iter
-    (fun key v ->
-      if not (written t key) then
-        data := count_version (!data + key_bytes key) v)
-    ds.loaded;
+  (* Hash order: summing byte counts is order-insensitive. *)
+  (KeyTbl.iter
+     (fun key v ->
+       if not (written t key) then
+         data := count_version (!data + key_bytes key) v)
+     ds.loaded [@alert "-nondet"]);
   (* Hash order: summing byte counts is order-insensitive. *)
   iter_chains
     (fun e c ->
@@ -550,8 +540,8 @@ let sorted_keys t =
         let k = entry_key e in
         if not (KeyTbl.mem ds.loaded k) then own := k :: !own)
       t;
-    (* lint: allow hashtbl-order — keys are sorted before use *)
-    let all = KeyTbl.fold (fun k _ acc -> k :: acc) ds.loaded !own in
+    (* Hash order: keys are sorted before use. *)
+    let all = (KeyTbl.fold (fun k _ acc -> k :: acc) ds.loaded !own [@alert "-nondet"]) in
     t.sorted_keys <- Array.of_list (List.sort Key.compare all);
     t.sorted_for <- KeyTbl.length ds.loaded
   end;
@@ -562,8 +552,23 @@ let sorted_keys t =
     [LastReader] table — over the union of loaded and written keys.
     The sorted key list is cached (keys are only ever added), so
     repeated fingerprints avoid the sort; versions are mixed
-    newest-first via the allocation-free chain fold. *)
+    newest-first via the allocation-free chain fold.  Every field is
+    matched by name, so a new one fails to compile (warning 9) until it
+    is mixed in or named [_] here with its reason. *)
 let fingerprint t =
+  let {
+    (* the chains, read through [last_reader], [fold_versions] and
+       [sorted_keys] below *)
+    dataset = _; directory = _; slot = _; last_reader = _; sorted_keys = _;
+    (* cache-validity stamp for sorted_keys, which the fingerprint
+       recomputes deterministically *)
+    sorted_for = _;
+    reads_served = _; versions_pruned = _ (* stat counters *);
+    (* derived tallies of the chains, cross-checked by check_accounting *)
+    version_count = _; data_bytes = _; own_keys = _;
+  } =
+    t
+  in
   Array.fold_left
     (fun h key ->
       let h = mix_string (mix h (Key.partition key)) (Key.name key) in

@@ -6,7 +6,10 @@
    configuration's suffix matching applies): a seeded violation must
    fire, and the repaired twin must be clean.  The clean-real-tree
    direction is covered by the root `dune runtest` rule, which runs
-   bin/lint.exe over lib/, bin/ and examples/ and fails on any finding. *)
+   bin/lint.exe over lib/, bin/ and examples/ and fails on any finding.
+   The conventions the compiler checks (the Prelude's alerts, warning 9
+   on the fingerprints, required send labels) have compile-fail rules
+   in test/compile_fail/ instead. *)
 
 module A = Check.Analyzer
 module T = Check.Token
@@ -174,48 +177,6 @@ let test_message_flow_unknown_kind () =
   | [ f ] -> Alcotest.(check int) "at the send site" 5 f.A.line
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
 
-let test_cost_coverage () =
-  let engine_nocost =
-    src "lib/core/engine.ml"
-      {fix|let run eng =
-  send eng ~kind:M_a ~ctx:(o, n) ~cost:1 ();
-  send eng ~kind:M_b ~ctx:(o, n) (fun () -> deliver eng);
-  send eng ~kind:M_c ~ctx:(o, n) ~cost:3 ()
-|fix}
-  in
-  let report = run [ trace_ok; engine_nocost ] in
-  check_fired "costless send fires" report [ "cost-coverage" ];
-  (match find_rule report "cost-coverage" with
-  | [ f ] -> Alcotest.(check int) "at the M_b send" 3 f.A.line
-  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  (* A call into a definition that itself charges cost counts. *)
-  let charged =
-    src "lib/core/engine.ml"
-      {fix|let deliver eng = charge eng ~cost:5
-let run eng =
-  send eng ~kind:M_a ~ctx:(o, n) ~cost:1 ();
-  send eng ~kind:M_b ~ctx:(o, n) (fun () -> deliver eng);
-  send eng ~kind:M_c ~ctx:(o, n) ~cost:3 ()
-|fix}
-  in
-  check_fired "charging callee is clean" (run [ trace_ok; charged ]) []
-
-let test_cost_coverage_reply_exempt () =
-  let trace_reply =
-    src "lib/obs/trace.ml"
-      {fix|type msg_kind = M_a | M_a_reply
-let msg_name = function M_a -> 1 | M_a_reply -> 2
-|fix}
-  in
-  let engine_reply =
-    src "lib/core/engine.ml"
-      {fix|let run eng =
-  send eng ~kind:M_a ~ctx:(o, n) ~cost:1 ();
-  send eng ~kind:M_a_reply ~ctx:(o, n) ()
-|fix}
-  in
-  check_fired "reply sends are exempt" (run [ trace_reply; engine_reply ]) []
-
 (* Batched-pipeline send sites: [send_work] (queue for coalescing) and
    [send_batch] (emit a coalesced flush) are message sends for flow
    purposes — kinds sent only through them are not dead, and an
@@ -258,143 +219,44 @@ let test_message_flow_batched_sites () =
       && String.sub f.A.message 0 (String.length prefix) = prefix)
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
 
-let test_cost_coverage_batched_sites () =
-  (* A [send_work] payload still needs its cost; a [send_batch] flush
-     does not (the amortized ~cost is charged in the delivery body). *)
-  let engine_nocost =
-    src "lib/core/engine.ml"
-      {fix|let run eng =
-  send_work eng ~kind:M_a ~ctx:(o, n) ();
-  send eng ~kind:M_b ~ctx:(o, n) ~cost:2 ();
-  send_batch eng ~kind:M_ab ~n:3 ()
-|fix}
-  in
-  let report = run [ trace_batched; engine_nocost ] in
-  check_fired "send_work without cost fires; send_batch exempt" report
-    [ "cost-coverage" ];
-  match find_rule report "cost-coverage" with
-  | [ f ] -> Alcotest.(check int) "at the send_work site" 2 f.A.line
+(* A marker naming no rule it can suppress (a typo, or a rule the
+   compiler checks instead) is reported as stale, naming the word,
+   instead of silently doing nothing. *)
+let check_unknown_marker report ~line rule =
+  check_fired "the leftover marker is reported" report [ "unused-allow" ];
+  match report.A.findings with
+  | [ f ] ->
+    Alcotest.(check int) "at the marker line" line f.A.line;
+    Alcotest.(check string) "names the rule"
+      (Printf.sprintf
+         "allow marker names '%s', which is no rule it can suppress; remove it" rule)
+      f.A.message
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
 
-let test_causal_coverage () =
-  (* A send without ~ctx cannot be linked into the causal DAG. *)
-  let engine_noctx =
-    src "lib/core/engine.ml"
-      {fix|let run eng =
-  send eng ~kind:M_a ~ctx:(o, n) ~cost:1 ();
-  send eng ~kind:M_b ~cost:2 ();
-  send eng ~kind:M_c ~ctx:(o, n) ~cost:3 ()
-|fix}
-  in
-  let report = run [ trace_ok; engine_noctx ] in
-  check_fired "context-less send fires" report [ "causal-coverage" ];
-  (match find_rule report "causal-coverage" with
-  | [ f ] ->
-    Alcotest.(check int) "at the M_b send" 3 f.A.line;
-    Alcotest.(check bool) "names the kind" true
-      (String.length f.A.message > 10
-      && String.sub f.A.message 0 10 = "send of M_")
-  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  (* Repaired twin: stamping the context clears the finding. *)
-  check_fired "stamped twin is clean" (run [ trace_ok; engine_sends_ok ]) []
-
-let test_causal_coverage_batched_sites () =
-  (* [send_work] queues an item whose context must be stamped at
-     enqueue; the coalesced [send_batch] flush is exempt (it carries
-     every queued item's context, not one of its own). *)
-  let engine_noctx =
-    src "lib/core/engine.ml"
-      {fix|let run eng =
-  send_work eng ~kind:M_a ~cost:1 ();
-  send eng ~kind:M_b ~ctx:(o, n) ~cost:2 ();
-  send_batch eng ~kind:M_ab ~n:3 ()
-|fix}
-  in
-  let report = run [ trace_batched; engine_noctx ] in
-  check_fired "send_work without ctx fires; send_batch exempt" report
-    [ "causal-coverage" ];
-  (match find_rule report "causal-coverage" with
-  | [ f ] -> Alcotest.(check int) "at the send_work site" 2 f.A.line
-  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  let repaired =
-    src "lib/core/engine.ml"
-      {fix|let run eng =
-  send_work eng ~kind:M_a ~ctx:(o, n) ~cost:1 ();
-  send eng ~kind:M_b ~ctx:(o, n) ~cost:2 ();
-  send_batch eng ~kind:M_ab ~n:3 ()
-|fix}
-  in
-  check_fired "stamped twin is clean" (run [ trace_batched; repaired ]) []
-
 let test_causal_coverage_allow_marker () =
+  (* [~ctx] is a required label of every send: a send without one does
+     not compile, so there is nothing left to allow. *)
   let engine_marked =
     src "lib/core/engine.ml"
       {fix|let run eng =
-  send eng ~kind:M_a ~ctx:(o, n) ~cost:1 ();
+  send eng ~kind:M_a ~ctx:(o, n) ~dcost:1 ();
   (* lint: allow causal-coverage *)
-  send eng ~kind:M_b ~cost:2 ();
-  send eng ~kind:M_c ~ctx:(o, n) ~cost:3 ()
+  send eng ~kind:M_b ~ctx:(o, n) ~dcost:2 ();
+  send eng ~kind:M_c ~ctx:(o, n) ~dcost:3 ()
 |fix}
   in
-  check_fired "marker suppresses the context-less send"
-    (run [ trace_ok; engine_marked ]) []
-
-let test_fingerprint_coverage () =
-  let types_two =
-    src "lib/core/types.ml" "type tx = {\n  mutable aa : int;\n  mutable bb : int;\n}\n"
-  in
-  let engine_partial_fp =
-    src "lib/core/engine.ml" "let fingerprint t = combine 17 t.aa\n"
-  in
-  let report = run [ types_two; engine_partial_fp ] in
-  check_fired "dropped field fires" report [ "fingerprint-coverage" ];
-  (match find_rule report "fingerprint-coverage" with
-  | [ f ] ->
-    Alcotest.(check int) "at the bb declaration" 3 f.A.line;
-    Alcotest.(check bool) "names record and fp file" true
-      (f.A.message
-      = "mutable field tx.bb is not mixed into the fingerprint in \
-         lib/core/engine.ml; model-checker state dedup may equate distinct \
-         states")
-  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  let engine_full_fp =
-    src "lib/core/engine.ml" "let fingerprint t = combine (combine 17 t.aa) t.bb\n"
-  in
-  check_fired "full fingerprint is clean" (run [ types_two; engine_full_fp ]) []
-
-let test_fingerprint_stale_record () =
-  (* The configured record file no longer declares the record (it was
-     renamed or moved): the check must say so, not fall silent. *)
-  let types_renamed =
-    src "lib/core/types.ml" "type txn = {\n  mutable aa : int;\n}\n"
-  in
-  let engine_fp = src "lib/core/engine.ml" "let fingerprint t = combine 17 t.aa\n" in
-  let report = run [ types_renamed; engine_fp ] in
-  check_fired "missing record fires" report [ "fingerprint-coverage" ];
-  (match find_rule report "fingerprint-coverage" with
-  | [ f ] ->
-    Alcotest.(check string) "in the record file" "lib/core/types.ml" f.A.file;
-    Alcotest.(check bool) "names the record" true
-      (f.A.message
-      = "lib/core/types.ml declares no type tx, but the fingerprint in \
-         lib/core/engine.ml is checked against it; point the \
-         fingerprint-coverage configuration at the file declaring the record")
-  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  (* Without a fingerprint to check there is nothing to go stale. *)
-  let engine_no_fp = src "lib/core/engine.ml" "let other t = t.aa\n" in
-  check_fired "no fingerprint, no finding" (run [ types_renamed; engine_no_fp ]) []
+  check_unknown_marker (run [ trace_ok; engine_marked ]) ~line:3 "causal-coverage"
 
 let test_fingerprint_allow_marker () =
+  (* A field the fingerprint leaves out is named [field = _] in its
+     exhaustive pattern (warning 9), with the reason beside it. *)
   let types_marked =
     src "lib/core/types.ml"
-      "type tx = {\n  mutable aa : int;\n  (* lint: allow fingerprint-coverage \
-       *)\n  mutable bb : int;\n}\n"
+      "type tx = {\n  mutable aa : int;\n  (* lint: allow fingerprint-coverage — \
+       stat counter *)\n  mutable bb : int;\n}\n"
   in
-  let engine_partial_fp =
-    src "lib/core/engine.ml" "let fingerprint t = combine 17 t.aa\n"
-  in
-  check_fired "marker suppresses the dropped field (and is counted used)"
-    (run [ types_marked; engine_partial_fp ]) []
+  let engine_fp = src "lib/core/engine.ml" "let fingerprint { aa; bb = _ } = combine 17 aa\n" in
+  check_unknown_marker (run [ types_marked; engine_fp ]) ~line:3 "fingerprint-coverage"
 
 let test_span_pairing () =
   let closed =
@@ -447,7 +309,7 @@ let test_span_mli_and_trace_exempt () =
 
 let test_unused_allow () =
   let stale =
-    src "lib/core/stale.ml" "(* lint: allow raw-random *)\nlet pick n = n + 1\n"
+    src "lib/core/stale.ml" "(* lint: allow poly-compare *)\nlet pick n = n + 1\n"
   in
   let report = run [ stale ] in
   check_fired "stale marker fires" report [ "unused-allow" ];
@@ -458,16 +320,29 @@ let test_unused_allow () =
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
   let used =
     src "lib/core/used.ml"
-      "(* lint: allow raw-random *)\nlet pick n = Random.int n\n"
+      "(* lint: allow poly-compare *)\nlet pick l = List.sort compare l\n"
   in
   check_fired "used marker is silent both ways" (run [ used ]) []
 
+let test_unknown_rule () =
+  (* Only the first word of each comma-separated part must be a rule
+     name; prose after it is not. *)
+  let marked =
+    src "lib/core/used.ml"
+      "(* lint: allow poly-compare, hashtbl-order — sorted below *)\n\
+       let pick l = List.sort compare l\n"
+  in
+  check_unknown_marker (run [ marked ]) ~line:1 "hashtbl-order";
+  let typo = src "lib/core/typo.ml" "let x = 1 (* lint: allow poly_compare *)\n" in
+  check_unknown_marker (run [ typo ]) ~line:1 "poly"
+
 let test_rule_filter () =
-  let engine_nocost =
+  let engine_unknown =
     src "lib/core/engine.ml" "let run eng = send eng ~kind:M_zzz ()\n"
   in
-  let report = run ~rules:[ "cost-coverage" ] [ trace_ok; engine_nocost ] in
-  check_fired "filter reports only the requested rule" report [ "cost-coverage" ]
+  let sorter = src "lib/core/sorter.ml" "let ks l = List.sort compare l\n" in
+  let report = run ~rules:[ "poly-compare" ] [ trace_ok; engine_unknown; sorter ] in
+  check_fired "filter reports only the requested rule" report [ "poly-compare" ]
 
 (* ------------------------------------------------------------------ *)
 (* Renderers                                                           *)
@@ -477,13 +352,13 @@ let corpus =
   [
     trace_ok;
     engine_sends_ok;
-    src "lib/core/stale.ml" "(* lint: allow raw-random *)\nlet pick n = n + 1\n";
+    src "lib/core/stale.ml" "(* lint: allow poly-compare *)\nlet pick n = n + 1\n";
     src "lib/core/flow.ml"
       "let timed t =\n  let s = Obs.Trace.span_begin t ~kind:1 in\n  work t s\n";
-    src "lib/store/hot.ml" "let dump t = KeyTbl.iter visit t.chains\n";
+    src "lib/store/hot.ml" "let dump t = Stdlib.Hashtbl.iter visit t.chains\n";
     src "lib/dsim/seedy.ml" "let boot () = Random.self_init ()\n";
     src "lib/workload/wl.ml" "let ks l = List.sort compare l\n";
-    src "lib/harness/out.ml" "let show r = print_endline r\n";
+    src "lib/harness/out.ml" "let show r = Stdlib.print_endline r\n";
   ]
 
 let test_render_shapes () =
@@ -528,29 +403,10 @@ let () =
           Alcotest.test_case "batched send sites" `Quick
             test_message_flow_batched_sites;
         ] );
-      ( "cost-coverage",
-        [
-          Alcotest.test_case "fires and repaired twin clean" `Quick test_cost_coverage;
-          Alcotest.test_case "replies exempt" `Quick test_cost_coverage_reply_exempt;
-          Alcotest.test_case "batched sites" `Quick test_cost_coverage_batched_sites;
-        ] );
       ( "causal-coverage",
-        [
-          Alcotest.test_case "fires and repaired twin clean" `Quick
-            test_causal_coverage;
-          Alcotest.test_case "batched sites" `Quick
-            test_causal_coverage_batched_sites;
-          Alcotest.test_case "allow marker" `Quick
-            test_causal_coverage_allow_marker;
-        ] );
+        [ Alcotest.test_case "allow marker" `Quick test_causal_coverage_allow_marker ] );
       ( "fingerprint-coverage",
-        [
-          Alcotest.test_case "fires and repaired twin clean" `Quick
-            test_fingerprint_coverage;
-          Alcotest.test_case "allow marker" `Quick test_fingerprint_allow_marker;
-          Alcotest.test_case "stale record configuration" `Quick
-            test_fingerprint_stale_record;
-        ] );
+        [ Alcotest.test_case "allow marker" `Quick test_fingerprint_allow_marker ] );
       ( "span-pairing",
         [
           Alcotest.test_case "let-bound handles" `Quick test_span_pairing;
@@ -560,6 +416,7 @@ let () =
       ( "suppression",
         [
           Alcotest.test_case "unused-allow both ways" `Quick test_unused_allow;
+          Alcotest.test_case "unknown rule named" `Quick test_unknown_rule;
           Alcotest.test_case "rule filter" `Quick test_rule_filter;
         ] );
       ("render", [ Alcotest.test_case "text and sarif shapes" `Quick test_render_shapes ]);

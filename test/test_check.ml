@@ -42,27 +42,30 @@ let has_rule rule vs = List.mem rule (rules vs)
 
 (* --- determinism lint ---------------------------------------------- *)
 
-(* The six token rules over one source; [file] scopes the rules. *)
+(* The analyzer's token rules over one source; [file] scopes the rules.
+   Hash-table order, Random, the wall clock and library printing are
+   Prelude alerts (compile-fail rules in test/compile_fail/); the
+   analyzer flags the Stdlib path around the Prelude. *)
 let lint_findings ~file src =
-  let token_rules =
-    [ "hashtbl-order"; "raw-random"; "wall-clock"; "poly-compare"; "domain-unsafe"; "no-direct-print" ]
-  in
+  let token_rules = [ "poly-compare"; "domain-unsafe"; "prelude-bypass" ] in
   (Analyzer.analyze ~rules:token_rules [ { Analyzer.path = file; text = src } ]).findings
 
 let finding_rules fs = List.map (fun (f : Analyzer.finding) -> f.rule) fs
 
 let test_lint_flags_hazards () =
+  (* Global Random state, the wall clock and hash-table order reached
+     past the Prelude, and polymorphic compare. *)
   let src =
-    "let () = Random.self_init ()\n\
-     let t = Unix.gettimeofday ()\n\
-     let d tbl = Hashtbl.iter f tbl\n\
+    "let () = Stdlib.Random.self_init ()\n\
+     let t = Stdlib.Sys.time ()\n\
+     let d tbl = Stdlib.Hashtbl.iter f tbl\n\
      let s l = List.sort compare l\n\
      let compare = compare\n"
   in
   let fs = lint_findings ~file:"fixture.ml" src in
   Alcotest.(check (list string))
-    "all four rules fire"
-    [ "raw-random"; "wall-clock"; "hashtbl-order"; "poly-compare"; "poly-compare" ]
+    "all four hazards fire"
+    [ "prelude-bypass"; "prelude-bypass"; "prelude-bypass"; "poly-compare"; "poly-compare" ]
     (finding_rules fs);
   Alcotest.(check (list int))
     "line numbers" [ 1; 2; 3; 4; 5 ]
@@ -70,59 +73,59 @@ let test_lint_flags_hazards () =
 
 let test_lint_allow_marker () =
   let src =
-    "(* lint: allow hashtbl-order — order-insensitive sum *)\n\
-     let total tbl = Hashtbl.fold (fun _ v acc -> acc + v) tbl 0\n\
-     let n tbl = Hashtbl.fold (fun _ _ n -> n + 1) tbl 0\n"
+    "(* lint: allow poly-compare — int keys only *)\n\
+     let ks l = List.sort compare l\n\
+     let vs l = List.sort compare l\n"
   in
   let fs = lint_findings ~file:"fixture.ml" src in
   (* the marker covers only line 2; line 3 still fires *)
   Alcotest.(check (list int))
-    "only the unannotated fold" [ 3 ]
+    "only the unannotated sort" [ 3 ]
     (List.map (fun (f : Analyzer.finding) -> f.line) fs)
 
 let test_lint_allow_multiline_comment () =
   let src =
-    "let f tbl =\n\
-    \  (* lint: allow hashtbl-order — sorted below, across a\n\
+    "let f l =\n\
+    \  (* lint: allow poly-compare — int keys only, across a\n\
     \     two-line comment *)\n\
-    \  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare\n"
+    \  List.sort compare l\n"
   in
   Alcotest.(check int)
     "suppressed" 0
     (List.length (lint_findings ~file:"fixture.ml" src))
 
 let test_lint_same_line_marker () =
-  let src = "let x = Hashtbl.fold f tbl 0 (* lint: allow hashtbl-order *)\n" in
+  let src = "let x = List.sort compare l (* lint: allow poly-compare *)\n" in
   Alcotest.(check int)
     "suppressed" 0
     (List.length (lint_findings ~file:"fixture.ml" src))
 
 let test_lint_ignores_strings_and_comments () =
   let src =
-    "let s = \"Random.self_init () and Hashtbl.iter\"\n\
-     (* Random.bool, Unix.gettimeofday, Hashtbl.fold: only prose *)\n\
+    "let s = \"Stdlib.Random.self_init () and List.sort compare\"\n\
+     (* Stdlib.Random.bool, Stdlib.Sys.time, List.sort compare: only prose *)\n\
      let c = '\\\"'\n\
-     let q = {q|Sys.time Random.|q}\n"
+     let q = {q|Stdlib.Sys.time Stdlib.Random.|q}\n"
   in
   Alcotest.(check int)
     "nothing fires" 0
     (List.length (lint_findings ~file:"fixture.ml" src))
 
 let test_lint_runtime_fixture () =
-  (* The ISSUE's acceptance fixture: a file written at runtime
-     containing a Random.self_init call must be flagged. *)
+  (* A file written at runtime that reaches the global Random state
+     past the Prelude must be flagged. *)
   let path = Filename.temp_file "lint_fixture" ".ml" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      output_string oc "let () = Random.self_init ()\nlet x = Random.int 7\n";
+      output_string oc "let () = Stdlib.Random.self_init ()\nlet x = Stdlib.Random.int 7\n";
       close_out oc;
       let fs =
         lint_findings ~file:path (In_channel.with_open_bin path In_channel.input_all)
       in
       Alcotest.(check (list string))
-        "raw-random flagged twice" [ "raw-random"; "raw-random" ]
+        "Stdlib.Random flagged twice" [ "prelude-bypass"; "prelude-bypass" ]
         (finding_rules fs))
 
 let test_lint_domain_unsafe () =
@@ -148,11 +151,11 @@ let test_lint_domain_unsafe () =
     (List.map (fun (f : Analyzer.finding) -> f.line) fs)
 
 let test_lint_domain_unsafe_self_init () =
-  (* Random.self_init in the simulation path trips both the raw-random
-     and the domain-unsafe rule, wherever it appears. *)
+  (* Random.self_init in the simulation path is domain-unsafe (and a
+     nondet alert of the Prelude besides). *)
   let src = "let seed () = Random.self_init ()\n" in
   Alcotest.(check (list string))
-    "both rules fire" [ "raw-random"; "domain-unsafe" ]
+    "domain-unsafe fires" [ "domain-unsafe" ]
     (finding_rules (lint_findings ~file:"lib/dsim/fixture.ml" src))
 
 let test_lint_domain_unsafe_scope () =
@@ -188,37 +191,41 @@ let test_lint_domain_unsafe_allow () =
     (List.length (lint_findings ~file:"lib/harness/fixture.ml" src))
 
 let test_lint_no_direct_print () =
-  (* Library code printing to stdout is flagged; Format.pp_print_*
-     (printing to a caller-supplied formatter) is not. *)
+  (* Printing to stdout is a [print] alert of the Prelude, an error in
+     lib/; the analyzer flags the Stdlib path around it, and not
+     Format.pp_print_* (printing to a caller-supplied formatter). *)
   let src =
-    "let show () = print_string \"hi\"\n\
-     let bar () = Printf.printf \"x=%d\" 3\n\
+    "let show () = Stdlib.print_string \"hi\"\n\
+     let bar () = Stdlib.Printf.printf \"x=%d\" 3\n\
      let baz ppf = Format.pp_print_string ppf \"ok\"\n\
-     let qux () = print_endline \"done\"\n"
+     let qux () = Stdlib.print_endline \"done\"\n"
   in
   let fs = lint_findings ~file:"lib/harness/fixture.ml" src in
   Alcotest.(check (list string))
-    "stdout prints flagged, pp_print_* not"
-    [ "no-direct-print"; "no-direct-print"; "no-direct-print" ]
+    "Stdlib prints flagged, pp_print_* not"
+    [ "prelude-bypass"; "prelude-bypass"; "prelude-bypass" ]
     (finding_rules fs);
   Alcotest.(check (list int))
     "line numbers" [ 1; 2; 4 ]
     (List.map (fun (f : Analyzer.finding) -> f.line) fs)
 
 let test_lint_no_direct_print_scope_and_allow () =
-  (* The rule is scoped to lib/: binaries and the bench driver print
-     freely; a marker sanctions the one legitimate library sink. *)
-  let src = "let go () = print_endline \"report\"\n" in
+  (* The Stdlib path is flagged in every directory (bin/ may print, but
+     through the unqualified names); the Prelude alone may name the
+     originals it shadows; a marker suppresses. *)
+  let src = "let go () = Stdlib.print_endline \"report\"\n" in
   List.iter
-    (fun file ->
-      Alcotest.(check int)
-        (Printf.sprintf "%s out of scope" file)
-        0
-        (List.length (lint_findings ~file src)))
-    [ "bin/str_sim.ml"; "bench/main.ml"; "test/test_check.ml" ];
+    (fun (file, n) ->
+      Alcotest.(check int) file n (List.length (lint_findings ~file src)))
+    [
+      ("lib/harness/fixture.ml", 1);
+      ("bin/str_sim.ml", 1);
+      ("examples/quickstart.ml", 1);
+      ("lib/prelude/prelude.ml", 0);
+    ];
   let allowed =
-    "(* lint: allow no-direct-print — sanctioned report sink *)\n\
-     let print t = print_string (render t)\n"
+    "(* lint: allow prelude-bypass — sanctioned report sink *)\n\
+     let print t = Stdlib.print_string (render t)\n"
   in
   Alcotest.(check int)
     "marker suppresses" 0
