@@ -6,8 +6,11 @@ let spawn sim f =
   let open Effect.Deep in
   let handler =
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
+      retc = (fun () -> Sim.fiber_finished sim);
+      exnc =
+        (fun e ->
+          Sim.fiber_finished sim;
+          raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -21,7 +24,10 @@ let spawn sim f =
           | _ -> None);
     }
   in
+  Sim.fiber_spawned sim;
   Sim.schedule sim ~delay:0 (fun () -> match_with f () handler)
+
+let live = Sim.live_fibers
 
 let sleep sim delay =
   let iv = Ivar.create () in

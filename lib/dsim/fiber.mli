@@ -11,6 +11,11 @@
     Exceptions escaping [f] propagate out of {!Sim.run} (fail fast). *)
 val spawn : Sim.t -> (unit -> unit) -> unit
 
+(** Fibers spawned on [sim] that have not finished: running, scheduled
+    to start, or blocked in {!await} or {!sleep}.  A fiber counts from
+    its [spawn] until [f] returns or raises. *)
+val live : Sim.t -> int
+
 (** Block the current fiber until the ivar is filled; returns its value.
     Must be called from within a fiber. *)
 val await : 'a Ivar.t -> 'a

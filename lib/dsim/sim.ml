@@ -76,6 +76,7 @@ type t = {
   mutable now : int;
   mutable mode : mode;
   mutable gate : src:int -> dst:int -> bool;
+  mutable live_fibers : int;  (** spawned minus finished, kept by [Fiber] *)
 }
 
 let create ?(queue = `Heap) () =
@@ -84,9 +85,13 @@ let create ?(queue = `Heap) () =
     | `Heap -> Heap (Event_queue.create ())
     | `Wheel -> Wheel (Wheel.create ())
   in
-  { now = 0; mode; gate = gate_open }
+  { now = 0; mode; gate = gate_open; live_fibers = 0 }
 
 let set_delivery_gate t gate = t.gate <- gate
+
+let live_fibers t = t.live_fibers
+let fiber_spawned t = t.live_fibers <- t.live_fibers + 1
+let fiber_finished t = t.live_fibers <- t.live_fibers - 1
 
 let now t = t.now
 

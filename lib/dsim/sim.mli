@@ -109,5 +109,15 @@ val queue_max_depth : t -> int
     fingerprint. *)
 val pending_fingerprint : t -> int
 
+(** {1 Fiber accounting}
+
+    Fibers ({!Fiber}) spawned on this simulator that have not finished
+    yet, whether running, scheduled to start or blocked.  {!Fiber}
+    keeps the count; a harness reads it through {!Fiber.live}. *)
+
+val live_fibers : t -> int
+val fiber_spawned : t -> unit
+val fiber_finished : t -> unit
+
 (** Render a simulated timestamp as seconds for reporting. *)
 val to_sec : int -> float

@@ -1,10 +1,10 @@
-(* Open-loop injection (interface: openloop.mli).  The closed-loop
-   harness keeps one fiber per client for the whole run, which caps
-   populations around 10^4.  Here the population is one idle counter
-   per DC — which client serves an arrival never reaches the engine —
-   and a fiber lives only while its transaction is in flight, carrying
-   the program, origin DC and arrival time; live heap scales with
-   offered load x latency, not with population.
+(* Open-loop injection (interface: openloop.mli).  The population is
+   one idle counter per DC — which client serves an arrival never
+   reaches the engine — and, as in the closed loop, a fiber lives only
+   while its transaction is in flight, carrying the program, origin DC
+   and arrival time; live heap scales with offered load x latency, not
+   with population.  The transaction itself (attempts, retries,
+   latency recording) is [Client.execute], the closed loop's body.
 
    Each DC's arrival RNG draws the program before the fiber is spawned,
    then the next interarrival gap.  That order fixes the simulated
@@ -88,32 +88,8 @@ let run ?observer ?trace ?timeseries_us setup =
   let admitted = ref 0 and dropped = ref 0 in
   let in_flight = ref 0 and peak_in_flight = ref 0 in
   (* --- one transaction's life (fiber per in-flight transaction) ---- *)
-  let record_commit (program : Workload.Spec.program) t0 tx =
-    let now = Dsim.Sim.now sim in
-    if Client.in_window shared now then begin
-      Metrics.record shared.Client.final_latency (now - t0);
-      Metrics.record (Client.label_metrics shared program.Workload.Spec.label) (now - t0);
-      match Dsim.Ivar.peek tx.Core.Types.spec_commit with
-      | Some t when t >= t0 -> Metrics.record shared.Client.spec_latency (t - t0)
-      | Some _ | None -> ()
-    end
-  in
-  let execute dc (program : Workload.Spec.program) t0 =
-    let rec attempt () =
-      if Dsim.Sim.now sim < measure_to && Core.Engine.is_alive eng dc then begin
-        let tx = Core.Engine.begin_tx eng ~origin:dc in
-        match
-          program.Workload.Spec.body eng tx;
-          Core.Engine.commit eng tx
-        with
-        | _ct -> record_commit program t0 tx
-        | exception Core.Types.Tx_abort _ ->
-          if Client.in_window shared (Dsim.Sim.now sim) then
-            shared.Client.retries <- shared.Client.retries + 1;
-          attempt ()
-      end
-    in
-    attempt ();
+  let execute dc program t0 =
+    Client.execute eng shared ~node:dc ~stop_at:measure_to program ~t0;
     idle.(dc) <- idle.(dc) + 1;
     decr in_flight
   in

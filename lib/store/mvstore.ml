@@ -142,8 +142,9 @@ let create_directory ~slots =
 
 let directory_keys d =
   let keys = ref [] in
-  Nodetbl.iter (fun e -> keys := e.Nodetbl.key :: !keys) d.entries;
-  !keys
+  (* Hash order: the keys are sorted before they are returned. *)
+  (Nodetbl.iter (fun e -> keys := e.Nodetbl.key :: !keys) d.entries [@alert "-nondet"]);
+  List.sort Key.compare !keys
 
 let entry_key (e : entry) = e.key
 
@@ -428,11 +429,12 @@ let uncommitted t key = Chain.uncommitted (chain_of_key t key)
 (* [f e c] for every entry whose chain [c] this replica has started, in
    the directory's hash order. *)
 let iter_chains f t =
-  Nodetbl.iter
-    (fun e ->
-      let c = chain t e in
-      if not (Chain.is_absent c) then f e c)
-    t.directory.entries
+  (* Hash order: every caller below is order-insensitive and says why. *)
+  (Nodetbl.iter
+     (fun e ->
+       let c = chain t e in
+       if not (Chain.is_absent c) then f e c)
+     t.directory.entries [@alert "-nondet"])
 
 (* Only started chains can hold more than one version; a key still on
    its loaded version has nothing to drop (the newest committed version

@@ -42,8 +42,8 @@ type directory
     @raise Invalid_argument if [slots < 1]. *)
 val create_directory : slots:int -> directory
 
-(** The keys of the directory's nodes, one per node, in no particular
-    order (test support). *)
+(** The keys of the directory's nodes, one per node, in ascending
+    {!Key.compare} order (test support). *)
 val directory_keys : directory -> Key.t list
 
 (** A replica store over [dataset] (default: a private, empty one),

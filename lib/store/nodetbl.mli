@@ -59,4 +59,6 @@ val find_opt : 'a t -> Keyspace.Key.t -> 'a node option
 (** Link a node whose key is not in the table. *)
 val add : 'a t -> 'a node -> unit
 
+(** Every node, in the table's hash order. *)
 val iter : ('a node -> unit) -> 'a t -> unit
+[@@alert nondet "a key directory iterates in hash order; sort before exposing it"]

@@ -56,6 +56,28 @@ let test_ivar_fiber_handoff () =
   ignore (Sim.run sim);
   Alcotest.(check int) "value" 7 !got
 
+(* A fiber counts as live from its spawn until its function returns or
+   raises, blocked or not. *)
+let test_fiber_live_count () =
+  let sim = Sim.create () in
+  let iv = Dsim.Ivar.create () in
+  let live = ref [] in
+  let probe () = live := Dsim.Fiber.live sim :: !live in
+  Dsim.Fiber.spawn sim (fun () -> ignore (Dsim.Fiber.await iv));
+  Dsim.Fiber.spawn sim (fun () -> Dsim.Fiber.sleep sim 10);
+  Dsim.Fiber.spawn sim (fun () -> failwith "boom");
+  probe ();
+  (match Sim.run ~until:5 sim with
+   | _ -> Alcotest.fail "the raising fiber's exception escapes the run"
+   | exception Failure _ -> ());
+  probe ();
+  ignore (Sim.run ~until:20 sim);
+  probe ();
+  Dsim.Ivar.fill iv ();
+  ignore (Sim.run sim);
+  probe ();
+  Alcotest.(check (list int)) "spawned, raised, slept, awaited" [ 3; 2; 1; 0 ] (List.rev !live)
+
 let test_clock_skew_monotone () =
   let sim = Sim.create () in
   let c = Dsim.Clock.create ~sim ~skew_us:250 ~drift_ppm:100. in
@@ -539,6 +561,7 @@ let () =
           Alcotest.test_case "nested spawn" `Quick test_fiber_nested_spawn;
           Alcotest.test_case "many waiters" `Quick test_fiber_many_waiters_one_ivar;
           Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
+          Alcotest.test_case "live count" `Quick test_fiber_live_count;
         ] );
       ( "clock",
         [

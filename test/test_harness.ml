@@ -246,6 +246,96 @@ let test_client_retries_counted () =
   ignore (Dsim.Sim.run ~until:2_500_000 sim);
   Alcotest.(check bool) "retries happened" true (shared.Harness.Client.retries > 0)
 
+(* --- the closed loop, event for event ------------------------------ *)
+
+(* Quick-scale closed loops (7 s warmup, 5 s window, nine EC2 DCs, rf 6)
+   of the two think-time workloads, plus the zero-think small set-up.
+   Each outcome — commits, attempts, p50, p99 and WAN messages in the
+   window, and the whole run's event-queue pushes — must equal the
+   constants recorded before the client's waits moved from fiber sleeps
+   to plain timers: a timer plus a spawn costs exactly what a sleep's
+   timer plus its wake-up did, and a zero think time costs no event. *)
+let closed_loop_outcome setup =
+  let trace = Obs.Trace.create () in
+  let r = Harness.Runner.run ~trace setup in
+  let s = r.Harness.Runner.stats in
+  ( r.Harness.Runner.committed,
+    s.Core.Stats.commits + Core.Stats.aborts s,
+    r.Harness.Runner.final_latency.Harness.Metrics.p50_us,
+    r.Harness.Runner.final_latency.Harness.Metrics.p99_us,
+    r.Harness.Runner.wan_messages,
+    Option.get (Obs.Trace.find_stat trace "eq_pushes") )
+
+let quick_macro ~clients ~seed workload =
+  {
+    (Harness.Runner.default_setup ~workload ~config:(Core.Config.str ())) with
+    clients_per_node = clients;
+    warmup_us = 7_000_000;
+    measure_us = 5_000_000;
+    seed;
+  }
+
+let test_closed_loop_events_pinned () =
+  let placement () = Store.Placement.ring ~n_nodes:9 ~replication_factor:6 () in
+  let outcome = Alcotest.(list int) in
+  let as_list (c, a, p50, p99, wan, pushes) = [ c; a; p50; p99; wan; pushes ] in
+  let check name expected setup =
+    Alcotest.check outcome name expected (as_list (closed_loop_outcome setup))
+  in
+  check "rubis, 120 clients/node" [ 922; 924; 70192; 478134; 5427; 81387 ]
+    (quick_macro ~clients:120 ~seed:161 (Workload.Rubis.make (placement ())));
+  check "tpcc A, 60 clients/node" [ 1268; 1298; 180529; 477050; 19772; 168814 ]
+    (quick_macro ~clients:60 ~seed:91
+       (fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_a (placement ()))));
+  check "synthetic, zero think" [ 354; 430; 62080; 124700; 3163; 25299 ]
+    (small_setup (Core.Config.str ()))
+
+(* A thinking client holds no fiber.  The small set-up's 12 clients,
+   with a 3 s think time after transactions that take well under a
+   second, are all between transactions at 1.5 s (after their first)
+   and at 5 s (after their second): no fiber may be live then.  A
+   fiber is live while an attempt runs. *)
+let test_thinking_client_holds_no_fiber () =
+  let setup = small_setup (Core.Config.str ()) in
+  let base = setup.Harness.Runner.workload in
+  let sim, _net, _pl, eng, rng = Harness.Runner.build_cluster setup in
+  let live_in_body = ref 0 in
+  let workload =
+    {
+      base with
+      Workload.Spec.next_program =
+        (fun rng ~node ->
+          let p = base.Workload.Spec.next_program rng ~node in
+          {
+            p with
+            Workload.Spec.think_us = 3_000_000;
+            body =
+              (fun eng tx ->
+                live_in_body := max !live_in_body (Dsim.Fiber.live sim);
+                p.Workload.Spec.body eng tx);
+          });
+    }
+  in
+  workload.Workload.Spec.load eng;
+  let shared =
+    Harness.Runner.spawn_clients
+      { setup with Harness.Runner.workload; warmup_us = 0; measure_us = 6_000_000 }
+      ~eng ~rng
+  in
+  let clients = 3 * setup.Harness.Runner.clients_per_node in
+  let commits () = (Core.Engine.total_stats eng).Core.Stats.commits in
+  List.iter
+    (fun (until, rounds) ->
+      ignore (Dsim.Sim.run ~until sim);
+      Alcotest.(check int)
+        (Printf.sprintf "commits by %d us" until)
+        (rounds * clients) (commits ());
+      Alcotest.(check int) (Printf.sprintf "live fibers at %d us" until) 0 (Dsim.Fiber.live sim))
+    [ (1_500_000, 1); (5_000_000, 2) ];
+  Alcotest.(check bool) "a running attempt's fiber is live" true (!live_in_body >= 1);
+  Alcotest.(check int) "latencies recorded" (2 * clients)
+    (Harness.Metrics.summarize shared.Harness.Client.final_latency).Harness.Metrics.count
+
 (* --- BENCH.json reports -------------------------------------------- *)
 
 module BJ = Harness.Bench_json
@@ -496,6 +586,46 @@ let test_openloop_observed_spsi_clean () =
   | [] -> ()
   | vs -> Alcotest.fail (Spsi.Checker.report vs)
 
+(* An open loop's fibers are its in-flight transactions: sampled at
+   every admission and every attempt, the live-fiber count never
+   exceeds the run's in-flight peak, which sits far below the
+   population. *)
+let test_openloop_fibers_are_in_flight () =
+  let setup = openloop_setup (Core.Config.str ()) in
+  let base = setup.Harness.Openloop.workload in
+  let sim = ref None in
+  let peak = ref 0 in
+  let sample () =
+    Option.iter (fun sim -> peak := max !peak (Dsim.Fiber.live sim)) !sim
+  in
+  let workload =
+    {
+      base with
+      Workload.Spec.load =
+        (fun eng ->
+          sim := Some (Core.Engine.sim eng);
+          base.Workload.Spec.load eng);
+      next_program =
+        (fun rng ~node ->
+          sample ();
+          let p = base.Workload.Spec.next_program rng ~node in
+          {
+            p with
+            Workload.Spec.body =
+              (fun eng tx ->
+                sample ();
+                p.Workload.Spec.body eng tx);
+          });
+    }
+  in
+  let r = Harness.Openloop.run { setup with Harness.Openloop.workload } in
+  let in_flight = r.Harness.Openloop.peak_in_flight in
+  Alcotest.(check bool) "fibers were live" true (!peak > 0);
+  Alcotest.(check bool) "in flight far below the population" true
+    (4 * in_flight < r.Harness.Openloop.clients);
+  if !peak > in_flight then
+    Alcotest.failf "%d live fibers, %d transactions in flight at most" !peak in_flight
+
 (* The population is one idle counter per DC: three million clients
    must cost nothing beyond the cluster itself.  A per-client array of
    any kind would alone allocate 3M words. *)
@@ -507,10 +637,21 @@ let test_openloop_population_is_free () =
       measure_us = 0;
     }
   in
-  let words (g : Gc.stat) = g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words in
-  let g0 = Gc.quick_stat () in
+  (* Words allocated so far, exactly.  [Gc.quick_stat]'s counters move
+     only when a minor collection samples them (its [minor_words] in
+     whole minor heaps), so minor words come from [Gc.minor_words],
+     which reads the allocation pointer, and the words allocated
+     straight into the major heap (every block above 256 words, a
+     per-client array among them) from [quick_stat] right after a
+     forced minor collection. *)
+  let words () =
+    Gc.minor ();
+    let g = Gc.quick_stat () in
+    g.Gc.major_words -. g.Gc.promoted_words +. Gc.minor_words ()
+  in
+  let w0 = words () in
   let r = Harness.Openloop.run setup in
-  let allocated = words (Gc.quick_stat ()) -. words g0 in
+  let allocated = words () -. w0 in
   Alcotest.(check int) "population" 3_000_000 r.Harness.Openloop.clients;
   if allocated >= 1e6 then
     Alcotest.failf "a zero-window run of 3M clients allocated %.0f words" allocated
@@ -720,6 +861,9 @@ let () =
       ( "client",
         [
           Alcotest.test_case "retries counted" `Quick test_client_retries_counted;
+          Alcotest.test_case "closed loop events pinned" `Quick test_closed_loop_events_pinned;
+          Alcotest.test_case "thinking client holds no fiber" `Quick
+            test_thinking_client_holds_no_fiber;
           Alcotest.test_case "per-label sorted" `Quick test_per_label_sorted;
         ] );
       ( "openloop",
@@ -734,6 +878,8 @@ let () =
             test_openloop_trace_critpath_exact;
           Alcotest.test_case "observed history SPSI-clean" `Quick
             test_openloop_observed_spsi_clean;
+          Alcotest.test_case "fibers are in-flight transactions" `Quick
+            test_openloop_fibers_are_in_flight;
           Alcotest.test_case "population allocates nothing" `Quick
             test_openloop_population_is_free;
           Alcotest.test_case "procpool matches inline" `Quick test_procpool_matches_inline;
