@@ -91,7 +91,7 @@ let micro_tests =
      timestamp-proposal lookup (the newest version, as
      [Partition_server.prepare] reads it) and followed by a
      mid-history snapshot read (as transaction reads do); the tail is
-     the local-commit path — reposition of a bumped version — and a GC
+     the local-commit path — a pending version raised and repositioned — and a GC
      prune.  This is the per-prepare cost profile of the simulator's
      innermost loop. *)
   let chain_bench () =
@@ -99,7 +99,7 @@ let micro_tests =
     let acc = ref 0 in
     for i = 1 to 200 do
       (match Store.Chain.latest_before !c ~rs:max_int with
-       | Some v -> acc := !acc + v.Store.Version.ts
+       | Some v -> acc := !acc + Store.Version.ts v
        | None -> ());
       c :=
         Store.Chain.insert !c
@@ -108,14 +108,17 @@ let micro_tests =
              ~state:Store.Version.Committed ~ts:(i * 3)
              ~value:(Store.Keyspace.Value.Int i));
       (match Store.Chain.latest_before !c ~rs:(i * 3 / 2) with
-       | Some v -> acc := !acc + v.Store.Version.ts
+       | Some v -> acc := !acc + Store.Version.ts v
        | None -> ())
     done;
-    (match Store.Chain.newest !c with
-     | Some v ->
-       v.Store.Version.ts <- 601;
-       c := Store.Chain.reposition !c v
-     | None -> ());
+    let v =
+      Store.Version.make
+        ~writer:(Store.Txid.make ~origin:0 ~number:201)
+        ~state:Store.Version.Pre_committed ~ts:601 ~value:(Store.Keyspace.Value.Int 201)
+    in
+    c := Store.Chain.insert !c v;
+    Store.Version.local_commit v ~lc:602;
+    Store.Chain.reposition !c v;
     acc := !acc + Store.Chain.prune !c ~horizon:300;
     Sys.opaque_identity !acc
   in

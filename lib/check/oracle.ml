@@ -137,7 +137,7 @@ let check_recovery_atomic (w : Scenario.world) =
           let srv = Core.Engine.server eng ~node:n ~partition:p in
           List.iter
             (fun (key, ver) ->
-              let writer = ver.Version.writer in
+              let writer = Version.writer ver in
               if not (H.is_initial_writer writer) then
                 match H.find w.history writer with
                 | Some { H.outcome = H.Committed _; _ } -> ()

@@ -41,7 +41,7 @@ let peer_version eng ~node:n ~partition:p txid ~ct e =
             (Mvstore.chain (Partition_server.store (server eng ~node:r ~partition:p)) e)
             txid
         with
-        | Some (v : Version.t) when Version.is_committed v && v.ts = ct -> Some v
+        | Some (Final { ts; _ } as v) when ts = ct -> Some v
         | Some _ | None -> None)
     (Placement.replicas eng.placement p)
 

@@ -165,7 +165,7 @@ let sorted_partitions nd =
     movement).  Skips every key the recovering replica already has a
     version of by the same writer, so in-doubt prepares are left for
     resolution and nothing is duplicated.  The peer's committed
-    versions are inserted themselves: they are never mutated. *)
+    versions are inserted themselves: a committed version is immutable. *)
 let catch_up eng n =
   List.iter
     (fun p ->
@@ -175,8 +175,8 @@ let catch_up eng n =
         let src_store = Partition_server.store (server eng ~node:src ~partition:p) in
         let dst_store = Partition_server.store (server eng ~node:n ~partition:p) in
         List.iter
-          (fun (key, (v : Version.t)) ->
-            if Mvstore.find_version dst_store key v.Version.writer = None then
+          (fun (key, v) ->
+            if Mvstore.find_version dst_store key (Version.writer v) = None then
               Mvstore.insert_version dst_store key v)
           (Mvstore.committed_versions src_store))
     (sorted_partitions eng.nodes.(n))
@@ -424,12 +424,15 @@ let fingerprint eng =
      if Dsim.Fault.active f then add (Dsim.Fault.fingerprint f));
   !h
 
-(** Validate every version chain in the cluster (test support). *)
+(** Validate every version chain in the cluster, and that no cache
+    partition keeps an entry without a version (test support). *)
 let check_invariants eng =
-  (* The first failing replica in [iter_servers] order reports. *)
+  (* The first failing replica in [iter_servers] order, then the first
+     failing cache in node order, reports. *)
   let result = ref (Ok ()) in
-  iter_servers eng (fun _ s ->
-      match !result with
-      | Error _ -> ()
-      | Ok () -> result := Mvstore.check_invariants (Partition_server.store s));
+  let check s =
+    if Result.is_ok !result then result := Mvstore.check_invariants (Partition_server.store s)
+  in
+  iter_servers eng (fun _ s -> check s);
+  Array.iter (fun nd -> check nd.cache) eng.nodes;
   !result

@@ -143,6 +143,8 @@ val storage_breakdown : t -> int * int
 (** [(data_bytes, last_reader_metadata_bytes)] summed over all replicas
     — the Precise Clocks storage-overhead measurement of §6.1. *)
 
+(** Every replica's and cache partition's {!Store.Mvstore.check_invariants}:
+    chain order, and no cache entry without a version. *)
 val check_invariants : t -> (unit, string) result
 (** Validate every version chain in the cluster (test support). *)
 

@@ -33,8 +33,8 @@ type t = {
   pending : Mvstore.entry array Txid.Tbl.t;
       (** per tx, the directory entries of the keys this replica holds
           uncommitted, in write-set order: the handles its decision is
-          applied through (an entry is never removed from its
-          directory) *)
+          applied through (an entry stays in its directory while it
+          holds a version, and the tx's version keeps it there) *)
   tombstones : unit Txid.Tbl.t;
       (** aborts that arrived before the corresponding replicate (an
           abort from the coordinator can race a prepare forwarded by the
@@ -159,18 +159,17 @@ let read ?(allow_spec = true) ?(reader = (min_int, min_int)) t ~rs ~reader_origi
       match Mvstore.latest_before t.store key ~rs with
       | None -> reply { value = None; src = `Missing; writer = None }
       | Some v ->
-        (match v.state with
-         | Version.Committed ->
-           reply { value = Some v.value; src = `Committed v.ts; writer = Some v.writer }
-         | Version.Local_committed
+        (match v with
+         | Final { value; ts; writer } ->
+           reply { value = Some value; src = `Committed ts; writer = Some writer }
+         | Pending { local = true; value; writer; _ }
            when reader_origin = t.node_id && allow_spec && t.config.speculative_reads ->
-           reply { value = Some v.value; src = `Speculative; writer = Some v.writer }
-         | (Version.Local_committed | Version.Pre_committed)
-           when Config.seeded t.config Unsafe_speculation ->
+           reply { value = Some value; src = `Speculative; writer = Some writer }
+         | Pending { value; writer; _ } when Config.seeded t.config Unsafe_speculation ->
            (* Prior-work behaviour (§2): expose any pre-committed
               version to any reader, with no SPSI safeguards. *)
-           reply { value = Some v.value; src = `Speculative; writer = Some v.writer }
-         | Version.Local_committed | Version.Pre_committed ->
+           reply { value = Some value; src = `Speculative; writer = Some writer }
+         | Pending { writer; _ } ->
            (* Block until the writer's outcome is known at this replica,
               then reconsider from scratch. *)
            (match t.stats with
@@ -185,8 +184,7 @@ let read ?(allow_spec = true) ?(reader = (min_int, min_int)) t ~rs ~reader_origi
                Obs.Trace.span_begin t.trace ~kind:Obs.Trace.S_lock_wait ~pid:t.pid
                  ~tid:t.tid ~t0:(Dsim.Sim.now t.sim) ~a:ra ~b:rb
                  ~note:
-                   (Printf.sprintf "holder %d.%d" (Txid.origin v.writer)
-                      (Txid.number v.writer))
+                   (Printf.sprintf "holder %d.%d" (Txid.origin writer) (Txid.number writer))
                  ()
              in
              Version.add_waiter v (fun () ->
@@ -258,20 +256,20 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
   let wdeps = ref Txid.Set.empty in
   (* May [u], an uncommitted version of another writer, stay below the
      new one? *)
-  let stackable (u : Version.t) =
+  let stackable writer ~local ~ts =
     if origin = t.node_id then
       (* Origin-side local certification: only a local-committed
          same-node sibling in the writer's snapshot may be overwritten;
          a pre-committed one is still mid-certification and
          conflicts. *)
       origin_spec && t.config.speculative_reads
-      && Txid.origin u.writer = origin
-      && u.state = Version.Local_committed
-      && u.ts <= rs
+      && Txid.origin writer = origin
+      && local
+      && ts <= rs
     else
       (* Remote replica: only stack over declared dependencies (the
          origin ordered them). *)
-      Txid.Set.mem u.writer stack_over
+      Txid.Set.mem writer stack_over
   in
   (* Certify the keys from the [i]-th on; [Ok proposal] (the maximum
      over the keys, before the clock) or the conflicting key. *)
@@ -295,23 +293,24 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
         let top = Chain.length c - 1 in
         let ok = ref true and seen_committed = ref false and j = ref top in
         while check && !ok && !j >= 0 do
-          let v = Chain.get c !j in
-          if Version.is_committed v then begin
-            if (not !seen_committed) && v.ts > rs then ok := false;
-            seen_committed := true
-          end
-          else if not (Txid.equal v.writer txid) then
-            if stackable v then wdeps := Txid.Set.add v.writer !wdeps else ok := false;
+          (match Chain.get c !j with
+           | Final { ts; _ } ->
+             if (not !seen_committed) && ts > rs then ok := false;
+             seen_committed := true
+           | Pending { writer; local; ts; _ } ->
+             if not (Txid.equal writer txid) then
+               if stackable writer ~local ~ts then wdeps := Txid.Set.add writer !wdeps
+               else ok := false);
           decr j
         done;
         if not !ok then Error key
         else if top < 0 then certify (i + 1) proposal rest
-        else certify (i + 1) (max proposal ((Chain.get c top).ts + 1)) rest
+        else certify (i + 1) (max proposal (Version.ts (Chain.get c top) + 1)) rest
       end
       else
         match Mvstore.loaded_version t.store key with
-        | Some v when check && v.ts > rs -> Error key
-        | Some v -> certify (i + 1) (max proposal (v.ts + 1)) rest
+        | Some v when check && Version.ts v > rs -> Error key
+        | Some v -> certify (i + 1) (max proposal (Version.ts v + 1)) rest
         | None -> certify (i + 1) proposal rest
   in
   match certify 0 0 writes with
@@ -368,12 +367,11 @@ let evict_candidates t ~writes ~except =
       | Some e ->
         let c = Mvstore.chain t.store e in
         for i = 0 to Chain.length c - 1 do
-          let u = Chain.get c i in
-          if
-            Version.is_uncommitted u
-            && (not (Txid.equal u.writer except))
-            && Txid.origin u.writer = t.node_id
-          then victims := Txid.Set.add u.writer !victims
+          match Chain.get c i with
+          | Pending { writer; _ }
+            when (not (Txid.equal writer except)) && Txid.origin writer = t.node_id ->
+            victims := Txid.Set.add writer !victims
+          | Pending _ | Final _ -> ()
         done)
     writes;
   Txid.Set.elements !victims
@@ -432,10 +430,10 @@ let wake (v : Version.t) = List.iter (fun k -> k ()) (Version.take_waiters v)
 
 (* An uncommitted version a rise from [above] to [floor] displaces. *)
 let displaced ~above ~floor (v : Version.t) =
-  Version.is_uncommitted v && v.ts > above && v.ts <= floor
+  match v with Pending { ts; _ } -> ts > above && ts <= floor | Final _ -> false
 
-let raise_to store e ts (v : Version.t) =
-  v.ts <- ts;
+let raise_to store e ts v =
+  Version.raise_ts v ts;
   Mvstore.chain_reposition store e v
 
 (** When a version's timestamp rises from [above] to [floor] (local
@@ -467,7 +465,7 @@ let restack store e ~above ~floor =
   else if !n > 1 then
     Chain.uncommitted c
     |> List.filter (displaced ~above ~floor)
-    |> List.sort (fun (a : Version.t) (b : Version.t) -> Int.compare a.ts b.ts)
+    |> List.sort (fun a b -> Int.compare (Version.ts a) (Version.ts b))
     |> List.iteri (fun i v -> raise_to store e (floor + 1 + i) v)
 
 let end_hold t txid =
@@ -496,9 +494,8 @@ let update_versions t txid f =
     read speculatively). *)
 let local_commit t txid ~lc =
   update_versions t txid (fun _ e v ->
-      let old_ts = v.ts in
-      v.state <- Version.Local_committed;
-      v.ts <- lc;
+      let old_ts = Version.ts v in
+      Version.local_commit v ~lc;
       Mvstore.chain_reposition t.store e v;
       restack t.store e ~above:old_ts ~floor:lc;
       wake v)
@@ -506,13 +503,16 @@ let local_commit t txid ~lc =
 (** Final commit at this replica: each pending version is swapped for
     the shared committed version at the same write-set index, which
     lands where the pending version would have moved had its timestamp
-    risen to the commit timestamp.  Its blocked readers wake and read
-    again. *)
+    risen to the commit timestamp.  A [LastReader] slot at or below the
+    commit timestamp is dropped: the chain now keeps a version at that
+    timestamp, which bounds every later proposal as the slot did.  Its
+    blocked readers wake and read again. *)
 let commit t txid versions =
   update_versions t txid (fun i e old ->
-      let v = versions.(i) in
-      Mvstore.chain_replace t.store e ~old v;
-      restack t.store e ~above:old.ts ~floor:v.ts;
+      let ct = Version.ts versions.(i) in
+      Mvstore.chain_replace t.store e ~old versions.(i);
+      restack t.store e ~above:(Version.ts old) ~floor:ct;
+      Mvstore.forget_last_reader t.store (Mvstore.entry_key e) ct;
       wake old);
   Txid.Tbl.remove t.pending txid;
   end_hold t txid
@@ -576,9 +576,7 @@ let pending_ts t txid =
   match Txid.Tbl.find_opt t.pending txid with
   | None | Some [||] -> None
   | Some entries ->
-    (match Chain.find_writer (Mvstore.chain t.store entries.(0)) txid with
-     | Some v -> Some v.Version.ts
-     | None -> None)
+    Option.map Version.ts (Chain.find_writer (Mvstore.chain t.store entries.(0)) txid)
 
 (** Peer-evidence answer to "what happened to [txid] here?", asked over
     [keys] by a recovering replica running cooperative termination when
@@ -598,8 +596,8 @@ let status_of t txid ~keys =
       List.find_map
         (fun key ->
           match Mvstore.find_version t.store key txid with
-          | Some v when v.Version.state = Version.Committed -> Some v.Version.ts
-          | Some _ | None -> None)
+          | Some (Final { ts; _ }) -> Some ts
+          | Some (Pending _) | None -> None)
         keys
     in
     match committed with Some ct -> `Committed ct | None -> `None
@@ -621,7 +619,8 @@ let decided_versions t txid ~ct ~peer =
         | None ->
           (* A pending chain holds the transaction's version. *)
           let pending = Option.get (Chain.find_writer (Mvstore.chain t.store e) txid) in
-          Version.make ~writer:txid ~state:Version.Committed ~ts:ct ~value:pending.value)
+          Version.make ~writer:txid ~state:Version.Committed ~ts:ct
+            ~value:(Version.value pending))
       entries
 
 (** Install already-decided committed versions directly, bypassing the
@@ -632,7 +631,7 @@ let decided_versions t txid ~ct ~peer =
 let install_committed t writes versions =
   List.iteri
     (fun i (key, _) ->
-      let (v : Version.t) = versions.(i) in
-      if Mvstore.find_version t.store key v.writer = None then
+      let v = versions.(i) in
+      if Mvstore.find_version t.store key (Version.writer v) = None then
         Mvstore.insert_version t.store key v)
     writes

@@ -29,22 +29,28 @@
     started chain always has at least one slot; the empty array is
     {!absent}, a replica that never wrote the key.
 
-    Committed versions are shared between the replicas that hold them
-    and never mutated; only a replica's own uncommitted versions change
-    timestamp or state.
+    Committed versions are shared between the replicas that hold them,
+    and their type has no mutable field; only a replica's own pending
+    versions change timestamp or state.
 
     A {e frozen} chain — one slot, holding a committed version — may be
     shared by several replicas of its key, so no mutator writes it:
-    {!insert} finds it full and grows into a new array, {!remove},
-    {!replace} and {!reposition} work on a copy, and {!prune} keeps the
-    newest committed version, the frozen chain's only one.  The rule is
-    structural: it holds whatever the caller removes or moves, a
-    committed version included. *)
+    {!insert} finds it full and grows into a new array, {!remove} and
+    {!replace} work on a copy, {!reposition} moves a pending version,
+    which a frozen chain does not hold, and {!prune} keeps the newest
+    committed version, the frozen chain's only one.  The rule is
+    structural: it holds whatever the caller removes, a committed
+    version included. *)
 
 type t = Version.t array
 
-(* Fills the unused slots of every array.  Never returned, so nothing
-   mutates it. *)
+(* The fields the searches read, without a call into [Version]. *)
+let ts : Version.t -> int = function Final { ts; _ } | Pending { ts; _ } -> ts
+let is_committed : Version.t -> bool = function Final _ -> true | Pending _ -> false
+let writer : Version.t -> Txid.t = function Final { writer; _ } | Pending { writer; _ } -> writer
+
+(* Fills the unused slots of every array: a committed version, so
+   nothing can write it. *)
 let hole =
   Version.make ~writer:(Txid.make ~origin:(-1) ~number:(-1)) ~state:Version.Committed
     ~ts:max_int ~value:Keyspace.Value.Unit
@@ -57,11 +63,11 @@ let create () = Array.make 1 hole
     length if none): the insertion point that keeps equal-timestamp
     versions ordered with the newest insertion on the newer side.  The
     padding sorts above every [ts] below [max_int]. *)
-let upper_bound_from c from ts =
+let upper_bound_from c from t =
   let lo = ref from and hi = ref (Array.length c) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if c.(mid).Version.ts <= ts then lo := mid + 1 else hi := mid
+    if ts c.(mid) <= t then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -96,31 +102,37 @@ let get c i = c.(i)
 (* One slot, holding a committed version: possibly shared, so never
    written.  The hole is committed too, but sits at [max_int]. *)
 let frozen c =
-  Array.length c = 1 && c.(0).Version.ts <> max_int && Version.is_committed c.(0)
+  Array.length c = 1
+  && match c.(0) with Version.Final { ts; _ } -> ts <> max_int | Pending _ -> false
+
+(* Put [v] into [c], which has a free slot, keeping the order; among
+   equal timestamps [v] goes on the newer side. *)
+let place c v =
+  let pos = upper_bound c (ts v) in
+  (* An append lands on the first hole; otherwise the newer versions
+     move up one slot. *)
+  if ts c.(pos) <> max_int then begin
+    let len = upper_bound_from c pos (max_int - 1) in
+    Array.blit c pos c (pos + 1) (len - pos)
+  end;
+  c.(pos) <- v
 
 (** Insert keeping the ascending-timestamp order; among equal
     timestamps the newly inserted version goes on the newer side (it is
     newer).  O(1) amortized when [v] is the newest, as protocol inserts
     are. *)
-let insert c (v : Version.t) =
+let insert c v =
   let cap = Array.length c in
   (* Full when the last slot holds a version. *)
   let c =
-    if cap > 0 && c.(cap - 1).Version.ts = max_int then c
+    if cap > 0 && ts c.(cap - 1) = max_int then c
     else begin
       let grown = Array.make (max 1 (2 * cap)) hole in
       Array.blit c 0 grown 0 cap;
       grown
     end
   in
-  let pos = upper_bound c v.ts in
-  (* An append lands on the first hole; otherwise the newer versions
-     move up one slot. *)
-  if c.(pos).Version.ts <> max_int then begin
-    let len = upper_bound_from c pos (max_int - 1) in
-    Array.blit c pos c (pos + 1) (len - pos)
-  end;
-  c.(pos) <- v;
+  place c v;
   c
 
 (** Newest version regardless of state. *)
@@ -132,7 +144,7 @@ let newest c =
     the speculative stack, which holds only a few versions. *)
 let newest_committed_idx c =
   let i = ref (length c - 1) in
-  while !i >= 0 && not (Version.is_committed c.(!i)) do
+  while !i >= 0 && not (is_committed c.(!i)) do
     decr i
   done;
   !i
@@ -154,7 +166,7 @@ let latest_before c ~rs =
     stack above the committed history. *)
 let latest_committed_before c ~rs =
   let pos = ref (visible_bound c rs - 1) in
-  while !pos >= 0 && not (Version.is_committed c.(!pos)) do
+  while !pos >= 0 && not (is_committed c.(!pos)) do
     decr pos
   done;
   if !pos < 0 then None else Some c.(!pos)
@@ -163,7 +175,7 @@ let latest_committed_before c ~rs =
     uncommitted versions — the usual lookup targets — sit on top. *)
 let index_of_writer c txid =
   let i = ref (length c - 1) in
-  while !i >= 0 && not (Txid.equal c.(!i).Version.writer txid) do
+  while !i >= 0 && not (Txid.equal (writer c.(!i)) txid) do
     decr i
   done;
   !i
@@ -201,25 +213,29 @@ let remove c v =
     uncommitted version for the shared committed one this way. *)
 let replace c ~old v = insert (remove c old) v
 
-(** Reposition a version of the chain after its timestamp was bumped
-    (pre-commit -> local-commit transitions only increase timestamps).
-    Must be called after any externally performed [ts]/[state]
-    mutation; the binary searches rely on it.  Removing [v] makes the
-    room its insertion takes, so only a frozen chain is copied. *)
-let reposition c v = replace c ~old:v v
+(** Reposition a version of the chain after its timestamp was raised:
+    removing [v] makes the room its insertion takes.  Only a pending
+    version changes, and a chain holding one is not frozen, so the
+    chain is written in place. *)
+let reposition c v =
+  let i = index_of c v in
+  if i >= 0 then begin
+    remove_at c ~len:(length c) i;
+    place c v
+  end
 
 (** Uncommitted versions, newest first. *)
 let uncommitted c =
   let acc = ref [] in
   for i = 0 to length c - 1 do
-    if Version.is_uncommitted c.(i) then acc := c.(i) :: !acc
+    if not (is_committed c.(i)) then acc := c.(i) :: !acc
   done;
   !acc
 
 (** Any version with [ts > after] (write-write certification): the
     newest version has the maximal timestamp. *)
 let exists_newer_than c ~after =
-  match newest c with Some v -> v.Version.ts > after | None -> false
+  match newest c with Some v -> ts v > after | None -> false
 
 (** Drop committed versions older than [horizon], always retaining the
     newest committed one and every uncommitted version.  Single
@@ -233,7 +249,7 @@ let prune ?(on_drop = fun (_ : Version.t) -> ()) c ~horizon =
   let w = ref 0 in
   for i = 0 to len - 1 do
     let v = c.(i) in
-    if Version.is_uncommitted v || i = nc || v.Version.ts >= horizon then begin
+    if (not (is_committed v)) || i = nc || ts v >= horizon then begin
       if !w < i then c.(!w) <- v;
       incr w
     end
@@ -252,10 +268,11 @@ let check_invariants c =
     else begin
       (* Newest-first adjacent pair: a = c.(i+1) sits above b = c.(i). *)
       let a = c.(i + 1) and b = c.(i) in
-      if a.Version.ts < b.Version.ts then
+      if ts a < ts b then
         Error
           (Printf.sprintf "chain out of order: %s@%d before %s@%d"
-             (Txid.to_string a.writer) a.ts (Txid.to_string b.writer) b.ts)
+             (Txid.to_string (writer a)) (ts a) (Txid.to_string (writer b))
+             (ts b))
       else go (i + 1)
     end
   in
@@ -268,12 +285,12 @@ let check_invariants c =
       if i >= len then Ok ()
       else begin
         let v = c.(i) in
-        if Version.is_committed v then
+        if is_committed v then
           if seen_uncommitted then
             Error
               (Printf.sprintf
                  "committed %s@%d stacked above an uncommitted version"
-                 (Txid.to_string v.Version.writer) v.Version.ts)
+                 (Txid.to_string (writer v)) (ts v))
           else suffix (i + 1) false
         else suffix (i + 1) true
       end

@@ -5,8 +5,8 @@
     version's timestamp and {!reposition} restores ordering.
 
     A chain is a bare version array sorted by timestamp, its unused
-    slots padded with a hole version at timestamp [max_int] (so every
-    version's timestamp must be below it).  It costs one block and
+    slots padded with a constant committed hole version at timestamp
+    [max_int] (so every version's timestamp must be below it).  It costs one block and
     carries neither its key nor its length: a store keeps it in a slot
     of its key's directory node.  Appending the newest version (the
     protocol's common case) is O(1) amortized, the snapshot lookups are
@@ -14,20 +14,21 @@
     binary search for the padding.  {!newest_committed} scans down the
     speculative stack above the committed history.
 
-    Every mutator but {!prune} returns the chain to keep, and the old
-    array must not be used again: {!insert} moves a full chain to a
-    larger array, and the others write in place except on a frozen
-    chain.  A committed
+    {!insert}, {!remove} and {!replace} return the chain to keep, and
+    the old array must not be used again: {!insert} moves a full chain
+    to a larger array, and the others write in place except on a frozen
+    chain.  {!reposition} and {!prune} work in place.  A committed
     version may sit in many chains at once (every replica that committed
-    it holds the same value); it is never mutated after it is installed.
+    it holds the same value); its type has no mutable field.
 
     {e Immutability rule.}  A {e frozen} chain is a full one-slot chain
     whose only version is committed.  The replicas of a key may share
     one, so no mutator ever writes it: {!insert} grows it into a new
-    array, {!remove}, {!replace} and {!reposition} work on a copy, and
+    array, {!remove} and {!replace} work on a copy, {!reposition} moves
+    only a pending version, which a frozen chain does not hold, and
     {!prune} never drops the newest committed version, a frozen chain's
     only one.  The rule is structural: it holds whatever the caller
-    removes or moves, the committed version included. *)
+    removes, the committed version included. *)
 
 type t
 
@@ -84,12 +85,12 @@ val find_writer : t -> Txid.t -> Version.t option
     itself when [v] is absent, a copy when [c] was frozen. *)
 val remove : t -> Version.t -> t
 
-(** Re-sort one version of the chain after its timestamp was bumped by
-    a state transition.  Any external mutation of a version's [ts] or
-    [state] must be followed by a [reposition] of that version.  The
-    version's own slot makes room for it, so only a frozen chain is
-    copied.  Returns the chain to keep. *)
-val reposition : t -> Version.t -> t
+(** Re-sort one version of the chain after {!Version.raise_ts} or
+    {!Version.local_commit} raised its timestamp; the binary searches
+    rely on it.  Only a pending version changes, and a chain holding one
+    is not frozen, so the version's own slot makes room for it in
+    place.  Nothing happens if the version is absent. *)
+val reposition : t -> Version.t -> unit
 
 (** Swap [old] (found by physical identity; nothing is removed if it is
     absent) for [v], inserted as {!insert} does: the position

@@ -21,8 +21,9 @@
     through the replica's chain when it has one, and through the
     dataset otherwise.
 
-    Every mutation stores the chain it returns back in the replica's
-    slot ({!settle}).  {!Chain} never writes a frozen chain (one slot,
+    Every mutation but a reposition, which moves a pending version in
+    place, stores the chain it returns back in the replica's slot
+    ({!settle}).  {!Chain} never writes a frozen chain (one slot,
     one committed version) in place, so the replicas may share one: a
     chain left with one committed version adopts a sibling slot's
     frozen array of exactly that version, and once every slot holds one
@@ -50,8 +51,7 @@ let last_reader_slot_bytes = 24 (* 8-byte timestamp + hash-bucket overhead *)
 
 let key_bytes key = key_overhead_bytes + String.length (Key.name key)
 
-let version_bytes (v : Version.t) =
-  version_overhead_bytes + Keyspace.Value.size_bytes v.value
+let version_bytes v = version_overhead_bytes + Keyspace.Value.size_bytes (Version.value v)
 
 (* A key's [LastReader] slot: a node whose data is the timestamp. *)
 type reader = int Nodetbl.node
@@ -92,11 +92,15 @@ let rec mix_scalars h (x : Keyspace.Value.t) =
 
 (* One loaded row: same writer, timestamp and value. *)
 let same_row (a : Version.t) (b : Version.t) =
-  a.ts = b.ts && Txid.equal a.writer b.writer && identical a.value b.value
+  match a, b with
+  | Final a, Final b ->
+    a.ts = b.ts && Txid.equal a.writer b.writer && identical a.value b.value
+  | (Final _ | Pending _), _ -> false
 
 (* [mix] leaves the low bits, which pick the slot, to the low bits of
    the scalars; hashing the result spreads them. *)
-let row_hash (v : Version.t) = Hashtbl.hash (mix_scalars v.ts v.value)
+let row_hash : Version.t -> int = function
+  | Final { ts; value; _ } | Pending { ts; value; _ } -> Hashtbl.hash (mix_scalars ts value)
 
 (* What a dataset's loads added beyond its keys. *)
 type rows = {
@@ -161,11 +165,10 @@ type t = {
   mutable own_keys : int;
   (* --- fingerprint support --- *)
   mutable sorted_keys : Key.t array;
-      (** every key of the replica (loaded or written), sorted; keys are
-          never removed *)
+      (** every key of the replica (loaded or written), sorted *)
   mutable sorted_for : int;
-      (** dataset size [sorted_keys] was built for; -1 when a new
-          written key made it stale *)
+      (** dataset size [sorted_keys] was built for; -1 when a written
+          key was added or dropped *)
 }
 
 (* Small: a cache partition or an open-loop run never loads anything,
@@ -354,10 +357,17 @@ let bump_last_reader t key rs =
     if r.data > 0 then r.data <- rs
     else Nodetbl.add t.last_reader (Nodetbl.node ~nil:no_reader key rs)
 
+(* Once a version at [ts] is in the key's chain, a slot at or below
+   [ts] raises no proposal: proposals are raised above the chain's
+   newest version, which the chain keeps. *)
+let forget_last_reader t key ts =
+  let r = Nodetbl.find t.last_reader key in
+  if r.data > 0 && r.data <= ts then Nodetbl.remove t.last_reader r
+
 (* A loaded version is committed, so both snapshot lookups agree on it. *)
 let loaded_before t key ~rs =
   match loaded t.dataset key with
-  | Some (v : Version.t) as found when v.ts <= rs -> found
+  | Some v as found when Version.ts v <= rs -> found
   | Some _ | None -> None
 
 (** Latest version visible at read snapshot [rs] (any state); does not
@@ -386,16 +396,31 @@ let find_version t key txid =
   if not (Chain.is_absent c) then Chain.find_writer c txid
   else
     match loaded t.dataset key with
-    | Some (v : Version.t) as found when Txid.equal v.writer txid -> found
+    | Some v as found when Txid.equal (Version.writer v) txid -> found
     | Some _ | None -> None
 
-(* Remove [txid]'s version from [c], this replica's chain of [e]. *)
+(* Does a one-slot directory hold [e] for nothing: no version, and no
+   loaded row that its chain started from? *)
+let idle t e =
+  t.directory.slots = 1
+  && Chain.length (chain t e) = 0
+  && loaded t.dataset (entry_key e) = None
+
+(* Remove [txid]'s version from [c], this replica's chain of [e].  The
+   store drops an entry that is left {!idle}: no pending handle points
+   to it, as a handle lives only while its version is in the chain. *)
 let remove_from t e c txid =
   match Chain.find_writer c txid with
   | None -> None
   | Some v as removed ->
     settle t e (Chain.remove c v);
     account_remove t v;
+    if idle t e then begin
+      Nodetbl.remove t.directory.entries e;
+      t.own_keys <- t.own_keys - 1;
+      t.data_bytes <- t.data_bytes - key_bytes (entry_key e);
+      t.sorted_for <- -1
+    end;
     removed
 
 let chain_remove t e txid = remove_from t e (chain t e) txid
@@ -405,7 +430,7 @@ let chain_replace t e ~old v =
   account_remove t old;
   account_insert t v
 
-let chain_reposition t e v = settle t e (Chain.reposition (chain t e) v)
+let chain_reposition t e v = Chain.reposition (chain t e) v
 
 (* Removing the loaded version itself opens the chain first, so the
    removal stays private to this replica. *)
@@ -516,6 +541,9 @@ let check_invariants t =
     (fun e c ->
       if Result.is_ok !result then
         match Chain.check_invariants c with
+        | Ok () when idle t e ->
+          result :=
+            Error (Printf.sprintf "%s: idle entry kept" (Key.to_string (entry_key e)))
         | Ok () -> ()
         | Error msg -> result := Error (Printf.sprintf "%s: %s" (Key.to_string (entry_key e)) msg))
     t;
@@ -531,7 +559,8 @@ let mix_string h s =
   !h
 
 (* The union of loaded and written keys, sorted; rebuilt only when the
-   dataset grew or a chain was started for an unloaded key. *)
+   dataset grew, or a chain was started or its entry dropped for an
+   unloaded key. *)
 let sorted_keys t =
   let ds = t.dataset in
   if t.sorted_for <> KeyTbl.length ds.loaded then begin
@@ -552,7 +581,7 @@ let sorted_keys t =
 (** Order-independent structural hash of the full replica state —
     version chains (writer, state, timestamp per version) and the
     [LastReader] table — over the union of loaded and written keys.
-    The sorted key list is cached (keys are only ever added), so
+    The sorted key list is cached until a key is added or dropped, so
     repeated fingerprints avoid the sort; versions are mixed
     newest-first via the allocation-free chain fold.  Every field is
     matched by name, so a new one fails to compile (warning 9) until it
@@ -576,17 +605,17 @@ let fingerprint t =
       let h = mix_string (mix h (Key.partition key)) (Key.name key) in
       let h = mix h (last_reader t key) in
       fold_versions
-        (fun h (v : Version.t) ->
-          let h = mix h (Txid.origin v.writer) in
-          let h = mix h (Txid.number v.writer) in
+        (fun h v ->
+          let h = mix h (Txid.origin (Version.writer v)) in
+          let h = mix h (Txid.number (Version.writer v)) in
           let h =
             mix h
-              (match v.state with
+              (match Version.state v with
                | Version.Pre_committed -> 1
                | Version.Local_committed -> 2
                | Version.Committed -> 3)
           in
-          mix h v.ts)
+          mix h (Version.ts v))
         h t key)
     0x811c9dc5 (sorted_keys t)
 

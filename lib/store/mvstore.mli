@@ -84,6 +84,12 @@ val last_reader : t -> Key.t -> int
 (** Raise the key's [LastReader] to [rs] (monotone). *)
 val bump_last_reader : t -> Key.t -> int -> unit
 
+(** Drop the key's [LastReader] slot when it is at most [ts], so that
+    {!last_reader} reads 0 until the next read.  Sound once a version
+    at [ts] is in the key's chain: a proposal is raised above the
+    chain's newest version anyway, and the chain keeps it. *)
+val forget_last_reader : t -> Key.t -> int -> unit
+
 (** Latest version visible at snapshot [rs], any state; does not bump
     [LastReader] (the partition server does that explicitly). *)
 val latest_before : t -> Key.t -> rs:int -> Version.t option
@@ -100,9 +106,12 @@ val uncommitted : t -> Key.t -> Version.t list
 
 (** {1 Entry handles}
 
-    A directory node is never removed, so a caller may resolve a key
-    once and keep its entry.  The [chain_*] functions take an entry of
-    this store's directory and keep the accounting in step. *)
+    A caller may resolve a key once and keep its entry while a version
+    it inserted is in the entry's chain.  A one-slot directory drops a
+    node whose chain a removal empties, unless the key has a loaded
+    row; a node of a wider directory stays.  The [chain_*] functions
+    take an entry of this store's directory and keep the accounting in
+    step. *)
 
 (** A key's directory node. *)
 type entry
@@ -137,7 +146,8 @@ val loaded_version : t -> Key.t -> Version.t option
     (from the loaded version, if any). *)
 val chain_insert : t -> entry -> Version.t -> unit
 
-(** Remove [txid]'s version, returning it. *)
+(** Remove [txid]'s version, returning it.  The entry leaves a one-slot
+    directory if its chain empties and its key was not loaded. *)
 val chain_remove : t -> entry -> Txid.t -> Version.t option
 
 (** {!Chain.replace} [old] with [v]. *)
@@ -162,6 +172,9 @@ val storage_bytes : t -> int * int
     (differential oracle, test support). *)
 val check_accounting : t -> (unit, string) result
 
+(** Every chain of the replica passes {!Chain.check_invariants}, and a
+    one-slot directory keeps no node whose chain is empty and whose key
+    was not loaded. *)
 val check_invariants : t -> (unit, string) result
 
 (** Order-independent structural hash of the replica state (chains +

@@ -99,3 +99,25 @@ let add t n =
   n.next <- t.buckets.(i);
   t.buckets.(i) <- n;
   t.size <- t.size + 1
+
+(* Unlinks [n] by identity; the bucket array never shrinks. *)
+let remove t n =
+  if t.size > 0 then begin
+    let i = index t.buckets n.hash in
+    let b = t.buckets.(i) in
+    if b == n then begin
+      t.buckets.(i) <- n.next;
+      t.size <- t.size - 1
+    end
+    else if b != t.nil then begin
+      let p = ref b in
+      while !p.next != t.nil && !p.next != n do
+        p := !p.next
+      done;
+      if !p.next == n then begin
+        !p.next <- n.next;
+        t.size <- t.size - 1
+      end
+    end;
+    n.next <- t.nil
+  end

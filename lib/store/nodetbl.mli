@@ -3,8 +3,8 @@
     its further slots while they do not all hold the same value.  A
     node keeps its key's hash, so a bucket walk compares another key
     only when the hashes match.  The bucket array starts empty and
-    doubles once the table holds twice as many nodes as buckets.  There
-    is no removal.  Iteration order is unspecified. *)
+    doubles once the table holds twice as many nodes as buckets, and
+    never shrinks.  Iteration order is unspecified. *)
 
 (** A table entry: its key and its owner's slots, numbered from 0.
     Slot 0 is [data], held in the node itself; slots 1 and up are
@@ -58,6 +58,10 @@ val find_opt : 'a t -> Keyspace.Key.t -> 'a node option
 
 (** Link a node whose key is not in the table. *)
 val add : 'a t -> 'a node -> unit
+
+(** Unlink a node (found by physical identity; nothing happens if it is
+    not in the table).  The node may be added again later. *)
+val remove : 'a t -> 'a node -> unit
 
 (** Every node, in the table's hash order. *)
 val iter : ('a node -> unit) -> 'a t -> unit

@@ -21,13 +21,14 @@ let iter eng f =
    (key, writer) pairs more than one replica holds. *)
 let check_shared eng =
   let first = Hashtbl.create 4096 and shared = Hashtbl.create 4096 in
-  iter eng (fun key (v : Version.t) ->
-      let id = (Keyspace.Key.to_string key, Txid.origin v.writer, Txid.number v.writer) in
+  iter eng (fun key v ->
+      let writer = Version.writer v in
+      let id = (Keyspace.Key.to_string key, Txid.origin writer, Txid.number writer) in
       match Hashtbl.find_opt first id with
       | None -> Hashtbl.replace first id v
       | Some w ->
         if w != v then
           Alcotest.failf "replicas hold distinct copies of %s's committed version of %s"
-            (Txid.to_string v.writer) (Keyspace.Key.to_string key);
+            (Txid.to_string writer) (Keyspace.Key.to_string key);
         Hashtbl.replace shared id ());
   Hashtbl.length shared

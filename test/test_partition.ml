@@ -106,7 +106,7 @@ let test_same_origin_stacking_at_remote_replica () =
   | PS.Prepared { ts; _ } ->
     Alcotest.(check bool) "stacked above" true
       (match Mvstore.latest_before (PS.store server) (key "a") ~rs:max_int with
-       | Some v -> v.Version.ts = ts && Txid.equal v.Version.writer (txid ~origin:0 2)
+       | Some v -> Version.ts v = ts && Txid.equal (Version.writer v) (txid ~origin:0 2)
        | None -> false)
   | PS.Conflict _ -> Alcotest.fail "declared same-origin stacking must succeed"
 
@@ -147,6 +147,96 @@ let test_physical_proposal_uses_clock () =
       | PS.Conflict _ -> Alcotest.fail "prepare failed");
   ignore (Dsim.Sim.run sim)
 
+(* A commit drops a [LastReader] slot at or below its timestamp, which
+   must never lower a later proposal.  One Precise-Clocks replica serves
+   random reads, prepares, commits and aborts on three keys; the model
+   keeps the highest snapshot each key was read at, and every proposal
+   must be [max (read + 1) (newest version + 1)] over the written keys.
+   A slot above the commit timestamp needs a read that did not block on
+   the pending version (a blocked one reads again after the decision):
+   a local speculative read of a local-committed version, at a snapshot
+   the commit stays below. *)
+type forget_op =
+  | F_read of int * int  (** key, rs *)
+  | F_prepare of int list * int  (** keys, rs *)
+  | F_local of int * int  (** pending pick, lc above the prepare ts *)
+  | F_commit of int * int  (** pending pick, ct above the pending ts *)
+  | F_abort of int  (** pending pick *)
+
+let prop_forgetting_keeps_proposals =
+  let n_keys = 3 in
+  let gen =
+    QCheck.Gen.(
+      let k = int_range 0 (n_keys - 1) in
+      frequency
+        [
+          (4, map2 (fun k rs -> F_read (k, rs)) k (int_range 1 3000));
+          ( 4,
+            map2
+              (fun ks rs -> F_prepare (List.sort_uniq Int.compare ks, rs))
+              (list_size (int_range 1 n_keys) k) (int_range 0 4000) );
+          (2, map2 (fun p d -> F_local (p, d)) (int_range 0 100) (int_range 0 400));
+          (3, map2 (fun p d -> F_commit (p, d)) (int_range 0 100) (int_range 0 400));
+          (1, map (fun p -> F_abort p) (int_range 0 100));
+        ])
+  in
+  QCheck.Test.make ~name:"forgetting a LastReader slot never lowers a proposal" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 80) gen))
+    (fun ops ->
+      let sim, server = make_server () in
+      let store = PS.store server in
+      let read_at = Array.make n_keys 0 in
+      let pending = ref [] and next = ref 0 in
+      let newest k =
+        match Mvstore.latest_before store (key (string_of_int k)) ~rs:max_int with
+        | Some v -> Version.ts v
+        | None -> -1
+      in
+      let pick p = List.nth !pending (p mod List.length !pending) in
+      let step = function
+        | F_read (k, rs) ->
+          PS.read server ~rs ~reader_origin:0 (key (string_of_int k)) ignore;
+          read_at.(k) <- max read_at.(k) rs;
+          true
+        | F_prepare (ks, rs) ->
+          let expected =
+            List.fold_left (fun acc k -> max acc (max (read_at.(k) + 1) (newest k + 1))) 0 ks
+          in
+          incr next;
+          (match prepare ~rs server !next (List.map (fun k -> (key (string_of_int k), k)) ks) with
+           | PS.Prepared { ts; _ } ->
+             pending := (!next, ts) :: !pending;
+             ts = expected
+           | PS.Conflict _ -> true)
+        | F_local (p, d) ->
+          if !pending <> [] then begin
+            let n, ts = pick p in
+            PS.local_commit server (txid n) ~lc:(ts + d);
+            pending := List.map (fun (m, t) -> (m, if m = n then ts + d else t)) !pending
+          end;
+          true
+        | F_commit (p, d) ->
+          if !pending <> [] then begin
+            let n, ts = pick p in
+            commit server n ~ct:(ts + d);
+            pending := List.filter (fun (m, _) -> m <> n) !pending
+          end;
+          true
+        | F_abort p ->
+          if !pending <> [] then begin
+            let n, _ = pick p in
+            PS.abort server (txid n);
+            pending := List.filter (fun (m, _) -> m <> n) !pending
+          end;
+          true
+      in
+      List.for_all
+        (fun op ->
+          let ok = step op in
+          ignore (Dsim.Sim.run sim);
+          ok)
+        ops)
+
 (* --- lifecycle ------------------------------------------------------- *)
 
 let test_commit_finalizes_version () =
@@ -159,7 +249,7 @@ let test_commit_finalizes_version () =
   (match Mvstore.latest_before (PS.store server) (key "a") ~rs:200 with
    | Some v ->
      Alcotest.(check bool) "committed" true (Version.is_committed v);
-     Alcotest.(check int) "final ts" 140 v.Version.ts
+     Alcotest.(check int) "final ts" 140 (Version.ts v)
    | None -> Alcotest.fail "version vanished");
   Alcotest.(check bool) "pending cleared" false (PS.has_tx server (txid 1))
 
@@ -313,6 +403,7 @@ let () =
           Alcotest.test_case "precise: LastReader+1" `Quick test_precise_proposal_from_last_reader;
           Alcotest.test_case "precise: above chain" `Quick test_precise_proposal_above_chain;
           Alcotest.test_case "physical: clock" `Quick test_physical_proposal_uses_clock;
+          QCheck_alcotest.to_alcotest prop_forgetting_keeps_proposals;
         ] );
       ( "lifecycle",
         [

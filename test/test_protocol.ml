@@ -588,7 +588,7 @@ let synth_a_smoke =
        run_synth_a_smoke
          ~at_window_end:(fun eng ->
            Committed_check.iter eng (fun _ (v : Version.t) ->
-               at_window_end := (v, v.ts) :: !at_window_end))
+               at_window_end := (v, Version.ts v) :: !at_window_end))
          ()
      in
      (eng, !at_window_end))
@@ -605,9 +605,9 @@ let test_committed_versions_immutable () =
   Alcotest.(check bool) "versions sampled" true (at_window_end <> []);
   List.iter
     (fun ((v : Version.t), ts) ->
-      if v.ts <> ts || not (Version.is_committed v) then
+      if Version.ts v <> ts || not (Version.is_committed v) then
         Alcotest.failf "committed version of %s changed: ts %d -> %d, committed %b"
-          (Txid.to_string v.writer) ts v.ts (Version.is_committed v))
+          (Txid.to_string (Version.writer v)) ts (Version.ts v) (Version.is_committed v))
     at_window_end
 
 (* Memory per stored version over all 54 replica stores, on a run of
@@ -633,9 +633,23 @@ let test_store_words_per_version () =
   let per_version = float_of_int words /. float_of_int versions in
   Alcotest.(check int) "54 replica stores" 54 (Array.length stores);
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 5.89"
+    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 4.90"
        per_version words versions)
-    true (per_version <= 5.89)
+    true (per_version <= 4.90)
+
+(* A node's cache partition holds the versions of the remote keys its
+   transactions write only until their decision: the directory entry of
+   a key whose last version left goes with it. *)
+let test_cache_keeps_only_keys_with_versions () =
+  let eng, _ = Lazy.force synth_a_smoke in
+  for n = 0 to Core.Engine.n_nodes eng - 1 do
+    let store = Core.Partition_server.store (Core.Engine.cache_of eng n) in
+    List.iter
+      (fun k ->
+        if Mvstore.fold_versions (fun n _ -> n + 1) 0 store k = 0 then
+          Alcotest.failf "node %d's cache keeps %s, which holds no version" n (Key.to_string k))
+      (Mvstore.directory_keys (Mvstore.directory store))
+  done
 
 (* The replicas of a partition keep their chains in one shared key
    directory: every replica store of the partition holds the same
@@ -790,6 +804,8 @@ let () =
           Alcotest.test_case "committed versions never change" `Quick
             test_committed_versions_immutable;
           Alcotest.test_case "store words per version" `Quick test_store_words_per_version;
+          Alcotest.test_case "cache partitions keep only keys with versions" `Quick
+            test_cache_keeps_only_keys_with_versions;
           Alcotest.test_case "one directory per partition" `Quick
             test_one_directory_per_partition;
           Alcotest.test_case "write-once keys share one chain" `Quick

@@ -12,9 +12,24 @@ let mkv ?(state = Version.Committed) ~n ~ts () =
 (* A chain holding [versions], inserted in order. *)
 let chain_of versions = List.fold_left Chain.insert (Chain.create ()) versions
 
+(* Moves [v] [d] higher as the protocol can.  A pending version rises in
+   place ([promote]: to local commit at the new timestamp), and [None]
+   asks the caller to reposition it.  A committed version never changes,
+   so one, or a local-committed one promoted to committed, is swapped
+   for the new committed version returned. *)
+let advance (v : Version.t) ~d ~promote =
+  match v with
+  | Pending { local; ts; _ } when not (promote && local) ->
+    if promote then Version.local_commit v ~lc:(ts + d) else Version.raise_ts v (ts + d);
+    None
+  | Pending _ | Final _ ->
+    Some
+      (Version.make ~writer:(Version.writer v) ~state:Version.Committed
+         ~ts:(Version.ts v + d) ~value:(Version.value v))
+
 let test_chain_visibility () =
   let c = chain_of [ mkv ~n:1 ~ts:10 (); mkv ~n:2 ~ts:20 (); mkv ~n:3 ~ts:30 () ] in
-  let ts_of = function Some (v : Version.t) -> v.ts | None -> -1 in
+  let ts_of = function Some v -> Version.ts v | None -> -1 in
   Alcotest.(check int) "rs=25 sees ts20" 20 (ts_of (Chain.latest_before c ~rs:25));
   Alcotest.(check int) "rs=30 sees ts30" 30 (ts_of (Chain.latest_before c ~rs:30));
   Alcotest.(check int) "rs=5 sees none" (-1) (ts_of (Chain.latest_before c ~rs:5));
@@ -32,21 +47,20 @@ let test_chain_uncommitted_filtering () =
   Alcotest.(check int) "uncommitted count" 2 (List.length (Chain.uncommitted c));
   let v = Chain.latest_committed_before c ~rs:100 in
   Alcotest.(check int) "latest committed" 10
-    (match v with Some v -> v.Version.ts | None -> -1)
+    (match v with Some v -> Version.ts v | None -> -1)
 
 let test_chain_remove_and_reposition () =
   let v2 = mkv ~state:Version.Pre_committed ~n:2 ~ts:5 () in
   let c = chain_of [ mkv ~n:1 ~ts:10 (); v2 ] in
-  (* commit v2 with a larger timestamp; it must move above ts=10 *)
-  v2.Version.state <- Version.Committed;
-  v2.Version.ts <- 15;
-  let c = Chain.reposition c v2 in
+  (* local-commit v2 with a larger timestamp; it must move above ts=10 *)
+  Version.local_commit v2 ~lc:15;
+  Chain.reposition c v2;
   Alcotest.(check bool) "invariants hold" true (Chain.check_invariants c = Ok ());
   Alcotest.(check int) "newest is repositioned" 15
-    (match Chain.newest c with Some v -> v.Version.ts | None -> -1);
+    (match Chain.newest c with Some v -> Version.ts v | None -> -1);
   match Chain.find_writer c (txid 2) with
   | Some v ->
-    Alcotest.(check int) "found version" 15 v.Version.ts;
+    Alcotest.(check int) "found version" 15 (Version.ts v);
     Alcotest.(check int) "removed" 1 (Chain.length (Chain.remove c v))
   | None -> Alcotest.fail "find_writer found nothing"
 
@@ -95,7 +109,7 @@ let test_mvstore_prune () =
   (* The newest committed version always survives. *)
   Alcotest.(check bool) "latest still visible" true
     (match Mvstore.newest_committed s k with
-     | Some v -> v.Version.ts = 80
+     | Some v -> Version.ts v = 80
      | None -> false)
 
 let test_mvstore_insert_find_remove () =
@@ -165,6 +179,68 @@ let prop_txid_hash =
       (* Table layouts, and so every Txid.Tbl iteration, depend on it. *)
       Txid.hash (Txid.make ~origin ~number) = Hashtbl.hash (origin, number))
 
+(* --- Nodetbl against the standard table --- *)
+
+type nodetbl_op = N_add of int | N_remove of int | N_remove_stale of int
+
+(* Random adds, removals and lookups over a few dozen keys (so buckets
+   hold several nodes, and removals hit their heads, middles and ends);
+   after every op, the lengths, every key's lookup and the keys [iter]
+   visits agree with a [Hashtbl] model. *)
+let prop_nodetbl_differential =
+  let n_keys = 40 in
+  QCheck.Test.make ~name:"nodetbl add/remove/find/iter match Hashtbl" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 200)
+           (let k = int_range 0 (n_keys - 1) in
+            frequency
+              [
+                (5, map (fun k -> N_add k) k);
+                (4, map (fun k -> N_remove k) k);
+                (1, map (fun k -> N_remove_stale k) k);
+              ])))
+    (fun ops ->
+      let nil = Nodetbl.nil (-1) in
+      let t = Nodetbl.create nil and model = Hashtbl.create 16 in
+      let key i = Key.v ~partition:(i mod 3) (Printf.sprintf "k%d" i) in
+      let stamp = ref 0 in
+      let step = function
+        | N_add i ->
+          incr stamp;
+          (match Nodetbl.find_opt t (key i) with
+           | Some n -> n.Nodetbl.data <- !stamp
+           | None -> Nodetbl.add t (Nodetbl.node ~nil (key i) !stamp));
+          Hashtbl.replace model i !stamp
+        | N_remove i ->
+          Option.iter (Nodetbl.remove t) (Nodetbl.find_opt t (key i));
+          Hashtbl.remove model i
+        | N_remove_stale i ->
+          (* A node of the key that is not in the table: nothing moves. *)
+          Nodetbl.remove t (Nodetbl.node ~nil (key i) 0)
+      in
+      let visited () =
+        let keys = ref [] in
+        (* Hash order: the keys are sorted below. *)
+        (Nodetbl.iter (fun n -> keys := Key.name n.Nodetbl.key :: !keys) t [@alert "-nondet"]);
+        List.sort String.compare !keys
+      in
+      let expected () =
+        Hashtbl.fold (fun i _ acc -> Key.name (key i) :: acc) model []
+        |> List.sort String.compare
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          Nodetbl.length t = Hashtbl.length model
+          && List.for_all
+               (fun i ->
+                 Option.map (fun n -> n.Nodetbl.data) (Nodetbl.find_opt t (key i))
+                 = Hashtbl.find_opt model i)
+               (List.init n_keys Fun.id)
+          && visited () = expected ())
+        ops)
+
 (* --- dropped versions are released --- *)
 
 (* Inserts a fresh version for [key] and removes it again, keeping only
@@ -174,17 +250,18 @@ let[@inline never] insert_then_remove s key w =
   let v = mkv ~state:Version.Pre_committed ~n:1 ~ts:10 () in
   Weak.set w 0 (Some v);
   Mvstore.insert_version s key v;
-  Mvstore.remove_version s key v.writer
+  Mvstore.remove_version s key (Version.writer v)
 
 let test_chain_remove_releases_version () =
   (* A cache partition's key in the usual end state: its only version
-     removed, the empty chain left in place. *)
+     removed, and with it the key's entry. *)
   let s = Mvstore.create () and w = Weak.create 1 in
   let k = Key.v ~partition:0 "cached" in
   insert_then_remove s k w;
   Gc.full_major ();
-  Alcotest.(check bool) "chain left empty" true
-    (Mvstore.written s k && Mvstore.fold_versions (fun n _ -> n + 1) 0 s k = 0);
+  Alcotest.(check bool) "entry dropped" true
+    (Mvstore.find_entry s k = None && Mvstore.key_count s = 0
+    && Mvstore.directory_keys (Mvstore.directory s) = []);
   Alcotest.(check bool) "removed version unreachable" false (Weak.check w 0);
   (* Below a surviving version the freed slot is released too. *)
   Mvstore.insert_version s k (mkv ~n:2 ~ts:5 ());
@@ -239,7 +316,9 @@ let test_mvstore_marshal_copy () =
   in
   Alcotest.(check (pair bool bool)) "one chain before and after the copy" (true, true)
     (one_chain replicas, one_chain copy);
-  let versions s = Mvstore.fold_versions (fun l (v : Version.t) -> (v.writer, v.ts) :: l) [] s k in
+  let versions s =
+    Mvstore.fold_versions (fun l v -> (Version.writer v, Version.ts v) :: l) [] s k
+  in
   Mvstore.insert_version copy.(1) k (mkv ~state:Version.Pre_committed ~n:6 ~ts:20 ());
   Alcotest.(check bool) "the written slot splits the node" false (Mvstore.collapsed (node copy));
   Alcotest.(check int) "the written slot has both versions" 2 (List.length (versions copy.(1)));
@@ -345,12 +424,12 @@ let prop_latest_before_correct =
     (fun (versions, rs) ->
       let c = chain_of versions in
       let expect =
-        List.filter (fun (v : Version.t) -> v.ts <= rs) versions
-        |> List.fold_left (fun acc (v : Version.t) -> max acc v.ts) (-1)
+        List.filter (fun v -> Version.ts v <= rs) versions
+        |> List.fold_left (fun acc v -> max acc (Version.ts v)) (-1)
       in
       match Chain.latest_before c ~rs with
       | None -> expect = -1
-      | Some v -> v.Version.ts = expect)
+      | Some v -> Version.ts v = expect)
 
 let prop_prune_keeps_visibility =
   QCheck.Test.make ~name:"prune never drops the newest committed version" ~count:300
@@ -365,7 +444,7 @@ let prop_prune_keeps_visibility =
       | None -> true
       | Some v ->
         (match Chain.newest_committed c with
-         | Some v' -> v'.Version.ts = v.Version.ts
+         | Some v' -> Version.ts v' = Version.ts v
          | None -> false))
 
 (* --- committed-suffix invariant --- *)
@@ -407,7 +486,7 @@ module Ref_chain = struct
   let insert c (v : Version.t) =
     let rec go = function
       | [] -> [ v ]
-      | w :: _ as rest when (w : Version.t).ts <= v.ts -> v :: rest
+      | w :: _ as rest when Version.ts w <= Version.ts v -> v :: rest
       | w :: rest -> w :: go rest
     in
     c.versions <- go c.versions
@@ -416,42 +495,44 @@ module Ref_chain = struct
   let newest_committed c = List.find_opt Version.is_committed c.versions
 
   let latest_before c ~rs =
-    List.find_opt (fun (v : Version.t) -> v.ts <= rs) c.versions
+    List.find_opt (fun v -> Version.ts v <= rs) c.versions
 
   let latest_committed_before c ~rs =
     List.find_opt
-      (fun (v : Version.t) -> v.ts <= rs && Version.is_committed v)
+      (fun v -> Version.ts v <= rs && Version.is_committed v)
       c.versions
 
   let find_writer c txid =
-    List.find_opt (fun (v : Version.t) -> Txid.equal v.writer txid) c.versions
+    List.find_opt (fun v -> Txid.equal (Version.writer v) txid) c.versions
 
   let remove_writer c txid =
     match find_writer c txid with
     | None -> None
     | Some v ->
       c.versions <-
-        List.filter (fun (w : Version.t) -> not (Txid.equal w.writer txid)) c.versions;
+        List.filter (fun w -> not (Txid.equal (Version.writer w) txid)) c.versions;
       Some v
 
-  let reposition c (v : Version.t) =
-    c.versions <- List.filter (fun w -> w != v) c.versions;
+  let replace c ~old v =
+    c.versions <- List.filter (fun w -> w != old) c.versions;
     insert c v
 
-  let uncommitted c = List.filter Version.is_uncommitted c.versions
+  let reposition c v = replace c ~old:v v
+
+  let uncommitted c = List.filter (fun v -> not (Version.is_committed v)) c.versions
 
   let exists_newer_than c ~after =
-    List.exists (fun (v : Version.t) -> v.ts > after) c.versions
+    List.exists (fun v -> Version.ts v > after) c.versions
 
   let prune c ~horizon =
     let kept_newest_committed = ref false in
     let keep (v : Version.t) =
-      if Version.is_uncommitted v then true
+      if not (Version.is_committed v) then true
       else if not !kept_newest_committed then begin
         kept_newest_committed := true;
         true
       end
-      else v.ts >= horizon
+      else Version.ts v >= horizon
     in
     let before = List.length c.versions in
     c.versions <- List.filter keep c.versions;
@@ -518,29 +599,30 @@ let run_chain_differential ops =
      | Op_reposition (p, d, promote) ->
        if Array.length !live = 0 then true
        else begin
-         let v = !live.(p mod Array.length !live) in
-         v.Version.ts <- v.Version.ts + d;
-         if promote then
-           v.Version.state <-
-             (match v.Version.state with
-              | Version.Pre_committed -> Version.Local_committed
-              | Version.Local_committed | Version.Committed -> Version.Committed);
-         (* [Chain.reposition] takes a version of the chain; one removed
-            since goes back in through [replace], which may move the
-            chain. *)
-         (match Chain.find_writer !c v.Version.writer with
-          | Some w when w == v -> c := Chain.reposition !c v
-          | Some _ | None -> c := Chain.replace !c ~old:v v);
-         Ref_chain.reposition r v;
+         let i = p mod Array.length !live in
+         let v = !live.(i) in
+         (match advance v ~d ~promote with
+          | None ->
+            (* [Chain.reposition] takes a version of the chain; one
+               removed since goes back in through [replace], which may
+               move the chain. *)
+            (match Chain.find_writer !c (Version.writer v) with
+             | Some w when w == v -> Chain.reposition !c v
+             | Some _ | None -> c := Chain.replace !c ~old:v v);
+            Ref_chain.reposition r v
+          | Some w ->
+            c := Chain.replace !c ~old:v w;
+            Ref_chain.replace r ~old:v w;
+            !live.(i) <- w);
          true
        end
      | Op_remove p ->
        if Array.length !live = 0 then true
        else begin
          let v = !live.(p mod Array.length !live) in
-         let a = Chain.find_writer !c v.Version.writer in
+         let a = Chain.find_writer !c (Version.writer v) in
          Option.iter (fun w -> c := Chain.remove !c w) a;
-         let b = Ref_chain.remove_writer r v.Version.writer in
+         let b = Ref_chain.remove_writer r (Version.writer v) in
          same_opt a b
        end
      | Op_prune h -> Chain.prune !c ~horizon:h = Ref_chain.prune r ~horizon:h
@@ -674,9 +756,11 @@ let store_op_gen ?(w_insert = 5) ~replicas ~keys ~loaded () =
         (2, map3 (fun r k rs -> S_bump (r, k, rs)) r k (int_range 0 1500));
       ])
 
-let same_version (a : Version.t) (b : Version.t) =
-  Txid.equal a.writer b.writer && a.state = b.state && a.ts = b.ts
-  && Value.equal a.value b.value
+let same_version a b =
+  Txid.equal (Version.writer a) (Version.writer b)
+  && Version.state a = Version.state b
+  && Version.ts a = Version.ts b
+  && Value.equal (Version.value a) (Version.value b)
 
 let same_version_opt a b =
   match a, b with
@@ -752,14 +836,17 @@ let run_shared_differential ~replicas ~loaded ~agree batches =
     Array.for_all Fun.id
       (Array.mapi
          (fun i (v : Version.t) ->
-           v.state = Version.Committed && v.ts = 0 && Value.equal v.value (row i)
-           && v.waiters = [])
+           match v with
+           | Final { ts = 0; value; _ } -> Value.equal value (row i)
+           | Final _ | Pending _ -> false)
          row_version)
   in
   (* What a replica shows of key [i]: its versions and its reads. *)
   let view s i =
     let k = dkey i in
-    let content = Option.map (fun (v : Version.t) -> (v.writer, v.state, v.ts, v.value)) in
+    let content =
+      Option.map (fun v -> Version.(writer v, state v, ts v, value v))
+    in
     ( List.map (fun v -> content (Some v)) (versions_of s k),
       List.map
         (fun rs ->
@@ -791,7 +878,9 @@ let run_shared_differential ~replicas ~loaded ~agree batches =
     (dkey i, v)
   in
   let present r (k, (v : Version.t)) =
-    match Mvstore.find_version priv.(r) k v.writer with Some w -> w == v | None -> false
+    match Mvstore.find_version priv.(r) k (Version.writer v) with
+    | Some w -> w == v
+    | None -> false
   in
   (* The key an op names, if any. *)
   let key_of = function
@@ -826,21 +915,23 @@ let run_shared_differential ~replicas ~loaded ~agree batches =
     | S_reposition (r, p, d, promote) ->
       if n_live.(r) > 0 && present r (pick r p) then begin
         let k, v = pick r p in
-        v.Version.ts <- v.Version.ts + d;
-        if promote then
-          v.Version.state <-
-            (match v.Version.state with
-             | Version.Pre_committed -> Version.Local_committed
-             | Version.Local_committed | Version.Committed -> Version.Committed);
-        Mvstore.reposition shared.(r) k v;
-        Mvstore.reposition priv.(r) k v
+        match advance v ~d ~promote with
+        | None ->
+          Mvstore.reposition shared.(r) k v;
+          Mvstore.reposition priv.(r) k v
+        | Some w ->
+          List.iter
+            (fun s -> Mvstore.chain_replace s (Mvstore.entry s k) ~old:v w)
+            [ shared.(r); priv.(r) ];
+          let slot = p mod n_live.(r) in
+          live.(r).(slot) <- (fst live.(r).(slot), w)
       end;
       true
     | S_remove (r, p) ->
       if n_live.(r) > 0 then begin
         let k, (v : Version.t) = pick r p in
-        Mvstore.remove_version shared.(r) k v.writer;
-        Mvstore.remove_version priv.(r) k v.writer
+        Mvstore.remove_version shared.(r) k (Version.writer v);
+        Mvstore.remove_version priv.(r) k (Version.writer v)
       end;
       true
     | S_remove_loaded (r, k) ->
@@ -949,7 +1040,7 @@ let test_mvstore_shared_isolation () =
   Mvstore.insert_version s0 k (mkv ~n:7 ~ts:10 ());
   Mvstore.remove_version s0 k loader;
   Mvstore.insert_version s0 fresh (mkv ~state:Version.Pre_committed ~n:8 ~ts:12 ());
-  let writer_of = function Some (v : Version.t) -> Some v.writer | None -> None in
+  let writer_of = Option.map Version.writer in
   Alcotest.(check bool) "replica 0 sees its write" true
     (writer_of (newest s0) = Some (txid 7) && Mvstore.find_version s0 k loader = None);
   Alcotest.(check bool) "replica 1 still sees the loaded version" true
@@ -1002,7 +1093,7 @@ let test_mvstore_identical_rows () =
 (* --- slot isolation: replicas sharing one key directory --- *)
 
 (* k replica stores on one k-slot directory must be observably identical
-   to k stores that each own a private directory, under any per-replica
+   to k stores that each own a private k-slot directory, under any per-replica
    mix of mutations: a write at one slot is never visible at another.
    Both sides hold the same version objects.  [D_share] commits one
    version at several slots, as a final commit does, so their chains
@@ -1038,14 +1129,20 @@ let slot_op_gen ~slots =
 let run_slot_isolation ~slots ops =
   let directory = Mvstore.create_directory ~slots in
   let shared = Array.init slots (fun slot -> Mvstore.create ~directory ~slot ()) in
-  let own = Array.init slots (fun _ -> Mvstore.create ()) in
+  (* As wide as the shared one: a one-slot directory drops an emptied
+     entry, a wider one keeps it. *)
+  let own =
+    Array.init slots (fun _ -> Mvstore.create ~directory:(Mvstore.create_directory ~slots) ())
+  in
   let keys = List.init n_slot_keys dkey in
   (* Versions inserted at each slot (removed ones included), newest
      first. *)
   let live = Array.make slots [||] and next_writer = ref 0 in
   let pick r p = live.(r).(p mod Array.length live.(r)) in
   let present r (k, (v : Version.t)) =
-    match Mvstore.find_version own.(r) k v.writer with Some w -> w == v | None -> false
+    match Mvstore.find_version own.(r) k (Version.writer v) with
+    | Some w -> w == v
+    | None -> false
   in
   let both r f =
     f shared.(r);
@@ -1069,9 +1166,13 @@ let run_slot_isolation ~slots ops =
       true
     | D_reposition (r, p, d) ->
       if Array.length live.(r) > 0 && present r (pick r p) then begin
+        (* Only a pending version moves; [D_replace] swaps a committed
+           one. *)
         let k, v = pick r p in
-        v.Version.ts <- v.Version.ts + d;
-        both r (fun s -> Mvstore.reposition s k v)
+        if not (Version.is_committed v) then begin
+          Version.raise_ts v (Version.ts v + d);
+          both r (fun s -> Mvstore.reposition s k v)
+        end
       end;
       true
     | D_replace (r, p, d) ->
@@ -1080,8 +1181,8 @@ let run_slot_isolation ~slots ops =
       if Array.length live.(r) > 0 && present r (pick r p) then begin
         let k, (old : Version.t) = pick r p in
         let v =
-          Version.make ~writer:old.writer ~state:Version.Committed ~ts:(old.ts + d)
-            ~value:old.value
+          Version.make ~writer:(Version.writer old) ~state:Version.Committed
+            ~ts:(Version.ts old + d) ~value:(Version.value old)
         in
         both r (fun s -> Mvstore.chain_replace s (Mvstore.entry s k) ~old v);
         live.(r) <- Array.append [| (k, v) |] live.(r)
@@ -1090,7 +1191,7 @@ let run_slot_isolation ~slots ops =
     | D_remove (r, p) ->
       if Array.length live.(r) > 0 then begin
         let k, (v : Version.t) = pick r p in
-        both r (fun s -> Mvstore.remove_version s k v.writer)
+        both r (fun s -> Mvstore.remove_version s k (Version.writer v))
       end;
       true
     | D_prune (r, h) -> Mvstore.prune shared.(r) ~horizon:h = Mvstore.prune own.(r) ~horizon:h
@@ -1104,7 +1205,9 @@ let run_slot_isolation ~slots ops =
       let writer = Txid.make ~origin:0 ~number:!next_writer in
       let v = Version.make ~writer ~state:Version.Committed ~ts ~value:(Value.Int ts) in
       for r = 0 to n - 1 do
-        let old = Version.make ~writer ~state:Version.Pre_committed ~ts ~value:v.value in
+        let old =
+          Version.make ~writer ~state:Version.Pre_committed ~ts ~value:(Version.value v)
+        in
         both r (fun s ->
             Mvstore.insert_version s (dkey k) old;
             Mvstore.chain_replace s (Mvstore.entry s (dkey k)) ~old v);
@@ -1213,6 +1316,7 @@ let () =
           Alcotest.test_case "layout budget" `Quick test_mvstore_layout_budget;
           Alcotest.test_case "marshalled copy" `Quick test_mvstore_marshal_copy;
         ] );
+      ("nodetbl", [ QCheck_alcotest.to_alcotest prop_nodetbl_differential ]);
       ( "placement",
         [
           Alcotest.test_case "ring" `Quick test_placement_ring;
