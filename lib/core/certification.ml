@@ -31,13 +31,10 @@ let add_dep (tx : tx) (dep : tx) =
 (* Abort and commit application                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [f r p x] for every replica [r] other than [tx]'s origin of every
-   partition [p] in [groups], a list of [(p, x)]. *)
-let for_each_remote_replica eng tx groups f =
-  List.iter
-    (fun (p, x) ->
-      Array.iter (fun r -> if r <> tx.origin then f r p x) (Placement.replicas eng.placement p))
-    groups
+(* [f r] for every replica [r] of partition [p] other than [tx]'s
+   origin, in placement order. *)
+let iter_remote_replicas eng tx p f =
+  Array.iter (fun r -> if r <> tx.origin then f r) (Placement.replicas eng.placement p)
 
 let local_partitions_of eng tx =
   List.filter_map
@@ -74,15 +71,15 @@ let rec abort_tx eng tx reason =
       (fun (p, _) -> Partition_server.abort (server eng ~node:tx.origin ~partition:p) tx.id)
       (local_partitions_of eng tx);
     Partition_server.abort nd.cache tx.id;
-    if tx.global_started then
-      for_each_remote_replica eng tx tx.groups (fun r p _ ->
-          send_work eng ~kind:Obs.Trace.M_abort ~ctx:(ctx_of_txid tx.id)
-            ~src:tx.origin ~dst:r (fun () ->
-              let srv = server eng ~node:r ~partition:p in
-              Dispatch_cpu
-                ( eng.config.Config.cost_apply_key
-                  * Partition_server.pending_key_count srv tx.id,
-                  fun () -> Partition_server.abort ~tombstone:true srv tx.id )));
+    if tx.global_started then begin
+      let epoch = sender_epoch eng tx.origin and sent = Sim.now eng.sim in
+      List.iter
+        (fun (p, _) ->
+          let m = Abort { txid = tx.id; p; epoch; sent } in
+          iter_remote_replicas eng tx p (fun r ->
+              send_work eng ~kind:Obs.Trace.M_abort ~src:tx.origin ~dst:r m))
+        tx.groups
+    end;
     Txid.Tbl.remove nd.active tx.id;
     Obs.Trace.count_abort eng.trace (taxonomy_of_abort reason);
     if Obs.Trace.enabled eng.trace then begin
@@ -133,7 +130,7 @@ let commit_apply eng tx ct =
      before any decision message leaves the coordinator (AC3). *)
   log_decision eng tx (D_commit ct);
   tx.ffc <- ct;
-  Txid.Tbl.reset tx.olcset;
+  olc_clear tx;
   let dependents = tx.dependents in
   tx.dependents <- [];
   List.iter
@@ -148,31 +145,22 @@ let commit_apply eng tx ct =
         else abort_tx eng d Snapshot_too_old)
     dependents;
   Cpu.exec nd.cpu ~cost:(eng.config.Config.cost_apply_key * tx.n_wkeys) nop;
-  let decided =
-    List.map (fun (p, writes) -> (p, (writes, committed_versions tx ~ct writes))) tx.groups
+  let epoch = sender_epoch eng tx.origin and sent = Sim.now eng.sim in
+  let decisions =
+    List.map
+      (fun (p, writes) ->
+        let versions = committed_versions tx ~ct writes in
+        if Placement.replicates eng.placement ~node:tx.origin ~partition:p then
+          Partition_server.commit (server eng ~node:tx.origin ~partition:p) tx.id versions;
+        (p, Commit { txid = tx.id; p; writes; versions; epoch; sent }))
+      tx.groups
   in
-  List.iter
-    (fun (p, (_, versions)) ->
-      if Placement.replicates eng.placement ~node:tx.origin ~partition:p then
-        Partition_server.commit (server eng ~node:tx.origin ~partition:p) tx.id versions)
-    decided;
   if tx.unsafe then Partition_server.drop nd.cache tx.id;
-  for_each_remote_replica eng tx decided (fun r p (writes, versions) ->
-      send_work eng ~kind:Obs.Trace.M_commit ~ctx:(ctx_of_txid tx.id) ~src:tx.origin
-        ~dst:r (fun () ->
-          let srv = server eng ~node:r ~partition:p in
-          if eng.recovery_on && not (Partition_server.has_tx srv tx.id) then
-            (* The replica lost the prepare across a crash window; the
-               decision message carries the write set, so the recovered
-               replica installs the committed versions directly instead
-               of dropping the decision. *)
-            Dispatch_cpu
-              ( eng.config.Config.cost_apply_key * List.length writes,
-                fun () -> Partition_server.install_committed srv writes versions )
-          else
-            Dispatch_cpu
-              ( eng.config.Config.cost_apply_key * Partition_server.pending_key_count srv tx.id,
-                fun () -> Partition_server.commit srv tx.id versions )));
+  List.iter
+    (fun (p, m) ->
+      iter_remote_replicas eng tx p (fun r ->
+          send_work eng ~kind:Obs.Trace.M_commit ~src:tx.origin ~dst:r m))
+    decisions;
   finish_commit eng tx
 
 (* Prepare [writes] of [tx] at one of the origin's own replicas (or its
@@ -244,6 +232,120 @@ let certify_local eng tx =
     true
   end
 
+(** A certification reply reaches [tx]'s coordinator: fold the
+    proposal [ts] (or the refusal) into [tx] and wake its fiber. *)
+let on_prepare_reply tx ~ok ~ts =
+  if not (is_aborted tx) then begin
+    if ok then begin
+      if ts > tx.max_proposal then tx.max_proposal <- ts;
+      tx.pending_prepares <- tx.pending_prepares - 1
+    end
+    else tx.prepare_failed <- true;
+    notify tx
+  end
+
+(* The delivery-time work of a certification request for partition [p]
+   at replica [dst].  A master ([forward = Some slaves]) replicates to
+   its slaves once prepared; a slave ([None]) first evicts conflicting
+   local speculation and its dependents (Alg. 2, replicate handler).
+
+   The delivery-time epoch guard ({!Link.fresh}) covers the network
+   hop, but the install is deferred one more step through the
+   participant's CPU; so both incarnations are rechecked at install
+   time — the coordinator's (a crash-recover window between delivery
+   and processing must not resurrect a dead incarnation's prepare
+   after the recovery sweep already ran) and the participant's own
+   (work consumed but not yet processed when it crashed was volatile
+   CPU state and died with the incarnation; the restarted node must
+   not install a prepare whose decision traffic was dropped while it
+   was down). *)
+let certify_at eng ~dst ~tx ~p ~req ~origin_epoch ~forward =
+  let dnd = eng.nodes.(dst) in
+  let dst_epoch = dnd.epoch in
+  let srv = server eng ~node:dst ~partition:p in
+  Dispatch_prepare
+    {
+      dcost = eng.config.Config.cost_prepare_key * List.length req.Partition_server.bwrites;
+      dsrv = srv;
+      dreq = req;
+      dpre =
+        (fun () ->
+          eng.nodes.(tx.origin).epoch = origin_epoch && dnd.epoch = dst_epoch
+          &&
+          match forward with
+          | Some _ -> true
+          | None ->
+            List.iter
+              (fun victim ->
+                match Txid.Tbl.find_opt dnd.active victim with
+                | Some vtx -> abort_tx eng vtx Evicted
+                | None -> ())
+              (Partition_server.evict_candidates srv ~writes:req.Partition_server.bwrites
+                 ~except:tx.id);
+            true);
+      dpost =
+        (fun result ->
+          let ok, ts =
+            match result with
+            | Partition_server.Prepared { ts; _ } -> (true, ts)
+            | Partition_server.Conflict _ -> (false, 0)
+          in
+          if ok then begin
+            (* Participant-side AC5: a prepare held past the window
+               without a decision starts cooperative termination. *)
+            if eng.config.Config.termination_timeout_us > 0 then
+              arm_termination eng ~node:dst ~partition:p tx.id;
+            match forward with
+            | Some slaves ->
+              let m =
+                Replicate
+                  { tx; p; req; origin_epoch; epoch = sender_epoch eng dst; sent = Sim.now eng.sim }
+              in
+              List.iter
+                (fun s ->
+                  if s <> tx.origin then send_work eng ~kind:Obs.Trace.M_replicate ~src:dst ~dst:s m)
+                slaves
+            | None -> ()
+          end;
+          send_work eng ~kind:Obs.Trace.M_prepare_reply ~src:dst ~dst:tx.origin
+            (Prepare_reply
+               { tx; ok; ts; epoch = sender_epoch eng dst; sent = Sim.now eng.sim }));
+    }
+
+(** The delivery-time work of a commit-pipeline message at [dst],
+    evaluated when it is delivered (alone, or as an item of a coalesced
+    flush): its CPU cost and its body.  Delivery-time branches — the
+    recovery upsert of a decision whose prepare was lost, the
+    pending-key count that prices a decision — read the replica's state
+    at delivery. *)
+let work eng ~dst m =
+  match m with
+  | Commit { txid; p; writes; versions; _ } ->
+    let srv = server eng ~node:dst ~partition:p in
+    if eng.recovery_on && not (Partition_server.has_tx srv txid) then
+      (* The replica lost the prepare across a crash window; the
+         decision message carries the write set, so the recovered
+         replica installs the committed versions directly instead of
+         dropping the decision. *)
+      Dispatch_cpu
+        ( eng.config.Config.cost_apply_key * List.length writes,
+          fun () -> Partition_server.install_committed srv writes versions )
+    else
+      Dispatch_cpu
+        ( eng.config.Config.cost_apply_key * Partition_server.pending_key_count srv txid,
+          fun () -> Partition_server.commit srv txid versions )
+  | Abort { txid; p; _ } ->
+    let srv = server eng ~node:dst ~partition:p in
+    Dispatch_cpu
+      ( eng.config.Config.cost_apply_key * Partition_server.pending_key_count srv txid,
+        fun () -> Partition_server.abort ~tombstone:true srv txid )
+  | Prepare { tx; p; req; slaves; origin_epoch; _ } ->
+    certify_at eng ~dst ~tx ~p ~req ~origin_epoch ~forward:(Some slaves)
+  | Replicate { tx; p; req; origin_epoch; _ } ->
+    certify_at eng ~dst ~tx ~p ~req ~origin_epoch ~forward:None
+  | Prepare_reply { tx; ok; ts; _ } -> Dispatch_inline (fun () -> on_prepare_reply tx ~ok ~ts)
+  | _ -> invalid_arg "Certification.work: not a commit-pipeline message"
+
 (** Global certification with synchronous master-slave replication
     (Alg. 1, lines 26-33; Alg. 2's prepare and replicate handlers): send
     each written partition's prepare to its master, which forwards it
@@ -255,91 +357,13 @@ let certify_global eng tx =
   (* The dependencies declared to remote replicas: everything the
      origin ordered this transaction after (fixed at this point). *)
   let declared_deps = tx.all_deps in
-  (* The delivery-time epoch guard in [send] covers the network hop,
-     but participants defer the prepare install one more step through
-     their CPU; recheck both incarnations at install time — the
-     coordinator's (a crash-recover window between delivery and
-     processing must not resurrect a dead incarnation's prepare after
-     the recovery sweep already ran) and the participant's own (work
-     consumed but not yet processed when it crashed was volatile CPU
-     state and died with the incarnation; the restarted node must not
-     install a prepare whose decision traffic was dropped while it was
-     down). *)
   let origin_epoch = eng.nodes.(tx.origin).epoch in
+  let epoch = sender_epoch eng tx.origin and sent = Sim.now eng.sim in
   let expected = ref 0 in
-  let reply_handler outcome =
-    if not (is_aborted tx) then begin
-      (match outcome with
-       | `Prepared ts ->
-         if ts > tx.max_proposal then tx.max_proposal <- ts;
-         tx.pending_prepares <- tx.pending_prepares - 1
-       | `Aborted -> tx.prepare_failed <- true);
-      notify tx
-    end
-  in
-  (* One replicate to slave [s]; its delivery-time work is [certify_at]
-     without a forward list. *)
-  let rec send_replicate ~from ~p ~req ~nw s =
-    send_work eng ~kind:Obs.Trace.M_replicate ~ctx:(ctx_of_txid tx.id) ~src:from ~dst:s
-      (certify_at ~p ~req ~nw ~forward:None s)
-  (* The certification request for partition [p] at replica [dst],
-     evaluated at delivery.  A master ([forward = Some slaves]) replicates
-     to its slaves once prepared; a slave ([None]) first evicts
-     conflicting local speculation and its dependents (Alg. 2,
-     replicate handler). *)
-  and certify_at ~p ~req ~nw ~forward dst () =
-    let dnd = eng.nodes.(dst) in
-    let dst_epoch = dnd.epoch in
-    let srv = server eng ~node:dst ~partition:p in
-    Dispatch_prepare
-      {
-        dcost = eng.config.Config.cost_prepare_key * nw;
-        dsrv = srv;
-        dreq = req;
-        dpre =
-          (fun () ->
-            eng.nodes.(tx.origin).epoch = origin_epoch && dnd.epoch = dst_epoch
-            &&
-            match forward with
-            | Some _ -> true
-            | None ->
-              List.iter
-                (fun victim ->
-                  match Txid.Tbl.find_opt dnd.active victim with
-                  | Some vtx -> abort_tx eng vtx Evicted
-                  | None -> ())
-                (Partition_server.evict_candidates srv ~writes:req.Partition_server.bwrites
-                   ~except:tx.id);
-              true);
-        dpost =
-          (fun result ->
-            let outcome =
-              match result with
-              | Partition_server.Prepared { ts; _ } -> `Prepared ts
-              | Partition_server.Conflict _ -> `Aborted
-            in
-            (match outcome with
-             | `Prepared _ ->
-               (* Participant-side AC5: a prepare held past the window
-                  without a decision starts cooperative termination. *)
-               if eng.config.Config.termination_timeout_us > 0 then
-                 arm_termination eng ~node:dst ~partition:p tx.id;
-               (match forward with
-                | Some slaves ->
-                  List.iter
-                    (fun s -> if s <> tx.origin then send_replicate ~from:dst ~p ~req ~nw s)
-                    slaves
-                | None -> ())
-             | `Aborted -> ());
-            send_work eng ~kind:Obs.Trace.M_prepare_reply ~ctx:(ctx_of_txid tx.id) ~src:dst
-              ~dst:tx.origin (fun () -> Dispatch_inline (fun () -> reply_handler outcome)));
-      }
-  in
   List.iter
     (fun (p, writes) ->
       let m = master_of eng p in
       let slaves = live_slaves eng p in
-      let nw = List.length writes in
       let req =
         {
           Partition_server.btxid = tx.id;
@@ -349,18 +373,20 @@ let certify_global eng tx =
           bstack_over = declared_deps;
         }
       in
-      if m = tx.origin then
+      if m = tx.origin then begin
         (* We are the master: replicate the prepare to our slaves. *)
+        let r = Replicate { tx; p; req; origin_epoch; epoch; sent } in
         List.iter
           (fun s ->
             incr expected;
-            send_replicate ~from:tx.origin ~p ~req ~nw s)
+            send_work eng ~kind:Obs.Trace.M_replicate ~src:tx.origin ~dst:s r)
           slaves
+      end
       else begin
         incr expected (* the master's own reply *);
         List.iter (fun s -> if s <> tx.origin then incr expected) slaves;
-        send_work eng ~kind:Obs.Trace.M_prepare ~ctx:(ctx_of_txid tx.id) ~src:tx.origin
-          ~dst:m (certify_at ~p ~req ~nw ~forward:(Some slaves) m)
+        send_work eng ~kind:Obs.Trace.M_prepare ~src:tx.origin ~dst:m
+          (Prepare { tx; p; req; slaves; origin_epoch; epoch; sent })
       end)
     tx.groups;
   !expected

@@ -57,9 +57,10 @@ type node = {
           previous incarnation must not be delivered to the cluster after
           the node restarts — they carry volatile pre-crash state that the
           crash already aborted or purged — and the delivery-time liveness
-          gate cannot tell them apart once the node is alive again, so
-          {!Link.send} captures the sender's epoch when a fault layer or the
-          recovery protocol is on and drops stale deliveries. *)
+          gate cannot tell them apart once the node is alive again, so a
+          message carries the sender's epoch when a fault layer or the
+          recovery protocol is on ({!Link.sender_epoch}), and a stale
+          one is dropped at delivery ({!Link.fresh}). *)
 }
 
 (** How a commit-pipeline message is processed at its destination.
@@ -69,9 +70,9 @@ type node = {
     [Dispatch_prepare] is a remote certification request with enough
     structure that a coalesced flush can route it through
     {!Partition_server.certify_batch} (ordered sweep + occupancy stats).
-    The work thunk is evaluated at delivery time — exactly when the
-    unbatched payload used to compute its cost — so delivery-time
-    branches (recovery upserts, pending-key counts) keep their timing. *)
+    A dispatch is built from the message at delivery time
+    ({!Certification.work}), so delivery-time branches (recovery
+    upserts, pending-key counts) read the replica's state then. *)
 type dispatch =
   | Dispatch_cpu of int * (unit -> unit)
   | Dispatch_inline of (unit -> unit)
@@ -84,6 +85,10 @@ type dispatch =
       dpost : Partition_server.prepare_outcome -> unit;
     }
 
+(** The tally of one cooperative-termination round: the peer replies
+    of a round share it, and the first decisive one settles it. *)
+type tally = { expected : int; mutable absent : int; mutable settled : bool }
+
 (** One coalesced logical message parked on a (src,dst) link queue.
     [bepoch] pins the sender incarnation at enqueue time: the flush
     drops items from a since-restarted incarnation, mirroring the
@@ -91,13 +96,87 @@ type dispatch =
 type batch_item = {
   bkind : Obs.Trace.msg_kind;
   bepoch : int;
-  bctx_a : int;
-  bctx_b : int;
-      (** emitting transaction identity ([min_int] when none): the
-          flush stamps each payload's causal edge with it *)
   bt_enq : int;  (** enqueue time — start of the batch-park interval *)
-  bwork : unit -> dispatch;
+  bmsg : Sim.msg;  (** the payload, run at delivery as if sent alone *)
 }
+
+(** Protocol messages.  A message is immutable data handed to the
+    simulator as one payload ({!Sim.schedule_delivery}); the engine's
+    delivery hook ({!Engine.create}) runs the handler its constructor
+    selects, with the destination read from the queue entry.  A fan-out
+    (replicates to a group's slaves, the decision or the abort to every
+    remote replica of a group, a cooperative-termination round) sends
+    one payload to every destination.
+
+    Every message but [Batch] carries [epoch], the sender's incarnation
+    when the payload was built, or [-1] when no node can crash and come
+    back ({!crash_recover_possible}): a delivery from a since-restarted
+    sender is dropped ({!Link.fresh}).  [sent] is the send time, the
+    start of the causal edge recorded at delivery when tracing is on. *)
+type Sim.msg +=
+  | Read_req of {
+      tx : tx;
+      key : Key.t;
+      iv : Partition_server.read_reply Ivar.t;
+      epoch : int;
+      sent : int;
+    }  (** a remote snapshot read of [key] for [tx] *)
+  | Read_reply of {
+      txid : Txid.t;
+      iv : Partition_server.read_reply Ivar.t;
+      reply : Partition_server.read_reply;
+      epoch : int;
+      sent : int;
+    }
+  | Prepare of {
+      tx : tx;
+      p : int;
+      req : Partition_server.batch_req;
+      slaves : int list;  (** the master replicates to these once prepared *)
+      origin_epoch : int;  (** [tx]'s coordinator incarnation at certification *)
+      epoch : int;
+      sent : int;
+    }  (** certification request to partition [p]'s master *)
+  | Replicate of {
+      tx : tx;
+      p : int;
+      req : Partition_server.batch_req;
+      origin_epoch : int;
+      epoch : int;
+      sent : int;
+    }  (** certification request to one of [p]'s slaves *)
+  | Prepare_reply of { tx : tx; ok : bool; ts : int; epoch : int; sent : int }
+      (** a replica's certification outcome: proposal [ts] when [ok] *)
+  | Commit of {
+      txid : Txid.t;
+      p : int;
+      writes : (Key.t * Value.t) list;
+      versions : Version.t array;  (** the group's shared committed versions *)
+      epoch : int;
+      sent : int;
+    }
+  | Abort of { txid : Txid.t; p : int; epoch : int; sent : int }
+  | Status_query of { txid : Txid.t; p : int; epoch : int; sent : int }
+      (** a replica of [p] asks [txid]'s coordinator for its decision *)
+  | Peer_query of {
+      txid : Txid.t;
+      p : int;
+      keys : Key.t list;
+      tally : tally;
+      epoch : int;
+      sent : int;
+    }  (** cooperative termination: a replica of [p] asks a peer *)
+  | Resolution of { txid : Txid.t; p : int; d : decision; epoch : int; sent : int }
+  | Peer_status of {
+      txid : Txid.t;
+      p : int;
+      st : [ `Committed of int | `Pending | `None ];
+      tally : tally;
+      epoch : int;
+      sent : int;
+    }
+  | Batch of { items : batch_item list; sweep : int; sent : int }
+      (** one coalesced flush, its items in enqueue order *)
 
 (** Per-(src,dst) coalescing queue.  [bq] holds items in reverse enqueue
     order; [bq_gen] is bumped by every flush so the armed window timer
@@ -317,9 +396,8 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
             else closest_replica net placement ~src ~ok:(fun _ -> true) p))
   in
   (* Delivery-time liveness check for every message scheduled through
-     {!Link.send}: one closure per engine instead of one guard wrapper per
-     message.  Internal events (timers, CPU completions, fiber wakeups)
-     bypass the gate. *)
+     {!Link.send}: one closure per engine.  Internal events (timers, CPU
+     completions, fiber wakeups) bypass the gate. *)
   Sim.set_delivery_gate sim (fun ~src ~dst -> nodes.(src).alive && nodes.(dst).alive);
   {
     sim;

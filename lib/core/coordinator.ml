@@ -37,6 +37,23 @@ let begin_tx eng ~origin =
   emit eng (Ev_begin { id; origin; rs; time = Sim.now eng.sim });
   tx
 
+(* Ask [target] for [key] at [tx]'s snapshot; the reply fills [iv]
+   ({!serve_read}). *)
+let send_read_req eng (tx : tx) ~target key iv =
+  send eng ~kind:Obs.Trace.M_read_req ~src:tx.origin ~dst:target
+    (Read_req { tx; key; iv; epoch = sender_epoch eng tx.origin; sent = Sim.now eng.sim })
+
+(** Serve [tx]'s remote read of [key] at replica [dst] (the handler of
+    [Read_req]) and send the reply back to [tx]'s coordinator. *)
+let serve_read eng ~dst (tx : tx) key iv =
+  Partition_server.read
+    (server eng ~node:dst ~partition:(Key.partition key))
+    ~rs:tx.rs ~reader_origin:tx.origin ~reader:(ctx_of_txid tx.id) key
+    (fun reply ->
+      send eng ~kind:Obs.Trace.M_read_reply ~src:dst ~dst:tx.origin
+        (Read_reply
+           { txid = tx.id; iv; reply; epoch = sender_epoch eng dst; sent = Sim.now eng.sim }))
+
 (** Consume a read result: update FFC/OLCSet and enforce the speculative
     snapshot-safety wait [min(OLCSet) >= FFC] (Alg. 1, line 15). *)
 let rec read eng tx key =
@@ -89,18 +106,6 @@ let rec read eng tx key =
            in
            if best < 0 then preferred else best
        in
-       let send_req () =
-         send eng ~kind:Obs.Trace.M_read_req ~ctx:(ctx_of_txid tx.id)
-           ~dcost:eng.config.Config.cost_read ~src:tx.origin ~dst:target (fun () ->
-             Partition_server.read
-               (server eng ~node:target ~partition:p)
-               ~rs:tx.rs ~reader_origin:tx.origin
-               ~reader:(ctx_of_txid tx.id) key
-               (fun r ->
-                 send eng ~kind:Obs.Trace.M_read_reply ~ctx:(ctx_of_txid tx.id)
-                   ~dcost:0 ~src:target ~dst:tx.origin
-                   (fun () -> ignore (Ivar.fill_if_empty iv r))))
-       in
        if not eng.nodes.(target).alive then
          (* Perfect failure detection, reader side: every replica of the
             partition is down (possible at rf=1), so there is nobody to
@@ -110,7 +115,7 @@ let rec read eng tx key =
             periods are configured; the bounded model checker runs with
             them off. *)
          ignore (Ivar.fill_if_empty iv read_failed_reply)
-       else send_req ();
+       else send_read_req eng tx ~target key iv;
        if crash_recover_possible eng then begin
          (* Register for crash-time completion (see the node field doc).
             Compact once the list accumulates resolved entries so long
@@ -135,7 +140,7 @@ let rec read eng tx key =
                if not (Ivar.is_full iv) then
                  if tries >= 2 then ignore (Ivar.fill_if_empty iv read_failed_reply)
                  else begin
-                   send_req ();
+                   send_read_req eng tx ~target key iv;
                    guard (tries + 1)
                  end)
          in
@@ -186,11 +191,7 @@ let rec read eng tx key =
       (* Serializable isolation: remember the observed value so the read
          can be promoted to a write at certification time. *)
       (match eng.config.Config.isolation, r.value with
-       | Config.Serializable, Some v ->
-         if not (KeyTbl.mem tx.rset key) then begin
-           KeyTbl.replace tx.rset key v;
-           tx.rset_keys <- key :: tx.rset_keys
-         end
+       | Config.Serializable, Some v -> rset_add tx key v
        | Config.Serializable, None | Config.Snapshot_isolation, _ -> ());
       r.value
     in
@@ -325,7 +326,7 @@ let commit eng tx =
       List.iter
         (fun key ->
           if not (KeyTbl.mem tx.wbuf key) then begin
-            KeyTbl.replace tx.wbuf key (KeyTbl.find tx.rset key);
+            KeyTbl.replace tx.wbuf key (rset_find tx key);
             tx.wkeys <- key :: tx.wkeys;
             tx.n_wkeys <- tx.n_wkeys + 1;
             emit eng (Ev_write { id = tx.id; key; time = Sim.now eng.sim })

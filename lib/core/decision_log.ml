@@ -70,14 +70,53 @@ let apply_resolution eng ~node:n ~partition:p txid d =
 (* Answer [asker]'s status query for its replica of [partition] with
    decision [d]. *)
 let send_resolution eng ~src ~asker ~partition txid d =
-  send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid) ~dcost:0 ~src
-    ~dst:asker (fun () -> apply_resolution eng ~node:asker ~partition txid d)
+  send eng ~kind:Obs.Trace.M_status_reply ~src ~dst:asker
+    (Resolution
+       { txid; p = partition; d; epoch = sender_epoch eng src; sent = Sim.now eng.sim })
 
-(* A status query from [src] about [txid], served by [k] on [dst]'s CPU. *)
-let query_status eng txid ~src ~dst k =
-  send eng ~kind:Obs.Trace.M_status_req ~ctx:(ctx_of_txid txid)
-    ~dcost:eng.config.Config.cost_coord_op ~src ~dst (fun () ->
-      Cpu.exec eng.nodes.(dst).cpu ~cost:eng.config.Config.cost_coord_op k)
+(** [origin], the coordinator of [txid], answers [asker]'s status query
+    for its replica of [p] (the handler of [Status_query]). *)
+let answer_query eng ~origin ~asker ~p txid =
+  let ond = eng.nodes.(origin) in
+  match Txid.Tbl.find_opt ond.decisions txid with
+  | Some d -> send_resolution eng ~src:origin ~asker ~partition:p txid d
+  | None ->
+    if Txid.Tbl.mem ond.active txid then begin
+      (* Still certifying: register the asker and reply the moment the
+         decision is logged (event-driven). *)
+      let ws = Option.value ~default:[] (Txid.Tbl.find_opt ond.status_waiters txid) in
+      if not (List.mem (asker, p) ws) then
+        Txid.Tbl.replace ond.status_waiters txid ((asker, p) :: ws)
+    end
+    else
+      (* No log entry and no live transaction: under the write-once
+         log-then-broadcast discipline, no commit decision can exist —
+         presumed abort. *)
+      send_resolution eng ~src:origin ~asker ~partition:p txid D_abort
+
+(** Peer [peer] answers [asker]'s cooperative-termination query (the
+    handler of [Peer_query]). *)
+let answer_peer eng ~peer ~asker ~p txid ~keys tally =
+  let st = Partition_server.status_of (server eng ~node:peer ~partition:p) txid ~keys in
+  send eng ~kind:Obs.Trace.M_status_reply ~src:peer ~dst:asker
+    (Peer_status { txid; p; st; tally; epoch = sender_epoch eng peer; sent = Sim.now eng.sim })
+
+(** One peer's evidence reaches [node] (the handler of [Peer_status]):
+    any applied commit is decisive; unanimous absence is decisive the
+    other way. *)
+let settle_peer eng ~node:n ~p txid st tally =
+  if not tally.settled then
+    match st with
+    | `Committed ct ->
+      tally.settled <- true;
+      apply_resolution eng ~node:n ~partition:p txid (D_commit ct)
+    | `None ->
+      tally.absent <- tally.absent + 1;
+      if tally.absent >= tally.expected then begin
+        tally.settled <- true;
+        apply_resolution eng ~node:n ~partition:p txid D_abort
+      end
+    | `Pending -> ()
 
 (** Record the coordinator's decision in its persistent log (write-once)
     and answer any status queries that arrived before it was made. *)
@@ -130,60 +169,28 @@ let rec resolve_in_doubt ?(tries = 0) eng ~node:n ~partition:p txid =
               resolve_in_doubt ~tries:(tries + 1) eng ~node:n ~partition:p txid)
       in
       if eng.nodes.(origin).alive then begin
-        query_status eng txid ~src:n ~dst:origin (fun () ->
-            let ond = eng.nodes.(origin) in
-            match Txid.Tbl.find_opt ond.decisions txid with
-            | Some d -> send_resolution eng ~src:origin ~asker:n ~partition:p txid d
-            | None ->
-              if Txid.Tbl.mem ond.active txid then begin
-                (* Still certifying: register the asker and reply the
-                   moment the decision is logged (event-driven). *)
-                let ws = Option.value ~default:[] (Txid.Tbl.find_opt ond.status_waiters txid) in
-                if not (List.mem (n, p) ws) then
-                  Txid.Tbl.replace ond.status_waiters txid ((n, p) :: ws)
-              end
-              else
-                (* No log entry and no live transaction: under the
-                   write-once log-then-broadcast discipline, no commit
-                   decision can exist — presumed abort. *)
-                send_resolution eng ~src:origin ~asker:n ~partition:p txid D_abort);
+        send eng ~kind:Obs.Trace.M_status_req ~src:n ~dst:origin
+          (Status_query { txid; p; epoch = sender_epoch eng n; sent = Sim.now eng.sim });
         retry_later ()
       end
       else begin
         (* Cooperative termination: the coordinator is down, so query the
-           partition's surviving peer replicas for evidence.  Any applied
-           commit is decisive; unanimous absence is decisive the other
-           way (a prepared-but-undecided transaction still holds pending
-           state at every live acceptor, so absence everywhere proves no
-           commit was applied); otherwise the in-doubt window genuinely
-           blocks until the coordinator recovers. *)
+           partition's surviving peer replicas for evidence
+           ({!settle_peer}); otherwise the in-doubt window genuinely
+           blocks until the coordinator recovers.  Absence everywhere is
+           decisive because a prepared-but-undecided transaction still
+           holds pending state at every live acceptor, so it proves no
+           commit was applied. *)
         let keys = Partition_server.pending_keys (server eng ~node:n ~partition:p) txid in
         (match live_replicas eng p ~except:n with
          | [] -> () (* blocked: no surviving evidence; retried / re-triggered *)
          | peers ->
-           let expected = List.length peers in
-           let absent = ref 0 and settled = ref false in
-           List.iter
-             (fun r ->
-               query_status eng txid ~src:n ~dst:r (fun () ->
-                   let st =
-                     Partition_server.status_of (server eng ~node:r ~partition:p) txid ~keys
-                   in
-                   send eng ~kind:Obs.Trace.M_status_reply ~ctx:(ctx_of_txid txid)
-                     ~dcost:0 ~src:r ~dst:n (fun () ->
-                       if not !settled then
-                         match st with
-                         | `Committed ct ->
-                           settled := true;
-                           apply_resolution eng ~node:n ~partition:p txid (D_commit ct)
-                         | `None ->
-                           incr absent;
-                           if !absent >= expected then begin
-                             settled := true;
-                             apply_resolution eng ~node:n ~partition:p txid D_abort
-                           end
-                         | `Pending -> ())))
-             peers);
+           let tally = { expected = List.length peers; absent = 0; settled = false } in
+           let m =
+             Peer_query
+               { txid; p; keys; tally; epoch = sender_epoch eng n; sent = Sim.now eng.sim }
+           in
+           List.iter (fun r -> send eng ~kind:Obs.Trace.M_status_req ~src:n ~dst:r m) peers);
         retry_later ()
       end
   end

@@ -17,6 +17,53 @@ open Decision_log
 let abort_tx = Certification.abort_tx
 
 (* ------------------------------------------------------------------ *)
+(* Message delivery                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** The simulator's delivery hook: run protocol message [m], sent by
+    [src], at [dst].  A message from a since-restarted sender is
+    dropped ({!Link.fresh}); otherwise its constructor selects the
+    handler.  With tracing on, each message sent alone records its
+    causal edge first, priced with the handler's CPU cost. *)
+let deliver eng ~src ~dst m =
+  if Link.fresh eng ~src m then
+    match m with
+    | Commit _ | Abort _ | Prepare _ | Replicate _ | Prepare_reply _ ->
+      Link.deliver_work eng ~src ~dst m (Certification.work eng ~dst m)
+    | Batch { items; sweep; sent } ->
+      Link.deliver_batch eng ~src ~dst ~t_wire:sent ~sweep items ~work:Certification.work
+    | Read_req { tx; key; iv; _ } ->
+      Link.edge eng ~src ~dst m ~cost:eng.config.Config.cost_read;
+      serve_read eng ~dst tx key iv
+    | Read_reply { iv; reply; _ } ->
+      Link.edge eng ~src ~dst m ~cost:0;
+      ignore (Ivar.fill_if_empty iv reply)
+    | Status_query { txid; p; _ } ->
+      let cost = eng.config.Config.cost_coord_op in
+      Link.edge eng ~src ~dst m ~cost;
+      Cpu.exec eng.nodes.(dst).cpu ~cost (fun () ->
+          answer_query eng ~origin:dst ~asker:src ~p txid)
+    | Peer_query { txid; p; keys; tally; _ } ->
+      let cost = eng.config.Config.cost_coord_op in
+      Link.edge eng ~src ~dst m ~cost;
+      Cpu.exec eng.nodes.(dst).cpu ~cost (fun () ->
+          answer_peer eng ~peer:dst ~asker:src ~p txid ~keys tally)
+    | Resolution { txid; p; d; _ } ->
+      Link.edge eng ~src ~dst m ~cost:0;
+      apply_resolution eng ~node:dst ~partition:p txid d
+    | Peer_status { txid; p; st; tally; _ } ->
+      Link.edge eng ~src ~dst m ~cost:0;
+      settle_peer eng ~node:dst ~p txid st tally
+    | _ -> invalid_arg "Engine.deliver: not a protocol message"
+
+(** {!Cluster.create}, with {!deliver} installed as the simulator's
+    delivery hook: one closure per engine. *)
+let create ~sim ~net ~placement ~config ?seed ?trace () =
+  let eng = Cluster.create ~sim ~net ~placement ~config ?seed ?trace () in
+  Sim.set_delivery_hook sim (deliver eng);
+  eng
+
+(* ------------------------------------------------------------------ *)
 (* Cluster-wide introspection                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,71 +1,103 @@
-(** Protocol message transport between nodes: liveness- and
-    incarnation-gated sends, causal-edge recording, and the coalescing
-    layer that parks commit-pipeline payloads on per-(src,dst) link
-    queues and flushes them as one wire message.  The link queues of
-    {!Cluster.t} are mutated only here. *)
+(** Protocol message transport between nodes.  A message is a payload
+    of {!Cluster}'s message constructors, immutable data: a send puts
+    it on the wire as one queue entry, and at delivery the engine's
+    hook ({!Engine.deliver}) checks the sender's incarnation
+    ({!fresh}), records the causal edge ({!edge}, {!deliver_work}) and
+    runs the handler the constructor selects.  A fan-out sends one
+    payload to every destination.  This module also holds the
+    coalescing layer that parks commit-pipeline payloads on
+    per-(src,dst) link queues and flushes them as one wire message.
+    The link queues of {!Cluster.t} are mutated only here. *)
 
 open Store
 open Cluster
 
-(** All protocol messaging goes through here: messages to or from a
-    crashed node are silently dropped — both endpoints are re-checked at
-    delivery time (by the simulator's delivery gate, installed in
-    {!Cluster.create}), so messages already in flight when the crash
-    happens are lost with it.  Together with the purge in
-    {!Engine.crash} this is a
-    presumed-abort termination for the dead coordinator's in-doubt
-    transactions; true coordinator-state high availability is the
-    orthogonal mechanism the paper defers to (§5.6).
+(** The incarnation a payload built now at [src] carries: [src]'s epoch
+    when a node can crash and come back, else [-1] (never checked). *)
+let sender_epoch eng src = if crash_recover_possible eng then eng.nodes.(src).epoch else -1
 
-    The gate replaces a guard closure this function used to wrap around
-    every payload: the hot path now forwards [f] to the network
-    unmodified, and the queue entry's unboxed endpoint word is what the
-    run loop checks — one allocation per message eliminated. *)
-let send_raw eng ~kind ~src ~dst f =
+let epoch_of = function
+  | Read_req { epoch; _ } | Read_reply { epoch; _ } | Prepare { epoch; _ }
+  | Replicate { epoch; _ } | Prepare_reply { epoch; _ } | Commit { epoch; _ }
+  | Abort { epoch; _ } | Status_query { epoch; _ } | Peer_query { epoch; _ }
+  | Resolution { epoch; _ } | Peer_status { epoch; _ } -> epoch
+  | _ -> -1
+
+let sent_of = function
+  | Read_req { sent; _ } | Read_reply { sent; _ } | Prepare { sent; _ }
+  | Replicate { sent; _ } | Prepare_reply { sent; _ } | Commit { sent; _ }
+  | Abort { sent; _ } | Status_query { sent; _ } | Peer_query { sent; _ }
+  | Resolution { sent; _ } | Peer_status { sent; _ } -> sent
+  | _ -> invalid_arg "Link.sent_of: not a protocol message"
+
+(** The transaction a message is about: the causal context of its
+    edge (Obs.Causal). *)
+let txid_of = function
+  | Read_req { tx; _ } | Prepare { tx; _ } | Replicate { tx; _ } | Prepare_reply { tx; _ } ->
+    tx.id
+  | Read_reply { txid; _ } | Commit { txid; _ } | Abort { txid; _ }
+  | Status_query { txid; _ } | Peer_query { txid; _ } | Resolution { txid; _ }
+  | Peer_status { txid; _ } -> txid
+  | _ -> invalid_arg "Link.txid_of: not a protocol message"
+
+let kind_of : Sim.msg -> Obs.Trace.msg_kind = function
+  | Read_req _ -> M_read_req
+  | Read_reply _ -> M_read_reply
+  | Prepare _ -> M_prepare
+  | Replicate _ -> M_replicate
+  | Prepare_reply _ -> M_prepare_reply
+  | Commit _ -> M_commit
+  | Abort _ -> M_abort
+  | Status_query _ | Peer_query _ -> M_status_req
+  | Resolution _ | Peer_status _ -> M_status_reply
+  | _ -> invalid_arg "Link.kind_of: not a message sent alone"
+
+(** Does [m] come from [src]'s current incarnation?  Messages sent by a
+    previous incarnation carry volatile pre-crash state: they are
+    dropped at delivery even though the liveness gate sees the sender
+    alive again. *)
+let fresh eng ~src m =
+  let e = epoch_of m in
+  e < 0 || eng.nodes.(src).epoch = e
+
+(** All protocol messaging goes through here: [kind] is counted, and
+    the payload goes on the wire unless the sender is down.  Messages
+    to or from a crashed node are dropped at delivery too (the
+    simulator's delivery gate, installed in {!Cluster.create}), so
+    messages already in flight when the crash happens are lost with it.
+    Together with the purge in {!Engine.crash} this is a presumed-abort
+    termination for the dead coordinator's in-doubt transactions; true
+    coordinator-state high availability is the orthogonal mechanism the
+    paper defers to (§5.6).  [kind] must be the payload's own
+    ({!kind_of}): it names the send site for the message-flow lint. *)
+let send eng ~kind ~src ~dst m =
+  assert (Obs.Trace.msg_index kind = Obs.Trace.msg_index (kind_of m));
   Obs.Trace.count_msg eng.trace kind;
-  let nd = eng.nodes.(src) in
-  if nd.alive then
-    if crash_recover_possible eng then begin
-      (* Crash-recover is possible: stamp the payload with the sender's
-         incarnation so a message from a since-restarted node is dropped
-         at delivery even though the liveness gate sees it alive again. *)
-      let epoch = nd.epoch in
-      Network.send eng.net ~src ~dst (fun () -> if nd.epoch = epoch then f ())
-    end
-    else Network.send eng.net ~src ~dst f
+  if eng.nodes.(src).alive then Network.send_msg eng.net ~src ~dst m
 
-(* Causal context of a protocol send: the emitting transaction's
-   identity [(origin, number)], a required argument of every [send] /
-   [send_work] so deliveries link into the per-transaction causal DAG
-   (Obs.Causal). *)
+(* Causal context of a transaction, as [Partition_server.read]'s
+   [reader] identity: [(origin, number)]. *)
 let ctx_of_txid id = (Txid.origin id, Txid.number id)
 
 (** Record one causal message edge at delivery time, when the
     destination's queue backlog is observable.  Pure append into the
     trace's edge store — never schedules, never perturbs the run. *)
-let record_edge eng ~kind ~a ~b ~src ~dst ~t_enq ~t_wire ~cost =
-  Obs.Trace.edge eng.trace ~kind ~a ~b ~src ~dst ~t_enq ~t_wire
-    ~t_deliver:(Sim.now eng.sim)
+let record_edge eng ~kind ~txid ~src ~dst ~t_enq ~t_wire ~cost =
+  Obs.Trace.edge eng.trace ~kind ~a:(Txid.origin txid) ~b:(Txid.number txid) ~src ~dst
+    ~t_enq ~t_wire ~t_deliver:(Sim.now eng.sim)
     ~queue:(Cpu.backlog_us eng.nodes.(dst).cpu)
     ~cost ()
 
-(** Traced protocol send.  [ctx] is the emitting transaction; [dcost]
+(** The causal edge of a delivered message that was sent alone; [cost]
     is the destination-side handler cost (read service, coordinator-op
-    bookkeeping) so the edge's dispatch-cpu segment matches the
-    [Cpu.exec] the handler will issue.  Both are required: a reply,
-    which delivers to an already-charged coordinator fiber, passes
-    [~dcost:0] in plain sight.  With tracing off this forwards to
-    {!send_raw} untouched — one branch, zero allocation. *)
-let send eng ~kind ~ctx ~dcost ~src ~dst f =
+    bookkeeping), so the edge's dispatch-cpu segment matches the
+    [Cpu.exec] the handler issues.  A no-op with tracing off. *)
+let edge eng ~src ~dst m ~cost =
   if Obs.Trace.enabled eng.trace then begin
-    let t_send = Sim.now eng.sim in
-    let a, b = ctx in
-    send_raw eng ~kind ~src ~dst (fun () ->
-        record_edge eng ~kind ~a ~b ~src ~dst ~t_enq:t_send ~t_wire:t_send
-          ~cost:dcost;
-        f ())
+    let t_send = sent_of m in
+    record_edge eng ~kind:(kind_of m) ~txid:(txid_of m) ~src ~dst ~t_enq:t_send
+      ~t_wire:t_send ~cost
   end
-  else send_raw eng ~kind ~src ~dst f
 
 (* ------------------------------------------------------------------ *)
 (* Message coalescing (queue-oriented speculative batching)            *)
@@ -108,11 +140,10 @@ let exec_dispatch eng ~dst w =
 
 (** Wire transport of one coalesced flush: ONE network message (one
     latency draw, one FIFO slot) carrying [n] logical payloads; the
-    delivery body charges the amortized batch ~cost in a single CPU
-    event. *)
-let send_batch eng ~kind ~src ~dst ~n f =
+    delivery charges the amortized batch cost in a single CPU event. *)
+let send_batch eng ~kind ~src ~dst ~n m =
   Obs.Trace.count_msg eng.trace kind;
-  Network.send_coalesced eng.net ~src ~dst ~n f
+  Network.send_coalesced eng.net ~src ~dst ~n m
 
 (** Flush a link queue: emit the parked payloads as one wire message.
     Flush rules: (1) the window timer armed by the first enqueue, or
@@ -121,71 +152,67 @@ let send_batch eng ~kind ~src ~dst ~n f =
     A flush from a node that crashed after enqueueing is dropped whole
     (the unbatched sends would have been dropped at the source), and
     payloads enqueued by a previous incarnation of the sender are
-    filtered at delivery — the same guard the unbatched path applies
-    per message. *)
+    filtered at delivery ({!deliver_batch}) — the same guard the
+    unbatched path applies per message. *)
 let flush_batch eng ~src ~dst b =
   if b.bq_n > 0 then begin
     let items = List.rev b.bq in
     let n = b.bq_n in
-    let t_wire = Sim.now eng.sim in
     b.bq <- [];
     b.bq_n <- 0;
     b.bq_gen <- b.bq_gen + 1;
-    Obs.Trace.span_end eng.trace b.bq_span ~t1:t_wire;
+    Obs.Trace.span_end eng.trace b.bq_span ~t1:(Sim.now eng.sim);
     b.bq_span <- -1;
     if eng.nodes.(src).alive then begin
       eng.batch_flushes <- eng.batch_flushes + 1;
       eng.batch_payloads <- eng.batch_payloads + n;
       let occ = if n > 16 then 16 else n in
       eng.batch_occ.(occ) <- eng.batch_occ.(occ) + 1;
-      let sweep = eng.batch_flushes in
-      let deliver () =
-        let live = List.filter (fun it -> eng.nodes.(src).epoch = it.bepoch) items in
-        if live <> [] then begin
-          (* Evaluate every payload's delivery-time branch (recovery
-             upserts, pending-key counts) first, then charge one CPU
-             event for the whole batch: one header ([cost_msg]) plus the
-             per-item marginals.  Bodies run in enqueue order;
-             certification requests go through the partition server's
-             batched sweep, which also lets a later prepare of the batch
-             stack over versions an earlier one just installed. *)
-          let works = List.map (fun it -> it.bwork ()) live in
-          let total =
-            List.fold_left
-              (fun acc w -> acc + dispatch_cost w)
-              eng.config.Config.cost_msg works
-          in
-          if Obs.Trace.enabled eng.trace then
-            (* One causal edge per live payload: park interval
-               [bt_enq, t_wire), one shared wire flight, and the whole
-               batch's CPU event as each payload's service window (the
-               bodies all run when the single charge completes). *)
-            List.iter
-              (fun it ->
-                record_edge eng ~kind:it.bkind ~a:it.bctx_a ~b:it.bctx_b ~src
-                  ~dst ~t_enq:it.bt_enq ~t_wire ~cost:total)
-              live;
-          Cpu.exec eng.nodes.(dst).cpu ~cost:total (fun () ->
-              List.iter
-                (function
-                  | Dispatch_cpu (_, k) | Dispatch_inline k -> k ()
-                  | Dispatch_prepare { dsrv; dreq; dpre; dpost; _ } ->
-                    if dpre () then
-                      dpost (Partition_server.certify_batch dsrv ~sweep dreq))
-                works)
-        end
-      in
+      let m = Batch { items; sweep = eng.batch_flushes; sent = Sim.now eng.sim } in
       if List.exists (fun it -> it.bkind = Obs.Trace.M_prepare) items then
-        send_batch eng ~kind:Obs.Trace.M_prepare_batch ~src ~dst ~n deliver
-      else send_batch eng ~kind:Obs.Trace.M_replicate_batch ~src ~dst ~n deliver
+        send_batch eng ~kind:Obs.Trace.M_prepare_batch ~src ~dst ~n m
+      else send_batch eng ~kind:Obs.Trace.M_replicate_batch ~src ~dst ~n m
     end
+  end
+
+(** Deliver a coalesced flush sent at [t_wire]: evaluate every live
+    payload's delivery-time branch ([work]: recovery upserts,
+    pending-key counts) first, then charge one CPU event for the whole
+    batch: one header ([cost_msg]) plus the per-item marginals.  Bodies
+    run in enqueue order; certification requests go through the
+    partition server's batched sweep, which also lets a later prepare
+    of the batch stack over versions an earlier one just installed. *)
+let deliver_batch eng ~src ~dst ~t_wire ~sweep items ~work =
+  let live = List.filter (fun it -> eng.nodes.(src).epoch = it.bepoch) items in
+  if live <> [] then begin
+    let works = List.map (fun it -> work eng ~dst it.bmsg) live in
+    let total =
+      List.fold_left (fun acc w -> acc + dispatch_cost w) eng.config.Config.cost_msg works
+    in
+    if Obs.Trace.enabled eng.trace then
+      (* One causal edge per live payload: park interval [bt_enq,
+         t_wire), one shared wire flight, and the whole batch's CPU
+         event as each payload's service window (the bodies all run
+         when the single charge completes). *)
+      List.iter
+        (fun it ->
+          record_edge eng ~kind:it.bkind ~txid:(txid_of it.bmsg) ~src ~dst ~t_enq:it.bt_enq
+            ~t_wire ~cost:total)
+        live;
+    Cpu.exec eng.nodes.(dst).cpu ~cost:total (fun () ->
+        List.iter
+          (function
+            | Dispatch_cpu (_, k) | Dispatch_inline k -> k ()
+            | Dispatch_prepare { dsrv; dreq; dpre; dpost; _ } ->
+              if dpre () then dpost (Partition_server.certify_batch dsrv ~sweep dreq))
+          works)
   end
 
 (** Park one payload on the (src,dst) link queue.  The first enqueue of
     a window opens the batch-flush span and arms the window timer as an
     Internal-lane event — under the model checker's controlled mode the
     flush is an ordinary transition, ordered against the protocol. *)
-let enqueue_batch eng ~kind ~ctx ~src ~dst work =
+let enqueue_batch eng ~kind ~src ~dst m =
   let nd = eng.nodes.(src) in
   if nd.alive then begin
     let b = eng.batches.(src).(dst) in
@@ -200,34 +227,26 @@ let enqueue_batch eng ~kind ~ctx ~src ~dst work =
       Sim.schedule eng.sim ~delay:eng.config.Config.batch_window_us (fun () ->
           if b.bq_gen = gen then flush_batch eng ~src ~dst b)
     end;
-    let bctx_a, bctx_b = ctx in
-    b.bq <-
-      { bkind = kind; bepoch = nd.epoch; bctx_a; bctx_b;
-        bt_enq = Sim.now eng.sim; bwork = work }
-      :: b.bq;
+    b.bq <- { bkind = kind; bepoch = nd.epoch; bt_enq = Sim.now eng.sim; bmsg = m } :: b.bq;
     b.bq_n <- b.bq_n + 1;
     if b.bq_n >= eng.config.Config.batch_max then flush_batch eng ~src ~dst b
   end
 
-(** Commit-pipeline send: the payload is a {!Cluster.dispatch} evaluated at the
-    destination.  With coalescing off this is exactly {!send} — same
-    epoch stamping, same delivery event structure; with coalescing on,
-    batchable kinds park on the link queue until the window closes or
-    the size cap fires. *)
-let send_work eng ~kind ~ctx ~src ~dst work =
+(** Commit-pipeline send: with coalescing off this is exactly {!send};
+    with coalescing on, batchable kinds park on the link queue until
+    the window closes or the size cap fires.  Either way the payload's
+    delivery-time work is {!Certification.work}. *)
+let send_work eng ~kind ~src ~dst m =
   if eng.config.Config.batch_window_us > 0 && batchable kind then begin
+    assert (Obs.Trace.msg_index kind = Obs.Trace.msg_index (kind_of m));
     Obs.Trace.count_msg eng.trace kind;
-    enqueue_batch eng ~kind ~ctx ~src ~dst work
+    enqueue_batch eng ~kind ~src ~dst m
   end
-  else if Obs.Trace.enabled eng.trace then begin
-    let t_send = Sim.now eng.sim in
-    let a, b = ctx in
-    send_raw eng ~kind ~src ~dst (fun () ->
-        (* The edge is recorded at delivery, when both the destination
-           backlog and the dispatch cost are known. *)
-        let w = work () in
-        record_edge eng ~kind ~a ~b ~src ~dst ~t_enq:t_send ~t_wire:t_send
-          ~cost:(eng.config.Config.cost_msg + dispatch_cost w);
-        exec_dispatch eng ~dst w)
-  end
-  else send_raw eng ~kind ~src ~dst (fun () -> exec_dispatch eng ~dst (work ()))
+  else send eng ~kind ~src ~dst m
+
+(** Run a commit-pipeline message sent alone, whose delivery-time work
+    evaluated to [w]: the edge is recorded now, when both the
+    destination backlog and the dispatch cost are known. *)
+let deliver_work eng ~src ~dst m w =
+  edge eng ~src ~dst m ~cost:(eng.config.Config.cost_msg + dispatch_cost w);
+  exec_dispatch eng ~dst w

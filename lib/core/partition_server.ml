@@ -155,8 +155,7 @@ let read ?(allow_spec = true) ?(reader = (min_int, min_int)) t ~rs ~reader_origi
     let d = Dsim.Clock.delay_until t.clock rs in
     if d > 0 then Dsim.Sim.schedule t.sim ~delay:d serve
     else begin
-      Mvstore.bump_last_reader t.store key rs;
-      match Mvstore.latest_before t.store key ~rs with
+      match Mvstore.read_latest t.store key ~rs with
       | None -> reply { value = None; src = `Missing; writer = None }
       | Some v ->
         (match v with
@@ -512,7 +511,7 @@ let commit t txid versions =
       let ct = Version.ts versions.(i) in
       Mvstore.chain_replace t.store e ~old versions.(i);
       restack t.store e ~above:(Version.ts old) ~floor:ct;
-      Mvstore.forget_last_reader t.store (Mvstore.entry_key e) ct;
+      Mvstore.forget_last_reader t.store e ct;
       wake old);
   Txid.Tbl.remove t.pending txid;
   end_hold t txid

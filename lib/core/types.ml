@@ -69,17 +69,19 @@ type tx = {
           flips the global switch mid-flight *)
   (* --- SPSI bookkeeping (Alg. 1) --- *)
   mutable ffc : int;  (** freshest final commit read from, directly or not *)
-  olcset : int Txid.Tbl.t;
+  mutable olcset : int Txid.Tbl.t option;
       (** oldest-local-commit set: dependee txid -> its oldest unsafe
-          ancestor's read snapshot; the sentinel ⟨⊥,∞⟩ is implicit *)
+          ancestor's read snapshot; the sentinel ⟨⊥,∞⟩ is implicit.
+          [None] until the first entry (most attempts never get one) *)
   mutable unsafe : bool;  (** updated some non-locally-replicated key *)
   (* --- write buffer --- *)
   wbuf : Keyspace.Value.t KeyTbl.t;
   mutable wkeys : Keyspace.Key.t list;  (** reverse insertion order *)
   mutable n_wkeys : int;  (** [List.length wkeys], maintained on insert *)
-  rset : Keyspace.Value.t KeyTbl.t;
+  mutable rset : Keyspace.Value.t KeyTbl.t option;
       (** read set with observed values (tracked only under the
-          Serializable isolation level, for read promotion) *)
+          Serializable isolation level, for read promotion); [None]
+          until the first read it records *)
   mutable rset_keys : Keyspace.Key.t list;
   (* --- dependency graph (node-local by construction) --- *)
   mutable deps : Txid.Set.t;  (** unresolved dependees this tx read/stacked on *)
@@ -122,12 +124,12 @@ let make_tx ~id ~origin ~rs ~start_time ~sr =
     state = Active;
     sr;
     ffc = 0;
-    olcset = Txid.Tbl.create 4;
+    olcset = None;
     unsafe = false;
     wbuf = KeyTbl.create 8;
     wkeys = [];
     n_wkeys = 0;
-    rset = KeyTbl.create 8;
+    rset = None;
     rset_keys = [];
     deps = Txid.Set.empty;
     all_deps = Txid.Set.empty;
@@ -151,12 +153,46 @@ let infinity_ts = max_int
 
 (** Minimum of the OLCSet (∞ when only the sentinel remains). *)
 (* Hash order: min is order-insensitive. *)
-let olc_min tx = (Txid.Tbl.fold (fun _ v acc -> min v acc) tx.olcset infinity_ts [@alert "-nondet"])
+let olc_min tx =
+  match tx.olcset with
+  | None -> infinity_ts
+  | Some t -> (Txid.Tbl.fold (fun _ v acc -> min v acc) t infinity_ts [@alert "-nondet"])
 
 (** Record/refresh an OLCSet entry (Alg. 1, line 13). *)
-let olc_put tx dep_id v = Txid.Tbl.replace tx.olcset dep_id v
+let olc_put tx dep_id v =
+  match tx.olcset with
+  | Some t -> Txid.Tbl.replace t dep_id v
+  | None ->
+    let t = Txid.Tbl.create 4 in
+    Txid.Tbl.replace t dep_id v;
+    tx.olcset <- Some t
 
-let olc_remove tx dep_id = Txid.Tbl.remove tx.olcset dep_id
+let olc_remove tx dep_id = Option.iter (fun t -> Txid.Tbl.remove t dep_id) tx.olcset
+
+(** Empty the OLCSet (final commit). *)
+let olc_clear tx = tx.olcset <- None
+
+(** Record the value [tx] observed for [key], unless it already read
+    the key (Serializable read promotion). *)
+let rset_add tx key v =
+  let t =
+    match tx.rset with
+    | Some t -> t
+    | None ->
+      let t = KeyTbl.create 8 in
+      tx.rset <- Some t;
+      t
+  in
+  if not (KeyTbl.mem t key) then begin
+    KeyTbl.replace t key v;
+    tx.rset_keys <- key :: tx.rset_keys
+  end
+
+(** The value [tx] observed for [key], a key of [tx.rset_keys]. *)
+let rset_find tx key =
+  match tx.rset with
+  | Some t -> KeyTbl.find t key
+  | None -> invalid_arg "Types.rset_find: nothing read"
 
 let is_aborted tx = match tx.state with Aborted _ -> true | _ -> false
 

@@ -12,8 +12,8 @@
    [-1] for internal events, or [(src lsl 20) lor dst] for network
    deliveries.  Carrying the endpoints unboxed in the queue lets the
    run loop apply liveness checks (drop deliveries to/from crashed
-   nodes) without the per-message guard closure the engine used to
-   allocate around every send.
+   nodes) and pass the destination to the delivery hook, so a pending
+   delivery is its payload alone, which a fan-out shares.
 
    The payload array is created lazily on the first push (using that
    payload as the fill), so no sentinel of type ['a] is ever

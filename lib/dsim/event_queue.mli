@@ -17,9 +17,9 @@ val push : 'a t -> time:int -> 'a -> unit
 
 (** [push_msg q ~time ~src ~dst ev] enqueues a network delivery and
     records its endpoints unboxed in the queue entry; the run loop reads
-    them back through {!popped_src}/{!popped_dst} to apply liveness
-    checks without a per-message guard closure.  [0 <= src, dst <
-    2^20]. *)
+    them back through {!popped_src}/{!popped_dst} to gate the delivery
+    and to hand the destination to the delivery hook, so the payload
+    itself holds neither.  [0 <= src, dst < 2^20]. *)
 val push_msg : 'a t -> time:int -> src:int -> dst:int -> 'a -> unit
 
 (** [push_keyed q ~time ~seq ~meta ev] enqueues with a caller-supplied

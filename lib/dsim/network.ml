@@ -45,7 +45,10 @@ let latency_us t ~src ~dst =
   if src = dst then loopback_us
   else Topology.oneway_us t.topology t.node_dc.(src) t.node_dc.(dst)
 
-let send t ~src ~dst f =
+(* Count one message on channel [src -> dst] and return its delivery
+   time: one latency draw, pushed back behind the channel's last
+   delivery. *)
+let arrival t ~src ~dst =
   let base = latency_us t ~src ~dst in
   let delay =
     if t.jitter <= 0. then base
@@ -68,16 +71,22 @@ let send t ~src ~dst f =
     end
   in
   t.last_delivery.(src).(dst) <- at;
-  Sim.schedule_msg t.sim ~time:at ~src ~dst f
+  at
+
+let send_msg t ~src ~dst m =
+  Sim.schedule_delivery t.sim ~time:(arrival t ~src ~dst) ~src ~dst m
+
+let send t ~src ~dst f = Sim.schedule_msg t.sim ~time:(arrival t ~src ~dst) ~src ~dst f
 
 (* A coalesced flush is one wire message (one latency draw, one FIFO
    slot) carrying [n] logical payloads; only the counters differ from
-   {!send}. *)
-let send_coalesced t ~src ~dst ~n f =
+   {!send_msg}. *)
+let send_coalesced t ~src ~dst ~n m =
   t.batches_sent <- t.batches_sent + 1;
-  send t ~src ~dst f;
-  (* [send] counted the flush as one message; payloads beyond the first
-     ride for free on the wire but keep the logical total meaningful. *)
+  send_msg t ~src ~dst m;
+  (* [send_msg] counted the flush as one message; payloads beyond the
+     first ride for free on the wire but keep the logical total
+     meaningful. *)
   t.messages_sent <- t.messages_sent + n - 1
 
 let messages_sent t = t.messages_sent

@@ -27,17 +27,23 @@ val dc_of_node : t -> int -> int
 (** One-way latency in microseconds between two nodes (mean, before jitter). *)
 val latency_us : t -> src:int -> dst:int -> int
 
-(** Deliver [f] at the destination after the network latency.
-    [f] runs as a fresh event (never inline). *)
+(** Deliver payload [m] at the destination after the network latency,
+    through the simulator's delivery gate and hook
+    ({!Sim.schedule_delivery}).  Per-channel FIFO: a message never
+    overtakes an earlier one on the same (src, dst) pair. *)
+val send_msg : t -> src:int -> dst:int -> Sim.msg -> unit
+
+(** {!send_msg} for a delivery that runs [f] itself
+    ({!Sim.schedule_msg}); [f] runs as a fresh event (never inline). *)
 val send : t -> src:int -> dst:int -> (unit -> unit) -> unit
 
-(** Deliver [f] as ONE wire message carrying [n] coalesced logical
+(** Deliver [m] as ONE wire message carrying [n] coalesced logical
     payloads: one latency draw, one FIFO slot, one delivery event.
     {!messages_sent} still grows by [n] (logical count, comparable
     across batched and unbatched runs) while {!wan_messages} and the
     FIFO channel see a single message — which is the point of
     coalescing. *)
-val send_coalesced : t -> src:int -> dst:int -> n:int -> (unit -> unit) -> unit
+val send_coalesced : t -> src:int -> dst:int -> n:int -> Sim.msg -> unit
 
 (** Total logical messages sent so far (includes loopback sends; every
     payload inside a coalesced flush counts). *)

@@ -26,11 +26,16 @@
      modes.  This is the hook the bounded model checker in [lib/check]
      drives.
 
-   Deliveries scheduled via [schedule_msg] carry their endpoints
-   unboxed in the queue entry, and the run loop consults a per-sim
-   {e delivery gate} just before invoking them.  The gate is how the
-   protocol engine drops messages to/from crashed nodes at delivery
-   time without allocating a guard closure around every send. *)
+   A network delivery is one queue entry: its endpoints sit unboxed in
+   the entry's routing word, and its payload is immutable data of the
+   extensible type [msg].  The run loop consults a per-sim {e delivery
+   gate} (drop deliveries to/from crashed nodes) and then hands the
+   payload to a per-sim {e delivery hook}, which the protocol engine
+   installs once and which runs the handler chosen by the payload's
+   constructor.  A pending protocol message therefore holds no closure; a
+   fan-out pushes one payload to many destinations.  Internal events
+   (timers, CPU completions, fiber wakeups) and the closure deliveries
+   of [schedule_msg] are stored as the private [Run] constructor. *)
 
 (* [Fault] is declared after [Internal] so the runtime representation of
    pre-existing values (Internal = 0, Chan = the only block) is
@@ -56,7 +61,14 @@ let pp_tag ppf = function
 
 type candidate = { tag : tag; time : int; seq : int }
 
-type lane = { ltag : tag; events : (unit -> unit) Event_queue.t }
+type msg = ..
+
+(* An event that carries its own code: every internal event and every
+   closure delivery ([schedule_msg]).  Private to this module, so a
+   payload the hook receives is never one. *)
+type msg += Run of (unit -> unit)
+
+type lane = { ltag : tag; events : msg Event_queue.t }
 
 type controlled = {
   mutable lanes : lane list;  (** sorted by [ltag]; lanes are never removed *)
@@ -64,18 +76,22 @@ type controlled = {
 }
 
 type mode =
-  | Heap of (unit -> unit) Event_queue.t
-  | Wheel of (unit -> unit) Wheel.t
+  | Heap of msg Event_queue.t
+  | Wheel of msg Wheel.t
   | Controlled of controlled
 
-(* Shared default so [create] allocates no closure; replaced by
-   [set_delivery_gate]. *)
+(* Shared defaults so [create] allocates no closure; replaced by
+   [set_delivery_gate] / [set_delivery_hook]. *)
 let gate_open ~src:_ ~dst:_ = true
+
+let no_hook ~src:_ ~dst:_ (_ : msg) =
+  invalid_arg "Sim.run: a payload delivery with no delivery hook installed"
 
 type t = {
   mutable now : int;
   mutable mode : mode;
   mutable gate : src:int -> dst:int -> bool;
+  mutable hook : src:int -> dst:int -> msg -> unit;
   mutable live_fibers : int;  (** spawned minus finished, kept by [Fiber] *)
 }
 
@@ -85,9 +101,10 @@ let create ?(queue = `Heap) () =
     | `Heap -> Heap (Event_queue.create ())
     | `Wheel -> Wheel (Wheel.create ())
   in
-  { now = 0; mode; gate = gate_open; live_fibers = 0 }
+  { now = 0; mode; gate = gate_open; hook = no_hook; live_fibers = 0 }
 
 let set_delivery_gate t gate = t.gate <- gate
+let set_delivery_hook t hook = t.hook <- hook
 
 let live_fibers t = t.live_fibers
 let fiber_spawned t = t.live_fibers <- t.live_fibers + 1
@@ -149,20 +166,18 @@ let lane_for c tag =
     c.lanes <- insert c.lanes;
     l
 
+let push_internal t ~time ev =
+  match t.mode with
+  | Heap q -> Event_queue.push q ~time ev
+  | Wheel w -> Wheel.push w ~time ev
+  | Controlled c -> Event_queue.push (lane_for c Internal).events ~time ev
+
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Sim.schedule: negative delay";
-  let time = t.now + delay in
-  match t.mode with
-  | Heap q -> Event_queue.push q ~time f
-  | Wheel w -> Wheel.push w ~time f
-  | Controlled c -> Event_queue.push (lane_for c Internal).events ~time f
+  push_internal t ~time:(t.now + delay) (Run f)
 
 let schedule_at t ~time f =
-  let time = if time < t.now then t.now else time in
-  match t.mode with
-  | Heap q -> Event_queue.push q ~time f
-  | Wheel w -> Wheel.push w ~time f
-  | Controlled c -> Event_queue.push (lane_for c Internal).events ~time f
+  push_internal t ~time:(if time < t.now then t.now else time) (Run f)
 
 (** Schedule a planned fault action.  Identical to {!schedule_at} in the
     single-queue modes; in controlled mode the event goes to the
@@ -174,23 +189,26 @@ let schedule_at t ~time f =
 let schedule_fault t ~time f =
   let time = if time < t.now then t.now else time in
   match t.mode with
-  | Heap q -> Event_queue.push q ~time f
-  | Wheel w -> Wheel.push w ~time f
-  | Controlled c -> Event_queue.push (lane_for c Fault).events ~time f
+  | Heap q -> Event_queue.push q ~time (Run f)
+  | Wheel w -> Wheel.push w ~time (Run f)
+  | Controlled c -> Event_queue.push (lane_for c Fault).events ~time (Run f)
 
 (** Schedule a network delivery on channel [src -> dst].  In single-
-    queue modes this is {!schedule_at} plus the endpoint record the
-    delivery gate checks; in [Controlled] mode the event goes to the
-    channel's own lane, where the chooser may defer it behind events of
-    other lanes (but never behind later messages of the same
-    channel). *)
-let schedule_msg t ~time ~src ~dst f =
+    queue modes the entry's routing word records the endpoints the
+    delivery gate checks and the hook receives; in [Controlled] mode
+    the event goes to the channel's own lane, where the chooser may
+    defer it behind events of other lanes (but never behind later
+    messages of the same channel). *)
+let schedule_delivery t ~time ~src ~dst m =
+  if src < 0 || dst < 0 then invalid_arg "Sim.schedule_delivery: negative endpoint";
   let time = if time < t.now then t.now else time in
   match t.mode with
-  | Heap q -> Event_queue.push_msg q ~time ~src ~dst f
-  | Wheel w -> Wheel.push_msg w ~time ~src ~dst f
+  | Heap q -> Event_queue.push_msg q ~time ~src ~dst m
+  | Wheel w -> Wheel.push_msg w ~time ~src ~dst m
   | Controlled c ->
-    Event_queue.push_msg (lane_for c (Chan { src; dst })).events ~time ~src ~dst f
+    Event_queue.push_msg (lane_for c (Chan { src; dst })).events ~time ~src ~dst m
+
+let schedule_msg t ~time ~src ~dst f = schedule_delivery t ~time ~src ~dst (Run f)
 
 (* FNV-1a over the sorted key stream: a sequential mix is fine because
    every backing structure now offers the same ascending (time, seq)
@@ -202,8 +220,8 @@ let fnv h x = (h lxor x) * fnv_prime
 
 (** Hash of the pending-event multiset, as the sorted [(time, seq)] key
     stream ([Controlled]: per lane, in lane order, mixed with the lane
-    tag; payload closures are not hashable — determinism makes them a
-    function of the schedule anyway).  Part of the model checker's
+    tag; payloads are not hashed — determinism makes them a function
+    of the schedule anyway).  Part of the model checker's
     state fingerprint. *)
 let pending_fingerprint t =
   let mix_keys acc time seq = fnv (fnv acc time) seq in
@@ -229,6 +247,13 @@ let candidates c =
       | Some (time, seq) -> Some ({ tag = l.ltag; time; seq }, l))
     c.lanes
 
+(* Run one popped event: an internal one ([src < 0]) unconditionally,
+   a delivery only past the gate — its own code for [Run], the hook for
+   a payload. *)
+let fire t ev ~src ~dst =
+  if src < 0 || t.gate ~src ~dst then
+    match ev with Run f -> f () | m -> t.hook ~src ~dst m
+
 let run ?until t =
   let processed = ref 0 in
   let continue = ref true in
@@ -243,11 +268,10 @@ let run ?until t =
           t.now <- limit;
           continue := false
         | _ ->
-          let f = Event_queue.pop_payload q in
+          let ev = Event_queue.pop_payload q in
           t.now <- Event_queue.popped_time q;
           incr processed;
-          let src = Event_queue.popped_src q in
-          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst q) then f ())
+          fire t ev ~src:(Event_queue.popped_src q) ~dst:(Event_queue.popped_dst q))
     | Wheel w -> (
       let time = Wheel.head_time w in
       if time = max_int && Wheel.is_empty w then continue := false
@@ -257,11 +281,10 @@ let run ?until t =
           t.now <- limit;
           continue := false
         | _ ->
-          let f = Wheel.pop_payload w in
+          let ev = Wheel.pop_payload w in
           t.now <- Wheel.popped_time w;
           incr processed;
-          let src = Wheel.popped_src w in
-          if src < 0 || t.gate ~src ~dst:(Wheel.popped_dst w) then f ())
+          fire t ev ~src:(Wheel.popped_src w) ~dst:(Wheel.popped_dst w))
     | Controlled c -> (
       match candidates c with
       | [] -> continue := false
@@ -279,13 +302,12 @@ let run ?until t =
           if idx < 0 || idx >= Array.length arr then
             invalid_arg "Sim.run: chooser returned an out-of-range index";
           let _, lane = List.nth cands idx in
-          let f = Event_queue.pop_payload lane.events in
+          let ev = Event_queue.pop_payload lane.events in
           let time = Event_queue.popped_time lane.events in
           if time > t.now then t.now <- time;
           incr processed;
-          let src = Event_queue.popped_src lane.events in
-          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst lane.events)
-          then f ()))
+          fire t ev ~src:(Event_queue.popped_src lane.events)
+            ~dst:(Event_queue.popped_dst lane.events)))
   done;
   !processed
 

@@ -25,14 +25,25 @@ type t
     model checker's lane structure. *)
 val create : ?queue:[ `Heap | `Wheel ] -> unit -> t
 
+(** Payload of a network delivery ({!schedule_delivery}): immutable
+    data, extended with constructors by the protocol engine.  The queue
+    entry holds the payload and the endpoints, nothing else, so one
+    payload can be scheduled to every destination of a fan-out. *)
+type msg = ..
+
 (** Install the delivery gate: called as [gate ~src ~dst] just before a
-    {!schedule_msg} event fires; returning [false] drops the delivery
-    (the event is consumed, its callback never runs).  The protocol
-    engine uses this to drop messages to/from crashed nodes at
-    delivery time — the gate replaces the per-message guard closure the
-    engine used to allocate around every send.  Internal events
+    delivery fires; returning [false] drops it (the event is consumed,
+    nothing runs).  The protocol engine uses this to drop messages
+    to/from crashed nodes at delivery time.  Internal events
     ({!schedule} / {!schedule_at}) bypass the gate. *)
 val set_delivery_gate : t -> (src:int -> dst:int -> bool) -> unit
+
+(** Install the delivery hook: called as [hook ~src ~dst m] for every
+    {!schedule_delivery} payload that passes the gate.  One hook per
+    simulator, installed by the protocol engine; it picks the handler
+    from the payload's constructor.  Until one is installed, a payload
+    delivery raises [Invalid_argument]. *)
+val set_delivery_hook : t -> (src:int -> dst:int -> msg -> unit) -> unit
 
 (** {1 Controlled scheduling (model-checker hook)} *)
 
@@ -59,9 +70,15 @@ type candidate = { tag : tag; time : int; seq : int }
     @raise Invalid_argument if events are already pending. *)
 val set_chooser : t -> (candidate array -> int) -> unit
 
-(** [schedule_msg t ~time ~src ~dst f] schedules a network delivery on
-    channel [src -> dst].  Identical to {!schedule_at} in default mode;
-    in controlled mode the event lands in the channel's own lane. *)
+(** [schedule_delivery t ~time ~src ~dst m] schedules the delivery of
+    payload [m] on channel [src -> dst] ([0 <= src, dst < 2^20]); at
+    [time] it passes the gate and goes to the delivery hook.  In
+    controlled mode the event lands in the channel's own lane. *)
+val schedule_delivery : t -> time:int -> src:int -> dst:int -> msg -> unit
+
+(** [schedule_msg t ~time ~src ~dst f] schedules a delivery on channel
+    [src -> dst] that runs [f] itself (past the gate) instead of the
+    hook: a delivery for callers with no payload type of their own. *)
 val schedule_msg : t -> time:int -> src:int -> dst:int -> (unit -> unit) -> unit
 
 (** Current simulated time in microseconds. *)

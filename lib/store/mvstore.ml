@@ -350,18 +350,21 @@ let last_reader t key = (Nodetbl.find t.last_reader key).data
 (* One lookup, then the slot is raised in place.  A recorded slot holds
    a timestamp above 0; an unread key finds the table's marker, whose 0
    is never raised: the key gets a slot of its own instead. *)
-let bump_last_reader t key rs =
+let bump_slot t key ~hash rs =
   t.reads_served <- t.reads_served + 1;
-  let r = Nodetbl.find t.last_reader key in
+  let r = Nodetbl.find_hashed t.last_reader key ~hash in
   if rs > r.data then
     if r.data > 0 then r.data <- rs
-    else Nodetbl.add t.last_reader (Nodetbl.node ~nil:no_reader key rs)
+    else Nodetbl.add t.last_reader (Nodetbl.node_hashed ~nil:no_reader key ~hash rs)
+
+let bump_last_reader t key rs = bump_slot t key ~hash:(Key.hash key) rs
 
 (* Once a version at [ts] is in the key's chain, a slot at or below
    [ts] raises no proposal: proposals are raised above the chain's
-   newest version, which the chain keeps. *)
-let forget_last_reader t key ts =
-  let r = Nodetbl.find t.last_reader key in
+   newest version, which the chain keeps.  The slot is found with the
+   hash the directory entry keeps. *)
+let forget_last_reader t (e : entry) ts =
+  let r = Nodetbl.find_hashed t.last_reader e.key ~hash:e.hash in
   if r.data > 0 && r.data <= ts then Nodetbl.remove t.last_reader r
 
 (* A loaded version is committed, so both snapshot lookups agree on it. *)
@@ -374,6 +377,14 @@ let loaded_before t key ~rs =
     bump [LastReader] — the partition server does that explicitly. *)
 let latest_before t key ~rs =
   let c = chain_of_key t key in
+  if Chain.is_absent c then loaded_before t key ~rs else Chain.latest_before c ~rs
+
+(* One hash of [key] for both tables a read consults. *)
+let read_latest t key ~rs =
+  let hash = Key.hash key in
+  bump_slot t key ~hash rs;
+  let e = Nodetbl.find_hashed t.directory.entries key ~hash in
+  let c = if e == t.directory.absent then Chain.absent else chain t e in
   if Chain.is_absent c then loaded_before t key ~rs else Chain.latest_before c ~rs
 
 let latest_committed_before t key ~rs =

@@ -84,15 +84,13 @@ val last_reader : t -> Key.t -> int
 (** Raise the key's [LastReader] to [rs] (monotone). *)
 val bump_last_reader : t -> Key.t -> int -> unit
 
-(** Drop the key's [LastReader] slot when it is at most [ts], so that
-    {!last_reader} reads 0 until the next read.  Sound once a version
-    at [ts] is in the key's chain: a proposal is raised above the
-    chain's newest version anyway, and the chain keeps it. *)
-val forget_last_reader : t -> Key.t -> int -> unit
-
 (** Latest version visible at snapshot [rs], any state; does not bump
-    [LastReader] (the partition server does that explicitly). *)
+    [LastReader] (see {!read_latest}). *)
 val latest_before : t -> Key.t -> rs:int -> Version.t option
+
+(** A served read: {!bump_last_reader} then {!latest_before}, hashing
+    [key] once for both tables. *)
+val read_latest : t -> Key.t -> rs:int -> Version.t option
 
 val latest_committed_before : t -> Key.t -> rs:int -> Version.t option
 val newest_committed : t -> Key.t -> Version.t option
@@ -128,6 +126,14 @@ val find_entry : t -> Key.t -> entry option
 
 (** [key]'s entry, added to the directory on the first call. *)
 val entry : t -> Key.t -> entry
+
+(** Drop the [LastReader] slot of the key of directory entry [e] when
+    it is at most [ts], so that {!last_reader} reads 0 until the next
+    read.  Sound once a version at [ts] is in the key's chain: a
+    proposal is raised above the chain's newest version anyway, and the
+    chain keeps it.  The slot is looked up with the entry's stored
+    hash. *)
+val forget_last_reader : t -> entry -> int -> unit
 
 (** This replica's chain of the entry: {!Chain.absent} until it first
     mutates the key.  Every [chain_*] mutator may move the chain to

@@ -20,7 +20,8 @@ let nil data =
   let rec n = { key; hash = 0; next = n; data; rest = [||] } in
   n
 
-let node ~nil key data = { key; hash = Key.hash key; next = nil; data; rest = [||] }
+let node_hashed ~nil key ~hash data = { key; hash; next = nil; data; rest = [||] }
+let node ~nil key data = node_hashed ~nil key ~hash:(Key.hash key) data
 
 (* Collapsed: every slot holds [data].  Tested by length, not by
    identity with one empty array, so a copy made by [Marshal] reads the
@@ -55,16 +56,17 @@ let create nil = { nil; buckets = [||]; size = 0 }
 let length t = t.size
 let index buckets h = h land (Array.length buckets - 1)
 
-let find t key =
+let find_hashed t key ~hash:h =
   if t.size = 0 then t.nil
   else begin
-    let h = Key.hash key in
     let n = ref t.buckets.(index t.buckets h) in
     while !n != t.nil && not (!n.hash = h && Key.equal !n.key key) do
       n := !n.next
     done;
     !n
   end
+
+let find t key = if t.size = 0 then t.nil else find_hashed t key ~hash:(Key.hash key)
 
 (* Against the table's own marker, not the one it was created with: the
    two differ in a copy made by [Marshal]. *)

@@ -31,6 +31,9 @@ val nil : 'a -> 'a node
     the end marker of the table it will join. *)
 val node : nil:'a node -> Keyspace.Key.t -> 'a -> 'a node
 
+(** {!node} with [key]'s hash already known ([Keyspace.Key.hash key]). *)
+val node_hashed : nil:'a node -> Keyspace.Key.t -> hash:int -> 'a -> 'a node
+
 (** Do all the node's slots hold [data]? *)
 val collapsed : 'a node -> bool
 
@@ -53,6 +56,11 @@ val length : 'a t -> int
     absent (so [(find t key).data] is the marker's [data]).  Hashes
     [key] only when the table is not empty. *)
 val find : 'a t -> Keyspace.Key.t -> 'a node
+
+(** {!find} with [key]'s hash already known: [hash] must be
+    [Keyspace.Key.hash key], such as the stored [hash] of a node of
+    [key] in another table.  Hashes nothing. *)
+val find_hashed : 'a t -> Keyspace.Key.t -> hash:int -> 'a node
 
 val find_opt : 'a t -> Keyspace.Key.t -> 'a node option
 

@@ -64,8 +64,8 @@ let scale_keys p factor =
     remote_space = p.remote_space * factor;
   }
 
-let local_key ~partition i = Key.v ~partition (Printf.sprintf "l%d" i)
-let remote_key ~partition i = Key.v ~partition (Printf.sprintf "r%d" i)
+let local_key ~partition i = Key.v ~partition ("l" ^ string_of_int i)
+let remote_key ~partition i = Key.v ~partition ("r" ^ string_of_int i)
 
 (* Partitions that [node] does not replicate: targets for remote accesses. *)
 let remote_partitions placement node =
@@ -81,7 +81,9 @@ let pick_index rng ~hot_prob ~hot ~cold ~zipf =
     | Some _ | None -> Dsim.Rng.int rng hot
   else hot + Dsim.Rng.int rng (max 1 cold)
 
-let make ?(params = default) placement =
+type access = [ `Local of Key.t | `Remote of Key.t ]
+
+let accesses params placement =
   let zipf_local =
     match params.zipf_theta with
     | Some theta when params.local_hot > 1 -> Some (Zipf.make ~n:params.local_hot ~theta)
@@ -96,10 +98,14 @@ let make ?(params = default) placement =
   let remote_parts = Array.init (Placement.n_nodes placement) (fun n ->
       Array.of_list (remote_partitions placement n))
   in
-  let gen_keys rng node =
+  (* Has [key] been drawn already?  A scan of the at most
+     [keys_per_tx] accesses drawn so far. *)
+  let drawn key acc =
+    List.exists (fun (`Remote k | `Local k) -> Key.equal k key) acc
+  in
+  fun rng ~node ->
     (* Distinct keys per transaction (duplicates are collapsed by the
        write buffer anyway, but distinct keys keep the tx size fixed). *)
-    let seen = Hashtbl.create 16 in
     let rec draw acc n =
       if n = 0 then acc
       else begin
@@ -123,17 +129,15 @@ let make ?(params = default) placement =
           end
         in
         let key = match access with `Remote k | `Local k -> k in
-        if Hashtbl.mem seen key then draw acc n
-        else begin
-          Hashtbl.add seen key ();
-          draw (access :: acc) (n - 1)
-        end
+        if drawn key acc then draw acc n else draw (access :: acc) (n - 1)
       end
     in
     draw [] params.keys_per_tx
-  in
+
+let make ?(params = default) placement =
+  let gen_keys = accesses params placement in
   let next_program rng ~node =
-    let accesses = gen_keys rng node in
+    let accesses = gen_keys rng ~node in
     let stamp = Dsim.Rng.int rng 1_000_000 in
     {
       Spec.label = "rmw";

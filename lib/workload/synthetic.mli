@@ -33,4 +33,12 @@ val scale_keys : params -> int -> params
 
 val local_key : partition:int -> int -> Store.Keyspace.Key.t
 
+type access = [ `Local of Store.Keyspace.Key.t | `Remote of Store.Keyspace.Key.t ]
+
+(** [accesses params placement rng ~node] draws the accesses of one
+    program at [node]: [keys_per_tx] distinct keys, in the order the
+    program runs them.  It is the first part of {!make}'s
+    [next_program], which then draws the program's stamp. *)
+val accesses : params -> Store.Placement.t -> Dsim.Rng.t -> node:int -> access list
+
 val make : ?params:params -> Store.Placement.t -> Spec.t

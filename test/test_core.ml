@@ -172,6 +172,51 @@ let test_misspeculation_cascades () =
   | Some `Commit -> ()
   | None -> Alcotest.fail "T1 did not finish"
 
+(* A fixed STR scenario: seven DCs at rf 5, each node committing 20
+   transactions one after another that read a remote key and write
+   three partitions (its own, one it replicates as a slave, and one it
+   does not replicate), so every commit sends prepares, replicates,
+   replies and decisions.  Returns the messages delivered and the
+   minor words the run allocated per message. *)
+let words_per_message () =
+  let sim, eng = make_cluster ~dcs:7 ~rf:5 () in
+  for p = 0 to 6 do
+    for i = 0 to 9 do
+      Core.Engine.load eng (key ~p (string_of_int i)) (Value.Int i)
+    done
+  done;
+  for origin = 0 to 6 do
+    Dsim.Fiber.spawn sim (fun () ->
+        for n = 1 to 20 do
+          let tx = Core.Engine.begin_tx eng ~origin in
+          ignore (Core.Engine.read eng tx (key ~p:((origin + 1) mod 7) (string_of_int (n mod 10))));
+          List.iter
+            (fun p ->
+              Core.Engine.write eng tx
+                (key ~p (Printf.sprintf "w%d-%d" origin n))
+                (Value.Int n))
+            [ origin; (origin + 3) mod 7; (origin + 1) mod 7 ];
+          ignore (Core.Engine.commit eng tx)
+        done)
+  done;
+  let net = Core.Engine.net eng in
+  let w0 = Gc.minor_words () in
+  ignore (Sim.run sim);
+  let words = Gc.minor_words () -. w0 in
+  let msgs = Dsim.Network.messages_sent net in
+  (msgs, words /. float_of_int msgs)
+
+(* A delivery allocates no closure chain: its payload is data, shared
+   by a fan-out.  The bound sits 5% above this code's 90.3 words per
+   message; a wrapper closure and a work thunk per send (102.4) fail
+   it.  Allocation is exact for a given binary, so the test is
+   deterministic. *)
+let test_words_per_message () =
+  let msgs, wpm = words_per_message () in
+  Alcotest.(check int) "messages delivered" 5740 msgs;
+  if wpm > 95. then
+    Alcotest.failf "%.2f minor words per message, bound 95" wpm
+
 let store_of eng ~node ~p = Core.Partition_server.store (Core.Engine.server eng ~node ~partition:p)
 
 let test_duplicate_load_rejected () =
@@ -266,6 +311,7 @@ let () =
           Alcotest.test_case "speculative read success" `Quick test_speculative_read_success;
           Alcotest.test_case "baseline blocks" `Quick test_baseline_blocks_instead;
           Alcotest.test_case "misspeculation cascades" `Quick test_misspeculation_cascades;
+          Alcotest.test_case "minor words per message" `Quick test_words_per_message;
           Alcotest.test_case "duplicate load rejected" `Quick test_duplicate_load_rejected;
           Alcotest.test_case "load shared until written" `Quick
             test_load_shared_until_written;

@@ -241,6 +241,41 @@ let prop_nodetbl_differential =
           && visited () = expected ())
         ops)
 
+(* [find_hashed] with the hash a node of the same key keeps in another
+   table (as a directory entry's hash finds the key's [LastReader]
+   slot) finds the very node [find] does, present or absent, through
+   random adds and removes. *)
+let prop_nodetbl_find_hashed =
+  let n_keys = 40 in
+  QCheck.Test.make ~name:"nodetbl find_hashed agrees with find" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 200)
+           (let k = int_range 0 (n_keys - 1) in
+            frequency [ (5, map (fun k -> N_add k) k); (4, map (fun k -> N_remove k) k) ])))
+    (fun ops ->
+      let nil = Nodetbl.nil (-1) in
+      let t = Nodetbl.create nil in
+      let key i = Key.v ~partition:(i mod 3) (Printf.sprintf "k%d" i) in
+      (* The other table's nodes: one per key, made once. *)
+      let dir = Array.init n_keys (fun i -> Nodetbl.node ~nil:(Nodetbl.nil ()) (key i) ()) in
+      let step = function
+        | N_add i ->
+          if Nodetbl.find t (key i) == nil then Nodetbl.add t (Nodetbl.node ~nil (key i) i)
+        | N_remove i | N_remove_stale i ->
+          let n = Nodetbl.find t (key i) in
+          if n != nil then Nodetbl.remove t n
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          List.for_all
+            (fun i ->
+              let e = dir.(i) in
+              Nodetbl.find_hashed t e.Nodetbl.key ~hash:e.Nodetbl.hash == Nodetbl.find t (key i))
+            (List.init n_keys Fun.id))
+        ops)
+
 (* --- dropped versions are released --- *)
 
 (* Inserts a fresh version for [key] and removes it again, keeping only
@@ -1316,7 +1351,11 @@ let () =
           Alcotest.test_case "layout budget" `Quick test_mvstore_layout_budget;
           Alcotest.test_case "marshalled copy" `Quick test_mvstore_marshal_copy;
         ] );
-      ("nodetbl", [ QCheck_alcotest.to_alcotest prop_nodetbl_differential ]);
+      ( "nodetbl",
+        [
+          QCheck_alcotest.to_alcotest prop_nodetbl_differential;
+          QCheck_alcotest.to_alcotest prop_nodetbl_find_hashed;
+        ] );
       ( "placement",
         [
           Alcotest.test_case "ring" `Quick test_placement_ring;

@@ -116,6 +116,104 @@ let test_synthetic_scale_keys () =
   Alcotest.(check int) "remote hot scaled" 3200 p.Workload.Synthetic.remote_hot;
   Alcotest.(check int) "space scaled" 4_000_000 p.Workload.Synthetic.local_space
 
+(* The synthetic key generator as it was written before it dropped
+   [Printf.sprintf] and the per-program dedupe table: the reference the
+   current one must match draw for draw. *)
+let reference_accesses (params : Workload.Synthetic.params) placement =
+  let open Workload.Synthetic in
+  let local_key ~partition i = Key.v ~partition (Printf.sprintf "l%d" i) in
+  let remote_key ~partition i = Key.v ~partition (Printf.sprintf "r%d" i) in
+  let pick_index rng ~hot_prob ~hot ~cold ~zipf =
+    if Dsim.Rng.float rng < hot_prob && hot > 0 then
+      match zipf with
+      | Some z when Workload.Zipf.n z = hot -> Workload.Zipf.draw z rng
+      | Some _ | None -> Dsim.Rng.int rng hot
+    else hot + Dsim.Rng.int rng (max 1 cold)
+  in
+  let zipf n =
+    match params.zipf_theta with
+    | Some theta when n > 1 -> Some (Workload.Zipf.make ~n ~theta)
+    | Some _ | None -> None
+  in
+  let zipf_local = zipf params.local_hot and zipf_remote = zipf params.remote_hot in
+  let remote_parts =
+    Array.init (Placement.n_nodes placement) (fun n ->
+        Array.of_list
+          (List.filter
+             (fun p -> not (Placement.replicates placement ~node:n ~partition:p))
+             (List.init (Placement.n_partitions placement) Fun.id)))
+  in
+  fun rng node ->
+    let seen = Hashtbl.create 16 in
+    let rec draw acc n =
+      if n = 0 then acc
+      else begin
+        let remotes = remote_parts.(node) in
+        let access =
+          if Array.length remotes > 0 && Dsim.Rng.float rng < params.remote_access_prob
+          then begin
+            let p = remotes.(Dsim.Rng.int rng (Array.length remotes)) in
+            let i =
+              pick_index rng ~hot_prob:params.hot_prob ~hot:params.remote_hot
+                ~cold:params.remote_space ~zipf:zipf_remote
+            in
+            `Remote (remote_key ~partition:p i)
+          end
+          else begin
+            let i =
+              pick_index rng ~hot_prob:params.hot_prob ~hot:params.local_hot
+                ~cold:params.local_space ~zipf:zipf_local
+            in
+            `Local (local_key ~partition:node i)
+          end
+        in
+        let key = match access with `Remote k | `Local k -> k in
+        if Hashtbl.mem seen key then draw acc n
+        else begin
+          Hashtbl.add seen key ();
+          draw (access :: acc) (n - 1)
+        end
+      end
+    in
+    draw [] params.keys_per_tx
+
+let test_synthetic_matches_reference () =
+  let show = function
+    | `Local k -> "L " ^ Key.to_string k
+    | `Remote k -> "R " ^ Key.to_string k
+  in
+  List.iter
+    (fun (name, params) ->
+      let current = Workload.Synthetic.accesses params placement9 in
+      let reference = reference_accesses params placement9 in
+      for seed = 1 to 200 do
+        for node = 0 to 8 do
+          let a = Dsim.Rng.create ~seed and b = Dsim.Rng.create ~seed in
+          (* Three programs in a row, then one more draw: the streams
+             must agree key for key and leave the generator in step. *)
+          for _ = 1 to 3 do
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s seed %d node %d" name seed node)
+              (List.map show (reference b node))
+              (List.map show (current a ~node))
+          done;
+          Alcotest.(check int) "next draw" (Dsim.Rng.int b 1_000_000) (Dsim.Rng.int a 1_000_000)
+        done
+      done)
+    [
+      ("synth-a", Workload.Synthetic.synth_a);
+      ("synth-b", Workload.Synthetic.synth_b);
+      ( "cold uniform",
+        {
+          Workload.Synthetic.default with
+          hot_prob = 0.0;
+          local_space = 20_000;
+          remote_space = 20_000;
+          remote_access_prob = 0.1;
+        } );
+      ("zipf", { Workload.Synthetic.synth_b with zipf_theta = Some 0.99; local_hot = 50 });
+    ]
+
 (* --- TPC-C ---------------------------------------------------------- *)
 
 let small_tpcc =
@@ -429,6 +527,8 @@ let () =
           Alcotest.test_case "program generation" `Quick test_synthetic_keys_partitions;
           Alcotest.test_case "local/remote key split" `Quick test_synthetic_local_remote_split;
           Alcotest.test_case "scale_keys" `Quick test_synthetic_scale_keys;
+          Alcotest.test_case "keys match the reference generator" `Quick
+            test_synthetic_matches_reference;
         ] );
       ( "tpcc",
         [
