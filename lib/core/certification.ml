@@ -87,7 +87,7 @@ let rec abort_tx eng tx reason =
       tx_instant eng tx Obs.Trace.I_abort ~time:now ~note:(abort_reason_to_string reason);
       Obs.Trace.span_end eng.trace tx.span ~t1:now
     end;
-    emit eng (Ev_abort { id = tx.id; reason; time = Sim.now eng.sim });
+    if observed eng then emit eng (Ev_abort { id = tx.id; reason; time = Sim.now eng.sim });
     notify tx
 
 (** The commit epilogue shared by read-only and update transactions:
@@ -102,7 +102,7 @@ let finish_commit eng tx =
     tx_instant eng tx Obs.Trace.I_commit ~time:now;
     Obs.Trace.span_end eng.trace tx.span ~t1:now
   end;
-  emit eng (Ev_commit { id = tx.id; ct = tx.ct; time = Sim.now eng.sim });
+  if observed eng then emit eng (Ev_commit { id = tx.id; ct = tx.ct; time = Sim.now eng.sim });
   notify tx
 
 (* One committed version per write of a partition group: the one value

@@ -228,6 +228,10 @@ let placement t = t.placement
 let n_nodes t = Array.length t.nodes
 let set_observer t f = t.observer <- Some f
 
+(* Whether an observer is installed: callers test it before building an
+   event record, so a run without one allocates none. *)
+let observed t = match t.observer with None -> false | Some _ -> true
+
 let emit t ev = match t.observer with None -> () | Some f -> f ev
 
 (* Shared continuation for fire-and-forget CPU charges (rollback/apply
@@ -445,12 +449,8 @@ let load eng key value =
 (* ------------------------------------------------------------------ *)
 
 (** Charge [cost] microseconds on [nd]'s CPU and wait for completion. *)
-let charge nd cost =
-  if cost > 0 then begin
-    let iv = Ivar.create () in
-    Cpu.exec nd.cpu ~cost (fun () -> Ivar.fill iv ());
-    Fiber.await iv
-  end
+let charge eng nd cost =
+  if cost > 0 then Fiber.sleep eng.sim (Cpu.book nd.cpu ~cost - Sim.now eng.sim)
 
 (** Block the current fiber until [cond ()] holds; re-evaluated after
     every {!Types.notify} on [tx]. *)

@@ -34,7 +34,7 @@ let begin_tx eng ~origin =
       Obs.Trace.span_begin eng.trace ~kind:Obs.Trace.S_tx ~pid:(pid_of eng origin)
         ~tid:(Obs.Trace.coord_tid origin) ~t0:(Sim.now eng.sim) ~a:origin
         ~b:nd.next_tx ();
-  emit eng (Ev_begin { id; origin; rs; time = Sim.now eng.sim });
+  if observed eng then emit eng (Ev_begin { id; origin; rs; time = Sim.now eng.sim });
   tx
 
 (* Ask [target] for [key] at [tx]'s snapshot; the reply fills [iv]
@@ -66,7 +66,7 @@ let rec read eng tx key =
     nd.stats.Stats.reads <- nd.stats.Stats.reads + 1;
     (* Client-side transaction logic shares the node's CPU (the load
        injector runs on the server nodes, as in the paper's setup). *)
-    charge nd eng.config.Config.cost_tx_logic;
+    charge eng nd eng.config.Config.cost_tx_logic;
     check_live tx;
     let read_started = Sim.now eng.sim in
     let rspan =
@@ -177,17 +177,18 @@ let rec read eng tx key =
       end;
       Obs.Trace.span_end eng.trace rspan ~t1:(Sim.now eng.sim);
       check_live tx;
-      emit eng
-        (Ev_read
-           {
-             id = tx.id;
-             key;
-             writer = r.writer;
-             version_ts = (match r.src with `Committed ts -> ts | _ -> 0);
-             speculative;
-             start_time = read_started;
-             time = Sim.now eng.sim;
-           });
+      if observed eng then
+        emit eng
+          (Ev_read
+             {
+               id = tx.id;
+               key;
+               writer = r.writer;
+               version_ts = (match r.src with `Committed ts -> ts | _ -> 0);
+               speculative;
+               start_time = read_started;
+               time = Sim.now eng.sim;
+             });
       (* Serializable isolation: remember the observed value so the read
          can be promoted to a write at certification time. *)
       (match eng.config.Config.isolation, r.value with
@@ -234,7 +235,7 @@ let write eng tx key value =
     tx.n_wkeys <- tx.n_wkeys + 1
   end;
   KeyTbl.replace tx.wbuf key value;
-  emit eng (Ev_write { id = tx.id; key; time = Sim.now eng.sim })
+  if observed eng then emit eng (Ev_write { id = tx.id; key; time = Sim.now eng.sim })
 
 (* Group the write set by partition — ascending partitions, each
    partition's writes in insertion order.  Sort-based: a permutation
@@ -304,7 +305,7 @@ let dep_wait eng tx =
 let commit eng tx =
   check_live tx;
   let nd = eng.nodes.(tx.origin) in
-  charge nd eng.config.Config.cost_coord_op;
+  charge eng nd eng.config.Config.cost_coord_op;
   check_live tx;
   if is_read_only tx then begin
     (* A read-only transaction may still have speculative dependencies;
@@ -329,12 +330,12 @@ let commit eng tx =
             KeyTbl.replace tx.wbuf key (rset_find tx key);
             tx.wkeys <- key :: tx.wkeys;
             tx.n_wkeys <- tx.n_wkeys + 1;
-            emit eng (Ev_write { id = tx.id; key; time = Sim.now eng.sim })
+            if observed eng then emit eng (Ev_write { id = tx.id; key; time = Sim.now eng.sim })
           end)
         (List.rev tx.rset_keys);
     let groups = group_writes tx in
     tx.groups <- groups;
-    charge nd (eng.config.Config.cost_prepare_key * tx.n_wkeys);
+    charge eng nd (eng.config.Config.cost_prepare_key * tx.n_wkeys);
     check_live tx;
     let cspan =
       if Obs.Trace.enabled eng.trace then
@@ -351,8 +352,9 @@ let commit eng tx =
     Obs.Trace.span_end eng.trace cspan ~t1:(Sim.now eng.sim);
     if Obs.Trace.enabled eng.trace then
       tx_instant eng tx Obs.Trace.I_local_commit ~time:(Sim.now eng.sim);
-    emit eng
-      (Ev_local_commit { id = tx.id; lc = tx.lc; unsafe = tx.unsafe; time = Sim.now eng.sim });
+    if observed eng then
+      emit eng
+        (Ev_local_commit { id = tx.id; lc = tx.lc; unsafe = tx.unsafe; time = Sim.now eng.sim });
     externalize eng tx;
     (* ---- Global certification + synchronous replication ---- *)
     tx.global_started <- true;

@@ -14,5 +14,11 @@ val create : Sim.t -> t
     still via the event queue. *)
 val exec : t -> cost:int -> (unit -> unit) -> unit
 
+(** [book t ~cost] enqueues [cost] microseconds of work and returns
+    the instant it completes, scheduling nothing: the caller waits for
+    that instant itself (a fiber with {!Fiber.sleep}).
+    @raise Invalid_argument if [cost < 0]. *)
+val book : t -> cost:int -> int
+
 (** Work currently queued ahead (microseconds until idle). *)
 val backlog_us : t -> int

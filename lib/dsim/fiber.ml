@@ -1,4 +1,6 @@
-type _ Effect.t += Await : 'a Ivar.t -> 'a Effect.t
+type _ Effect.t +=
+  | Await : 'a Ivar.t -> 'a Effect.t
+  | Wake_at : int -> unit Effect.t
 
 let await iv = Effect.perform (Await iv)
 
@@ -14,13 +16,8 @@ let spawn sim f =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Await iv ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                (* Resume through the event queue rather than inline, so a
-                   fill never re-enters the filler's stack. *)
-                Ivar.on_full iv (fun v ->
-                    Sim.schedule sim ~delay:0 (fun () -> continue k v)))
+          | Await iv -> Some (fun (k : (a, unit) continuation) -> Ivar.park iv sim k)
+          | Wake_at time -> Some (fun (k : (a, unit) continuation) -> Sim.wake_at sim ~time k)
           | _ -> None);
     }
   in
@@ -30,6 +27,5 @@ let spawn sim f =
 let live = Sim.live_fibers
 
 let sleep sim delay =
-  let iv = Ivar.create () in
-  Sim.schedule sim ~delay (fun () -> Ivar.fill iv ());
-  await iv
+  if delay < 0 then invalid_arg "Fiber.sleep: negative delay";
+  Effect.perform (Wake_at (Sim.now sim + delay))

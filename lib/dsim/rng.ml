@@ -1,15 +1,23 @@
 (* Splitmix64: tiny, fast, and with good statistical quality for
-   simulation purposes.  State is a single 64-bit counter. *)
+   simulation purposes.  State is a single 64-bit counter, kept unboxed
+   in an 8-byte buffer: a mutable [int64] field would box a fresh
+   counter on every draw, where a read and a write of the buffer
+   allocate nothing once [next64] is inlined. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create ~seed = of_state (Int64.of_int seed)
+
+let[@inline] next64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -17,7 +25,7 @@ let next64 t =
 (* Keep 62 bits so the value always fits OCaml's native int, positive. *)
 let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
-let split t = { state = next64 t }
+let split t = of_state (next64 t)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -34,4 +42,3 @@ let exponential t ~mean =
   (* Guard against log 0. *)
   let u = if u <= 0. then 1e-12 else u in
   -.mean *. log u
-

@@ -33,9 +33,22 @@
    payload to a per-sim {e delivery hook}, which the protocol engine
    installs once and which runs the handler chosen by the payload's
    constructor.  A pending protocol message therefore holds no closure; a
-   fan-out pushes one payload to many destinations.  Internal events
-   (timers, CPU completions, fiber wakeups) and the closure deliveries
-   of [schedule_msg] are stored as the private [Run] constructor. *)
+   fan-out pushes one payload to many destinations.
+
+   Internal events come in three private entry kinds:
+   - [Resume (k, v)] continues a suspended fiber with [v]: the entry a
+     filled ivar pushes for each fiber parked on it ({!resume}), and an
+     await on a full ivar pushes at once;
+   - [Wake k] is a fiber's timer ({!wake_at}: [Fiber.sleep] and a
+     coordinator's CPU charge).  When it fires it pushes [Resume (k, ())]
+     at that instant, so a wake-up takes two hops, the timer then the
+     resume, and the fiber runs behind everything already queued for
+     that instant: the pop order every golden and model-checker count
+     pins;
+   - [Run f] runs a closure: plain timers, non-fiber CPU completions,
+     fault actions and the closure deliveries of [schedule_msg].
+   A suspended fiber therefore waits as its continuation in one small
+   block, with no closure. *)
 
 (* [Fault] is declared after [Internal] so the runtime representation of
    pre-existing values (Internal = 0, Chan = the only block) is
@@ -63,10 +76,13 @@ type candidate = { tag : tag; time : int; seq : int }
 
 type msg = ..
 
-(* An event that carries its own code: every internal event and every
+(* The entries that are not payloads: every internal event and every
    closure delivery ([schedule_msg]).  Private to this module, so a
    payload the hook receives is never one. *)
-type msg += Run of (unit -> unit)
+type msg +=
+  | Run of (unit -> unit)
+  | Resume : ('a, unit) Effect.Deep.continuation * 'a -> msg
+  | Wake of (unit, unit) Effect.Deep.continuation
 
 type lane = { ltag : tag; events : msg Event_queue.t }
 
@@ -179,6 +195,12 @@ let schedule t ~delay f =
 let schedule_at t ~time f =
   push_internal t ~time:(if time < t.now then t.now else time) (Run f)
 
+let resume t k v = push_internal t ~time:t.now (Resume (k, v))
+
+let wake_at t ~time k =
+  if time < t.now then invalid_arg "Sim.wake_at: time in the past";
+  push_internal t ~time (Wake k)
+
 (** Schedule a planned fault action.  Identical to {!schedule_at} in the
     single-queue modes; in controlled mode the event goes to the
     dedicated [Fault] lane, so the chooser can place each action at any
@@ -248,11 +270,15 @@ let candidates c =
     c.lanes
 
 (* Run one popped event: an internal one ([src < 0]) unconditionally,
-   a delivery only past the gate — its own code for [Run], the hook for
-   a payload. *)
+   a delivery only past the gate — its own code for [Run], the fiber for
+   [Resume], the second hop for [Wake], the hook for a payload. *)
 let fire t ev ~src ~dst =
   if src < 0 || t.gate ~src ~dst then
-    match ev with Run f -> f () | m -> t.hook ~src ~dst m
+    match ev with
+    | Run f -> f ()
+    | Resume (k, v) -> Effect.Deep.continue k v
+    | Wake k -> resume t k ()
+    | m -> t.hook ~src ~dst m
 
 let run ?until t =
   let processed = ref 0 in

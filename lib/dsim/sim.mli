@@ -11,7 +11,15 @@
     the chooser picks which lane's head event fires next.  Reordering
     deliveries across channels is equivalent to assigning each message
     an arbitrary finite latency; the bounded model checker in
-    [lib/check] enumerates these choices exhaustively. *)
+    [lib/check] enumerates these choices exhaustively.
+
+    A queue entry is one of four kinds: a network delivery's payload
+    ({!msg}, run by the delivery hook), a closure ({!schedule} and
+    friends), a fiber resume ({!resume}: the continuation and its
+    value) or a fiber timer ({!wake_at}: the continuation, which pushes
+    its resume when it fires).  The last two hold no closure, so a
+    fiber blocked in [Fiber.sleep], a CPU charge or an await costs one
+    small block. *)
 
 type t
 
@@ -48,7 +56,7 @@ val set_delivery_hook : t -> (src:int -> dst:int -> msg -> unit) -> unit
 (** {1 Controlled scheduling (model-checker hook)} *)
 
 (** Event-lane identity: [Internal] covers timers, CPU completions and
-    fiber wakeups (always FIFO); [Fault] carries planned fault-injection
+    fiber wake-ups (always FIFO); [Fault] carries planned fault-injection
     actions ({!schedule_fault}); [Chan] is one directed network
     channel. *)
 type tag = Internal | Fault | Chan of { src : int; dst : int }
@@ -91,6 +99,22 @@ val schedule : t -> delay:int -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f ()] at absolute [time]; a time in the
     past fires at the current instant. *)
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
+
+(** {1 Fiber wake-ups}
+
+    Entries that carry a suspended fiber's continuation instead of a
+    closure; {!Fiber} and {!Ivar} are their only callers.  Both are
+    internal events. *)
+
+(** [resume t k v] continues [k] with [v] at the current instant,
+    after the events already queued for it. *)
+val resume : t -> ('a, unit) Effect.Deep.continuation -> 'a -> unit
+
+(** [wake_at t ~time k] is a fiber's timer: at [time] it pushes a
+    {!resume} of [k] with [()], so the fiber runs one hop later at the
+    same instant, behind what that instant already holds.
+    @raise Invalid_argument if [time < now t]. *)
+val wake_at : t -> time:int -> (unit, unit) Effect.Deep.continuation -> unit
 
 (** [schedule_fault t ~time f] schedules a planned fault action.
     Identical to {!schedule_at} in the single-queue modes; in controlled

@@ -207,15 +207,18 @@ let words_per_message () =
   (msgs, words /. float_of_int msgs)
 
 (* A delivery allocates no closure chain: its payload is data, shared
-   by a fan-out.  The bound sits 5% above this code's 90.3 words per
-   message; a wrapper closure and a work thunk per send (102.4) fail
-   it.  Allocation is exact for a given binary, so the test is
-   deterministic. *)
+   by a fan-out; a coordinator waiting on a reply or a CPU charge is
+   parked as its continuation; no observer event is built when none is
+   installed.  The bound sits 5% above this code's 85.01 words per
+   message; a wrapper closure and a work thunk per send (102.4), or
+   the ivar-and-closures wake-up with unconditional observer events
+   (90.3), fail it.  Allocation is exact for a given binary, so the
+   test is deterministic. *)
 let test_words_per_message () =
   let msgs, wpm = words_per_message () in
   Alcotest.(check int) "messages delivered" 5740 msgs;
-  if wpm > 95. then
-    Alcotest.failf "%.2f minor words per message, bound 95" wpm
+  if wpm > 89.2 then
+    Alcotest.failf "%.2f minor words per message, bound 89.2" wpm
 
 let store_of eng ~node ~p = Core.Partition_server.store (Core.Engine.server eng ~node ~partition:p)
 

@@ -56,6 +56,59 @@ let test_ivar_fiber_handoff () =
   ignore (Sim.run sim);
   Alcotest.(check int) "value" 7 !got
 
+(* --- fiber wake-ups: parked continuations, exact allocation ---------- *)
+
+(* Allocation is a fixed function of the binary on one domain, so these
+   figures are exact ([Alloc_probe], whose exact output the allocation
+   golden pins); each bound sits 5% above this code's figure.  The
+   ivar-and-closures wake-up they replace read 48.00 words per sleep and
+   41.00 per await wake-up. *)
+let test_sleep_words () =
+  let w = Alloc_probe.sleep_words () in
+  if w > 19.95 then Alcotest.failf "%.2f minor words per Fiber.sleep, bound 19.95" w
+
+let test_await_words () =
+  let w = Alloc_probe.await_words () in
+  if w > 25.2 then Alcotest.failf "%.2f minor words per await wake-up, bound 25.2" w
+
+(* An await on a full ivar still yields: the fiber resumes behind the
+   events already queued for the current instant. *)
+let test_await_full_yields () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Dsim.Fiber.spawn sim (fun () ->
+      let iv = Dsim.Ivar.create () in
+      Dsim.Ivar.fill iv 3;
+      Sim.schedule sim ~delay:0 (fun () -> log := "queued event" :: !log);
+      let v = Dsim.Fiber.await iv in
+      log := Printf.sprintf "resumed %d at %d" v (Sim.now sim) :: !log);
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "event first" [ "queued event"; "resumed 3 at 0" ] (List.rev !log)
+
+let test_sleep_negative_rejected () =
+  let sim = Sim.create () in
+  Dsim.Fiber.spawn sim (fun () -> Dsim.Fiber.sleep sim (-1));
+  Alcotest.check_raises "negative delay" (Invalid_argument "Fiber.sleep: negative delay")
+    (fun () -> ignore (Sim.run sim));
+  Alcotest.(check int) "the fiber finished" 0 (Dsim.Fiber.live sim)
+
+(* A sleep and a CPU charge wake the same way: the timer at the instant,
+   then the resume behind what that instant already holds. *)
+let test_sleep_two_hops () =
+  let sim = Sim.create () in
+  let cpu = Dsim.Cpu.create sim in
+  let log = ref [] in
+  Dsim.Fiber.spawn sim (fun () ->
+      Dsim.Fiber.sleep sim (Dsim.Cpu.book cpu ~cost:10 - Sim.now sim);
+      log := Printf.sprintf "charged at %d" (Sim.now sim) :: !log);
+  Sim.schedule sim ~delay:10 (fun () -> log := "timer at 10" :: !log);
+  ignore (Sim.run sim);
+  Alcotest.(check (list string)) "timer first" [ "timer at 10"; "charged at 10" ] (List.rev !log);
+  Alcotest.(check int) "two hops per wake-up" 3
+    (let sim = Sim.create () in
+     Dsim.Fiber.spawn sim (fun () -> Dsim.Fiber.sleep sim 5);
+     Sim.run sim)
+
 (* A fiber counts as live from its spawn until its function returns or
    raises, blocked or not. *)
 let test_fiber_live_count () =
@@ -170,20 +223,23 @@ let test_fiber_nested_spawn () =
   Alcotest.(check (list string)) "nesting order"
     [ "outer-start"; "inner"; "outer-end" ] (List.rev !log)
 
+(* Every parked fiber resumes, in the order it parked. *)
 let test_fiber_many_waiters_one_ivar () =
   let sim = Sim.create () in
   let iv = Dsim.Ivar.create () in
-  let got = ref 0 in
-  for _ = 1 to 10 do
+  let got = ref [] in
+  for i = 1 to 10 do
     Dsim.Fiber.spawn sim (fun () ->
         let v = Dsim.Fiber.await iv in
-        got := !got + v)
+        got := (i, v) :: !got)
   done;
   Dsim.Fiber.spawn sim (fun () ->
       Dsim.Fiber.sleep sim 5;
       Dsim.Ivar.fill iv 3);
   ignore (Sim.run sim);
-  Alcotest.(check int) "all ten resumed" 30 !got
+  Alcotest.(check (list (pair int int))) "all ten resumed, in registration order"
+    (List.init 10 (fun i -> (i + 1, 3)))
+    (List.rev !got)
 
 let test_ivar_double_fill () =
   let iv = Dsim.Ivar.create () in
@@ -511,6 +567,26 @@ let prop_event_queue_sorted =
       in
       drain min_int)
 
+(* The splitmix64 stream of seed 1, recorded before the state was
+   unboxed: the representation changed, the stream did not. *)
+let test_rng_pinned_stream () =
+  let rng = Dsim.Rng.create ~seed:1 in
+  Alcotest.(check (list int)) "first 8 draws of seed 1"
+    [
+      2612804094800205616;
+      3439311302766607129;
+      4477959822570722647;
+      2049245188455445058;
+      2048809309281742190;
+      3518229400716132512;
+      4046056672035966761;
+      2412221600017015133;
+    ]
+    (List.init 8 (fun _ -> Dsim.Rng.next rng))
+
+let test_rng_int_allocates_nothing () =
+  Alcotest.(check (float 0.)) "minor words per Rng.int draw" 0. (Alloc_probe.rng_int_words ())
+
 let prop_rng_bounds =
   QCheck.Test.make ~name:"rng int stays in bounds" ~count:500
     QCheck.(pair int (int_range 1 1_000_000))
@@ -562,6 +638,11 @@ let () =
           Alcotest.test_case "many waiters" `Quick test_fiber_many_waiters_one_ivar;
           Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
           Alcotest.test_case "live count" `Quick test_fiber_live_count;
+          Alcotest.test_case "words per sleep" `Quick test_sleep_words;
+          Alcotest.test_case "words per await wake-up" `Quick test_await_words;
+          Alcotest.test_case "await on a full ivar yields" `Quick test_await_full_yields;
+          Alcotest.test_case "negative sleep rejected" `Quick test_sleep_negative_rejected;
+          Alcotest.test_case "sleep and charge wake in two hops" `Quick test_sleep_two_hops;
         ] );
       ( "clock",
         [
@@ -599,5 +680,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_rng_deterministic;
           QCheck_alcotest.to_alcotest prop_rng_float_unit;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
+          Alcotest.test_case "pinned stream of seed 1" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "Rng.int allocates nothing" `Quick test_rng_int_allocates_nothing;
         ] );
     ]

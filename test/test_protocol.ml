@@ -227,7 +227,7 @@ let test_ext_spec_latency_and_misspec () =
   Dsim.Fiber.spawn sim (fun () ->
       let tx = Core.Engine.begin_tx eng ~origin:0 in
       Core.Engine.write eng tx k (Value.Int 5);
-      Dsim.Ivar.on_full tx.Core.Types.spec_commit (fun t -> spec_at := t);
+      Dsim.Fiber.spawn sim (fun () -> spec_at := Dsim.Fiber.await tx.Core.Types.spec_commit);
       (try ignore (Core.Engine.commit eng tx) with Core.Types.Tx_abort _ -> ());
       final_at := Sim.now sim);
   ignore (Sim.run sim);
