@@ -4,25 +4,28 @@ type _ Effect.t +=
 
 let await iv = Effect.perform (Await iv)
 
-let spawn sim f =
+(* The handler of every fiber of [sim]; it captures only [sim], so the
+   simulator keeps one ({!Sim.fiber_handler}). *)
+let handler sim =
   let open Effect.Deep in
-  let handler =
-    {
-      retc = (fun () -> Sim.fiber_finished sim);
-      exnc =
-        (fun e ->
-          Sim.fiber_finished sim;
-          raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Await iv -> Some (fun (k : (a, unit) continuation) -> Ivar.park iv sim k)
-          | Wake_at time -> Some (fun (k : (a, unit) continuation) -> Sim.wake_at sim ~time k)
-          | _ -> None);
-    }
-  in
+  {
+    retc = (fun () -> Sim.fiber_finished sim);
+    exnc =
+      (fun e ->
+        Sim.fiber_finished sim;
+        raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Await iv -> Some (fun (k : (a, unit) continuation) -> Ivar.park iv sim k)
+        | Wake_at time -> Some (fun (k : (a, unit) continuation) -> Sim.wake_at sim ~time k)
+        | _ -> None);
+  }
+
+let spawn sim f =
+  let handler = Sim.fiber_handler sim handler in
   Sim.fiber_spawned sim;
-  Sim.schedule sim ~delay:0 (fun () -> match_with f () handler)
+  Sim.schedule sim ~delay:0 (fun () -> Effect.Deep.match_with f () handler)
 
 let live = Sim.live_fibers
 

@@ -109,6 +109,8 @@ type t = {
   mutable gate : src:int -> dst:int -> bool;
   mutable hook : src:int -> dst:int -> msg -> unit;
   mutable live_fibers : int;  (** spawned minus finished, kept by [Fiber] *)
+  mutable fiber_handler : (unit, unit) Effect.Deep.handler option;
+      (** what [Fiber] runs its fibers under, built on the first spawn *)
 }
 
 let create ?(queue = `Heap) () =
@@ -117,7 +119,7 @@ let create ?(queue = `Heap) () =
     | `Heap -> Heap (Event_queue.create ())
     | `Wheel -> Wheel (Wheel.create ())
   in
-  { now = 0; mode; gate = gate_open; hook = no_hook; live_fibers = 0 }
+  { now = 0; mode; gate = gate_open; hook = no_hook; live_fibers = 0; fiber_handler = None }
 
 let set_delivery_gate t gate = t.gate <- gate
 let set_delivery_hook t hook = t.hook <- hook
@@ -125,6 +127,14 @@ let set_delivery_hook t hook = t.hook <- hook
 let live_fibers t = t.live_fibers
 let fiber_spawned t = t.live_fibers <- t.live_fibers + 1
 let fiber_finished t = t.live_fibers <- t.live_fibers - 1
+
+let fiber_handler t make =
+  match t.fiber_handler with
+  | Some h -> h
+  | None ->
+    let h = make t in
+    t.fiber_handler <- Some h;
+    h
 
 let now t = t.now
 

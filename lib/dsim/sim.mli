@@ -160,5 +160,11 @@ val live_fibers : t -> int
 val fiber_spawned : t -> unit
 val fiber_finished : t -> unit
 
+(** [fiber_handler t make] is the effect handler {!Fiber} runs every
+    fiber of [t] under: [make t] on the first call, the same handler
+    after, so a spawn allocates none of it. *)
+val fiber_handler :
+  t -> (t -> (unit, unit) Effect.Deep.handler) -> (unit, unit) Effect.Deep.handler
+
 (** Render a simulated timestamp as seconds for reporting. *)
 val to_sec : int -> float

@@ -33,14 +33,14 @@
     and their type has no mutable field; only a replica's own pending
     versions change timestamp or state.
 
-    A {e frozen} chain — one slot, holding a committed version — may be
-    shared by several replicas of its key, so no mutator writes it:
-    {!insert} finds it full and grows into a new array, {!remove} and
-    {!replace} work on a copy, {!reposition} moves a pending version,
-    which a frozen chain does not hold, and {!prune} keeps the newest
-    committed version, the frozen chain's only one.  The rule is
+    A {e frozen} chain — a full array whose versions are all
+    committed — may be shared by several replicas of its key, so no
+    mutator writes it: {!insert} finds it full and grows into a new
+    array, {!remove} and {!replace} work on a copy, {!reposition} moves
+    a pending version, which a frozen chain does not hold, and {!prune}
+    keeps what it leaves of one in a new array.  The rule is
     structural: it holds whatever the caller removes, a committed
-    version included. *)
+    version included, and whatever order the versions are in. *)
 
 type t = Version.t array
 
@@ -99,11 +99,37 @@ let fold_newest f init c =
 
 let get c i = c.(i)
 
-(* One slot, holding a committed version: possibly shared, so never
-   written.  The hole is committed too, but sits at [max_int]. *)
+(* Every live version committed, the newest (the likeliest pending)
+   tested first. *)
+let all_committed c ~len =
+  let i = ref (len - 1) in
+  while !i >= 0 && is_committed c.(!i) do
+    decr i
+  done;
+  !i < 0
+
+(* Full (the last slot holds a version) and all committed: possibly
+   shared, so never written. *)
 let frozen c =
-  Array.length c = 1
-  && match c.(0) with Version.Final { ts; _ } -> ts <> max_int | Pending _ -> false
+  let cap = Array.length c in
+  cap > 0 && ts c.(cap - 1) <> max_int && all_committed c ~len:cap
+
+(* Does [a], with no free slot, hold [c]'s versions?  [c] holding
+   [cap] versions, its slot [cap - 1] is no hole, so neither is [a]'s.
+   Newest first: two replicas' histories of one key differ at the top
+   if anywhere, so a mismatch costs one comparison. *)
+let exact a c =
+  let cap = Array.length a in
+  cap > 0
+  && cap <= Array.length c
+  && a.(cap - 1) == c.(cap - 1)
+  && length c = cap
+  &&
+  let i = ref (cap - 2) in
+  while !i >= 0 && a.(!i) == c.(!i) do
+    decr i
+  done;
+  !i < 0
 
 (* Put [v] into [c], which has a free slot, keeping the order; among
    equal timestamps [v] goes on the newer side. *)
@@ -238,26 +264,43 @@ let exists_newer_than c ~after =
   match newest c with Some v -> ts v > after | None -> false
 
 (** Drop committed versions older than [horizon], always retaining the
-    newest committed one and every uncommitted version.  Single
-    compaction pass; [on_drop] fires once per dropped version (storage
-    accounting).  Returns the number of versions dropped.  In place: a
-    chain it writes has dropped a version, so it held two or more and
-    was not frozen. *)
+    newest committed one and every uncommitted version; [on_drop] fires
+    once per dropped version (storage accounting).  Returns the chain
+    to keep: [c] itself when nothing is dropped; a tight new array when
+    only committed versions remain, so that it is frozen and the
+    replicas that hold the same history may share it; else [c]
+    compacted in place, which holds a pending version and so is not
+    frozen. *)
+(* Does a prune keep [v], the [i]-th oldest version, [nc] being the
+   newest committed one's index? *)
+let keeps v ~i ~nc ~horizon = (not (is_committed v)) || i = nc || ts v >= horizon
+
 let prune ?(on_drop = fun (_ : Version.t) -> ()) c ~horizon =
   let len = length c in
   let nc = newest_committed_idx c in
-  let w = ref 0 in
+  let kept = ref 0 and pending = ref false in
   for i = 0 to len - 1 do
     let v = c.(i) in
-    if (not (is_committed v)) || i = nc || ts v >= horizon then begin
-      if !w < i then c.(!w) <- v;
-      incr w
+    if keeps v ~i ~nc ~horizon then begin
+      incr kept;
+      if not (is_committed v) then pending := true
     end
-    else on_drop v
   done;
-  let dropped = len - !w in
-  if dropped > 0 then Array.fill c !w dropped hole;
-  dropped
+  if !kept = len then c
+  else begin
+    let d = if !pending then c else Array.make !kept hole in
+    let w = ref 0 in
+    for i = 0 to len - 1 do
+      let v = c.(i) in
+      if keeps v ~i ~nc ~horizon then begin
+        d.(!w) <- v;
+        incr w
+      end
+      else on_drop v
+    done;
+    if d == c then Array.fill c !w (len - !w) hole;
+    d
+  end
 
 (** Validate both ordering invariants (descending timestamps newest
     first, committed suffix); returns an error description if broken. *)

@@ -14,21 +14,24 @@
     binary search for the padding.  {!newest_committed} scans down the
     speculative stack above the committed history.
 
-    {!insert}, {!remove} and {!replace} return the chain to keep, and
-    the old array must not be used again: {!insert} moves a full chain
-    to a larger array, and the others write in place except on a frozen
-    chain.  {!reposition} and {!prune} work in place.  A committed
-    version may sit in many chains at once (every replica that committed
-    it holds the same value); its type has no mutable field.
+    {!insert}, {!remove}, {!replace} and {!prune} return the chain to
+    keep, and the old array must not be used again: {!insert} moves a
+    full chain to a larger array, {!prune} moves a committed remainder
+    to a tight one, and the others write in place except on a frozen
+    chain.  {!reposition} works in place.  A committed version may sit
+    in many chains at once (every replica that committed it holds the
+    same value); its type has no mutable field.
 
-    {e Immutability rule.}  A {e frozen} chain is a full one-slot chain
-    whose only version is committed.  The replicas of a key may share
-    one, so no mutator ever writes it: {!insert} grows it into a new
-    array, {!remove} and {!replace} work on a copy, {!reposition} moves
-    only a pending version, which a frozen chain does not hold, and
-    {!prune} never drops the newest committed version, a frozen chain's
-    only one.  The rule is structural: it holds whatever the caller
-    removes, the committed version included. *)
+    {e Immutability rule.}  A {e frozen} chain is a full array whose
+    versions are all committed: by the committed-suffix invariant, its
+    last slot holds a version and that version is committed.  The
+    replicas of a key may share one, so no mutator ever writes it:
+    {!insert} grows it into a new array, {!remove}, {!replace} and
+    {!prune} work on a copy, and {!reposition} moves only a pending
+    version, which a frozen chain does not hold.  The rule is
+    structural: it holds whatever the caller removes, the committed
+    versions included, and {!frozen} checks every version rather than
+    rely on the suffix invariant. *)
 
 type t
 
@@ -57,8 +60,13 @@ val fold_newest : ('a -> Version.t -> 'a) -> 'a -> t -> 'a
     must not allocate walk the chain with it. *)
 val get : t -> int -> Version.t
 
-(** Is this a frozen chain (one slot, holding a committed version)? *)
+(** Is this a frozen chain (full, every version committed)? *)
 val frozen : t -> bool
+
+(** [exact a c]: has [a] no free slot and the versions of [c], by
+    physical identity and in order?  A frozen such [a] may stand in for
+    [c].  A mismatch at the newest version costs one comparison. *)
+val exact : t -> t -> bool
 
 (** Insert keeping descending-timestamp order; among equal timestamps
     the newly inserted version is considered newer.  O(1) amortized
@@ -106,11 +114,13 @@ val uncommitted : t -> Version.t list
 val exists_newer_than : t -> after:int -> bool
 
 (** Drop committed versions older than [horizon], always retaining the
-    newest committed one and every uncommitted version; single pass, in
-    place (a frozen chain has nothing to drop), returns how many were
-    dropped.  [on_drop] fires once per dropped version (storage
-    accounting). *)
-val prune : ?on_drop:(Version.t -> unit) -> t -> horizon:int -> int
+    newest committed one and every uncommitted version, in one pass;
+    [on_drop] fires once per dropped version (storage accounting).
+    Returns the chain to keep: [c] itself when nothing is dropped, a
+    tight new array when only committed versions remain (so it is
+    frozen), else [c] compacted in place (a chain holding a pending
+    version is not frozen). *)
+val prune : ?on_drop:(Version.t -> unit) -> t -> horizon:int -> t
 
 (** Validate the ordering invariants — descending timestamps and the
     committed-suffix property (property-test support). *)

@@ -23,11 +23,13 @@
 
     Every mutation but a reposition, which moves a pending version in
     place, stores the chain it returns back in the replica's slot
-    ({!settle}).  {!Chain} never writes a frozen chain (one slot,
-    one committed version) in place, so the replicas may share one: a
-    chain left with one committed version adopts a sibling slot's
-    frozen array of exactly that version, and once every slot holds one
-    array the node collapses (see {!Nodetbl.set}).
+    ({!settle}).  {!Chain} never writes a frozen chain (a full array of
+    committed versions) in place, so the replicas may share one: a
+    chain left holding only committed versions adopts a sibling slot's
+    frozen array of exactly those versions, and once every slot holds
+    one array the node collapses (see {!Nodetbl.set}).  {!prune} visits
+    only the nodes where some replica holds two versions or more: the
+    directory lists them from the first prune on.
 
     Storage accounting is incremental: key and version byte counts are
     maintained on every load/insert/remove/prune, so {!storage_bytes}
@@ -138,11 +140,18 @@ type directory = {
   absent : entry;
       (** the end marker of [entries]; a copy made by [Marshal] has its
           own, which this field shares *)
+  mutable work : entry array;
+      (** {!prune}'s work list, in its first [listed] cells: every node
+          where some slot holds two versions or more, and until the next
+          prune maybe nodes that no longer do, some more than once *)
+  mutable listed : int;
+      (** -1 until a replica first prunes: a directory that is never
+          pruned keeps no list (one word per written key) *)
 }
 
 let create_directory ~slots =
   if slots < 1 then invalid_arg "Mvstore.create_directory: slots must be positive";
-  { entries = Nodetbl.create no_entry; slots; absent = no_entry }
+  { entries = Nodetbl.create no_entry; slots; absent = no_entry; work = [||]; listed = -1 }
 
 let directory_keys d =
   let keys = ref [] in
@@ -243,30 +252,55 @@ let opened t e =
       Chain.create ()
   end
 
-(* A frozen chain of exactly [v] other than [c] in a slot from [i] up,
-   else [c].  A chain mutated in place may still sit in its own slot. *)
-let rec sibling e ~slots v c i =
+(* A frozen array other than [c] in a slot from [i] up that holds [c]'s
+   versions, else [c].  A chain mutated in place may still sit in its
+   own slot. *)
+let rec sibling e ~slots c i =
   if i = slots then c
   else begin
     let s = Nodetbl.get e i in
-    if s != c && Chain.frozen s && Chain.get s 0 == v then s
-    else sibling e ~slots v c (i + 1)
+    if s != c && Chain.exact s c && Chain.frozen s then s else sibling e ~slots c (i + 1)
   end
 
 (* Store [c], this replica's chain of [e] after a mutation.  A chain
-   left with one committed version adopts the array of a slot that
-   holds that version frozen: the replicas of a write-once key share
-   one array, and once every slot holds it the node drops its slot
-   array.  With no such slot, [c] itself is the array the others adopt
-   later (when it is frozen). *)
+   holding only committed versions adopts the array of a slot that
+   holds the same versions frozen: the replicas of a key share its
+   committed history, and once every slot holds one array the node
+   drops its slot array.  With no such slot, [c] itself is the array
+   the others adopt later (when it is frozen).  A chain holding a
+   pending version matches no frozen array. *)
 let settle t e c =
   let slots = t.directory.slots in
-  let c =
-    if Chain.length c = 1 && Version.is_committed (Chain.get c 0) then
-      sibling e ~slots (Chain.get c 0) c 0
-    else c
-  in
+  let c = sibling e ~slots c 0 in
   if c != Nodetbl.get e t.slot then Nodetbl.set ~slots e t.slot c
+
+(* Does a slot of [e] from [i] up, other than [except], hold two
+   versions or more? *)
+let rec multi_from e ~slots ~except i =
+  i < slots
+  && ((i <> except && Chain.length (Nodetbl.get e i) >= 2)
+     || multi_from e ~slots ~except (i + 1))
+
+(* Does some slot of [e] hold two versions or more? *)
+let multi ~slots (e : entry) =
+  if Nodetbl.collapsed e then Chain.length e.data >= 2 else multi_from e ~slots ~except:(-1) 0
+
+let enlist d e =
+  if d.listed = Array.length d.work then begin
+    let grown = Array.make (max 16 (2 * d.listed)) no_entry in
+    Array.blit d.work 0 grown 0 d.listed;
+    d.work <- grown
+  end;
+  d.work.(d.listed) <- e;
+  d.listed <- d.listed + 1
+
+(* After a mutation that may have grown this replica's chain [c] of
+   [e] to two versions: once the directory keeps its work list, list
+   [e] unless another slot's two versions already keep it listed. *)
+let note_multi t e c =
+  let d = t.directory in
+  if d.listed >= 0 && Chain.length c = 2 && not (multi_from e ~slots:d.slots ~except:t.slot 0)
+  then enlist d e
 
 (* [key]'s versions newest-first: its chain, else its loaded version. *)
 let fold_versions f acc t key =
@@ -397,7 +431,9 @@ let newest_committed t key =
   if Chain.is_absent c then loaded t.dataset key else Chain.newest_committed c
 
 let chain_insert t e v =
-  settle t e (Chain.insert (opened t e) v);
+  let c = Chain.insert (opened t e) v in
+  settle t e c;
+  note_multi t e c;
   account_insert t v
 
 let insert_version t key v = chain_insert t (entry t key) v
@@ -436,10 +472,15 @@ let remove_from t e c txid =
 
 let chain_remove t e txid = remove_from t e (chain t e) txid
 
+(* A final commit's shared version carries the pending one's value
+   ([Certification.committed_versions] builds both from one write set),
+   so the bytes move only when the values differ. *)
 let chain_replace t e ~old v =
-  settle t e (Chain.replace (opened t e) ~old v);
-  account_remove t old;
-  account_insert t v
+  let c = Chain.replace (opened t e) ~old v in
+  settle t e c;
+  note_multi t e c;
+  if Version.value v != Version.value old then
+    t.data_bytes <- t.data_bytes + version_bytes v - version_bytes old
 
 let chain_reposition t e v = Chain.reposition (chain t e) v
 
@@ -472,22 +513,64 @@ let iter_chains f t =
        if not (Chain.is_absent c) then f e c)
      t.directory.entries [@alert "-nondet"])
 
-(* Only started chains can hold more than one version; a key still on
-   its loaded version has nothing to drop (the newest committed version
-   is always kept). *)
+(* A chain of one version has nothing to drop (the newest committed
+   version is always kept), so only the directory's work list is
+   visited, and it keeps the nodes that some slot still holds two
+   versions of.  The first prune of a directory walks every node to
+   build the list; later inserts and replaces add to it ([note_multi]).
+   A node may be listed twice (its slots fell below two versions and
+   grew again between prunes), so a prune visits each node once.  A
+   node no longer in the directory holds no version, and is dropped. *)
 let prune t ~horizon =
+  let d = t.directory in
   let dropped = ref 0 in
-  let on_drop v = account_remove t v in
-  (* Hash order: each chain is pruned on its own, and summing a count is
-     order-insensitive. *)
-  iter_chains
-    (fun e c ->
-      let n = Chain.prune ~on_drop c ~horizon in
-      if n > 0 then begin
-        dropped := !dropped + n;
-        settle t e c
-      end)
-    t;
+  let on_drop v =
+    incr dropped;
+    account_remove t v
+  in
+  let visit e =
+    let c = chain t e in
+    if Chain.length c >= 2 then begin
+      let pruned = Chain.prune ~on_drop c ~horizon in
+      if pruned != c then settle t e pruned
+    end;
+    if multi ~slots:d.slots e then enlist d e
+  in
+  if d.listed < 0 then begin
+    d.listed <- 0;
+    (* Hash order: each chain is pruned on its own, summing a count is
+       order-insensitive, and the work list's order is never observed. *)
+    (Nodetbl.iter visit d.entries [@alert "-nondet"])
+  end
+  else begin
+    let work = d.work and n = d.listed in
+    (* The nodes kept so far, as their indices in the list, by open
+       addressing on the node's hash: ints, so the table holds no
+       pointer that a minor collection would have to promote. *)
+    let size = ref 16 in
+    while !size < 2 * n do
+      size := 2 * !size
+    done;
+    let kept = Array.make !size (-1) and mask = !size - 1 in
+    let rec slot (e : entry) i =
+      let j = kept.(i) in
+      if j < 0 || work.(j) == e then i else slot e ((i + 1) land mask)
+    in
+    (* [visit] refills the list from its start, behind the reads.  A
+       repeat of a node it kept is found in [kept]; one it dropped holds
+       two versions at no slot, and [multi] skips it. *)
+    d.listed <- 0;
+    for i = 0 to n - 1 do
+      let e = work.(i) in
+      let s = slot e (e.hash land mask) in
+      if kept.(s) < 0 && multi ~slots:d.slots e then begin
+        let j = d.listed in
+        visit e;
+        if d.listed > j then kept.(s) <- j
+      end
+    done;
+    Array.fill work d.listed (n - d.listed) no_entry
+  end;
   t.versions_pruned <- t.versions_pruned + !dropped;
   !dropped
 

@@ -30,11 +30,15 @@ val create_dataset : unit -> dataset
     The replicas share it, each store reading and writing only its own
     slot, so a write at one replica is never visible at another.
 
-    A chain left holding one committed version [v] adopts a sibling
-    slot's array when that one is physically [[|v|]], which is
-    {!Chain.frozen} and so never written in place: the replicas of a
-    write-once key share one array.  A node whose slots all hold the
-    same chain is collapsed ({!collapsed}): it keeps no slot array. *)
+    A chain left holding only committed versions adopts a sibling
+    slot's array when that one is {!Chain.frozen}, so never written in
+    place, and holds physically the same versions: the replicas of a
+    key share its committed history.  A node whose slots all hold the
+    same chain is collapsed ({!collapsed}): it keeps no slot array.
+
+    From the first prune of any of its replicas on, the directory also
+    lists the nodes where some slot holds two versions or more, the only
+    ones a prune can drop a version from. *)
 type directory
 
 (** A directory with [slots] slots per node (the partition's
@@ -156,14 +160,18 @@ val chain_insert : t -> entry -> Version.t -> unit
     directory if its chain empties and its key was not loaded. *)
 val chain_remove : t -> entry -> Txid.t -> Version.t option
 
-(** {!Chain.replace} [old] with [v]. *)
+(** {!Chain.replace} [old], which must be in the chain, with [v].  The
+    byte tally moves only when the two values differ physically. *)
 val chain_replace : t -> entry -> old:Version.t -> Version.t -> unit
 
 (** {!Chain.reposition} [v]. *)
 val chain_reposition : t -> entry -> Version.t -> unit
 
-(** Multi-version GC over every chain of this replica; returns versions
-    dropped.  A key still on its loaded version has nothing to drop. *)
+(** Multi-version GC ({!Chain.prune}) over this replica's chains of the
+    directory's listed nodes; returns versions dropped.  A chain of one
+    version, such as a key still on its loaded version, has nothing to
+    drop.  The first prune of a directory walks all its nodes to list
+    them. *)
 val prune : t -> horizon:int -> int
 
 val reads_served : t -> int

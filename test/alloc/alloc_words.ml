@@ -3,9 +3,11 @@
    default size): minor words per [Fiber.sleep], per await wake-up, per
    [Fiber.spawn] of a fiber that returns at once, per [Rng.int] and per
    [Rng.float] draw ({!Alloc_probe}), then the minor and promoted words
-   of a 1 s [synth-a] run read after a forced [Gc.minor ()].  A change
-   that moves any of them changes the golden, so allocation changes
-   only on purpose. *)
+   of a 1 s [synth-a] run read after a forced [Gc.minor ()], then the
+   heap words of all the replica stores at the end of a short open-loop
+   run with [open-1m]'s parameters ({!Store_probe}).  A change that
+   moves any of them changes the golden, so allocation and the store
+   layout change only on purpose. *)
 
 (* [synth-a] as the benchmark sets it up (nine EC2 DCs, rf 6, 10
    clients per node, STR), with no warm-up and a 1 s window, seed 1. *)
@@ -34,4 +36,7 @@ let () =
   Printf.printf "minor words per Rng.float: %.2f\n" (Alloc_probe.rng_float_words ());
   let committed, minor, promoted = synth_a_words () in
   Printf.printf "synth-a 1 s, seed 1: %d commits, %.0f minor words, %.0f promoted words\n"
-    committed minor promoted
+    committed minor promoted;
+  let eng = Store_probe.open_loop ~warmup_us:400_000 ~measure_us:1_600_000 ~seed:1 in
+  Printf.printf "open-1m 0.4 s + 1.6 s, seed 1: %d replica store words\n"
+    (Store_probe.store_words eng)

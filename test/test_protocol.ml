@@ -545,17 +545,17 @@ let test_deterministic_engine_runs () =
 
 (* --- shared committed versions ----------------------------------------- *)
 
-(* The benchmark's smoke-size synth-a: 9 EC2 DCs, rf 6, 10 clients per
+(* A benchmark smoke-size closed loop: 9 EC2 DCs, rf 6, [clients] per
    node, 0.3 s warmup + 0.7 s measured, seed 1.  Returns the engine
    after the drain. *)
-let run_synth_a_smoke ?at_window_end () =
+let run_closed_smoke ?at_window_end ~clients make_spec =
   let module R = Harness.Runner in
   let placement = Placement.ring ~n_nodes:9 ~replication_factor:6 () in
-  let spec = Workload.Synthetic.make ~params:Workload.Synthetic.synth_a placement in
+  let spec = make_spec placement in
   let setup =
     {
       (R.default_setup ~workload:spec ~config:(Core.Config.str ())) with
-      R.clients_per_node = 10;
+      R.clients_per_node = clients;
       warmup_us = 300_000;
       measure_us = 700_000;
       seed = 1;
@@ -578,6 +578,11 @@ let run_synth_a_smoke ?at_window_end () =
        ?at_window_end:(Option.map (fun f () -> f eng) at_window_end)
        ());
   eng
+
+(* The benchmark's smoke-size synth-a, 10 clients per node. *)
+let run_synth_a_smoke ?at_window_end () =
+  run_closed_smoke ?at_window_end ~clients:10
+    (Workload.Synthetic.make ~params:Workload.Synthetic.synth_a)
 
 (* The smoke run, and every committed version (with its timestamp) the
    replicas held at the end of its measured window. *)
@@ -610,32 +615,43 @@ let test_committed_versions_immutable () =
           (Txid.to_string (Version.writer v)) ts (Version.ts v) (Version.is_committed v))
     at_window_end
 
-(* Memory per stored version over all 54 replica stores, on a run of
-   its own (listing a store's versions caches its sorted keys).
+(* Smoke runs whose stores only [test_store_words_per_version] and
+   [test_committed_histories_shared] read, neither of which caches
+   anything in a store: a smoke tpcc, whose first write to a loaded row
+   leaves [loaded; committed], and an open loop with open-1m's
+   parameters (0.4 s + 1.6 s, long enough for many cold keys to be
+   written twice). *)
+let tpcc_smoke =
+  lazy (run_closed_smoke ~clients:60 (fun pl -> fst (Workload.Tpcc.make ~mix:Workload.Tpcc.mix_a pl)))
+
+let open_smoke = lazy (Store_probe.open_loop ~warmup_us:400_000 ~measure_us:1_600_000 ~seed:1)
+
+(* Memory per stored version over all 54 replica stores, on runs of
+   their own (listing a store's versions caches its sorted keys).
    Reachable words over one array of the stores count a block the
    replicas share once: a committed version is made once per write, not
-   once per replica. *)
+   once per replica, and a committed history once per key.  The runs
+   read 4.67 (synth-a), 2.22 (tpcc, whose loaded rows are most of the
+   words) and 3.81 (open loop); with a private array per replica for a
+   history of two versions or more, tpcc read 2.26 and the open loop
+   4.01. *)
 let test_store_words_per_version () =
-  let eng = run_synth_a_smoke () in
-  let placement = Core.Engine.placement eng in
-  let stores =
-    List.concat_map
-      (fun p ->
-        Array.to_list
-          (Array.map
-             (fun r -> Core.Partition_server.store (Core.Engine.server eng ~node:r ~partition:p))
-             (Placement.replicas placement p)))
-      (List.init (Placement.n_partitions placement) Fun.id)
-    |> Array.of_list
-  in
-  let versions = Array.fold_left (fun n s -> n + Mvstore.version_count s) 0 stores in
-  let words = Obj.reachable_words (Obj.repr stores) in
-  let per_version = float_of_int words /. float_of_int versions in
-  Alcotest.(check int) "54 replica stores" 54 (Array.length stores);
-  Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per stored version (%d words, %d versions) <= 4.90"
-       per_version words versions)
-    true (per_version <= 4.90)
+  List.iter
+    (fun (name, eng, bound) ->
+      let stores = Store_probe.replica_stores eng in
+      let versions = Array.fold_left (fun n s -> n + Mvstore.version_count s) 0 stores in
+      let words = Store_probe.store_words eng in
+      let per_version = float_of_int words /. float_of_int versions in
+      Alcotest.(check int) "54 replica stores" 54 (Array.length stores);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f words per stored version (%d words, %d versions) <= %.2f"
+           name per_version words versions bound)
+        true (per_version <= bound))
+    [
+      ("synth-a", run_synth_a_smoke (), 4.90);
+      ("tpcc", Lazy.force tpcc_smoke, 2.24);
+      ("open loop", Lazy.force open_smoke, 3.90);
+    ]
 
 (* A node's cache partition holds the versions of the remote keys its
    transactions write only until their decision: the directory entry of
@@ -704,7 +720,7 @@ let test_one_directory_per_partition () =
 (* A key whose replicas all hold the same single committed version (in
    this run, a key written once) costs one chain array and one node:
    every replica's slot holds the same frozen array, and the node keeps
-   no slot array. *)
+   no slot array.  A collapsed node's one array is frozen. *)
 let test_write_once_keys_share_one_chain () =
   let eng, _ = Lazy.force synth_a_smoke in
   let placement = Core.Engine.placement eng in
@@ -735,13 +751,68 @@ let test_write_once_keys_share_one_chain () =
             Alcotest.failf "%s: its replicas hold one committed version in %s" (Key.to_string k)
               (if Mvstore.collapsed e then "several arrays" else "a node with a slot array")
         end
-        else if Mvstore.collapsed e then
-          Alcotest.failf "%s: a collapsed node whose replicas differ" (Key.to_string k))
+        else if Mvstore.collapsed e && not (Chain.frozen one) then
+          Alcotest.failf "%s: a collapsed node shares an array that is not frozen"
+            (Key.to_string k))
       (Mvstore.directory_keys (Mvstore.directory stores.(0)))
   done;
   Alcotest.(check bool)
     (Printf.sprintf "%d of %d nodes share one chain" !shared !nodes)
     true (!shared > 0)
+
+(* Every node of [eng]'s partitions: a collapsed node shares a frozen
+   array, and a node whose replicas hold the same committed history,
+   one of them in a frozen array, is collapsed onto that array.  Returns
+   the collapsed nodes whose history holds two versions or more.  A
+   history that every replica holds in an array with a free slot (after
+   an aborted write, or three versions in four slots) has no frozen
+   array to share.  So does one that a prune tightened at a replica
+   after the others settled; no prune drops a version in a run shorter
+   than the 2 s horizon. *)
+let shared_histories eng =
+  let placement = Core.Engine.placement eng in
+  let multi = ref 0 in
+  for p = 0 to Placement.n_partitions placement - 1 do
+    let stores =
+      Array.map
+        (fun r -> Core.Partition_server.store (Core.Engine.server eng ~node:r ~partition:p))
+        (Placement.replicas placement p)
+    in
+    List.iter
+      (fun k ->
+        let e = Option.get (Mvstore.find_entry stores.(0) k) in
+        let chains = Array.map (fun s -> Mvstore.chain s e) stores in
+        let one = chains.(0) in
+        if Mvstore.collapsed e then begin
+          if not (Chain.frozen one) then
+            Alcotest.failf "%s: a collapsed node shares an array that is not frozen"
+              (Key.to_string k);
+          if Chain.length one >= 2 then incr multi
+        end
+        else begin
+          let same c =
+            Chain.length c > 0
+            && List.for_all Version.is_committed (Chain.versions c)
+            && List.equal ( == ) (Chain.versions c) (Chain.versions one)
+          in
+          if Array.for_all same chains && Array.exists Chain.frozen chains then
+            Alcotest.failf "%s: its replicas hold one committed history in several arrays"
+              (Key.to_string k)
+        end)
+      (Mvstore.directory_keys (Mvstore.directory stores.(0)))
+  done;
+  !multi
+
+(* The replicas of a key share its committed history, not only a
+   write-once version, after the smoke tpcc and open-loop runs. *)
+let test_committed_histories_shared () =
+  List.iter
+    (fun (name, eng) ->
+      let n = shared_histories eng in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d collapsed nodes share two versions or more" name n)
+        true (n > 0))
+    [ ("tpcc", Lazy.force tpcc_smoke); ("open loop", Lazy.force open_smoke) ]
 
 let () =
   Alcotest.run "protocol"
@@ -810,5 +881,7 @@ let () =
             test_one_directory_per_partition;
           Alcotest.test_case "write-once keys share one chain" `Quick
             test_write_once_keys_share_one_chain;
+          Alcotest.test_case "committed histories are shared" `Quick
+            test_committed_histories_shared;
         ] );
     ]

@@ -70,11 +70,21 @@ let test_chain_prune () =
       (List.init 10 (fun i -> mkv ~n:(i + 1) ~ts:((i + 1) * 10) ())
       @ [ mkv ~state:Version.Local_committed ~n:11 ~ts:5 () ])
   in
-  let dropped = Chain.prune c ~horizon:70 in
-  Alcotest.(check int) "dropped old committed" 6 dropped;
+  let c = Chain.prune c ~horizon:70 in
+  Alcotest.(check int) "dropped old committed" 5 (Chain.length c);
   (* newest committed always kept, uncommitted always kept *)
   Alcotest.(check bool) "uncommitted survives" true
-    (List.length (Chain.uncommitted c) = 1)
+    (List.length (Chain.uncommitted c) = 1);
+  (* Only committed versions left: a tight new array, so frozen, and
+     the frozen chain pruned is left as it was. *)
+  let full = chain_of (List.init 4 (fun i -> mkv ~n:(i + 1) ~ts:((i + 1) * 10) ())) in
+  Alcotest.(check bool) "four versions in four slots are frozen" true (Chain.frozen full);
+  let before = Chain.versions full in
+  let tight = Chain.prune full ~horizon:30 in
+  Alcotest.(check (list int)) "two kept" [ 40; 30 ] (List.map Version.ts (Chain.versions tight));
+  Alcotest.(check bool) "the remainder is frozen" true (Chain.frozen tight);
+  Alcotest.(check bool) "the frozen chain is unchanged" true
+    (List.equal ( == ) before (Chain.versions full))
 
 let test_mvstore_last_reader () =
   let s = Mvstore.create () in
@@ -408,22 +418,33 @@ let test_mvstore_layout_budget () =
   let directory = Mvstore.create_directory ~slots:6 in
   let replicas = Array.init 6 (fun slot -> Mvstore.create ~directory ~slot ()) in
   let empty = words replicas in
-  Array.iteri
-    (fun ts k ->
-      let v = Version.make ~writer ~state:Version.Committed ~ts ~value in
-      Array.iter
-        (fun s ->
-          let old = Version.make ~writer ~state:Version.Pre_committed ~ts ~value in
-          Mvstore.insert_version s k old;
-          Mvstore.chain_replace s (Mvstore.entry s k) ~old v)
-        replicas)
-    keys;
+  let commit_all ts k =
+    let v = Version.make ~writer ~state:Version.Committed ~ts ~value in
+    Array.iter
+      (fun s ->
+        let old = Version.make ~writer ~state:Version.Pre_committed ~ts ~value in
+        Mvstore.insert_version s k old;
+        Mvstore.chain_replace s (Mvstore.entry s k) ~old v)
+      replicas
+  in
+  Array.iteri commit_all keys;
   let per_replica =
     float_of_int (words (replicas, shared) - 3 - words shared - empty) /. float_of_int (6 * n)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f <= 2.59 words per (key, replica)" per_replica)
-    true (per_replica <= 2.59)
+    (Printf.sprintf "%.2f <= 2.25 words per (key, replica)" per_replica)
+    true (per_replica <= 2.25);
+  (* A second committed version of every key: the six replicas share
+     the two-version history as they shared the first, one full array
+     per key (2.97 words per (key, replica); 6.47 with a private array
+     per replica and a slot array per node). *)
+  Array.iteri (fun i k -> commit_all (n + i) k) keys;
+  let per_replica =
+    float_of_int (words (replicas, shared) - 3 - words shared - empty) /. float_of_int (6 * n)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f <= 3.12 words per (key, replica), two versions" per_replica)
+    true (per_replica <= 3.12)
 
 (* --- properties --- *)
 
@@ -474,7 +495,7 @@ let prop_prune_keeps_visibility =
     (fun (versions, horizon) ->
       let c = chain_of versions in
       let newest_before = Chain.newest_committed c in
-      ignore (Chain.prune c ~horizon);
+      let c = Chain.prune c ~horizon in
       match newest_before with
       | None -> true
       | Some v ->
@@ -660,7 +681,10 @@ let run_chain_differential ops =
          let b = Ref_chain.remove_writer r (Version.writer v) in
          same_opt a b
        end
-     | Op_prune h -> Chain.prune !c ~horizon:h = Ref_chain.prune r ~horizon:h
+     | Op_prune h ->
+       let before = Chain.length !c in
+       c := Chain.prune !c ~horizon:h;
+       before - Chain.length !c = Ref_chain.prune r ~horizon:h
      | Op_query rs -> agree rs)
     && Chain.length !c = Ref_chain.length r
     && same_list (Chain.versions !c) (Ref_chain.versions r)
@@ -700,6 +724,24 @@ let test_mvstore_accounting_differential () =
   Alcotest.(check bool) "prune dropped something" true (dropped > 0);
   Alcotest.(check int) "version_count tracks removals" (29 - dropped)
     (Mvstore.version_count s);
+  (match Mvstore.check_accounting s with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  (* A final commit's committed version carries the pending one's value
+     (no byte delta); a replace with another value moves the tally. *)
+  let commit n value =
+    let k = key ((n - 100) mod 6) in
+    match Mvstore.find_version s k (txid n) with
+    | None -> Alcotest.failf "txid %d has no version" n
+    | Some old ->
+      Mvstore.chain_replace s (Mvstore.entry s k) ~old
+        (Version.make ~writer:(txid n) ~state:Version.Committed ~ts:(Version.ts old)
+           ~value:(value old))
+  in
+  let before = Mvstore.storage_bytes s in
+  commit 101 Version.value;
+  Alcotest.(check (pair int int)) "same value, same bytes" before (Mvstore.storage_bytes s);
+  commit 102 (fun _ -> Value.Str "a longer committed value");
   (match Mvstore.check_accounting s with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
@@ -1132,8 +1174,12 @@ let test_mvstore_identical_rows () =
    mix of mutations: a write at one slot is never visible at another.
    Both sides hold the same version objects.  [D_share] commits one
    version at several slots, as a final commit does, so their chains
-   share one frozen array (and the node may collapse); every later op at
-   one slot must then leave the other slots' chains as they were. *)
+   share one frozen array (and the node may collapse); repeated, it
+   builds committed histories of several versions that the slots share.
+   [D_abort] prepares and aborts a write at several slots, and
+   [D_prune_all] prunes every slot, so histories are also shared after
+   an abort and after a prune.  Every op at one slot must leave the
+   other slots' chains as they were. *)
 
 type slot_op =
   | D_insert of int * int * int * int  (** slot, key, ts, state selector *)
@@ -1143,6 +1189,8 @@ type slot_op =
   | D_prune of int * int  (** slot, horizon *)
   | D_bump of int * int * int  (** slot, key, rs *)
   | D_share of int * int * int  (** slots 0 to n-1, key, ts *)
+  | D_abort of int * int * int  (** slots 0 to n-1, key, ts *)
+  | D_prune_all of int  (** horizon *)
 
 let n_slot_keys = 5
 
@@ -1159,6 +1207,9 @@ let slot_op_gen ~slots =
         (1, map2 (fun r h -> D_prune (r, h)) r (int_range 0 1500));
         (2, map3 (fun r k rs -> D_bump (r, k, rs)) r k (int_range 1 1500));
         (3, map3 (fun n k ts -> D_share (n, k, ts)) (int_range 1 slots) k p);
+        (4, map2 (fun k ts -> D_share (slots, k, ts)) k p);
+        (2, map3 (fun n k ts -> D_abort (n, k, ts)) (int_range 1 slots) k p);
+        (1, map (fun h -> D_prune_all h) (int_range 0 1500));
       ])
 
 let run_slot_isolation ~slots ops =
@@ -1249,13 +1300,28 @@ let run_slot_isolation ~slots ops =
         live.(r) <- Array.append [| (dkey k, v) |] live.(r)
       done;
       true
+    | D_abort (n, k, ts) ->
+      (* A write prepared at each slot and aborted there. *)
+      incr next_writer;
+      let writer = Txid.make ~origin:0 ~number:!next_writer in
+      for r = 0 to n - 1 do
+        let v = Version.make ~writer ~state:Version.Pre_committed ~ts ~value:(Value.Int ts) in
+        both r (fun s ->
+            Mvstore.insert_version s (dkey k) v;
+            Mvstore.remove_version s (dkey k) writer)
+      done;
+      true
+    | D_prune_all h ->
+      List.for_all
+        (fun r -> Mvstore.prune shared.(r) ~horizon:h = Mvstore.prune own.(r) ~horizon:h)
+        (List.init slots Fun.id)
   in
   (* The slot an op mutates; [D_share] mutates several. *)
   let slot_of = function
     | D_insert (r, _, _, _) | D_reposition (r, _, _) | D_replace (r, _, _)
     | D_remove (r, _) | D_prune (r, _) | D_bump (r, _, _) ->
       Some r
-    | D_share _ -> None
+    | D_share _ | D_abort _ | D_prune_all _ -> None
   in
   (* Every slot's versions of every key, by identity. *)
   let contents () =
